@@ -1,10 +1,13 @@
 """Dense univariate polynomial helpers on the monomial basis.
 
-Coefficients are stored in ascending order: ``coeffs[k]`` multiplies ``x**k``.
-The main entry point is :func:`integrate_abs_poly`, which integrates ``|p|``
-exactly by splitting the interval at the sign changes of ``p`` and summing
-closed-form antiderivative differences.  Sign changes are isolated with a
-Sturm-sequence guided bisection; degrees 1 and 2 use closed forms.
+Coefficients are stored in ascending order: ``coeffs[..., k]`` multiplies
+``x**k``.  ``|p|`` is integrated exactly by splitting the interval at the sign
+changes of ``p`` and summing closed-form antiderivative differences.  The
+batched kernel :func:`integrate_abs_local` works in an interval-local variable
+``u`` on ``[0, w]``, which keeps coefficients of the order of the values
+however far the interval lies from the origin.  Its sign changes are
+closed-form for degree <= 2; higher degrees use Sturm-sequence guided
+bisection (:func:`sign_change_roots`).
 """
 
 from __future__ import annotations
@@ -191,20 +194,79 @@ def sign_change_roots(coeffs, lo: float, hi: float, tol: float | None = None):
     return merged
 
 
+def taylor_shift(coeffs, a):
+    """Coefficients of ``q(u) = p(u + a)``, batched over leading axes.
+
+    ``a`` broadcasts against ``coeffs[..., 0]``.  Repeated synthetic
+    division, ``O(d^2)`` vector operations.
+    """
+    c = np.array(coeffs, dtype=float)
+    a = np.asarray(a, dtype=float)
+    d = c.shape[-1] - 1
+    for i in range(d):
+        for k in range(d - 1, i - 1, -1):
+            c[..., k] += a * c[..., k + 1]
+    return c
+
+
+def integrate_abs_local(coeffs, width):
+    """Integrals of ``|q|`` over ``[0, width]``, batched over leading axes.
+
+    ``coeffs[..., k]`` multiplies ``u**k``; ``width`` broadcasts against
+    ``coeffs[..., 0]``.  For degree <= 2 the roots are the linear root, or
+    ``q / c2`` and ``c0 / q`` with ``q = -(c1 + sign(c1) sqrt(disc)) / 2``
+    when the discriminant is positive.  Roots outside ``(0, width)``, or
+    undefined (zero leading coefficients), collapse to ``u = 0`` and add a
+    piece of zero length; an all-zero row gives an exact 0.  Degree >= 3
+    rows go one by one through the Sturm path of :func:`integrate_abs_poly`.
+    """
+    c = np.asarray(coeffs, dtype=float)
+    w = np.broadcast_to(np.asarray(width, dtype=float), c.shape[:-1])
+    if c.shape[-1] > 3:
+        rows, widths = c.reshape(-1, c.shape[-1]), w.ravel()
+        out = np.zeros(widths.shape)
+        for i in np.flatnonzero(np.any(rows != 0.0, axis=1)):
+            out[i] = integrate_abs_poly(rows[i], 0.0, widths[i])
+        return out.reshape(w.shape)
+    c0 = c[..., 0]
+    c1 = c[..., 1] if c.shape[-1] > 1 else np.zeros_like(c0)
+    c2 = c[..., 2] if c.shape[-1] > 2 else np.zeros_like(c0)
+    half, third = 0.5 * c1, c2 / 3.0
+
+    def anti(u):
+        return u * (c0 + u * (half + u * third))
+
+    # Undefined roots divide by zero on purpose; overflow yields inf or NaN,
+    # which DistanceMatrix refuses.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        disc = c1 * c1 - 4.0 * c2 * c0
+        q = -0.5 * (c1 + np.copysign(np.sqrt(np.maximum(disc, 0.0)), c1))
+        quadratic = (c2 != 0.0) & (disc > 0.0)
+        r1 = np.where(quadratic, q / c2, np.where(c2 == 0.0, -c0 / c1, np.nan))
+        r2 = np.where(quadratic, c0 / q, np.nan)
+        r1 = np.where((r1 > 0.0) & (r1 < w), r1, 0.0)
+        r2 = np.where((r2 > 0.0) & (r2 < w), r2, 0.0)
+        lo, hi = np.minimum(r1, r2), np.maximum(r1, r2)
+        a_lo, a_hi = anti(lo), anti(hi)
+        return np.abs(a_lo) + np.abs(a_hi - a_lo) + np.abs(anti(w) - a_hi)
+
+
 def integrate_abs_poly(coeffs, lo: float, hi: float) -> float:
     """Integral of ``|p|`` over ``[lo, hi]``, exact up to root isolation.
 
-    The interval is split at the sign changes of ``p``; on each piece the
-    signed integral is computed from the antiderivative and its absolute
-    value is accumulated.  Splitting at a point that is not a sign change is
+    Trimmed degree <= 2 is shifted to ``u = x - lo`` and integrated by
+    :func:`integrate_abs_local`.  Higher degrees split the interval at the
+    sign changes from :func:`sign_change_roots`; on each piece the signed
+    integral is computed from the antiderivative and its absolute value is
+    accumulated.  Splitting at a point that is not a sign change is
     harmless, so root-location error of order ``ROOT_TOL_REL * (hi - lo)``
     perturbs the result only at second order.
     """
     if hi <= lo:
         return 0.0
     c = poly_trim(coeffs)
-    if len(c) == 1:
-        return abs(c[0]) * (hi - lo)
+    if len(c) <= 3:
+        return float(integrate_abs_local(taylor_shift(c, lo), hi - lo))
     anti = poly_antideriv(c)
     pts = [lo] + sign_change_roots(c, lo, hi) + [hi]
     vals = poly_eval(anti, np.asarray(pts))

@@ -6,7 +6,7 @@ constant), ``bench`` (timing table).  The default seed comes from the
 ``L1SKETCH_SEED`` environment variable when set.
 
 Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
-4 internal invariant breach.
+4 internal invariant breach or a non-finite result.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from . import __version__
 from .ci1 import ci1_density, rescale_ci1, sample_ci1_unit
 from .cid import DEFAULT_C, ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, random_piecewise_linear_family, validate_family
-from .errors import EnvelopeDominationError, FamilyFormatError, ParameterError
+from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json, sha256_digest
 from .pipeline import SketchMode, estimate_all_pairs, run_scheme, sketch_family
 from .randstream import RandomStream, required_sample_count
@@ -361,6 +361,9 @@ def main(argv=None) -> int:
         return EXIT_PARAMETER
     except EnvelopeDominationError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except NonFiniteResultError as exc:
+        print(f"error: {exc}; nothing written", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -15,3 +15,8 @@ class EnvelopeDominationError(RuntimeError):
     This signals a violated domination bound inside the sampler, not a user
     error; it should never occur with the shipped envelope constant.
     """
+
+
+class NonFiniteResultError(ArithmeticError):
+    """A computed result is NaN or infinite, for example because finite
+    coefficients near 1e308 overflow float64; it is refused, not written."""

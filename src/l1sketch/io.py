@@ -66,6 +66,15 @@ def family_from_dict(doc: Any) -> DensityFamily:
         if isinstance(exc, FamilyFormatError):
             raise
         raise FamilyFormatError(f"malformed family document: {exc}") from exc
+    # JSON admits NaN and Infinity.  One check over all coefficients at once:
+    # a check per segment costs more than the rest of validation on wide files.
+    coeffs = [seg.coeffs for dens in densities for seg in dens.segments]
+    if coeffs and not np.isfinite(np.concatenate(coeffs)).all():
+        bad = next(
+            dens.name for dens in densities
+            if not all(np.isfinite(seg.coeffs).all() for seg in dens.segments)
+        )
+        raise FamilyFormatError(f"density {bad!r}: segment coefficients must be finite")
     return DensityFamily(bp, densities, degree)
 
 

@@ -45,7 +45,7 @@ from .densities import (
     sample_from_density,
     validate_family,
 )
-from .errors import EnvelopeDominationError, ParameterError
+from .errors import EnvelopeDominationError, NonFiniteResultError, ParameterError
 from .randstream import (
     RandomStream,
     geometric_mean_estimate,
@@ -99,6 +99,10 @@ class DistanceMatrix:
         m = len(self.names)
         if self.entries.shape != (m, m):
             raise ParameterError("entries must be m x m")
+        if not np.isfinite(self.entries).all():
+            raise NonFiniteResultError(
+                f"{int((~np.isfinite(self.entries)).sum())} distance entries are not finite"
+            )
         if np.any(np.diag(self.entries) != 0.0):
             raise ParameterError("diagonal must be zero")
         if not np.array_equal(self.entries, self.entries.T):

@@ -91,6 +91,39 @@ def test_dist_structural_error_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+def _two_constants(tmp_path, first: str, second: str) -> str:
+    """Degree-0 family of two constants on [0, 1), written as raw JSON tokens."""
+    path = tmp_path / "constants.json"
+    path.write_text(
+        '{"degree": 0, "breakpoints": [0.0, 1.0], "densities": ['
+        f'{{"name": "a", "segments": [{{"b": 0, "c": 1, "coeffs": [{first}]}}]}}, '
+        f'{{"name": "b", "segments": [{{"b": 0, "c": 1, "coeffs": [{second}]}}]}}]}}'
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("method", ["exact", "sketch", "mc"])
+@pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
+def test_dist_non_finite_coefficient_exit_2(tmp_path, capsys, method, token):
+    out = tmp_path / "dist.csv"
+    path = _two_constants(tmp_path, "1.0", token)
+    code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
+    assert code == 2
+    assert "'b': segment coefficients must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["exact", "sketch"])
+def test_dist_overflowing_distance_exit_4(tmp_path, capsys, method):
+    # finite coefficients whose difference overflows float64
+    out = tmp_path / "dist.csv"
+    path = _two_constants(tmp_path, "1e308", "-1e308")
+    code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
+    assert code == 4
+    assert "not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dist_bad_epsilon_exit_3(pair_family_path, capsys):
     code = main(["dist", pair_family_path, "--method", "sketch", "--epsilon", "0.9"])
     assert code == 3

@@ -144,6 +144,8 @@ def test_exact_all_pairs_shapes():
     single = uniform_density("only", 0.0, 1.0)
     dm = exact_all_pairs(single)
     assert dm.entries.shape == (1, 1) and dm.entries[0, 0] == 0.0
+    empty = DensityFamily(single.breakpoints, [], 0)
+    assert exact_all_pairs(empty).entries.shape == (0, 0)
 
     fam = merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.5, 1.5)])
     dm = exact_all_pairs(fam)

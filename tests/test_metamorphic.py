@@ -1,0 +1,133 @@
+"""Metamorphic properties of the exact oracle, driven by hypothesis.
+
+Translation: a family and its copy shifted by 1e6 or 1e9 have the same
+distances.  The shifted copies are built on dyadic grids (multiples of 1/64),
+so the shifted breakpoints are exact and only the global-monomial
+coefficients carry rounding.
+
+Permutation: reordering the densities reorders the matrix, bit for bit.
+
+Quadrature: on grids away from the origin and for degrees 0-4, the oracle
+agrees with adaptive Simpson on the polynomials the family was drawn from.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
+
+from conftest import adaptive_simpson
+from l1sketch import (
+    Breakpoints,
+    DensityFamily,
+    PiecewisePolyDensity,
+    PolySegment,
+    density_from_pieces,
+    exact_all_pairs,
+    merge_breakpoints,
+)
+from l1sketch._poly import poly_eval
+
+GRID = 64
+
+#: Fixed example sequence, like the fixed seeds of the rest of the suite.
+DETERMINISTIC = settings(deadline=None, derandomize=True)
+
+
+@st.composite
+def linear_shapes(draw):
+    """Per density: node positions on [0, 1] (multiples of 1/GRID) and node values."""
+    shapes = []
+    for _ in range(draw(st.integers(2, 5))):
+        cuts = sorted(draw(st.sets(st.integers(1, GRID - 1), max_size=6)))
+        nodes = np.array([0, *cuts, GRID], dtype=float) / GRID
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=nodes.size, max_size=nodes.size))
+        shapes.append((nodes, np.array(values)))
+    return shapes
+
+
+def linear_family(shapes, offset: float) -> DensityFamily:
+    """Continuous piecewise-linear densities, given by global monomial
+    coefficients on ``[offset, offset + 1]``."""
+    fams = []
+    for j, (nodes, values) in enumerate(shapes):
+        x = nodes + offset
+        pieces = []
+        for i in range(nodes.size - 1):
+            slope = (values[i + 1] - values[i]) / (nodes[i + 1] - nodes[i])
+            pieces.append((x[i], x[i + 1], np.array([values[i] - slope * x[i], slope])))
+        fams.append(density_from_pieces(f"f{j}", pieces, degree=1))
+    return merge_breakpoints(fams)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(
+    shapes=linear_shapes(),
+    offset_rtol=st.sampled_from([(1e6, 1e-9), (-1e6, 1e-9), (1e9, 1e-5), (-1e9, 1e-5)]),
+)
+def test_oracle_translation_invariant(shapes, offset_rtol):
+    offset, rtol = offset_rtol
+    base = exact_all_pairs(linear_family(shapes, 0.0)).entries
+    moved = exact_all_pairs(linear_family(shapes, offset)).entries
+    # values lie in [0, 1] on a unit interval, so distances are at most 2
+    np.testing.assert_allclose(moved, base, rtol=rtol, atol=rtol)
+
+
+def _global(local, a: float, degree: int) -> np.ndarray:
+    """Global coefficients of ``p(x) = q(x - a)``, by numpy's composition."""
+    coef = Polynomial(local)(Polynomial([-a, 1.0])).coef
+    return np.pad(coef, (0, degree + 1))[: degree + 1]
+
+
+@st.composite
+def shifted_families(draw, max_degree: int = 4):
+    """Signed families on a grid shifted from the origin, with each density
+    supported on a random subset of the intervals.
+
+    Returns the family, in global monomial coefficients, and the local
+    coefficients it was drawn from: ``local[j, l]`` is density ``j`` on
+    interval ``l`` in ``u = x - a_l``, zero off its support.
+    """
+    degree = draw(st.integers(0, max_degree))
+    widths = draw(st.lists(st.floats(0.05, 1.0), min_size=1, max_size=3))
+    grid = draw(st.floats(-100.0, 100.0)) + np.concatenate([[0.0], np.cumsum(widths)])
+    coeff = st.floats(-1.0, 1.0)
+    m = draw(st.integers(2, 4))
+    local = np.zeros((m, len(widths), degree + 1))
+    densities = []
+    for j in range(m):
+        segs = []
+        for ell in range(len(widths)):
+            if draw(st.booleans()) or not segs and ell == len(widths) - 1:
+                local[j, ell] = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
+                segs.append(PolySegment(ell, ell + 1, _global(local[j, ell], grid[ell], degree)))
+        densities.append(PiecewisePolyDensity(f"f{j}", segs, degree))
+    return DensityFamily(Breakpoints(grid), densities, degree), local
+
+
+@settings(DETERMINISTIC, max_examples=25)
+@given(drawn=shifted_families())
+def test_oracle_matches_adaptive_simpson_on_shifted_grids(drawn):
+    # the reference integrates the drawn local polynomials, free of the
+    # rounding that global coefficients carry away from the origin
+    family, local = drawn
+    widths = np.diff(family.breakpoints.points)
+    mine = exact_all_pairs(family).entries
+    for j in range(family.m):
+        for k in range(j + 1, family.m):
+            ref = 0.0
+            for diff, w in zip(local[j] - local[k], widths):
+                ref += adaptive_simpson(lambda u: abs(poly_eval(diff, u)), 0.0, w, tol=1e-10)
+            assert abs(mine[j, k] - ref) < 1e-6 * max(1.0, ref)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(drawn=shifted_families(), data=st.data())
+def test_permuting_densities_permutes_matrix(drawn, data):
+    family, _ = drawn
+    perm = data.draw(st.permutations(range(family.m)))
+    permuted = DensityFamily(
+        family.breakpoints, [family.densities[i] for i in perm], family.degree
+    )
+    base = exact_all_pairs(family).entries
+    np.testing.assert_array_equal(exact_all_pairs(permuted).entries, base[np.ix_(perm, perm)])
