@@ -9,6 +9,12 @@ dominated by ``(C/pi)`` times a bivariate Student law with one degree of
 freedom, which yields an exact rejection sampler with acceptance rate
 ``pi/C``.
 
+The ratio of density to envelope never exceeds about ``2 sqrt(2)``, far
+below ``C/pi``, so an upper squeeze (``SQUEEZE_K = 3``) rejects every
+proposal whose uniform has ``u * (C/pi) > 3`` without evaluating the density.
+The density is then evaluated on about 38% of proposals (``3 pi/25``); the
+decisions, and so the acceptance rate ``pi/25``, are those of the plain test.
+
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component.  All complex powers and logarithms use the
 principal branch (log imaginary part in ``(-pi, pi]``, arctangent real part
@@ -30,6 +36,15 @@ DOMINATION_C = 25.0
 
 #: Expected proposals per accepted sample.
 REJECTION_OVERHEAD = DOMINATION_C / np.pi
+
+#: Upper squeeze: the computed density stays below ``SQUEEZE_K`` times the
+#: envelope wherever the envelope is at least ``SQUEEZE_G_MIN``.
+SQUEEZE_K = 3.0
+
+#: Below this envelope value (radius beyond about 7e7) the squeeze is off.
+#: Far out the generic density formula cancels: near the ``x0 = 0`` axis its
+#: computed value passes 3 times the envelope from about ``|x1| = 2e11``.
+SQUEEZE_G_MIN = 1e-24
 
 #: Proposal cap per requested sample before declaring the envelope broken.
 REJECTION_ITERATION_CAP = 10_000
@@ -165,8 +180,21 @@ def _proposal_block(gen: np.random.Generator, n: int):
 
 
 def _accept_mask(x0, x1, u01):
-    """Rejection test: accept when ``u * (C/pi) * g <= f``."""
-    return u01 * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
+    """Rejection test: accept when ``u * (C/pi) * g <= f``.
+
+    Upper squeeze: where ``g >= SQUEEZE_G_MIN`` the computed ratio ``f / g``
+    stays below 2.8285 (sup 2 sqrt(2), approached at large radius towards
+    the direction ``(1, 1)``), so ``u * (C/pi) > SQUEEZE_K = 3`` makes
+    ``u * (C/pi) * g`` exceed ``f`` with a 6% margin, far above rounding: such
+    a proposal is rejected without evaluating ``f``.  Every other point gets
+    the plain test, in the same operation order, so no decision changes.
+    """
+    scaled = u01 * REJECTION_OVERHEAD
+    g = student_envelope_density(x0, x1)
+    test = np.flatnonzero((scaled <= SQUEEZE_K) | ~(g >= SQUEEZE_G_MIN))
+    accept = np.zeros(np.shape(scaled), dtype=bool)
+    accept.flat[test] = scaled.take(test) * g.take(test) <= ci1_density(x0.take(test), x1.take(test))
+    return accept
 
 
 def sample_student_envelope(rng: RandomStream, size: int | None = None) -> CI1Sample:

@@ -48,10 +48,8 @@ def _write(text: str, out: str | None) -> None:
 
 
 def _manifest_line(command: str, parameters: dict, seed: int, digest: str | None = None) -> str:
-    import json as _json
-
     manifest = build_manifest(command, parameters, seed, digest)
-    return "# manifest: " + _json.dumps(manifest, sort_keys=True)
+    return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
 
 def _parse_grid(spec: str) -> np.ndarray:

@@ -298,7 +298,10 @@ def exact_all_pairs(family: DensityFamily):
     widths = np.diff(family.breakpoints.points)
     entries = np.zeros((m, m))
     for j in range(m - 1):
-        row = integrate_abs_local(coeffs[j] - coeffs[j + 1 :], widths).sum(axis=1)
+        # a difference that overflows gives inf, which DistanceMatrix refuses
+        with np.errstate(over="ignore"):
+            diff = coeffs[j] - coeffs[j + 1 :]
+        row = integrate_abs_local(diff, widths).sum(axis=1)
         entries[j, j + 1 :] = row
         entries[j + 1 :, j] = row
     return DistanceMatrix(

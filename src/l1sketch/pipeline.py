@@ -15,7 +15,8 @@ Determinism contract: replicate ``rep`` consumes only the stream
 ``(seed, rep)``, replicates are processed in fixed-size blocks aligned to
 absolute replicate indices, and each block's arithmetic is identical no
 matter which worker thread runs it.  Outputs are therefore bit-identical
-for any thread count.
+for any thread count.  Each block owns one generator and re-keys it to
+``(seed, rep)`` for each of its replicates, so threads never share one.
 """
 
 from __future__ import annotations
@@ -56,6 +57,12 @@ from .randstream import (
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
 #: independent of threading and chunk scheduling.
 _BLOCK = 64
+
+#: Envelope proposals per grouped acceptance test of the exact degree-1 mode
+#: (whole replicates, at least one).  The density's complex temporaries grow
+#: with the group, so peak memory does too; at about 3,000 proposals a group
+#: adds well under 1% to a run's peak RSS.
+_CI1_GROUP_PROPOSALS = 3000
 
 
 class SketchMode(enum.Enum):
@@ -165,17 +172,10 @@ def _ci1_unit_block(gen: np.random.Generator, need: int, first_block: int):
     Draws a fixed-size first proposal block (so block shapes do not depend
     on acceptance luck), then tops up in the rare shortfall case.
     """
-    px0, px1, u01 = _proposal_block(gen, first_block)
-    acc = _accept_mask(px0, px1, u01)
-    got = int(acc.sum())
-    if got >= need:
-        idx = np.nonzero(acc)[0][:need]
-        return px0[idx], px1[idx]
-    parts0 = [px0[acc]]
-    parts1 = [px1[acc]]
-    used = first_block
+    parts0, parts1 = [], []
+    got = used = 0
+    k = first_block
     while got < need:
-        k = max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)
         qx0, qx1, qu = _proposal_block(gen, k)
         qa = _accept_mask(qx0, qx1, qu)
         parts0.append(qx0[qa])
@@ -186,7 +186,37 @@ def _ci1_unit_block(gen: np.random.Generator, need: int, first_block: int):
             raise EnvelopeDominationError(
                 f"rejection sampler used {used} proposals for {need} draws"
             )
+        k = max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)
     return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
+
+
+def _ci1_group(stream: RandomStream, reps: range, need: int, first_block: int):
+    """``need`` exact unit draws for each replicate in ``reps``, as two
+    ``(len(reps), need)`` arrays equal to :func:`_ci1_unit_block` on a fresh
+    ``(seed, rep)`` generator per replicate.
+
+    Each replicate draws its first block from its own stream; one acceptance
+    test covers the stacked proposals, and each replicate takes its first
+    ``need`` accepts.  A replicate that falls short redraws through
+    :func:`_ci1_unit_block` from a re-keyed stream.
+    """
+    proposals = np.empty((3, len(reps), first_block))
+    for i, rep in enumerate(reps):
+        stream.rekey(rep)
+        proposals[:, i] = _proposal_block(stream.generator, first_block)
+    px0, px1, u01 = proposals
+    acc = _accept_mask(px0, px1, u01)
+    take = acc & (np.cumsum(acc, axis=1) <= need)
+    full = take.sum(axis=1) == need
+    take[~full] = False
+    u0 = np.empty((len(reps), need))
+    u1 = np.empty((len(reps), need))
+    u0[full] = px0[take].reshape(-1, need)
+    u1[full] = px1[take].reshape(-1, need)
+    for i in np.flatnonzero(~full):
+        stream.rekey(reps[i])
+        u0[i], u1[i] = _ci1_unit_block(stream.generator, need, first_block)
+    return u0, u1
 
 
 def sketch_family(
@@ -243,29 +273,37 @@ def sketch_family(
         )
 
     first_block = max(int(math.ceil((s - 1) * REJECTION_OVERHEAD * 1.3)), 64)
+    group = max(_CI1_GROUP_PROPOSALS // first_block, 1)
     x = np.empty((work_family.m, t))
 
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         nb = b1 - b0
         z = np.empty((nb, s - 1, width_cols))
-        for i, rep in enumerate(range(b0, b1)):
-            gen = rng.substream(rep).generator
-            if work_mode is SketchMode.UNIFORM_FASTPATH:
-                u = gen.random(s - 1)
-                z[i, :, 0] = widths * np.tan(np.pi * (u - 0.5))
-            elif work_mode is SketchMode.EXACT_CI1:
-                u0, u1 = _ci1_unit_block(gen, s - 1, first_block)
-                z[i, :, 0] = widths * u0
-                z[i, :, 1] = widths * (lows * u0 + widths * u1)
-            else:  # CID_APPROX
-                u = gen.random((s - 1, r))
-                incr = np.tan(np.pi * (u - 0.5)) / r
-                unit = incr @ node_pow
-                z[i] = np.einsum("lkj,lj->lk", interval_maps, unit)
+        stream = rng.substream(b0)
+        if work_mode is SketchMode.EXACT_CI1:
+            for g0 in range(0, nb, group):
+                g1 = min(g0 + group, nb)
+                u0, u1 = _ci1_group(stream, range(b0 + g0, b0 + g1), s - 1, first_block)
+                z[g0:g1, :, 0] = widths * u0
+                z[g0:g1, :, 1] = widths * (lows * u0 + widths * u1)
+        else:
+            for i, rep in enumerate(range(b0, b1)):
+                stream.rekey(rep)
+                gen = stream.generator
+                if work_mode is SketchMode.UNIFORM_FASTPATH:
+                    u = gen.random(s - 1)
+                    z[i, :, 0] = widths * np.tan(np.pi * (u - 0.5))
+                else:  # CID_APPROX
+                    u = gen.random((s - 1, r))
+                    incr = np.tan(np.pi * (u - 0.5)) / r
+                    unit = incr @ node_pow
+                    z[i] = np.einsum("lkj,lj->lk", interval_maps, unit)
         y = np.zeros((nb, s, width_cols))
         np.cumsum(z, axis=1, out=y[:, 1:, :])
-        x[:, b0:b1] = (y.reshape(nb, -1) @ weights.T).T
+        # overflow gives inf here, and a non-finite distance, which is refused
+        with np.errstate(over="ignore"):
+            x[:, b0:b1] = (y.reshape(nb, -1) @ weights.T).T
 
     starts = range(0, t, _BLOCK)
     if threads <= 1:
@@ -304,10 +342,12 @@ def estimate_all_pairs(
     else:
         raise ParameterError(f"unknown estimator {estimator!r}")
     entries = np.zeros((m, m))
-    for j in range(m):
-        for k in range(j + 1, m):
-            value = est(sketch.values[j] - sketch.values[k], epsilon, delta).value
-            entries[j, k] = entries[k, j] = value
+    # a difference that overflows gives inf, which DistanceMatrix refuses
+    with np.errstate(over="ignore"):
+        for j in range(m):
+            for k in range(j + 1, m):
+                value = est(sketch.values[j] - sketch.values[k], epsilon, delta).value
+                entries[j, k] = entries[k, j] = value
     return DistanceMatrix(
         names=sketch.names,
         entries=entries,

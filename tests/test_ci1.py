@@ -24,7 +24,15 @@ from l1sketch import (
     sample_student_envelope,
     student_envelope_density,
 )
-from l1sketch.ci1 import DOMINATION_C, Branch, diagonal_tolerance
+from l1sketch.ci1 import (
+    DOMINATION_C,
+    REJECTION_OVERHEAD,
+    SQUEEZE_G_MIN,
+    SQUEEZE_K,
+    Branch,
+    _accept_mask,
+    diagonal_tolerance,
+)
 
 PI = np.pi
 
@@ -211,6 +219,81 @@ def test_envelope_bound_observed_supremum():
     ratio = ci1_density(x0, x1) / student_envelope_density(x0, x1)
     top = float(ratio.max())
     assert 2.8 <= top <= DOMINATION_C / PI
+
+
+# -------------------------------------------------------------- upper squeeze
+DIAGONAL = np.arctan2(1.0, 2.0)  # direction of the line x0 = 2 x1
+
+
+def _polar(radii, angles):
+    a, r = np.meshgrid(angles, radii, indexing="ij")
+    return (r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()
+
+
+def _plain_accept(x0, x1, u01):
+    """The rejection test without the squeeze."""
+    with np.errstate(all="ignore"):
+        return u01 * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
+
+
+def test_squeeze_bound_holds_wherever_it_applies():
+    # every direction, plus directions within 1e-9 of the diagonal and of the
+    # x1 axis (where the generic formula cancels at large radius), out to
+    # radius 1e150, and 1e6 envelope proposals
+    offsets = np.concatenate([[0.0], np.logspace(-17, -9, 40), -np.logspace(-17, -9, 40)])
+    centres = (DIAGONAL, DIAGONAL + PI, PI / 2, 3 * PI / 2, PI / 4, 5 * PI / 4)
+    angles = np.concatenate(
+        [np.linspace(0.0, 2.0 * PI, 720, endpoint=False)] + [c + offsets for c in centres]
+    )
+    grid = _polar(np.logspace(-6, 150, 300), angles)
+    z = sample_student_envelope(RandomStream(14), size=1_000_000)
+    for x0, x1 in (grid, (z.x0, z.x1)):
+        with np.errstate(all="ignore"):
+            g = student_envelope_density(x0, x1)
+        inside = g >= SQUEEZE_G_MIN
+        assert inside.any()
+        for part in np.array_split(np.flatnonzero(inside), 5):
+            ratio = ci1_density(x0[part], x1[part]) / g[part]
+            assert ratio.max() < SQUEEZE_K
+
+
+def test_squeeze_off_where_density_cancels():
+    # near the x1 axis the computed density passes SQUEEZE_K times the
+    # envelope from about |x1| = 2e11, which is why the squeeze stops at
+    # SQUEEZE_G_MIN
+    x1 = np.array([1e13, -1e13])
+    assert np.all(ci1_density(np.zeros(2), x1) > SQUEEZE_K * student_envelope_density(0.0, x1))
+    assert np.all(student_envelope_density(0.0, x1) < SQUEEZE_G_MIN)
+
+
+def test_accept_mask_equals_plain_test_on_proposals():
+    gen = RandomStream(15).generator
+    z = sample_student_envelope(RandomStream(16), size=1_000_000)
+    u = gen.random(z.x0.size)
+    np.testing.assert_array_equal(_accept_mask(z.x0, z.x1, u), _plain_accept(z.x0, z.x1, u))
+
+
+def test_accept_mask_equals_plain_test_on_adversarial_points():
+    cut = SQUEEZE_K / REJECTION_OVERHEAD
+    ulps = [cut]
+    for _ in range(4):
+        ulps = [np.nextafter(ulps[0], 0.0), *ulps, np.nextafter(ulps[-1], 1.0)]
+    u = np.array([0.0, 5e-324, *ulps, 0.5, np.nextafter(1.0, 0.0)])
+    band = np.array([-1e3, -1.0, 0.0, 1.0, 1e3])
+    diagonal_band = [
+        (band, band / 2.0 + k * diagonal_tolerance(band)) for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+    ]
+    near_top = _polar(np.logspace(3, 8, 30), PI / 4 + np.array([0.0, 1e-7, -1e-7, 1e-4]))
+    huge = _polar(np.logspace(7, 300, 60), np.linspace(0.0, 2.0 * PI, 13))
+    axis = (np.zeros(8), np.array([1e8, 1e10, 3e11, 1e12, 1e15, -1e11, -1e13, 1e150]))
+    x0, x1 = (np.concatenate(c) for c in zip(*diagonal_band, near_top, huge, axis))
+    uu, xx0 = np.meshgrid(u, x0, indexing="ij")
+    _, xx1 = np.meshgrid(u, x1, indexing="ij")
+    uu, xx0, xx1 = uu.ravel(), xx0.ravel(), xx1.ravel()
+    with np.errstate(all="ignore"):
+        mine = _accept_mask(xx0, xx1, uu)
+    np.testing.assert_array_equal(mine, _plain_accept(xx0, xx1, uu))
+    assert mine.any() and not mine.all()
 
 
 # -------------------------------------------------------------------- rescale

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -118,8 +119,11 @@ def test_dist_overflowing_distance_exit_4(tmp_path, capsys, method):
     # finite coefficients whose difference overflows float64
     out = tmp_path / "dist.csv"
     path = _two_constants(tmp_path, "1e308", "-1e308")
-    code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
     assert code == 4
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
 

@@ -7,6 +7,13 @@ coefficients carry rounding.
 
 Permutation: reordering the densities reorders the matrix, bit for bit.
 
+Scaling: mapping x to a*x with coefficients rescaled to keep unit mass
+leaves the distances unchanged, and multiplying the values by lam multiplies
+them by lam; for powers of two and degree <= 2 both hold bit for bit.
+
+Merging: merging a family with a renamed copy of itself tiles its matrix,
+bit for bit.
+
 Quadrature: on grids away from the origin and for degrees 0-4, the oracle
 agrees with adaptive Simpson on the polynomials the family was drawn from.
 """
@@ -131,3 +138,54 @@ def test_permuting_densities_permutes_matrix(drawn, data):
     )
     base = exact_all_pairs(family).entries
     np.testing.assert_array_equal(exact_all_pairs(permuted).entries, base[np.ix_(perm, perm)])
+
+
+def _scaled(family: DensityFamily, a: float, lam: float) -> DensityFamily:
+    """``lam * f(x / a) / a`` for every density ``f``, on the grid times ``a``."""
+    powers = lam * a ** -(np.arange(family.degree + 1) + 1.0)
+    densities = [
+        PiecewisePolyDensity(
+            dens.name, [PolySegment(s.b, s.c, s.coeffs * powers) for s in dens.segments], dens.degree
+        )
+        for dens in family.densities
+    ]
+    return DensityFamily(Breakpoints(a * family.breakpoints.points), densities, family.degree)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(drawn=shifted_families(max_degree=2), a_exp=st.integers(-8, 8), lam_exp=st.integers(-20, 20))
+def test_oracle_scaling_covariant_powers_of_two(drawn, a_exp, lam_exp):
+    family, _ = drawn
+    base = exact_all_pairs(family).entries
+    moved = exact_all_pairs(_scaled(family, 2.0**a_exp, 1.0)).entries
+    np.testing.assert_array_equal(moved, base)
+    lam = 2.0**lam_exp
+    np.testing.assert_array_equal(exact_all_pairs(_scaled(family, 1.0, lam)).entries, lam * base)
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(shapes=linear_shapes(), a=st.floats(1e-3, 1e3), lam=st.floats(1e-6, 1e6))
+def test_oracle_scaling_covariant(shapes, a, lam):
+    family = linear_family(shapes, 0.0)
+    base = exact_all_pairs(family).entries
+    # values lie in [0, 1] on a unit interval, so distances are at most 2
+    np.testing.assert_allclose(
+        exact_all_pairs(_scaled(family, a, 1.0)).entries, base, rtol=1e-12, atol=1e-14
+    )
+    np.testing.assert_allclose(
+        exact_all_pairs(_scaled(family, 1.0, lam)).entries, lam * base, rtol=1e-12, atol=lam * 1e-14
+    )
+
+
+@settings(DETERMINISTIC, max_examples=40)
+@given(drawn=shifted_families())
+def test_merging_family_with_itself_changes_nothing(drawn):
+    family, _ = drawn
+    base = exact_all_pairs(family).entries
+    copy = DensityFamily(
+        family.breakpoints,
+        [PiecewisePolyDensity(d.name + "'", d.segments, d.degree) for d in family.densities],
+        family.degree,
+    )
+    merged = exact_all_pairs(merge_breakpoints([family, copy])).entries
+    np.testing.assert_array_equal(merged, np.block([[base, base], [base, base]]))

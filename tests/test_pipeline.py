@@ -1,5 +1,6 @@
 """Sketch construction, estimation, the MC baseline, and scheme dispatch."""
 
+import math
 import time
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from conftest import ks_against_cauchy
 from l1sketch import (
     ApproxConfig,
+    Breakpoints,
     DensityFamily,
     ParameterError,
     PiecewisePolyDensity,
@@ -29,6 +31,14 @@ from l1sketch import (
     validate_family,
 )
 from l1sketch._poly import poly_eval
+from l1sketch.ci1 import (
+    REJECTION_OVERHEAD,
+    _proposal_block,
+    ci1_density,
+    student_envelope_density,
+)
+from l1sketch.cid import _node_powers, rescale_matrix
+from l1sketch.pipeline import _BLOCK, _segment_weight_matrix
 
 
 def _uniform_pair():
@@ -138,6 +148,95 @@ def test_sketch_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(a.values, b.values)
     c = sketch_family(fam, 700, SketchMode.EXACT_CI1, RandomStream(13), threads=4)
     np.testing.assert_array_equal(a.values, c.values)
+
+
+def _reference_sketch(family, t, mode, seed, approx_config=None):
+    """The sketch built replicate by replicate: a fresh stream ``(seed, rep)``
+    per replicate and the rejection test without the squeeze.  Returns the
+    values and the number of replicates whose first proposal block fell
+    short of one accept per interval."""
+    if mode is SketchMode.UNIFORMIZE:
+        family, mode = uniformize_family(family, approx_config.r), SketchMode.UNIFORM_FASTPATH
+    pts = family.breakpoints.points
+    n_int, d = len(pts) - 1, family.degree
+    widths, lows = np.diff(pts), pts[:-1]
+    weights = _segment_weight_matrix(family)
+    first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
+    if mode is SketchMode.CID_APPROX:
+        r = approx_config.r
+        node_pow = _node_powers(r, d)
+        maps = np.stack([rescale_matrix(d, pts[l], pts[l + 1]) for l in range(n_int)])
+
+    def accepted(gen, k):
+        x0, x1, u = _proposal_block(gen, k)
+        keep = u * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
+        return x0[keep], x1[keep]
+
+    shortfalls = 0
+    x = np.empty((family.m, t))
+    for b0 in range(0, t, _BLOCK):
+        b1 = min(b0 + _BLOCK, t)
+        z = np.empty((b1 - b0, n_int, d + 1))
+        for i, rep in enumerate(range(b0, b1)):
+            gen = RandomStream(seed, rep).generator
+            if mode is SketchMode.UNIFORM_FASTPATH:
+                z[i, :, 0] = widths * np.tan(np.pi * (gen.random(n_int) - 0.5))
+            elif mode is SketchMode.EXACT_CI1:
+                parts = [accepted(gen, first_block)]
+                got = parts[0][0].size
+                shortfalls += got < n_int
+                while got < n_int:
+                    parts.append(accepted(gen, max(int((n_int - got) * REJECTION_OVERHEAD * 1.4), 64)))
+                    got += parts[-1][0].size
+                u0, u1 = (np.concatenate(p)[:n_int] for p in zip(*parts))
+                z[i, :, 0] = widths * u0
+                z[i, :, 1] = widths * (lows * u0 + widths * u1)
+            else:
+                unit = (np.tan(np.pi * (gen.random((n_int, r)) - 0.5)) / r) @ node_pow
+                z[i] = np.einsum("lkj,lj->lk", maps, unit)
+        y = np.zeros((b1 - b0, n_int + 1, d + 1))
+        np.cumsum(z, axis=1, out=y[:, 1:, :])
+        x[:, b0:b1] = (y.reshape(b1 - b0, -1) @ weights.T).T
+    return x, shortfalls
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "mode,family,config",
+    [
+        (SketchMode.UNIFORM_FASTPATH, "uniform", None),
+        (SketchMode.EXACT_CI1, "linear-few", None),
+        (SketchMode.EXACT_CI1, "linear", None),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
+        (SketchMode.UNIFORMIZE, "linear", ApproxConfig(d=1, epsilon_integration=0.2)),
+    ],
+)
+def test_sketch_bit_identical_to_reference(mode, family, config, threads):
+    families = {
+        "uniform": _uniform_pair,
+        # 3 intervals: a first block of 64 proposals often yields fewer than
+        # 3 accepts, so the shortfall path runs
+        "linear-few": lambda: random_piecewise_linear_family(2, 2, RandomStream(40)),
+        "linear": lambda: random_piecewise_linear_family(4, 3, RandomStream(41)),
+        "quadratic": lambda: DensityFamily(
+            Breakpoints(np.array([0.0, 0.4, 1.0])),
+            [
+                PiecewisePolyDensity(
+                    f"q{j}", [PolySegment(i, i + 1, np.array([1.0, j - 1.0, 0.5 * j])) for i in range(2)], 2
+                )
+                for j in range(3)
+            ],
+            2,
+        ),
+    }
+    fam = families[family]()
+    t = 3 * _BLOCK + 17
+    ref, shortfalls = _reference_sketch(fam, t, mode, 42, config)
+    sk = sketch_family(fam, t, mode, RandomStream(42), threads=threads, approx_config=config)
+    np.testing.assert_array_equal(sk.values, ref)
+    if family == "linear-few":
+        assert len(fam.breakpoints) - 1 <= 6
+        assert shortfalls > 0
 
 
 def test_cid_sketch_matches_exact_mode_distribution():
