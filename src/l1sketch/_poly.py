@@ -24,12 +24,17 @@ ROOT_TOL_REL = 1e-12
 
 
 def poly_eval(coeffs, x):
-    """Evaluate a polynomial by Horner's rule; vectorized over ``x``."""
+    """Evaluate by Horner's rule.
+
+    The leading axes of ``coeffs`` broadcast against ``x``: a 1-D vector is
+    one polynomial at every ``x``, an ``(n, d+1)`` table gives row ``i`` at
+    ``x[i]``.
+    """
     c = np.asarray(coeffs, dtype=float)
     x = np.asarray(x, dtype=float)
-    out = np.full_like(x, c[-1])
-    for k in range(len(c) - 2, -1, -1):
-        out = out * x + c[k]
+    out = c[..., -1] * np.ones_like(x)
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = out * x + c[..., k]
     return out
 
 
@@ -55,9 +60,10 @@ def poly_deriv(coeffs):
 
 
 def poly_antideriv(coeffs):
-    """Antiderivative with zero constant term."""
+    """Antiderivative with zero constant term, batched over leading axes."""
     c = np.asarray(coeffs, dtype=float)
-    return np.concatenate([[0.0], c / np.arange(1, len(c) + 1)])
+    zero = np.zeros(c.shape[:-1] + (1,))
+    return np.concatenate([zero, c / np.arange(1, c.shape[-1] + 1)], axis=-1)
 
 
 def _poly_divmod(num: np.ndarray, den: np.ndarray):

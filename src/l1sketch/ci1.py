@@ -117,7 +117,11 @@ def ci1_density(x0, x1):
 
     Points with ``|x0 - 2 x1|`` inside :func:`diagonal_tolerance` use the
     diagonal closed form; all others use the generic formula.  Nonnegative
-    for all finite inputs.
+    where ``|x0|`` and ``|x1|`` are at most 1e6 (checked by scans).  Farther
+    out the generic formula cancels near the ``x0 = 0`` axis: it returns
+    values of either sign of about 1e-28 from ``|x1|`` about 1.8e6, and more
+    than 3 times the envelope from about ``|x1| = 2e11``, which is why the
+    squeeze stops at ``SQUEEZE_G_MIN``.
     """
     x0a, x1a = np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)

@@ -181,17 +181,11 @@ def calibrate_c(
             coeffs = random_polynomial(d, sub)
             polys.append(coeffs)
             exact.append(integrate_abs_poly(coeffs, 0.0, 1.0))
-        coeff_mat = np.zeros((trials, d + 1))
-        for i, c in enumerate(polys):
-            coeff_mat[i] = c
+        coeff_mat = np.array(polys)[:, None, :]
         exact_arr = np.array(exact)
 
         def all_within(r: int) -> bool:
-            nodes = np.arange(1, r + 1) / r
-            vals = coeff_mat[:, -1][:, None] * np.ones_like(nodes)
-            for k in range(d - 1, -1, -1):
-                vals = vals * nodes + coeff_mat[:, k][:, None]
-            scales = np.abs(vals).mean(axis=1)
+            scales = np.abs(poly_eval(coeff_mat, np.arange(1, r + 1) / r)).mean(axis=1)
             return bool(np.all(np.abs(scales - exact_arr) <= target_eps * exact_arr))
 
         r = 1

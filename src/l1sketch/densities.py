@@ -1,20 +1,26 @@
 """Piecewise-polynomial density families and the exact L1-distance oracle.
 
-A family keeps one shared, strictly increasing grid of breakpoints.  Each
-density is a list of non-overlapping segments; a segment spans the half-open
-interval between two grid points and carries the monomial coefficients of a
-single polynomial.  Segment intervals are half-open, ``[a_b, a_c)``, so
-evaluation at shared endpoints is unambiguous.
+A family keeps one shared, strictly increasing grid of breakpoints
+``a_0 < ... < a_L`` and one polynomial degree ``d``.  Each density is a
+segment table sorted by ``b``: int64 arrays ``b`` and ``c`` of length ``n``
+and float ``coeffs`` of shape ``(n, d+1)``.  Row ``i`` is one polynomial
+piece over the half-open interval ``[a_{b_i}, a_{c_i})`` with monomial
+coefficients ``coeffs[i]``, so evaluation at shared endpoints is
+unambiguous.  A piece may span several grid intervals; pieces do not
+overlap.  Every invariant is checked with array operations on the tables,
+so no per-segment object is built on the way from a file to a distance.
 
-Distances are computed exactly and in batch.  The oracle copies each
-density's coefficients onto every elementary interval its segments cover
-(zeros where it has no support) and Taylor-shifts them to the interval-local
-variable ``u = x - a_l``, giving one tensor ``C[m, L, d+1]``.  On every
-interval the difference of two densities is then a polynomial in ``u`` on
-``[0, w_l]``, whose absolute value integrates in closed form once its sign
-changes are found: closed-form roots for degree <= 2, Sturm-sequence
-isolation for degree >= 3 (see :mod:`l1sketch._poly`).  Local coordinates
-keep the result accurate on grids far from the origin.
+:func:`interval_coefficients` expands the tables into one tensor
+``C[m, L, d+1]``: density ``j``'s coefficients on grid interval ``l``, zero
+where it has no support.  The sketch projects with it directly.
+
+Distances are computed exactly and in batch.  The oracle Taylor-shifts ``C``
+to the interval-local variable ``u = x - a_l``.  On every interval the
+difference of two densities is then a polynomial in ``u`` on ``[0, w_l]``,
+whose absolute value integrates in closed form once its sign changes are
+found: closed-form roots for degree <= 2, Sturm-sequence isolation for
+degree >= 3 (see :mod:`l1sketch._poly`).  Local coordinates keep the result
+accurate on grids far from the origin.
 """
 
 from __future__ import annotations
@@ -70,32 +76,102 @@ class PolySegment:
             )
 
 
-@dataclass
+def coeff_rows(name: str, rows, degree: int) -> np.ndarray:
+    """Stack one density's segment coefficient rows into a float array."""
+    if len(rows) == 0:
+        return np.empty((0, max(int(degree), 0) + 1))
+    try:
+        return np.array(rows, dtype=float)
+    except ValueError as exc:  # ragged rows, or entries that are not numbers
+        sizes = sorted({np.size(row) for row in rows})
+        detail = f"lengths {sizes}" if len(sizes) > 1 else exc
+        raise FamilyFormatError(
+            f"density {name!r}: segment coeffs must be rows of degree+1 = {int(degree) + 1} "
+            f"numbers, got {detail}"
+        ) from exc
+
+
+def _check_table(name: str, b: np.ndarray, c: np.ndarray, coeffs: np.ndarray, degree: int) -> None:
+    """Raise :class:`FamilyFormatError` unless the table, in its stored
+    order, is a density of ``degree`` with non-overlapping segments."""
+    if not 0 <= degree <= MAX_DEGREE:
+        raise FamilyFormatError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+    if coeffs.ndim != 2 or coeffs.shape[1] != degree + 1:
+        raise FamilyFormatError(
+            f"density {name!r}: segment coeffs must be rows of degree+1 = {degree + 1} "
+            f"numbers, got shape {coeffs.shape}"
+        )
+    if not b.shape == c.shape == coeffs.shape[:1]:
+        raise FamilyFormatError(f"density {name!r}: b, c and coeffs differ in length")
+    bad = np.flatnonzero((b < 0) | (c <= b))
+    if bad.size:
+        i = bad[0]
+        raise FamilyFormatError(
+            f"density {name!r}: segment indices must satisfy 0 <= b < c, got b={b[i]}, c={c[i]}"
+        )
+    bad = np.flatnonzero(b[1:] < c[:-1])
+    if bad.size:
+        i = bad[0]
+        raise FamilyFormatError(
+            f"density {name!r}: overlapping segments "
+            f"({b[i]},{c[i]}) and ({b[i + 1]},{c[i + 1]})"
+        )
+
+
 class PiecewisePolyDensity:
-    """A named density given by non-overlapping polynomial segments."""
+    """A named density: a segment table ``b``, ``c``, ``coeffs`` sorted by ``b``.
 
-    name: str
-    segments: list[PolySegment]
-    degree: int
+    Built from a list of :class:`PolySegment`, or from the arrays with
+    :meth:`from_table`.
+    """
 
-    def __post_init__(self):
-        self.degree = int(self.degree)
-        if self.degree < 0 or self.degree > MAX_DEGREE:
-            raise FamilyFormatError(f"degree must be in [0, {MAX_DEGREE}], got {self.degree}")
-        for seg in self.segments:
-            if seg.coeffs.size != self.degree + 1:
-                raise FamilyFormatError(
-                    f"density {self.name!r}: segment coeffs length "
-                    f"{seg.coeffs.size} != degree+1 = {self.degree + 1}"
-                )
-        order = sorted(range(len(self.segments)), key=lambda i: self.segments[i].b)
-        self.segments = [self.segments[i] for i in order]
-        for prev, nxt in zip(self.segments, self.segments[1:]):
-            if nxt.b < prev.c:
-                raise FamilyFormatError(
-                    f"density {self.name!r}: overlapping segments "
-                    f"({prev.b},{prev.c}) and ({nxt.b},{nxt.c})"
-                )
+    def __init__(self, name: str, segments: list[PolySegment], degree: int):
+        rows = [seg.coeffs for seg in segments]
+        self._set_table(
+            name, [seg.b for seg in segments], [seg.c for seg in segments],
+            coeff_rows(name, rows, degree), degree,
+        )
+
+    @classmethod
+    def from_table(cls, name: str, b, c, coeffs, degree: int) -> PiecewisePolyDensity:
+        dens = cls.__new__(cls)
+        dens._set_table(name, b, c, coeffs, degree)
+        return dens
+
+    def _set_table(self, name, b, c, coeffs, degree) -> None:
+        b, c = np.asarray(b, dtype=np.int64), np.asarray(c, dtype=np.int64)
+        coeffs = np.asarray(coeffs, dtype=float)
+        order = slice(None)  # tables of unequal lengths stay unsorted for the check to refuse
+        if b.shape == c.shape == coeffs.shape[:1]:
+            order = np.argsort(b, kind="stable")
+        self.name, self.degree = name, int(degree)
+        self.b, self.c, self.coeffs = b[order], c[order], coeffs[order]
+        _check_table(name, self.b, self.c, self.coeffs, self.degree)
+
+    @property
+    def segments(self) -> list[PolySegment]:
+        """The table rows as :class:`PolySegment` views, in ``b`` order."""
+        return [
+            PolySegment(b, c, row)
+            for b, c, row in zip(self.b.tolist(), self.c.tolist(), self.coeffs)
+        ]
+
+
+def _check_family(family: DensityFamily) -> None:
+    s = len(family.breakpoints)
+    names = set()
+    for dens in family.densities:
+        if dens.degree != family.degree:
+            raise FamilyFormatError(
+                f"density {dens.name!r} has degree {dens.degree}, family has {family.degree}"
+            )
+        if dens.name in names:
+            raise FamilyFormatError(f"duplicate density name {dens.name!r}")
+        names.add(dens.name)
+        if dens.c.size and dens.c.max() > s - 1:
+            raise FamilyFormatError(
+                f"density {dens.name!r}: segment end index {dens.c.max()} exceeds grid"
+            )
 
 
 @dataclass
@@ -108,21 +184,7 @@ class DensityFamily:
 
     def __post_init__(self):
         self.degree = int(self.degree)
-        s = len(self.breakpoints)
-        names = set()
-        for dens in self.densities:
-            if dens.degree != self.degree:
-                raise FamilyFormatError(
-                    f"density {dens.name!r} has degree {dens.degree}, family has {self.degree}"
-                )
-            if dens.name in names:
-                raise FamilyFormatError(f"duplicate density name {dens.name!r}")
-            names.add(dens.name)
-            for seg in dens.segments:
-                if seg.c > s - 1:
-                    raise FamilyFormatError(
-                        f"density {dens.name!r}: segment end index {seg.c} exceeds grid"
-                    )
+        _check_family(self)
 
     @property
     def m(self) -> int:
@@ -133,95 +195,68 @@ class DensityFamily:
         return [d.name for d in self.densities]
 
 
-def _chebyshev_interior(lo: float, hi: float, k: int) -> np.ndarray:
-    """k Chebyshev-spaced points strictly inside (lo, hi)."""
-    i = np.arange(k)
-    nodes = np.cos((2 * i + 1) * np.pi / (2 * k))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes
+def _runs(b: np.ndarray, c: np.ndarray):
+    """Segment index and grid interval of every interval that the segments
+    ``[b_i, c_i)`` cover, segment by segment."""
+    lengths = c - b
+    seg = np.repeat(np.arange(b.size), lengths)
+    return seg, np.arange(seg.size) + np.repeat(b - np.cumsum(lengths) + lengths, lengths)
 
 
-def segment_mass(seg: PolySegment, bp: Breakpoints) -> float:
-    """Signed integral of the segment polynomial over its interval."""
-    anti = poly_antideriv(seg.coeffs)
-    lo, hi = bp.points[seg.b], bp.points[seg.c]
-    return float(poly_eval(anti, hi) - poly_eval(anti, lo))
-
-
-def density_mass(dens: PiecewisePolyDensity, bp: Breakpoints) -> float:
-    return sum(segment_mass(seg, bp) for seg in dens.segments)
+def segment_masses(dens: PiecewisePolyDensity, bp: Breakpoints) -> np.ndarray:
+    """Signed integral of each segment's polynomial over its interval."""
+    anti = poly_antideriv(dens.coeffs)
+    return poly_eval(anti, bp.points[dens.c]) - poly_eval(anti, bp.points[dens.b])
 
 
 def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     """Re-check structural invariants; optionally check density-ness.
 
-    Structural violations raise :class:`FamilyFormatError`.  With ``strict``,
+    Structural violations, including ones made by mutating the family after
+    construction, raise :class:`FamilyFormatError`.  With ``strict``,
     nonnegativity is probed at segment endpoints plus ``2*degree + 1``
     Chebyshev-spaced interior points per segment, and the total mass is
     checked against 1; both produce warnings, not errors, because the
     sketching math only needs integrable functions.
     """
-    # Re-run the dataclass invariants against possibly mutated objects.
     Breakpoints(family.breakpoints.points)
     for dens in family.densities:
-        PiecewisePolyDensity(dens.name, [PolySegment(s.b, s.c, s.coeffs) for s in dens.segments], dens.degree)
-    DensityFamily(family.breakpoints, family.densities, family.degree)
+        _check_table(dens.name, dens.b, dens.c, dens.coeffs, dens.degree)
+    _check_family(family)
 
     warnings: list[str] = []
     if not strict:
         return warnings
     pts = family.breakpoints.points
+    k = 2 * family.degree + 1
+    nodes = np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
     for dens in family.densities:
-        negative = False
-        for seg in dens.segments:
-            lo, hi = pts[seg.b], pts[seg.c]
-            probes = np.concatenate(
-                [[lo, hi], _chebyshev_interior(lo, hi, 2 * family.degree + 1)]
-            )
-            if np.any(poly_eval(seg.coeffs, probes) < 0.0):
-                negative = True
-        if negative:
+        lo, hi = pts[dens.b][:, None], pts[dens.c][:, None]
+        probes = np.concatenate([lo, hi, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes], axis=1)
+        if np.any(poly_eval(dens.coeffs[:, None, :], probes) < 0.0):
             warnings.append(f"density {dens.name!r} is negative at probe points")
-        mass = density_mass(dens, family.breakpoints)
+        mass = float(segment_masses(dens, family.breakpoints).sum())
         if abs(mass - 1.0) > MASS_TOLERANCE:
             warnings.append(f"density {dens.name!r} has total mass {mass!r}, expected 1")
     return warnings
 
 
-def _interval_segment_map(dens: PiecewisePolyDensity, n_intervals: int) -> np.ndarray:
-    """Map elementary-interval index to segment index (-1 where unsupported)."""
-    seg_of = np.full(n_intervals, -1, dtype=np.int64)
-    for si, seg in enumerate(dens.segments):
-        seg_of[seg.b : seg.c] = si
-    return seg_of
-
-
 def eval_density(dens: PiecewisePolyDensity, bp: Breakpoints, x):
     """Evaluate the density at ``x`` (scalar or array); 0 outside its support.
 
-    Each point is located on the half-open grid by binary search, then the
-    owning segment's polynomial is evaluated by Horner's rule.
+    Each point is located on the half-open grid by binary search, and its
+    interval in the table by a second one (the ends ``c`` increase with
+    ``b``); the owning segment's polynomial is evaluated by Horner's rule.
     """
-    pts = bp.points
     xa = np.asarray(x, dtype=float)
     scalar = xa.ndim == 0
     xa = np.atleast_1d(xa)
+    idx = np.searchsorted(bp.points, xa, side="right") - 1
+    seg = np.searchsorted(dens.c, idx, side="right")
+    has = seg < dens.c.size
+    has[has] = dens.b[seg[has]] <= idx[has]
     out = np.zeros(xa.shape)
-    idx = np.searchsorted(pts, xa, side="right") - 1
-    inside = (idx >= 0) & (idx < len(pts) - 1)
-    if inside.any():
-        seg_of = _interval_segment_map(dens, len(pts) - 1)
-        seg = seg_of[idx[inside]]
-        has = seg >= 0
-        if has.any():
-            coeffs = np.stack([s.coeffs for s in dens.segments])
-            rows = coeffs[seg[has]]
-            xx = xa[inside][has]
-            val = rows[:, -1].copy()
-            for k in range(rows.shape[1] - 2, -1, -1):
-                val = val * xx + rows[:, k]
-            tmp = np.zeros(int(inside.sum()))
-            tmp[has] = val
-            out[inside] = tmp
+    out[has] = poly_eval(dens.coeffs[seg[has]], xa[has])
     return float(out[0]) if scalar else out
 
 
@@ -242,34 +277,56 @@ def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
     grid = np.unique(np.concatenate([fam.breakpoints.points for fam in families]))
     if not np.all(np.isfinite(grid)):
         raise FamilyFormatError("breakpoints must be finite")
-    bp = Breakpoints(grid)
     densities = []
     for fam in families:
         old = fam.breakpoints.points
         for dens in fam.densities:
-            segs = []
-            for seg in dens.segments:
-                nb = int(np.searchsorted(grid, old[seg.b]))
-                nc = int(np.searchsorted(grid, old[seg.c]))
-                for j in range(nb, nc):
-                    segs.append(PolySegment(j, j + 1, seg.coeffs.copy()))
-            densities.append(PiecewisePolyDensity(dens.name, segs, degree))
-    return DensityFamily(bp, densities, degree)
+            seg, ell = _runs(np.searchsorted(grid, old[dens.b]), np.searchsorted(grid, old[dens.c]))
+            densities.append(
+                PiecewisePolyDensity.from_table(dens.name, ell, ell + 1, dens.coeffs[seg], degree)
+            )
+    return DensityFamily(Breakpoints(grid), densities, degree)
+
+
+def uniformize_family(family: DensityFamily, pieces_per_interval: int) -> DensityFamily:
+    """Piecewise-uniform approximation on an r-times refined grid.
+
+    Every elementary interval is split into ``pieces_per_interval`` equal
+    sub-intervals and the density is replaced by its value at each
+    sub-interval's right endpoint, matching the node placement of the
+    discretized integral sampler.  Distances of the result are within the
+    discretization tolerance of the original's.
+    """
+    r = int(pieces_per_interval)
+    if r < 1:
+        raise ParameterError("pieces_per_interval must be >= 1")
+    pts = family.breakpoints.points
+    fine = np.linspace(pts[:-1], pts[1:], r + 1, axis=1)
+    densities = []
+    for dens in family.densities:
+        seg, ell = _runs(dens.b, dens.c)
+        vals = poly_eval(dens.coeffs[seg][:, None, :], fine[ell, 1:])
+        b = (ell[:, None] * r + np.arange(r)).ravel()
+        densities.append(PiecewisePolyDensity.from_table(dens.name, b, b + 1, vals.reshape(-1, 1), 0))
+    return DensityFamily(Breakpoints(np.append(fine[:, :-1].ravel(), pts[-1])), densities, 0)
+
+
+def interval_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) -> np.ndarray:
+    """Tensor ``C`` of shape ``(m, L, d+1)``: ``C[j, l]`` holds density
+    ``j``'s monomial coefficients on grid interval ``l``, zero where it has
+    no support.  Lower-degree densities get zero leading coefficients.
+    """
+    width = max((dens.degree for dens in densities), default=0) + 1
+    coeffs = np.zeros((len(densities), len(bp) - 1, width))
+    for j, dens in enumerate(densities):
+        seg, ell = _runs(dens.b, dens.c)
+        coeffs[j, ell, : dens.degree + 1] = dens.coeffs[seg]
+    return coeffs
 
 
 def _local_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) -> np.ndarray:
-    """Coefficient tensor ``C[j, l]`` of density ``j`` on interval ``l`` in ``u = x - a_l``.
-
-    Zero where the density has no support; lower-degree densities are padded
-    with zero leading coefficients.
-    """
-    pts = bp.points
-    width = max((dens.degree for dens in densities), default=0) + 1
-    coeffs = np.zeros((len(densities), len(pts) - 1, width))
-    for j, dens in enumerate(densities):
-        for seg in dens.segments:
-            coeffs[j, seg.b : seg.c, : seg.coeffs.size] = seg.coeffs
-    return taylor_shift(coeffs, pts[:-1])
+    """:func:`interval_coefficients` in ``u = x - a_l`` on each interval ``l``."""
+    return taylor_shift(interval_coefficients(densities, bp), bp.points[:-1])
 
 
 def exact_l1_distance(
@@ -318,8 +375,7 @@ def sample_from_density(
     matched to ``CDF_BISECTION_TOL``.  Requires a valid (nonnegative) density;
     run ``validate_family(..., strict=True)`` first.
     """
-    pts = bp.points
-    masses = np.array([segment_mass(seg, bp) for seg in dens.segments])
+    masses = segment_masses(dens, bp)
     total = masses.sum()
     if total <= 0.0 or np.any(masses < 0.0):
         raise ParameterError(f"density {dens.name!r} has nonpositive segment mass")
@@ -328,24 +384,15 @@ def sample_from_density(
     cum = np.cumsum(masses) / total
     seg_idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(masses) - 1)
 
-    lo = np.array([pts[dens.segments[i].b] for i in range(len(dens.segments))])[seg_idx]
-    hi = np.array([pts[dens.segments[i].c] for i in range(len(dens.segments))])[seg_idx]
-    antis = np.stack([poly_antideriv(seg.coeffs) for seg in dens.segments])
-    rows = antis[seg_idx]
-
-    def cdf_at(x):
-        val = rows[:, -1].copy()
-        for k in range(rows.shape[1] - 2, -1, -1):
-            val = val * x + rows[:, k]
-        return val
-
-    base = cdf_at(lo)
+    lo = bp.points[dens.b[seg_idx]]
+    hi = bp.points[dens.c[seg_idx]]
+    rows = poly_antideriv(dens.coeffs)[seg_idx]
+    base = poly_eval(rows, lo)
     target = base + u[:, 1] * masses[seg_idx]
     a, b = lo.copy(), hi.copy()
     for _ in range(100):
         mid = 0.5 * (a + b)
-        fm = cdf_at(mid)
-        err = fm - target
+        err = poly_eval(rows, mid) - target
         if np.all(np.abs(err) <= CDF_BISECTION_TOL):
             break
         go_right = err < 0.0

@@ -27,7 +27,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity, PolySegment
+from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity, coeff_rows
 from .errors import FamilyFormatError
 from .pipeline import DistanceMatrix
 
@@ -35,13 +35,13 @@ from .pipeline import DistanceMatrix
 def family_to_dict(family: DensityFamily) -> dict:
     return {
         "degree": family.degree,
-        "breakpoints": [float(p) for p in family.breakpoints.points],
+        "breakpoints": family.breakpoints.points.tolist(),
         "densities": [
             {
                 "name": dens.name,
                 "segments": [
-                    {"b": seg.b, "c": seg.c, "coeffs": [float(a) for a in seg.coeffs]}
-                    for seg in dens.segments
+                    {"b": b, "c": c, "coeffs": row}
+                    for b, c, row in zip(dens.b.tolist(), dens.c.tolist(), dens.coeffs.tolist())
                 ],
             }
             for dens in family.densities
@@ -50,6 +50,8 @@ def family_to_dict(family: DensityFamily) -> dict:
 
 
 def family_from_dict(doc: Any) -> DensityFamily:
+    """Parse a family document: each density's segments go straight into
+    its table, and every check runs on the arrays."""
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
     try:
@@ -57,24 +59,18 @@ def family_from_dict(doc: Any) -> DensityFamily:
         bp = Breakpoints(np.asarray(doc["breakpoints"], dtype=float))
         densities = []
         for dd in doc["densities"]:
-            segs = [
-                PolySegment(int(sd["b"]), int(sd["c"]), np.asarray(sd["coeffs"], dtype=float))
-                for sd in dd["segments"]
-            ]
-            densities.append(PiecewisePolyDensity(str(dd["name"]), segs, degree))
-    except (KeyError, TypeError, ValueError) as exc:
+            name, segs = str(dd["name"]), dd["segments"]
+            coeffs = coeff_rows(name, [sd["coeffs"] for sd in segs], degree)
+            # JSON admits NaN and Infinity
+            if not np.isfinite(coeffs).all():
+                raise FamilyFormatError(f"density {name!r}: segment coefficients must be finite")
+            b = np.array([sd["b"] for sd in segs], dtype=np.int64)
+            c = np.array([sd["c"] for sd in segs], dtype=np.int64)
+            densities.append(PiecewisePolyDensity.from_table(name, b, c, coeffs, degree))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FamilyFormatError):
             raise
         raise FamilyFormatError(f"malformed family document: {exc}") from exc
-    # JSON admits NaN and Infinity.  One check over all coefficients at once:
-    # a check per segment costs more than the rest of validation on wide files.
-    coeffs = [seg.coeffs for dens in densities for seg in dens.segments]
-    if coeffs and not np.isfinite(np.concatenate(coeffs)).all():
-        bad = next(
-            dens.name for dens in densities
-            if not all(np.isfinite(seg.coeffs).all() for seg in dens.segments)
-        )
-        raise FamilyFormatError(f"density {bad!r}: segment coefficients must be finite")
     return DensityFamily(bp, densities, degree)
 
 

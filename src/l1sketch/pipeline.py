@@ -1,12 +1,14 @@
 """End-to-end all-pairs distance schemes.
 
-The sketch path draws, per replicate, one independent integral-vector per
-elementary grid interval, shared by all densities.  Prefix sums turn those
-into per-segment increments, and each density's projection value is a single
-inner product.  Differences of projection values are exactly Cauchy with
-scale equal to the pair's L1 distance (up to discretization error for the
-approximate modes), so a scale estimator over replicates recovers every
-pairwise distance from one m-by-t matrix.
+The sketch path draws, per replicate, one independent integral vector
+``z_l`` per elementary grid interval ``l``, shared by all densities.  Each
+density's projection value is ``X_j = sum_l C[j, l] . z_l``, with ``C`` the
+interval-coefficient tensor of :func:`l1sketch.densities.interval_coefficients`,
+so one matrix product projects a whole block of replicates.  Differences of
+projection values are exactly Cauchy with scale equal to the pair's L1
+distance (up to discretization error for the approximate modes), so a
+scale estimator over replicates recovers every pairwise distance from one
+m-by-t matrix.
 
 Sharing the per-interval draws within a replicate is what makes differences
 meaningful: identical densities cancel exactly, replicate by replicate.
@@ -28,7 +30,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._poly import poly_eval
 from .ci1 import (
     REJECTION_ITERATION_CAP,
     REJECTION_OVERHEAD,
@@ -37,13 +38,12 @@ from .ci1 import (
 )
 from .cid import DEFAULT_C, ApproxConfig, _node_powers, rescale_matrix
 from .densities import (
-    Breakpoints,
     DensityFamily,
-    PiecewisePolyDensity,
-    PolySegment,
     eval_density,
     exact_all_pairs as _exact_all_pairs,
+    interval_coefficients,
     sample_from_density,
+    uniformize_family,
     validate_family,
 )
 from .errors import EnvelopeDominationError, NonFiniteResultError, ParameterError
@@ -116,54 +116,6 @@ class DistanceMatrix:
             raise ParameterError("entries must be symmetric")
         if np.any(self.entries < 0.0):
             raise ParameterError("entries must be nonnegative")
-
-
-def _segment_weight_matrix(family: DensityFamily) -> np.ndarray:
-    """Flattened inner-product weights: X_j = W[j] . prefix_sums.ravel().
-
-    A segment spanning grid indices ``(b, c)`` contributes ``+coeffs`` at
-    row ``c`` and ``-coeffs`` at row ``b`` of the per-density weight table,
-    so the inner product with stacked prefix sums reproduces
-    ``sum_segments coeffs . (Y_c - Y_b)``.
-    """
-    s = len(family.breakpoints)
-    width = family.degree + 1
-    w = np.zeros((family.m, s, width))
-    for j, dens in enumerate(family.densities):
-        for seg in dens.segments:
-            w[j, seg.c, :] += seg.coeffs
-            w[j, seg.b, :] -= seg.coeffs
-    return w.reshape(family.m, s * width)
-
-
-def uniformize_family(family: DensityFamily, pieces_per_interval: int) -> DensityFamily:
-    """Piecewise-uniform approximation on an r-times refined grid.
-
-    Every elementary interval is split into ``pieces_per_interval`` equal
-    sub-intervals and the density is replaced by its value at each
-    sub-interval's right endpoint, matching the node placement of the
-    discretized integral sampler.  Distances of the result are within the
-    discretization tolerance of the original's.
-    """
-    r = int(pieces_per_interval)
-    if r < 1:
-        raise ParameterError("pieces_per_interval must be >= 1")
-    pts = family.breakpoints.points
-    s = len(pts)
-    blocks = [np.linspace(pts[l], pts[l + 1], r + 1)[:-1] for l in range(s - 1)]
-    new_pts = np.concatenate(blocks + [pts[-1:]])
-    densities = []
-    for dens in family.densities:
-        segs = []
-        for seg in dens.segments:
-            for l in range(seg.b, seg.c):
-                rights = np.linspace(pts[l], pts[l + 1], r + 1)[1:]
-                vals = poly_eval(seg.coeffs, rights)
-                base = l * r
-                for i in range(r):
-                    segs.append(PolySegment(base + i, base + i + 1, np.array([vals[i]])))
-        densities.append(PiecewisePolyDensity(dens.name, segs, 0))
-    return DensityFamily(Breakpoints(new_pts), densities, 0)
 
 
 def _ci1_unit_block(gen: np.random.Generator, need: int, first_block: int):
@@ -263,7 +215,8 @@ def sketch_family(
     widths = np.diff(pts)
     lows = pts[:-1]
     width_cols = work_family.degree + 1
-    weights = _segment_weight_matrix(work_family)
+    coeffs = interval_coefficients(work_family.densities, work_family.breakpoints)
+    coeffs = coeffs.reshape(work_family.m, (s - 1) * width_cols)
 
     if work_mode is SketchMode.CID_APPROX:
         r = approx_config.r
@@ -299,11 +252,9 @@ def sketch_family(
                     incr = np.tan(np.pi * (u - 0.5)) / r
                     unit = incr @ node_pow
                     z[i] = np.einsum("lkj,lj->lk", interval_maps, unit)
-        y = np.zeros((nb, s, width_cols))
-        np.cumsum(z, axis=1, out=y[:, 1:, :])
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
-            x[:, b0:b1] = (y.reshape(nb, -1) @ weights.T).T
+            x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
 
     starts = range(0, t, _BLOCK)
     if threads <= 1:

@@ -13,7 +13,13 @@ import pytest
 from scipy import stats
 from scipy.integrate import quad
 
-from l1sketch import RandomStream
+from l1sketch import (
+    Breakpoints,
+    DensityFamily,
+    PiecewisePolyDensity,
+    PolySegment,
+    RandomStream,
+)
 
 
 def cauchy_cdf(x, scale=1.0):
@@ -73,6 +79,22 @@ def cf_pair_density(x0: float, x1: float) -> float:
     kinks = [np.pi / 2, 3 * np.pi / 4, 3 * np.pi / 2, 7 * np.pi / 4]
     val, _ = quad(integrand, 0.0, 2.0 * np.pi, points=kinks, limit=400)
     return val / (4.0 * np.pi**2)
+
+
+def random_segment_family(gen, m, degree, n_intervals=8, prefix="f"):
+    """Signed family on a random grid: each density has segments of one to
+    three intervals with random gaps between them, listed in shuffled order."""
+    grid = gen.uniform(-5.0, 5.0) + np.cumsum(gen.uniform(0.1, 1.0, n_intervals + 1))
+    densities = []
+    for j in range(m):
+        segs, pos = [], int(gen.integers(0, 2))
+        while pos < n_intervals:
+            end = min(pos + int(gen.integers(1, 4)), n_intervals)
+            segs.append(PolySegment(pos, end, gen.uniform(-1.0, 1.0, degree + 1)))
+            pos = end + int(gen.integers(0, 3))
+        gen.shuffle(segs)
+        densities.append(PiecewisePolyDensity(f"{prefix}{j}", segs, degree))
+    return DensityFamily(Breakpoints(grid), densities, degree)
 
 
 @pytest.fixture

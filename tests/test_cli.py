@@ -8,9 +8,16 @@ import warnings
 import numpy as np
 import pytest
 
-from l1sketch import merge_breakpoints, uniform_density
+from l1sketch import (
+    Breakpoints,
+    DensityFamily,
+    PiecewisePolyDensity,
+    PolySegment,
+    merge_breakpoints,
+    uniform_density,
+)
 from l1sketch.cli import main
-from l1sketch.io import family_from_json, family_to_json, save_family
+from l1sketch.io import family_from_json, family_to_json, load_family, save_family
 
 
 @pytest.fixture
@@ -126,6 +133,53 @@ def test_dist_overflowing_distance_exit_4(tmp_path, capsys, method):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert "not finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+_OK = {"name": "ok", "segments": [{"b": 0, "c": 3, "coeffs": [0.25]}]}
+
+
+@pytest.mark.parametrize(
+    "densities",
+    [
+        pytest.param([{"name": "bad", "segments": [
+            {"b": 0, "c": 1, "coeffs": [1.0]}, {"b": 1, "c": 2, "coeffs": [1.0, 2.0]}]}], id="ragged"),
+        pytest.param([{"name": "bad", "segments": [{"b": 2, "c": 1, "coeffs": [1.0]}]}], id="b>=c"),
+        pytest.param([{"name": "bad", "segments": [{"b": -1, "c": 1, "coeffs": [1.0]}]}], id="negative-b"),
+        pytest.param([{"name": "bad", "segments": [
+            {"b": 0, "c": 2, "coeffs": [1.0]}, {"b": 1, "c": 3, "coeffs": [1.0]}]}], id="overlap"),
+        pytest.param([{"name": "bad", "segments": [{"b": 2, "c": 4, "coeffs": [1.0]}]}], id="beyond-grid"),
+        pytest.param([{"name": "bad", "segments": []}, {"name": "bad", "segments": []}], id="duplicate"),
+        pytest.param([{"name": "bad", "segments": [{"b": 0, "c": 1, "coeffs": [float("nan")]}]}], id="nan"),
+    ],
+)
+def test_dist_bad_segments_exit_2_naming_density(tmp_path, capsys, densities):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"degree": 0, "breakpoints": [0.0, 1.0, 2.0, 3.0],
+                                "densities": [_OK] + densities}))
+    assert main(["dist", str(path), "--method", "exact"]) == 2
+    assert "'bad'" in capsys.readouterr().err
+
+
+def test_multi_interval_family_round_trips_byte_for_byte(tmp_path):
+    fam = DensityFamily(
+        Breakpoints(np.array([0.0, 0.25, 0.5, 1.0, 2.0])),
+        [
+            PiecewisePolyDensity(
+                "p", [PolySegment(2, 4, np.array([0.1, 0.3])), PolySegment(0, 2, np.array([1 / 3, -0.7]))], 1
+            ),
+            PiecewisePolyDensity("q", [PolySegment(1, 3, np.array([0.2, 0.1]))], 1),
+        ],
+        1,
+    )
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_family(fam, str(first))
+    back = load_family(str(first))
+    save_family(back, str(second))
+    assert first.read_bytes() == second.read_bytes()
+    for mine, theirs in zip(back.densities, fam.densities):
+        assert mine.b.tolist() == theirs.b.tolist() == ([0, 2] if mine.name == "p" else [1])
+        np.testing.assert_array_equal(mine.c, theirs.c)
+        np.testing.assert_array_equal(mine.coeffs, theirs.coeffs)
 
 
 def test_dist_bad_epsilon_exit_3(pair_family_path, capsys):

@@ -1,9 +1,11 @@
 """Density families: validation, evaluation, merging, exact distances, sampling."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import adaptive_simpson
+from conftest import adaptive_simpson, random_segment_family
 from l1sketch import (
     Breakpoints,
     DensityFamily,
@@ -12,6 +14,7 @@ from l1sketch import (
     PiecewisePolyDensity,
     PolySegment,
     RandomStream,
+    calibrate_c,
     density_from_pieces,
     eval_density,
     exact_all_pairs,
@@ -231,3 +234,112 @@ def test_distance_positive_for_distinct_coefficients():
     fam = merge_breakpoints([base, bumped])
     d = exact_l1_distance(fam.densities[0], fam.densities[1], fam.breakpoints)
     assert d > 0.0
+
+
+# -------------------------------------------------------- segment tables
+def test_segments_are_views_in_b_order():
+    coeffs = [np.array([0.5]), np.array([0.25])]
+    dens = PiecewisePolyDensity("p", [PolySegment(2, 3, coeffs[0]), PolySegment(0, 2, coeffs[1])], 0)
+    assert dens.b.tolist() == [0, 2] and dens.c.tolist() == [2, 3]
+    assert dens.b.dtype == dens.c.dtype == np.int64 and dens.coeffs.shape == (2, 1)
+    segs = dens.segments
+    assert [(s.b, s.c, s.coeffs.tolist()) for s in segs] == [(0, 2, [0.25]), (2, 3, [0.5])]
+    assert np.shares_memory(segs[0].coeffs, dens.coeffs)
+
+
+def test_table_invariants_name_the_density():
+    cases = [
+        ([0, 2], [1, 2], [[1.0], [1.0]], "0 <= b < c"),
+        ([-1], [1], [[1.0]], "0 <= b < c"),
+        ([0, 1], [2, 3], [[1.0], [1.0]], "overlapping"),
+        ([0], [1], [[1.0, 2.0]], "degree\\+1"),
+    ]
+    for b, c, coeffs, message in cases:
+        with pytest.raises(FamilyFormatError, match=f"'bad'.*{message}"):
+            PiecewisePolyDensity.from_table("bad", b, c, np.array(coeffs), 0)
+    with pytest.raises(FamilyFormatError, match="'bad'.*differ in length"):
+        PiecewisePolyDensity.from_table("bad", [1, 0], [2], np.ones((2, 1)), 0)
+    with pytest.raises(FamilyFormatError, match="'bad'"):
+        PiecewisePolyDensity("bad", [PolySegment(0, 1, [1.0]), PolySegment(1, 2, [1.0, 2.0])], 0)
+
+
+def test_validate_refuses_family_mutated_after_construction():
+    def fresh():
+        return merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.5, 1.5)])
+
+    fam = fresh()
+    fam.densities.append(PiecewisePolyDensity("a", [PolySegment(0, 1, np.array([1.0]))], 0))
+    with pytest.raises(FamilyFormatError, match="duplicate density name 'a'"):
+        validate_family(fam)
+    fam = fresh()
+    fam.densities.append(PiecewisePolyDensity("c", [PolySegment(0, 1, np.array([1.0, 0.0]))], 1))
+    with pytest.raises(FamilyFormatError, match="'c' has degree 1"):
+        validate_family(fam)
+    fam = fresh()
+    fam.breakpoints = Breakpoints(fam.breakpoints.points[:3])
+    with pytest.raises(FamilyFormatError, match="'b'.*exceeds grid"):
+        validate_family(fam)
+    fam = fresh()
+    fam.densities[1].b[1] = 0
+    with pytest.raises(FamilyFormatError, match="'b'.*overlapping"):
+        validate_family(fam)
+    fam = fresh()
+    fam.densities[0].coeffs = np.ones((2, 2))
+    with pytest.raises(FamilyFormatError, match="'a'.*degree\\+1"):
+        validate_family(fam)
+    assert validate_family(fresh()) == []
+
+
+def _merge_by_segment(families):
+    """The merge built segment object by segment object."""
+    grid = np.unique(np.concatenate([fam.breakpoints.points for fam in families]))
+    densities = []
+    for fam in families:
+        old = fam.breakpoints.points
+        for dens in fam.densities:
+            segs = []
+            for seg in dens.segments:
+                nb, nc = np.searchsorted(grid, old[seg.b]), np.searchsorted(grid, old[seg.c])
+                segs += [PolySegment(j, j + 1, seg.coeffs.copy()) for j in range(nb, nc)]
+            densities.append(PiecewisePolyDensity(dens.name, segs, dens.degree))
+    return DensityFamily(Breakpoints(grid), densities, families[0].degree)
+
+
+def test_merge_matches_segment_by_segment_construction():
+    gen = np.random.default_rng(17)
+    for trial in range(12):
+        degree = trial % 4
+        fams = [
+            random_segment_family(gen, 3, degree, n_intervals=int(gen.integers(1, 9)), prefix=f"g{i}_")
+            for i in range(3)
+        ]
+        merged, ref = merge_breakpoints(fams), _merge_by_segment(fams)
+        np.testing.assert_array_equal(merged.breakpoints.points, ref.breakpoints.points)
+        originals = [(fam, dens) for fam in fams for dens in fam.densities]
+        xs = np.concatenate([merged.breakpoints.points, gen.uniform(-6.0, 16.0, 500)])
+        for mine, theirs, (fam, orig) in zip(merged.densities, ref.densities, originals):
+            assert mine.name == theirs.name
+            for field in ("b", "c", "coeffs"):
+                np.testing.assert_array_equal(getattr(mine, field), getattr(theirs, field))
+            values = eval_density(mine, merged.breakpoints, xs)
+            np.testing.assert_array_equal(values, eval_density(theirs, ref.breakpoints, xs))
+            np.testing.assert_array_equal(values, eval_density(orig, fam.breakpoints, xs))
+
+
+def test_horner_results_match_recorded_bits():
+    # digests recorded before eval_density, sample_from_density and
+    # calibrate_c shared one Horner evaluator
+    gen = np.random.default_rng(2024)
+    bp = Breakpoints(np.array([-1.5, -0.25, 0.0, 0.5, 1.25, 3.0]))
+    segs = [
+        PolySegment(0, 2, gen.uniform(-1, 1, 4)),
+        PolySegment(3, 5, gen.uniform(-1, 1, 4)),
+        PolySegment(2, 3, gen.uniform(-1, 1, 4)),
+    ]
+    dens = PiecewisePolyDensity("p", segs, 3)
+    values = eval_density(dens, bp, np.linspace(-2.0, 3.5, 1001))
+    digest = hashlib.sha256(values.tobytes()).hexdigest()
+    assert digest == "24335c89b92dec7fc6b298270b8198da214583613fb92b05465eb705f352c67a"
+    assert eval_density(dens, bp, 0.3) == -0.4566503842534336
+    result = calibrate_c(3, 0.05, 40, RandomStream(7))
+    assert result.per_degree_r == {1: 21, 2: 20, 3: 38} and result.c == 2.1

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ks_against_cauchy
+from conftest import ks_against_cauchy, random_segment_family
 from l1sketch import (
     ApproxConfig,
     Breakpoints,
@@ -38,7 +38,8 @@ from l1sketch.ci1 import (
     student_envelope_density,
 )
 from l1sketch.cid import _node_powers, rescale_matrix
-from l1sketch.pipeline import _BLOCK, _segment_weight_matrix
+from l1sketch.densities import interval_coefficients
+from l1sketch.pipeline import _BLOCK
 
 
 def _uniform_pair():
@@ -160,7 +161,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
     pts = family.breakpoints.points
     n_int, d = len(pts) - 1, family.degree
     widths, lows = np.diff(pts), pts[:-1]
-    weights = _segment_weight_matrix(family)
+    coeffs = interval_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
     first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
     if mode is SketchMode.CID_APPROX:
         r = approx_config.r
@@ -194,9 +195,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
             else:
                 unit = (np.tan(np.pi * (gen.random((n_int, r)) - 0.5)) / r) @ node_pow
                 z[i] = np.einsum("lkj,lj->lk", maps, unit)
-        y = np.zeros((b1 - b0, n_int + 1, d + 1))
-        np.cumsum(z, axis=1, out=y[:, 1:, :])
-        x[:, b0:b1] = (y.reshape(b1 - b0, -1) @ weights.T).T
+        x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
     return x, shortfalls
 
 
@@ -237,6 +236,62 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     if family == "linear-few":
         assert len(fam.breakpoints) - 1 <= 6
         assert shortfalls > 0
+
+
+def _with_unit_densities(family):
+    """The family followed by one density per (interval, power) whose only
+    nonzero coefficient is a 1 there: its projection value is that entry of
+    the replicate's integral vector, exactly."""
+    d = family.degree
+    units = [
+        PiecewisePolyDensity(f"unit{ell}_{k}", [PolySegment(ell, ell + 1, np.eye(d + 1)[k])], d)
+        for ell in range(len(family.breakpoints) - 1)
+        for k in range(d + 1)
+    ]
+    return DensityFamily(family.breakpoints, family.densities + units, d)
+
+
+@pytest.mark.parametrize(
+    "mode,degree,config",
+    [
+        (SketchMode.UNIFORM_FASTPATH, 0, None),
+        (SketchMode.EXACT_CI1, 1, None),
+        (SketchMode.CID_APPROX, 1, ApproxConfig(d=1, epsilon_integration=0.2)),
+        (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.5)),
+        (SketchMode.UNIFORMIZE, 1, ApproxConfig(d=1, epsilon_integration=0.5)),
+    ],
+)
+def test_projection_within_rounding_of_long_double_sum(mode, degree, config):
+    # X_j = sum_l C[j, l] . z_l, with z read back through unit densities
+    # and the sum redone in long double
+    fam = random_segment_family(np.random.default_rng(50 + degree), 5, degree)
+    base, work_mode = fam, mode
+    if mode is SketchMode.UNIFORMIZE:
+        base, work_mode = uniformize_family(fam, config.r), SketchMode.UNIFORM_FASTPATH
+    t = 3 * _BLOCK + 17
+    x = sketch_family(fam, t, mode, RandomStream(43), approx_config=config).values
+    z = sketch_family(
+        _with_unit_densities(base), t, work_mode, RandomStream(43), approx_config=config
+    ).values[fam.m :]
+    coeffs = interval_coefficients(base.densities, base.breakpoints).reshape(fam.m, -1)
+    ref = coeffs.astype(np.longdouble) @ z.astype(np.longdouble)
+    bound = 1e-12 * (np.abs(coeffs) @ np.abs(z))
+    assert np.all(np.abs(x - ref) <= bound)
+
+
+def test_interval_coefficients_match_per_segment_loop():
+    gen = np.random.default_rng(8)
+    for degree in range(4):
+        fam = random_segment_family(gen, 5, degree)
+        low = PiecewisePolyDensity("low", [PolySegment(1, 4, np.array([0.5]))], 0)
+        densities = fam.densities + [low]
+        ref = np.zeros((len(densities), len(fam.breakpoints) - 1, degree + 1))
+        for j, dens in enumerate(densities):
+            for seg in dens.segments:
+                ref[j, seg.b : seg.c, : seg.coeffs.size] = seg.coeffs
+        assert any(np.any(dens.c - dens.b > 1) for dens in fam.densities)
+        assert np.any(np.all(ref == 0.0, axis=2))  # some intervals are unsupported
+        np.testing.assert_array_equal(interval_coefficients(densities, fam.breakpoints), ref)
 
 
 def test_cid_sketch_matches_exact_mode_distribution():
