@@ -12,7 +12,9 @@ so no per-segment object is built on the way from a file to a distance.
 
 :func:`interval_coefficients` expands the tables into one tensor
 ``C[m, L, d+1]``: density ``j``'s coefficients on grid interval ``l``, zero
-where it has no support.  The sketch projects with it directly.
+where it has no support.  The oracle and the sketch share one map of it to
+interval-local coordinates, a Taylor shift to ``u = x - a_l``; the sketch
+then rescales to ``u`` on ``[0, 1]`` (:func:`unit_coefficients`).
 
 Distances are computed exactly and in batch.  The oracle Taylor-shifts ``C``
 to the interval-local variable ``u = x - a_l``.  On every interval the
@@ -327,6 +329,23 @@ def interval_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints
 def _local_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) -> np.ndarray:
     """:func:`interval_coefficients` in ``u = x - a_l`` on each interval ``l``."""
     return taylor_shift(interval_coefficients(densities, bp), bp.points[:-1])
+
+
+def unit_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) -> np.ndarray:
+    """Tensor ``Cu`` of shape ``(m, L, d+1)``: ``Cu[j, l]`` holds the
+    coefficients in ``u`` of ``w_l p_{j,l}(a_l + w_l u)`` on ``[0, 1]``.
+
+    The local coefficients of :func:`_local_coefficients` times
+    ``w_l**(k+1)``, so ``Cu[j, l] . z`` is the integral of density ``j``
+    against the motion on interval ``l`` when ``z`` is the unit-interval
+    integral vector of ``(1, u, ..., u^d)``.
+    """
+    widths = np.diff(bp.points)[:, None]
+    # overflow gives inf or NaN here, and a non-finite distance, which is refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = _local_coefficients(densities, bp)
+        coeffs *= widths ** np.arange(1, coeffs.shape[-1] + 1)
+    return coeffs
 
 
 def exact_l1_distance(

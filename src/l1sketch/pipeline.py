@@ -1,14 +1,18 @@
 """End-to-end all-pairs distance schemes.
 
-The sketch path draws, per replicate, one independent integral vector
-``z_l`` per elementary grid interval ``l``, shared by all densities.  Each
-density's projection value is ``X_j = sum_l C[j, l] . z_l``, with ``C`` the
-interval-coefficient tensor of :func:`l1sketch.densities.interval_coefficients`,
-so one matrix product projects a whole block of replicates.  Differences of
-projection values are exactly Cauchy with scale equal to the pair's L1
-distance (up to discretization error for the approximate modes), so a
-scale estimator over replicates recovers every pairwise distance from one
-m-by-t matrix.
+The sketch path draws, per replicate, one independent unit-interval
+integral vector ``z_l`` of ``(1, u, ..., u^d)`` per elementary grid
+interval ``l``, shared by all densities.  Each density's projection value
+is ``X_j = sum_l Cu[j, l] . z_l``, with ``Cu`` the unit-local coefficient
+tensor of :func:`l1sketch.densities.unit_coefficients` (the coefficients of
+``w_l p_{j,l}(a_l + w_l u)``), so no draw is mapped to its interval and one
+matrix product projects a whole block of replicates.  The uniforms of a
+group of replicates are turned into integral vectors by a few whole-array
+operations, which release the GIL, so blocks run in parallel on threads.
+Differences of projection values are exactly Cauchy with scale equal to the
+pair's L1 distance (up to discretization error for the approximate modes),
+so a scale estimator over replicates recovers every pairwise distance from
+one m-by-t matrix.
 
 Sharing the per-interval draws within a replicate is what makes differences
 meaningful: identical densities cancel exactly, replicate by replicate.
@@ -36,14 +40,14 @@ from .ci1 import (
     _accept_mask,
     _proposal_block,
 )
-from .cid import DEFAULT_C, ApproxConfig, _node_powers, rescale_matrix
+from .cid import DEFAULT_C, ApproxConfig, _node_powers
 from .densities import (
     DensityFamily,
     eval_density,
     exact_all_pairs as _exact_all_pairs,
-    interval_coefficients,
     sample_from_density,
     uniformize_family,
+    unit_coefficients,
     validate_family,
 )
 from .errors import EnvelopeDominationError, NonFiniteResultError, ParameterError
@@ -63,6 +67,14 @@ _BLOCK = 64
 #: with the group, so peak memory does too; at about 3,000 proposals a group
 #: adds well under 1% to a run's peak RSS.
 _CI1_GROUP_PROPOSALS = 3000
+
+#: Uniform draws per group of the r-step mode (whole replicates, at least
+#: one).  Each group is transformed and projected onto the node powers in a
+#: few whole-array operations, which release the GIL.  Its buffer grows with
+#: it, so peak memory does too: at 71 intervals and r = 42 on 2 threads, a
+#: whole 64-replicate block raised a run's peak RSS by about 15%, groups of
+#: about 12,000 draws (4 replicates) by about 1%.
+_CID_GROUP_DRAWS = 12_000
 
 
 class SketchMode(enum.Enum):
@@ -116,6 +128,13 @@ class DistanceMatrix:
             raise ParameterError("entries must be symmetric")
         if np.any(self.entries < 0.0):
             raise ParameterError("entries must be nonnegative")
+
+
+def _cauchy_in_place(u: np.ndarray) -> None:
+    """Map uniforms to standard Cauchy draws ``tan(pi (u - 1/2))``, in place."""
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
 
 
 def _ci1_unit_block(gen: np.random.Generator, need: int, first_block: int):
@@ -203,6 +222,8 @@ def sketch_family(
             raise ParameterError("approx_config degree does not match the family")
     if t < 1:
         raise ParameterError("t must be >= 1")
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
 
     work_family = family
     work_mode = mode
@@ -210,54 +231,55 @@ def sketch_family(
         work_family = uniformize_family(family, approx_config.r)
         work_mode = SketchMode.UNIFORM_FASTPATH
 
-    pts = work_family.breakpoints.points
-    s = len(pts)
-    widths = np.diff(pts)
-    lows = pts[:-1]
+    n_int = len(work_family.breakpoints) - 1
     width_cols = work_family.degree + 1
-    coeffs = interval_coefficients(work_family.densities, work_family.breakpoints)
-    coeffs = coeffs.reshape(work_family.m, (s - 1) * width_cols)
+    coeffs = unit_coefficients(work_family.densities, work_family.breakpoints)
+    coeffs = coeffs.reshape(work_family.m, n_int * width_cols)
 
-    if work_mode is SketchMode.CID_APPROX:
+    if work_mode is SketchMode.EXACT_CI1:
+        first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
+        group = max(_CI1_GROUP_PROPOSALS // first_block, 1)
+    elif work_mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d)
-        interval_maps = np.stack(
-            [rescale_matrix(d, pts[l], pts[l + 1]) for l in range(s - 1)]
-        )
-
-    first_block = max(int(math.ceil((s - 1) * REJECTION_OVERHEAD * 1.3)), 64)
-    group = max(_CI1_GROUP_PROPOSALS // first_block, 1)
+        group = max(_CID_GROUP_DRAWS // (n_int * r), 1)
     x = np.empty((work_family.m, t))
 
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         nb = b1 - b0
-        z = np.empty((nb, s - 1, width_cols))
+        z = np.empty((nb, n_int, width_cols))
         stream = rng.substream(b0)
-        if work_mode is SketchMode.EXACT_CI1:
-            for g0 in range(0, nb, group):
-                g1 = min(g0 + group, nb)
-                u0, u1 = _ci1_group(stream, range(b0 + g0, b0 + g1), s - 1, first_block)
-                z[g0:g1, :, 0] = widths * u0
-                z[g0:g1, :, 1] = widths * (lows * u0 + widths * u1)
-        else:
+        if work_mode is SketchMode.UNIFORM_FASTPATH:
             for i, rep in enumerate(range(b0, b1)):
                 stream.rekey(rep)
-                gen = stream.generator
-                if work_mode is SketchMode.UNIFORM_FASTPATH:
-                    u = gen.random(s - 1)
-                    z[i, :, 0] = widths * np.tan(np.pi * (u - 0.5))
-                else:  # CID_APPROX
-                    u = gen.random((s - 1, r))
-                    incr = np.tan(np.pi * (u - 0.5)) / r
-                    unit = incr @ node_pow
-                    z[i] = np.einsum("lkj,lj->lk", interval_maps, unit)
+                stream.generator.random(out=z[i])
+            _cauchy_in_place(z)
+        elif work_mode is SketchMode.EXACT_CI1:
+            for g0 in range(0, nb, group):
+                g1 = min(g0 + group, nb)
+                z[g0:g1, :, 0], z[g0:g1, :, 1] = _ci1_group(
+                    stream, range(b0 + g0, b0 + g1), n_int, first_block
+                )
+        else:  # CID_APPROX
+            buf = np.empty((min(group, nb), n_int, r))
+            for g0 in range(0, nb, group):
+                g1 = min(g0 + group, nb)
+                u = buf[: g1 - g0]
+                for i, rep in enumerate(range(b0 + g0, b0 + g1)):
+                    stream.rekey(rep)
+                    stream.generator.random(out=u[i])
+                _cauchy_in_place(u)
+                u /= r
+                # stacked, not flattened: each replicate's (L, r) @ (r, d+1)
+                # product has the bits it has on its own
+                np.matmul(u, node_pow, out=z[g0:g1])
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
 
     starts = range(0, t, _BLOCK)
-    if threads <= 1:
+    if threads == 1:
         for b0 in starts:
             run_block(b0)
     else:

@@ -32,6 +32,14 @@ class RandomStream:
         self.stream_id = int(stream_id) & _UINT64_MASK
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
+        self._fresh_state = {
+            "bit_generator": "Philox",
+            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+            "buffer": np.zeros(4, dtype=np.uint64),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
 
     def rekey(self, stream_id: int) -> None:
         """Re-key in place to ``(seed, stream_id)``: later draws equal those
@@ -39,19 +47,12 @@ class RandomStream:
 
         Sets the Philox state directly (counter 0, empty buffer, no cached
         32-bit half), which costs a fraction of building a new generator.
+        Only the key of that state changes from call to call; the setter
+        copies it, so the dict is reused.
         """
         self.stream_id = int(stream_id) & _UINT64_MASK
-        self.generator.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {
-                "counter": np.zeros(4, dtype=np.uint64),
-                "key": np.array([self.seed, self.stream_id], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        self._fresh_state["state"]["key"][1] = self.stream_id
+        self.generator.bit_generator.state = self._fresh_state
 
     def substream(self, stream_id: int) -> "RandomStream":
         """A fresh stream with the same seed and the given stream id."""

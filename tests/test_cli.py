@@ -188,6 +188,18 @@ def test_dist_bad_epsilon_exit_3(pair_family_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, threads):
+    out = tmp_path / "dist.csv"
+    code = main(
+        ["dist", pair_family_path, "--method", "sketch", "--epsilon", "0.5",
+         "--threads", threads, "--out", str(out)]
+    )
+    assert code == 3
+    assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dist_missing_file_exit_2(capsys):
     assert main(["dist", "/nonexistent/family.json", "--method", "exact"]) == 2
 

@@ -3,7 +3,9 @@
 Translation: a family and its copy shifted by 1e6 or 1e9 have the same
 distances.  The shifted copies are built on dyadic grids (multiples of 1/64),
 so the shifted breakpoints are exact and only the global-monomial
-coefficients carry rounding.
+coefficients carry rounding.  The same holds for the sketch distances at a
+fixed seed: both grids have the same widths, so they draw the same
+unit-interval vectors.
 
 Permutation: reordering the densities reorders the matrix, bit for bit.
 
@@ -25,13 +27,19 @@ from numpy.polynomial import Polynomial
 
 from conftest import adaptive_simpson
 from l1sketch import (
+    ApproxConfig,
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
     PolySegment,
+    RandomStream,
+    SketchMode,
     density_from_pieces,
+    estimate_all_pairs,
     exact_all_pairs,
     merge_breakpoints,
+    required_sample_count,
+    sketch_family,
 )
 from l1sketch._poly import poly_eval
 
@@ -78,6 +86,23 @@ def test_oracle_translation_invariant(shapes, offset_rtol):
     moved = exact_all_pairs(linear_family(shapes, offset)).entries
     # values lie in [0, 1] on a unit interval, so distances are at most 2
     np.testing.assert_allclose(moved, base, rtol=rtol, atol=rtol)
+
+
+@settings(DETERMINISTIC, max_examples=20)
+@given(
+    shapes=linear_shapes(),
+    offset=st.sampled_from([1e6, -1e6]),
+    mode=st.sampled_from([SketchMode.EXACT_CI1, SketchMode.CID_APPROX]),
+)
+def test_sketch_translation_invariant(shapes, offset, mode):
+    config = ApproxConfig(d=1, epsilon_integration=0.5) if mode is SketchMode.CID_APPROX else None
+    t = required_sample_count(0.5, 0.5, len(shapes))
+
+    def distances(at: float) -> np.ndarray:
+        sketch = sketch_family(linear_family(shapes, at), t, mode, RandomStream(60), approx_config=config)
+        return estimate_all_pairs(sketch, 0.5, 0.5).entries
+
+    np.testing.assert_allclose(distances(offset), distances(0.0), rtol=1e-6, atol=1e-6)
 
 
 def _global(local, a: float, degree: int) -> np.ndarray:

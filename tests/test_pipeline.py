@@ -37,9 +37,9 @@ from l1sketch.ci1 import (
     ci1_density,
     student_envelope_density,
 )
-from l1sketch.cid import _node_powers, rescale_matrix
-from l1sketch.densities import interval_coefficients
-from l1sketch.pipeline import _BLOCK
+from l1sketch.cid import _node_powers
+from l1sketch.densities import interval_coefficients, unit_coefficients
+from l1sketch.pipeline import _BLOCK, _CID_GROUP_DRAWS
 
 
 def _uniform_pair():
@@ -153,20 +153,18 @@ def test_sketch_deterministic_and_thread_invariant():
 
 def _reference_sketch(family, t, mode, seed, approx_config=None):
     """The sketch built replicate by replicate: a fresh stream ``(seed, rep)``
-    per replicate and the rejection test without the squeeze.  Returns the
-    values and the number of replicates whose first proposal block fell
-    short of one accept per interval."""
+    per replicate, the rejection test without the squeeze, and the
+    projection with the unit-local coefficients.  Returns the values and the
+    number of replicates whose first proposal block fell short of one accept
+    per interval."""
     if mode is SketchMode.UNIFORMIZE:
         family, mode = uniformize_family(family, approx_config.r), SketchMode.UNIFORM_FASTPATH
-    pts = family.breakpoints.points
-    n_int, d = len(pts) - 1, family.degree
-    widths, lows = np.diff(pts), pts[:-1]
-    coeffs = interval_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
+    n_int, d = len(family.breakpoints) - 1, family.degree
+    coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
     first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
     if mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d)
-        maps = np.stack([rescale_matrix(d, pts[l], pts[l + 1]) for l in range(n_int)])
 
     def accepted(gen, k):
         x0, x1, u = _proposal_block(gen, k)
@@ -181,7 +179,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         for i, rep in enumerate(range(b0, b1)):
             gen = RandomStream(seed, rep).generator
             if mode is SketchMode.UNIFORM_FASTPATH:
-                z[i, :, 0] = widths * np.tan(np.pi * (gen.random(n_int) - 0.5))
+                z[i, :, 0] = np.tan(np.pi * (gen.random(n_int) - 0.5))
             elif mode is SketchMode.EXACT_CI1:
                 parts = [accepted(gen, first_block)]
                 got = parts[0][0].size
@@ -189,12 +187,9 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
                 while got < n_int:
                     parts.append(accepted(gen, max(int((n_int - got) * REJECTION_OVERHEAD * 1.4), 64)))
                     got += parts[-1][0].size
-                u0, u1 = (np.concatenate(p)[:n_int] for p in zip(*parts))
-                z[i, :, 0] = widths * u0
-                z[i, :, 1] = widths * (lows * u0 + widths * u1)
+                z[i, :, 0], z[i, :, 1] = (np.concatenate(p)[:n_int] for p in zip(*parts))
             else:
-                unit = (np.tan(np.pi * (gen.random((n_int, r)) - 0.5)) / r) @ node_pow
-                z[i] = np.einsum("lkj,lj->lk", maps, unit)
+                z[i] = (np.tan(np.pi * (gen.random((n_int, r)) - 0.5)) / r) @ node_pow
         x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
     return x, shortfalls
 
@@ -208,6 +203,9 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         (SketchMode.EXACT_CI1, "linear", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
         (SketchMode.UNIFORMIZE, "linear", ApproxConfig(d=1, epsilon_integration=0.2)),
+        # 2 intervals of r draws: groups of 5 replicates, so every block of
+        # 64 ends in a partial group
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10)),
     ],
 )
 def test_sketch_bit_identical_to_reference(mode, family, config, threads):
@@ -236,6 +234,9 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     if family == "linear-few":
         assert len(fam.breakpoints) - 1 <= 6
         assert shortfalls > 0
+    if mode is SketchMode.CID_APPROX and config.r > 100:
+        group = _CID_GROUP_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
+        assert 1 < group < _BLOCK and _BLOCK % group != 0
 
 
 def _with_unit_densities(family):
@@ -292,6 +293,23 @@ def test_interval_coefficients_match_per_segment_loop():
         assert any(np.any(dens.c - dens.b > 1) for dens in fam.densities)
         assert np.any(np.all(ref == 0.0, axis=2))  # some intervals are unsupported
         np.testing.assert_array_equal(interval_coefficients(densities, fam.breakpoints), ref)
+
+
+def test_unit_coefficients_evaluate_each_piece_on_the_unit_interval():
+    # Cu[j, l] at u equals w_l p_{j,l}(a_l + w_l u), checked against the
+    # global coefficients evaluated at x
+    gen = np.random.default_rng(9)
+    u = np.linspace(0.0, 1.0, 7)
+    for degree in range(4):
+        fam = random_segment_family(gen, 5, degree)
+        pts = fam.breakpoints.points
+        unit = unit_coefficients(fam.densities, fam.breakpoints)
+        glob = interval_coefficients(fam.densities, fam.breakpoints)
+        for ell, w in enumerate(np.diff(pts)):
+            want = w * poly_eval(glob[:, ell, None, :], pts[ell] + w * u)
+            got = poly_eval(unit[:, ell, None, :], u)
+            np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-11 * np.abs(want).max())
+        assert not np.allclose(np.diff(pts), 1.0)
 
 
 def test_cid_sketch_matches_exact_mode_distribution():

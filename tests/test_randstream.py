@@ -51,6 +51,16 @@ def test_rekey_matches_fresh_stream():
     )
 
 
+def test_repeated_rekey_matches_fresh_streams():
+    stream = RandomStream(9, 1)
+    for stream_id in (42, 2**64 - 1, 42, 2**64 + 5):
+        stream.generator.random(5)
+        stream.rekey(stream_id)
+        fresh = RandomStream(9, stream_id)
+        assert stream.stream_id == fresh.stream_id
+        np.testing.assert_array_equal(stream.generator.random(16), fresh.generator.random(16))
+
+
 def test_cauchy_scale_zero_returns_center():
     draws = sample_cauchy(3.5, 0.0, RandomStream(1), size=100)
     assert np.all(draws == 3.5)
