@@ -8,9 +8,10 @@ and checks the sampler's marginals and acceptance rate against theory.
 import numpy as np
 
 from l1sketch import (
+    CIdSample,
     RandomStream,
     ci1_density,
-    rescale_ci1,
+    rescale_cid,
     sample_ci1_unit,
     sample_student_envelope,
 )
@@ -46,6 +47,7 @@ u = prop_rng.random(100_000)
 rate = np.mean(_accept_mask(prop.x0, prop.x1, u))
 print(f"acceptance rate = {rate:.4f}   (theory {np.pi / 25:.4f})")
 
-# Rescaling to an arbitrary interval [a, b] is a two-by-two affine map.
-z37 = rescale_ci1(z, 3.0, 7.0)
-print(f"median |x0| on [3, 7] = {np.median(np.abs(z37.x0)):.4f}   (theory 4.0)")
+# Rescaling to an arbitrary interval [a, b] is a two-by-two linear map, the
+# degree-1 case of the map every degree uses.
+z37 = rescale_cid(CIdSample(np.column_stack([z.x0, z.x1])), 3.0, 7.0).components
+print(f"median |x0| on [3, 7] = {np.median(np.abs(z37[:, 0])):.4f}   (theory 4.0)")

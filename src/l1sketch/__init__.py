@@ -8,12 +8,9 @@ Monte Carlo baseline are included for cross-validation.
 __version__ = "0.1.0"
 
 from .ci1 import (
-    CI1DensityTrace,
     CI1Sample,
     ci1_density,
-    ci1_density_trace,
     complex_atan,
-    rescale_ci1,
     sample_ci1_unit,
     sample_student_envelope,
     student_envelope_density,
@@ -42,7 +39,6 @@ from .densities import (
     random_piecewise_linear_family,
     sample_from_density,
     uniform_density,
-    uniformize_family,
     validate_family,
 )
 from .errors import EnvelopeDominationError, FamilyFormatError, ParameterError
@@ -59,18 +55,14 @@ from .randstream import (
     RandomStream,
     ScaleEstimate,
     geometric_mean_estimate,
-    median_scale_estimate,
     required_sample_count,
     sample_cauchy,
-    sample_chi2_1,
-    sample_std_normal,
 )
 
 __all__ = [
     "__version__",
     "ApproxConfig",
     "Breakpoints",
-    "CI1DensityTrace",
     "CI1Sample",
     "CIdSample",
     "CalibrationResult",
@@ -88,7 +80,6 @@ __all__ = [
     "SketchMode",
     "calibrate_c",
     "ci1_density",
-    "ci1_density_trace",
     "complex_atan",
     "density_from_pieces",
     "estimate_all_pairs",
@@ -97,25 +88,20 @@ __all__ = [
     "exact_l1_distance",
     "geometric_mean_estimate",
     "mc_all_pairs",
-    "median_scale_estimate",
     "merge_breakpoints",
     "random_piecewise_linear_family",
     "random_polynomial",
     "required_sample_count",
-    "rescale_ci1",
     "rescale_cid",
     "riemann_abs_scale",
     "run_scheme",
     "sample_cauchy",
-    "sample_chi2_1",
     "sample_ci1_unit",
     "sample_cid_approx_unit",
     "sample_from_density",
-    "sample_std_normal",
     "sample_student_envelope",
     "sketch_family",
     "student_envelope_density",
     "uniform_density",
-    "uniformize_family",
     "validate_family",
 ]

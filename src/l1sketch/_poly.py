@@ -215,6 +215,18 @@ def taylor_shift(coeffs, a):
     return c
 
 
+def to_unit_interval(coeffs, a, w):
+    """Coefficients in ``u`` of ``w * p(a + w u)``, batched over leading axes.
+
+    The interval map: ``p`` on ``[a, a + w)`` pulled back to ``[0, 1]``,
+    times the Jacobian ``w``.  ``a`` broadcasts like in :func:`taylor_shift`,
+    and ``w`` against ``coeffs[..., 0]`` too.
+    """
+    c = taylor_shift(coeffs, a)
+    c *= np.asarray(w, dtype=float)[..., None] ** np.arange(1, c.shape[-1] + 1)
+    return c
+
+
 def integrate_abs_local(coeffs, width):
     """Integrals of ``|q|`` over ``[0, width]``, batched over leading axes.
 

@@ -23,12 +23,12 @@ in ``(-pi/2, pi/2)``).
 
 from __future__ import annotations
 
-import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnvelopeDominationError, ParameterError
+from .errors import EnvelopeDominationError
 from .randstream import RandomStream
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
@@ -53,26 +53,12 @@ _FOUR_OVER_PI2 = 4.0 / np.pi**2
 _TWO_OVER_PI2 = 2.0 / np.pi**2
 
 
-class Branch(enum.Enum):
-    GENERIC = "generic"
-    DIAGONAL = "diagonal"
-
-
 @dataclass
 class CI1Sample:
     """One draw (or a batch) of the pair of stochastic integrals."""
 
     x0: float | np.ndarray
     x1: float | np.ndarray
-
-
-@dataclass
-class CI1DensityTrace:
-    """Diagnostic record of a single density evaluation."""
-
-    q: complex
-    branch: Branch
-    value: float
 
 
 def complex_atan(z):
@@ -140,20 +126,6 @@ def ci1_density(x0, x1):
     return float(out[0]) if scalar else out
 
 
-def ci1_density_trace(x0: float, x1: float) -> CI1DensityTrace:
-    """Scalar density evaluation that also reports the branch taken."""
-    x0 = float(x0)
-    x1 = float(x1)
-    delta = x0 - 2.0 * x1
-    s0 = 1.0 + x0 * x0
-    q = complex(s0, -2.0 * delta)
-    if abs(delta) <= diagonal_tolerance(x0):
-        return CI1DensityTrace(q=q, branch=Branch.DIAGONAL, value=float(_density_diagonal(x0)))
-    return CI1DensityTrace(
-        q=q, branch=Branch.GENERIC, value=float(_density_generic(np.float64(x0), np.float64(x1)))
-    )
-
-
 def student_envelope_density(x0, x1):
     """Bivariate Student(1 df) envelope ``(1/pi) (1 + x0^2 + (2 x1 - x0)^2)^(-3/2)``."""
     x0 = np.asarray(x0, dtype=float)
@@ -217,51 +189,52 @@ def sample_student_envelope(rng: RandomStream, size: int | None = None) -> CI1Sa
     return CI1Sample(x0, x1)
 
 
+def first_block(need: int) -> int:
+    """Proposals in the first block for ``need`` accepts: 1.3 times the
+    expected count, at least 64."""
+    return max(math.ceil(need * REJECTION_OVERHEAD * 1.3), 64)
+
+
+def unit_pairs(gen: np.random.Generator, need: int):
+    """``need`` exact unit-interval pairs from ``gen``, as two arrays.
+
+    Draws a first block of :func:`first_block` proposals (so block shapes do
+    not depend on acceptance luck), then tops up in the rare shortfall case.
+    A proposal budget of ``REJECTION_ITERATION_CAP`` per requested draw
+    guards against a broken domination bound; exceeding it raises, it never
+    loops silently.
+    """
+    parts0, parts1 = [], []
+    got = used = 0
+    k = first_block(need)
+    while got < need:
+        x0, x1, u01 = _proposal_block(gen, k)
+        accept = _accept_mask(x0, x1, u01)
+        parts0.append(x0[accept])
+        parts1.append(x1[accept])
+        got += int(accept.sum())
+        used += k
+        if used > REJECTION_ITERATION_CAP * need:
+            raise EnvelopeDominationError(
+                f"rejection sampler used {used} proposals for {need} draws; "
+                "envelope domination appears violated"
+            )
+        k = max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)
+    return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
+
+
 def sample_ci1_unit(rng: RandomStream, size: int | None = None) -> CI1Sample:
     """Exact draws of the unit-interval pair by rejection under the envelope.
 
-    Proposals come from :func:`sample_student_envelope`; a proposal ``z`` is
-    accepted when ``u * (C/pi) * g(z) <= f(z)`` with ``C = 25``.  Expected
-    proposals per sample: ``25/pi``, about 8.  A proposal budget of
-    ``REJECTION_ITERATION_CAP`` per requested sample guards against a broken
-    domination bound; exceeding it raises, it never loops silently.
+    Proposals come from the envelope of :func:`sample_student_envelope`; a
+    proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
+    ``C = 25``.  Expected proposals per sample: ``25/pi``, about 8.  The loop
+    is :func:`unit_pairs`, the one the sketch uses.
     """
     n = 1 if size is None else int(size)
     if n == 0:
         return CI1Sample(np.empty(0), np.empty(0))
-    out0 = np.empty(n)
-    out1 = np.empty(n)
-    filled = 0
-    proposals_used = 0
-    while filled < n:
-        k = max(int((n - filled) * REJECTION_OVERHEAD * 1.3), 64)
-        px0, px1, u = _proposal_block(rng.generator, k)
-        accept = _accept_mask(px0, px1, u)
-        take = min(int(accept.sum()), n - filled)
-        if take > 0:
-            out0[filled : filled + take] = px0[accept][:take]
-            out1[filled : filled + take] = px1[accept][:take]
-            filled += take
-        proposals_used += k
-        if proposals_used > REJECTION_ITERATION_CAP * n:
-            raise EnvelopeDominationError(
-                f"rejection sampler used {proposals_used} proposals for {n} draws; "
-                "envelope domination appears violated"
-            )
+    x0, x1 = unit_pairs(rng.generator, n)
     if size is None:
-        return CI1Sample(float(out0[0]), float(out1[0]))
-    return CI1Sample(out0, out1)
-
-
-def rescale_ci1(z: CI1Sample, a: float, b: float) -> CI1Sample:
-    """Map unit-interval draws to the interval ``[a, b]``.
-
-    The integrand ``(1, x)`` restricted to ``[a, b]`` pulls back to
-    ``(1, a + (b-a) u)`` on the unit interval, so by linearity and scaling of
-    the stochastic integral the image draw is
-    ``((b-a) x0, (b-a) (a x0 + (b-a) x1))``.
-    """
-    if not b > a:
-        raise ParameterError(f"need b > a, got a={a}, b={b}")
-    w = b - a
-    return CI1Sample(w * z.x0, w * (a * z.x0 + w * z.x1))
+        return CI1Sample(float(x0[0]), float(x1[0]))
+    return CI1Sample(x0, x1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import MAX_DEGREE, integrate_abs_poly, poly_eval
+from ._poly import MAX_DEGREE, integrate_abs_poly, poly_eval, to_unit_interval
 from .errors import ParameterError
 from .randstream import RandomStream, sample_cauchy
 
@@ -99,18 +99,14 @@ def sample_cid_approx_unit(
 def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:
     """Lower-triangular map sending unit-interval components to ``[a, b]``.
 
-    Substituting ``x = a + (b-a) u`` into ``x^k`` and expanding binomially
-    gives ``T[k, j] = (b-a) * C(k, j) * a^(k-j) * (b-a)^j`` for ``j <= k``;
-    the map costs O(d^2) to build and apply.
+    Row ``k`` holds the coefficients in ``u`` of ``(b-a) x^k`` at
+    ``x = a + (b-a) u``: the interval map
+    :func:`l1sketch._poly.to_unit_interval` applied to the monomials, so
+    ``T[k, j] = C(k, j) a^(k-j) (b-a)^(j+1)`` for ``j <= k``.
     """
     if not b > a:
         raise ParameterError(f"need b > a, got a={a}, b={b}")
-    w = b - a
-    t = np.zeros((d + 1, d + 1))
-    for k in range(d + 1):
-        for j in range(k + 1):
-            t[k, j] = w * math.comb(k, j) * a ** (k - j) * w**j
-    return t
+    return to_unit_interval(np.eye(d + 1), a, b - a)
 
 
 def rescale_cid(z: CIdSample, a: float, b: float) -> CIdSample:

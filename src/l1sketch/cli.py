@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``dist`` (all-pairs distances), ``sample`` (raw draws),
-``eval`` (density values for plotting), ``calibrate`` (discretization
-constant), ``bench`` (timing table).  The default seed comes from the
-``L1SKETCH_SEED`` environment variable when set.
+``eval`` (density values for plotting) and ``calibrate`` (discretization
+constant).  The default seed comes from the ``L1SKETCH_SEED`` environment
+variable when set.
 
 Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
 4 internal invariant breach or a non-finite result.
@@ -20,13 +20,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .ci1 import ci1_density, rescale_ci1, sample_ci1_unit
-from .cid import DEFAULT_C, ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
-from .densities import eval_density, random_piecewise_linear_family, validate_family
+from .ci1 import ci1_density, sample_ci1_unit
+from .cid import DEFAULT_C, ApproxConfig, CIdSample, calibrate_c, rescale_cid, sample_cid_approx_unit
+from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json, sha256_digest
-from .pipeline import SketchMode, estimate_all_pairs, run_scheme, sketch_family
-from .randstream import RandomStream, required_sample_count
+from .pipeline import run_scheme
+from .randstream import RandomStream
 
 EXIT_OK = 0
 EXIT_FORMAT = 2
@@ -77,7 +77,6 @@ def cmd_dist(args) -> int:
         method=args.method,
         seed=args.seed,
         threads=args.threads,
-        estimator=args.estimator,
         sketch_mode=args.sketch_mode,
         c_constant=args.c_constant,
     )
@@ -88,7 +87,6 @@ def cmd_dist(args) -> int:
             "method": args.method,
             "epsilon": args.epsilon,
             "delta": args.delta,
-            "estimator": args.estimator,
             "sketch_mode": args.sketch_mode,
             "format": args.format,
         },
@@ -112,28 +110,25 @@ def cmd_sample(args) -> int:
             args.seed,
         )
     ]
-    if args.kind == "ci1":
-        lines.append("x0,x1")
-        if args.count > 0:
-            z = sample_ci1_unit(rng, size=args.count)
-            if args.a != 0.0 or args.b != 1.0:
-                z = rescale_ci1(z, args.a, args.b)
-            for i in range(args.count):
-                lines.append(f"{float(z.x0[i])!r},{float(z.x1[i])!r}")
-    else:
+    cfg = None
+    if args.kind == "cid":
         cfg = ApproxConfig(
             d=args.d,
             epsilon_integration=args.eps_int,
             c_constant=args.c_constant if args.c_constant is not None else DEFAULT_C,
             r=args.r,
         )
-        lines.append(",".join(f"x{k}" for k in range(args.d + 1)))
-        if args.count > 0:
+    lines.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
+    if args.count > 0:
+        if cfg is None:
+            pair = sample_ci1_unit(rng, size=args.count)
+            z = CIdSample(np.column_stack([pair.x0, pair.x1]))
+        else:
             z = sample_cid_approx_unit(cfg, rng, size=args.count)
-            if args.a != 0.0 or args.b != 1.0:
-                z = rescale_cid(z, args.a, args.b)
-            for row in z.components:
-                lines.append(",".join(repr(float(v)) for v in row))
+        if args.a != 0.0 or args.b != 1.0:
+            z = rescale_cid(z, args.a, args.b)
+        for row in z.components:
+            lines.append(",".join(repr(float(v)) for v in row))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -194,72 +189,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _bench_family(m: int, n: int, d: int, rng: RandomStream):
-    """Random degree-d family for timing runs.
-
-    For d != 1 the coefficients are plain uniform draws; the resulting
-    functions are signed, which the distance machinery accepts, and cost is
-    all that matters here.
-    """
-    if d == 1:
-        return random_piecewise_linear_family(m, n, rng)
-    from l1sketch import Breakpoints, DensityFamily, PiecewisePolyDensity, PolySegment
-
-    edges = np.concatenate([[0.0], np.sort(rng.random(n - 1)), [1.0]]) if n > 1 else np.array([0.0, 1.0])
-    densities = []
-    for j in range(m):
-        segs = [
-            PolySegment(i, i + 1, 2.0 * rng.random(d + 1) - 1.0) for i in range(n)
-        ]
-        densities.append(PiecewisePolyDensity(f"f{j}", segs, d))
-    return DensityFamily(Breakpoints(edges), densities, d)
-
-
-def _bench_sketch_mode(d: int):
-    if d == 0:
-        return SketchMode.UNIFORM_FASTPATH, None
-    if d == 1:
-        return SketchMode.EXACT_CI1, None
-    return SketchMode.CID_APPROX, ApproxConfig(d=d, epsilon_integration=0.05)
-
-
-def cmd_bench(args) -> int:
-    lines = [
-        _manifest_line(
-            "bench",
-            {"m": args.m, "n": args.n, "d": args.d, "t": args.t, "methods": args.methods},
-            args.seed,
-        ),
-        "method,m,n,d,t,seconds",
-    ]
-    for m in args.m:
-        for n in args.n:
-            for d in args.d:
-                rng = RandomStream(args.seed, stream_id=(m * 1000 + n) * 32 + d)
-                family = _bench_family(m, n, d, rng)
-                mode, cfg = _bench_sketch_mode(d)
-                for method in args.methods.split(","):
-                    for t in args.t:
-                        # widest epsilon the replicate count supports, slightly
-                        # inflated so the estimator precondition holds exactly
-                        eps = min(0.5, 1.001 * 8.0 * np.sqrt(np.log(m * m / 0.1) / t))
-                        start = time.perf_counter()
-                        if method == "exact":
-                            run_scheme(family, 0.2, 0.1, "exact", args.seed)
-                        else:
-                            sk = sketch_family(
-                                family, t, mode, RandomStream(args.seed), approx_config=cfg
-                            )
-                            if required_sample_count(eps, 0.1, m) <= t:
-                                estimate_all_pairs(sk, eps, 0.1)
-                        elapsed = time.perf_counter() - start
-                        lines.append(f"{method},{m},{n},{d},{t},{elapsed:.6f}")
-                        if method == "exact":
-                            break  # exact cost does not depend on t
-    _write("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="l1sketch", description=__doc__)
     parser.add_argument("--version", action="version", version=f"l1sketch {__version__}")
@@ -274,10 +203,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument("--estimator", choices=["geometric_mean", "median"], default="geometric_mean")
     p.add_argument(
         "--sketch-mode",
-        choices=["exact_ci1", "cid_approx", "uniform_fastpath", "uniformize"],
+        choices=["exact_ci1", "cid_approx", "uniform_fastpath"],
         default=None,
         help="override the automatic degree-based sketch mode",
     )
@@ -314,15 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("bench", help="wall-time table for exact and sketch methods")
-    p.add_argument("--m", type=int, nargs="+", default=[4])
-    p.add_argument("--n", type=int, nargs="+", default=[4])
-    p.add_argument("--d", type=int, nargs="+", default=[1])
-    p.add_argument("--t", type=int, nargs="+", default=[2000, 4000])
-    p.add_argument("--methods", default="exact,sketch")
-    p.add_argument("--seed", type=int, default=_default_seed())
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 

@@ -31,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import MAX_DEGREE, integrate_abs_local, poly_antideriv, poly_eval, taylor_shift
+from ._poly import (
+    MAX_DEGREE,
+    integrate_abs_local,
+    poly_antideriv,
+    poly_eval,
+    taylor_shift,
+    to_unit_interval,
+)
 from .errors import FamilyFormatError, ParameterError
 from .randstream import RandomStream
 
@@ -290,29 +297,6 @@ def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
     return DensityFamily(Breakpoints(grid), densities, degree)
 
 
-def uniformize_family(family: DensityFamily, pieces_per_interval: int) -> DensityFamily:
-    """Piecewise-uniform approximation on an r-times refined grid.
-
-    Every elementary interval is split into ``pieces_per_interval`` equal
-    sub-intervals and the density is replaced by its value at each
-    sub-interval's right endpoint, matching the node placement of the
-    discretized integral sampler.  Distances of the result are within the
-    discretization tolerance of the original's.
-    """
-    r = int(pieces_per_interval)
-    if r < 1:
-        raise ParameterError("pieces_per_interval must be >= 1")
-    pts = family.breakpoints.points
-    fine = np.linspace(pts[:-1], pts[1:], r + 1, axis=1)
-    densities = []
-    for dens in family.densities:
-        seg, ell = _runs(dens.b, dens.c)
-        vals = poly_eval(dens.coeffs[seg][:, None, :], fine[ell, 1:])
-        b = (ell[:, None] * r + np.arange(r)).ravel()
-        densities.append(PiecewisePolyDensity.from_table(dens.name, b, b + 1, vals.reshape(-1, 1), 0))
-    return DensityFamily(Breakpoints(np.append(fine[:, :-1].ravel(), pts[-1])), densities, 0)
-
-
 def interval_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) -> np.ndarray:
     """Tensor ``C`` of shape ``(m, L, d+1)``: ``C[j, l]`` holds density
     ``j``'s monomial coefficients on grid interval ``l``, zero where it has
@@ -335,17 +319,16 @@ def unit_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) ->
     """Tensor ``Cu`` of shape ``(m, L, d+1)``: ``Cu[j, l]`` holds the
     coefficients in ``u`` of ``w_l p_{j,l}(a_l + w_l u)`` on ``[0, 1]``.
 
-    The local coefficients of :func:`_local_coefficients` times
-    ``w_l**(k+1)``, so ``Cu[j, l] . z`` is the integral of density ``j``
-    against the motion on interval ``l`` when ``z`` is the unit-interval
-    integral vector of ``(1, u, ..., u^d)``.
+    :func:`interval_coefficients` through the interval map
+    :func:`l1sketch._poly.to_unit_interval`, so ``Cu[j, l] . z`` is the
+    integral of density ``j`` against the motion on interval ``l`` when
+    ``z`` is the unit-interval integral vector of ``(1, u, ..., u^d)``.
     """
-    widths = np.diff(bp.points)[:, None]
     # overflow gives inf or NaN here, and a non-finite distance, which is refused
     with np.errstate(over="ignore", invalid="ignore"):
-        coeffs = _local_coefficients(densities, bp)
-        coeffs *= widths ** np.arange(1, coeffs.shape[-1] + 1)
-    return coeffs
+        return to_unit_interval(
+            interval_coefficients(densities, bp), bp.points[:-1], np.diff(bp.points)
+        )
 
 
 def exact_l1_distance(

@@ -34,29 +34,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import (
-    REJECTION_ITERATION_CAP,
-    REJECTION_OVERHEAD,
-    _accept_mask,
-    _proposal_block,
-)
+from .ci1 import _accept_mask, _proposal_block, first_block, unit_pairs
 from .cid import DEFAULT_C, ApproxConfig, _node_powers
 from .densities import (
     DensityFamily,
     eval_density,
     exact_all_pairs as _exact_all_pairs,
     sample_from_density,
-    uniformize_family,
     unit_coefficients,
     validate_family,
 )
-from .errors import EnvelopeDominationError, NonFiniteResultError, ParameterError
-from .randstream import (
-    RandomStream,
-    geometric_mean_estimate,
-    median_scale_estimate,
-    required_sample_count,
-)
+from .errors import NonFiniteResultError, ParameterError
+from .randstream import RandomStream, geometric_mean_estimate, required_sample_count
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
 #: independent of threading and chunk scheduling.
@@ -81,7 +70,6 @@ class SketchMode(enum.Enum):
     EXACT_CI1 = "exact_ci1"
     CID_APPROX = "cid_approx"
     UNIFORM_FASTPATH = "uniform_fastpath"
-    UNIFORMIZE = "uniformize"
 
 
 @dataclass
@@ -137,44 +125,21 @@ def _cauchy_in_place(u: np.ndarray) -> None:
     np.tan(u, out=u)
 
 
-def _ci1_unit_block(gen: np.random.Generator, need: int, first_block: int):
-    """``need`` exact unit draws from one replicate's generator.
-
-    Draws a fixed-size first proposal block (so block shapes do not depend
-    on acceptance luck), then tops up in the rare shortfall case.
-    """
-    parts0, parts1 = [], []
-    got = used = 0
-    k = first_block
-    while got < need:
-        qx0, qx1, qu = _proposal_block(gen, k)
-        qa = _accept_mask(qx0, qx1, qu)
-        parts0.append(qx0[qa])
-        parts1.append(qx1[qa])
-        got += int(qa.sum())
-        used += k
-        if used > REJECTION_ITERATION_CAP * need:
-            raise EnvelopeDominationError(
-                f"rejection sampler used {used} proposals for {need} draws"
-            )
-        k = max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)
-    return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
-
-
-def _ci1_group(stream: RandomStream, reps: range, need: int, first_block: int):
+def _ci1_group(stream: RandomStream, reps: range, need: int):
     """``need`` exact unit draws for each replicate in ``reps``, as two
-    ``(len(reps), need)`` arrays equal to :func:`_ci1_unit_block` on a fresh
-    ``(seed, rep)`` generator per replicate.
+    ``(len(reps), need)`` arrays equal to :func:`l1sketch.ci1.unit_pairs` on
+    a fresh ``(seed, rep)`` generator per replicate.
 
     Each replicate draws its first block from its own stream; one acceptance
     test covers the stacked proposals, and each replicate takes its first
     ``need`` accepts.  A replicate that falls short redraws through
-    :func:`_ci1_unit_block` from a re-keyed stream.
+    :func:`l1sketch.ci1.unit_pairs` from a re-keyed stream.
     """
-    proposals = np.empty((3, len(reps), first_block))
+    k = first_block(need)
+    proposals = np.empty((3, len(reps), k))
     for i, rep in enumerate(reps):
         stream.rekey(rep)
-        proposals[:, i] = _proposal_block(stream.generator, first_block)
+        proposals[:, i] = _proposal_block(stream.generator, k)
     px0, px1, u01 = proposals
     acc = _accept_mask(px0, px1, u01)
     take = acc & (np.cumsum(acc, axis=1) <= need)
@@ -186,7 +151,7 @@ def _ci1_group(stream: RandomStream, reps: range, need: int, first_block: int):
     u1[full] = px1[take].reshape(-1, need)
     for i in np.flatnonzero(~full):
         stream.rekey(reps[i])
-        u0[i], u1[i] = _ci1_unit_block(stream.generator, need, first_block)
+        u0[i], u1[i] = unit_pairs(stream.generator, need)
     return u0, u1
 
 
@@ -202,10 +167,8 @@ def sketch_family(
 
     Modes: ``uniform_fastpath`` (degree 0, scalar Cauchy per interval),
     ``exact_ci1`` (degree 1, exact rejection-sampled pairs),
-    ``cid_approx`` (degree >= 1, r-step discretized vectors; needs
-    ``approx_config``), and ``uniformize`` (degree >= 1, reduces to the
-    degree-0 fast path on a refined grid; needs ``approx_config`` for the
-    refinement count).
+    and ``cid_approx`` (degree >= 1, r-step discretized vectors; needs
+    ``approx_config``).
     """
     mode = SketchMode(mode)
     d = family.degree
@@ -213,7 +176,7 @@ def sketch_family(
         raise ParameterError("uniform_fastpath requires a degree-0 family")
     if mode is SketchMode.EXACT_CI1 and d != 1:
         raise ParameterError("exact_ci1 requires a degree-1 family")
-    if mode in (SketchMode.CID_APPROX, SketchMode.UNIFORMIZE):
+    if mode is SketchMode.CID_APPROX:
         if d < 1:
             raise ParameterError(f"{mode.value} requires degree >= 1")
         if approx_config is None:
@@ -225,41 +188,33 @@ def sketch_family(
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
 
-    work_family = family
-    work_mode = mode
-    if mode is SketchMode.UNIFORMIZE:
-        work_family = uniformize_family(family, approx_config.r)
-        work_mode = SketchMode.UNIFORM_FASTPATH
+    n_int = len(family.breakpoints) - 1
+    coeffs = unit_coefficients(family.densities, family.breakpoints)
+    coeffs = coeffs.reshape(family.m, n_int * (d + 1))
 
-    n_int = len(work_family.breakpoints) - 1
-    width_cols = work_family.degree + 1
-    coeffs = unit_coefficients(work_family.densities, work_family.breakpoints)
-    coeffs = coeffs.reshape(work_family.m, n_int * width_cols)
-
-    if work_mode is SketchMode.EXACT_CI1:
-        first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
-        group = max(_CI1_GROUP_PROPOSALS // first_block, 1)
-    elif work_mode is SketchMode.CID_APPROX:
+    if mode is SketchMode.EXACT_CI1:
+        group = max(_CI1_GROUP_PROPOSALS // first_block(n_int), 1)
+    elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d)
         group = max(_CID_GROUP_DRAWS // (n_int * r), 1)
-    x = np.empty((work_family.m, t))
+    x = np.empty((family.m, t))
 
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         nb = b1 - b0
-        z = np.empty((nb, n_int, width_cols))
+        z = np.empty((nb, n_int, d + 1))
         stream = rng.substream(b0)
-        if work_mode is SketchMode.UNIFORM_FASTPATH:
+        if mode is SketchMode.UNIFORM_FASTPATH:
             for i, rep in enumerate(range(b0, b1)):
                 stream.rekey(rep)
                 stream.generator.random(out=z[i])
             _cauchy_in_place(z)
-        elif work_mode is SketchMode.EXACT_CI1:
+        elif mode is SketchMode.EXACT_CI1:
             for g0 in range(0, nb, group):
                 g1 = min(g0 + group, nb)
                 z[g0:g1, :, 0], z[g0:g1, :, 1] = _ci1_group(
-                    stream, range(b0 + g0, b0 + g1), n_int, first_block
+                    stream, range(b0 + g0, b0 + g1), n_int
                 )
         else:  # CID_APPROX
             buf = np.empty((min(group, nb), n_int, r))
@@ -289,13 +244,8 @@ def sketch_family(
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 
 
-def estimate_all_pairs(
-    sketch: SketchMatrix,
-    epsilon: float,
-    delta: float,
-    estimator: str = "geometric_mean",
-) -> DistanceMatrix:
-    """Distance matrix from a sketch via per-pair scale estimation.
+def estimate_all_pairs(sketch: SketchMatrix, epsilon: float, delta: float) -> DistanceMatrix:
+    """Distance matrix from a sketch via the per-pair geometric-mean estimator.
 
     Requires enough replicates for the requested ``(epsilon, delta)``
     guarantee.  Estimates are deliberately not clamped: the estimator is
@@ -308,19 +258,13 @@ def estimate_all_pairs(
             f"sketch has t={sketch.t} replicates; epsilon={epsilon}, delta={delta}, "
             f"m={m} requires t >= {t_needed}"
         )
-    if estimator == "geometric_mean":
-        est = geometric_mean_estimate
-    elif estimator == "median":
-        est = median_scale_estimate
-    else:
-        raise ParameterError(f"unknown estimator {estimator!r}")
     entries = np.zeros((m, m))
     # a difference that overflows gives inf, which DistanceMatrix refuses
     with np.errstate(over="ignore"):
         for j in range(m):
             for k in range(j + 1, m):
-                value = est(sketch.values[j] - sketch.values[k], epsilon, delta).value
-                entries[j, k] = entries[k, j] = value
+                diff = sketch.values[j] - sketch.values[k]
+                entries[j, k] = entries[k, j] = geometric_mean_estimate(diff, epsilon, delta).value
     return DistanceMatrix(
         names=sketch.names,
         entries=entries,
@@ -329,7 +273,6 @@ def estimate_all_pairs(
             "epsilon": epsilon,
             "delta": delta,
             "t": sketch.t,
-            "estimator": estimator,
             "mode": sketch.mode.value,
             "seed": sketch.seed,
         },
@@ -398,7 +341,6 @@ def run_scheme(
     method: str,
     seed: int,
     threads: int = 1,
-    estimator: str = "geometric_mean",
     sketch_mode: SketchMode | str | None = None,
     c_constant: float | None = None,
 ) -> DistanceMatrix:
@@ -409,6 +351,8 @@ def run_scheme(
     ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the config rather than
     rounded to a clean ``1 +/- epsilon``.
     """
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
     if method == "exact":
         dm = _exact_all_pairs(family)
         dm.config.update({"epsilon": epsilon, "delta": delta, "seed": seed})
@@ -421,7 +365,7 @@ def run_scheme(
     if not (0.0 < epsilon <= 0.5):
         raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
     mode = _auto_mode(family.degree) if sketch_mode is None else SketchMode(sketch_mode)
-    split = mode in (SketchMode.CID_APPROX, SketchMode.UNIFORMIZE)
+    split = mode is SketchMode.CID_APPROX
     eps_est = epsilon / 2.0 if split else epsilon
     eps_int = epsilon / 2.0 if split else None
     approx_config = None
@@ -435,7 +379,7 @@ def run_scheme(
     sketch = sketch_family(
         family, t, mode, RandomStream(seed), threads=threads, approx_config=approx_config
     )
-    dm = estimate_all_pairs(sketch, eps_est, delta, estimator=estimator)
+    dm = estimate_all_pairs(sketch, eps_est, delta)
     dm.config.update({"epsilon_requested": epsilon, "seed": seed})
     if split:
         dm.config.update(

@@ -61,9 +61,6 @@ class RandomStream:
     def random(self, size=None):
         return self.generator.random(size)
 
-    def standard_normal(self, size=None):
-        return self.generator.standard_normal(size)
-
     def __repr__(self) -> str:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
@@ -74,16 +71,6 @@ def sample_cauchy(center: float, scale: float, rng: RandomStream, size=None):
         raise ParameterError(f"Cauchy scale must be >= 0, got {scale}")
     u = rng.random(size)
     return center + scale * np.tan(np.pi * (u - 0.5))
-
-
-def sample_std_normal(rng: RandomStream, size=None):
-    return rng.standard_normal(size)
-
-
-def sample_chi2_1(rng: RandomStream, size=None):
-    """Chi-squared with one degree of freedom: the square of a standard normal."""
-    z = rng.standard_normal(size)
-    return z * z
 
 
 def required_sample_count(epsilon: float, delta: float, m: int) -> int:
@@ -130,18 +117,3 @@ def geometric_mean_estimate(
     value = float(np.exp(np.mean(np.log(ax))))
     return ScaleEstimate(value=value, t=int(x.size), epsilon=epsilon, delta=delta)
 
-
-def median_scale_estimate(
-    samples, epsilon: float | None = None, delta: float | None = None
-) -> ScaleEstimate:
-    """Scale via the sample median of ``|x|``.
-
-    The median of ``|x|`` for a centered Cauchy equals its scale (the 75th
-    percentile factor ``tan(pi/4)`` is 1).  No concentration bound is claimed
-    for this estimator; it is provided as a configuration alternative.
-    """
-    x = np.asarray(samples, dtype=float)
-    if x.size == 0:
-        raise ParameterError("median_scale_estimate needs at least one sample")
-    value = float(np.median(np.abs(x)))
-    return ScaleEstimate(value=value, t=int(x.size), epsilon=epsilon, delta=delta)

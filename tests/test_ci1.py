@@ -12,16 +12,24 @@ import numpy as np
 import pytest
 
 from conftest import cf_pair_density, ks_against_cauchy
+import l1sketch.ci1 as ci1_mod
+import l1sketch.pipeline as pipeline_mod
 from l1sketch import (
-    CI1Sample,
+    Breakpoints,
+    CIdSample,
+    DensityFamily,
+    EnvelopeDominationError,
     ParameterError,
+    PiecewisePolyDensity,
+    PolySegment,
     RandomStream,
+    SketchMode,
     ci1_density,
-    ci1_density_trace,
     complex_atan,
-    rescale_ci1,
+    rescale_cid,
     sample_ci1_unit,
     sample_student_envelope,
+    sketch_family,
     student_envelope_density,
 )
 from l1sketch.ci1 import (
@@ -29,8 +37,9 @@ from l1sketch.ci1 import (
     REJECTION_OVERHEAD,
     SQUEEZE_G_MIN,
     SQUEEZE_K,
-    Branch,
     _accept_mask,
+    _density_diagonal,
+    _density_generic,
     diagonal_tolerance,
 )
 
@@ -126,17 +135,14 @@ def test_branch_continuity_probes():
             assert abs(ci1_density(x0, x0 / 2.0 + off) - diag) <= 1e-4
 
 
-def test_trace_reports_branch_and_q():
-    tr = ci1_density_trace(1.0, 0.5)
-    assert tr.branch is Branch.DIAGONAL
-    assert tr.q == pytest.approx(complex(2.0, 0.0))
-    assert tr.value >= 0.0
-    tr2 = ci1_density_trace(1.0, 0.0)
-    assert tr2.branch is Branch.GENERIC
-    assert tr2.q == pytest.approx(complex(2.0, -2.0))
-    assert tr2.value == pytest.approx(ci1_density(1.0, 0.0), rel=1e-15)
-    band = 0.25 * diagonal_tolerance(1.0)
-    assert ci1_density_trace(1.0, 0.5 + band).branch is Branch.DIAGONAL
+def test_density_selects_branch():
+    # on and inside the diagonal band the diagonal closed form is used,
+    # elsewhere the generic one, bit for bit
+    diag = _density_diagonal(1.0)
+    assert diag > 0.0
+    assert ci1_density(1.0, 0.5) == diag
+    assert ci1_density(1.0, 0.5 + 0.25 * diagonal_tolerance(1.0)) == diag
+    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 0.0)
 
 
 # ------------------------------------------------------------------- envelope
@@ -186,6 +192,27 @@ def test_sampler_scalar_and_empty():
     assert isinstance(one.x0, float) and isinstance(one.x1, float)
     empty = sample_ci1_unit(RandomStream(10), size=0)
     assert empty.x0.size == 0 and empty.x1.size == 0
+
+
+def test_rejection_loop_raises_instead_of_looping(monkeypatch):
+    def reject_all(x0, x1, u01):
+        return np.zeros(np.shape(u01), dtype=bool)
+
+    # the module's own loop and the sketch's grouped first test
+    monkeypatch.setattr(ci1_mod, "_accept_mask", reject_all)
+    monkeypatch.setattr(pipeline_mod, "_accept_mask", reject_all)
+    with pytest.raises(EnvelopeDominationError):
+        sample_ci1_unit(RandomStream(14), size=3)
+    fam = DensityFamily(
+        Breakpoints(np.array([0.0, 0.5, 1.0])),
+        [
+            PiecewisePolyDensity("flat", [PolySegment(0, 2, np.array([1.0, 0.0]))], 1),
+            PiecewisePolyDensity("ramp", [PolySegment(0, 2, np.array([0.0, 2.0]))], 1),
+        ],
+        1,
+    )
+    with pytest.raises(EnvelopeDominationError):
+        sketch_family(fam, 5, SketchMode.EXACT_CI1, RandomStream(16))
 
 
 def test_linear_functional_law():
@@ -297,25 +324,28 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
 
 
 # -------------------------------------------------------------------- rescale
+def _pairs(x0, x1):
+    return CIdSample(np.column_stack([x0, x1]))
+
+
 def test_rescale_identity():
-    z = CI1Sample(np.array([1.0, -2.0]), np.array([0.5, 0.25]))
-    out = rescale_ci1(z, 0.0, 1.0)
-    np.testing.assert_array_equal(out.x0, z.x0)
-    np.testing.assert_array_equal(out.x1, z.x1)
+    z = _pairs(np.array([1.0, -2.0]), np.array([0.5, 0.25]))
+    out = rescale_cid(z, 0.0, 1.0)
+    np.testing.assert_array_equal(out.components, z.components)
 
 
 def test_rescale_laws():
     z = sample_ci1_unit(RandomStream(13), size=100_000)
-    wide = rescale_ci1(z, 0.0, 2.0)
-    assert abs(np.median(np.abs(wide.x1)) - 2.0) < 0.06  # integral of |x| on [0,2]
-    shifted = rescale_ci1(z, 3.0, 4.0)
-    assert abs(np.median(np.abs(shifted.x0)) - 1.0) < 0.03  # unit-length interval
-    assert ks_against_cauchy(shifted.x0, 1.0) < 0.01
+    wide = rescale_cid(_pairs(z.x0, z.x1), 0.0, 2.0).components
+    assert abs(np.median(np.abs(wide[:, 1])) - 2.0) < 0.06  # integral of |x| on [0,2]
+    shifted = rescale_cid(_pairs(z.x0, z.x1), 3.0, 4.0).components
+    assert abs(np.median(np.abs(shifted[:, 0])) - 1.0) < 0.03  # unit-length interval
+    assert ks_against_cauchy(shifted[:, 0], 1.0) < 0.01
 
 
 def test_rescale_rejects_bad_interval():
-    z = CI1Sample(0.0, 0.0)
+    z = _pairs(0.0, 0.0)
     with pytest.raises(ParameterError):
-        rescale_ci1(z, 1.0, 1.0)
+        rescale_cid(z, 1.0, 1.0)
     with pytest.raises(ParameterError):
-        rescale_ci1(z, 2.0, 1.0)
+        rescale_cid(z, 2.0, 1.0)

@@ -11,14 +11,16 @@ from l1sketch import (
     ParameterError,
     RandomStream,
     calibrate_c,
+    PiecewisePolyDensity,
+    PolySegment,
     random_polynomial,
-    rescale_ci1,
     rescale_cid,
     riemann_abs_scale,
     sample_cid_approx_unit,
 )
 from l1sketch._poly import integrate_abs_poly, poly_deriv
 from l1sketch.cid import rescale_matrix
+from l1sketch.densities import Breakpoints, unit_coefficients
 
 
 def test_config_derives_r():
@@ -68,16 +70,27 @@ def test_rescale_identity_and_linear_agreement():
     same = rescale_cid(z, 0.0, 1.0)
     np.testing.assert_allclose(same.components, z.components, rtol=1e-15)
 
-    # degree-1 rescale must match the pair sampler's affine map exactly
+    # degree 1: the closed form ((b-a) x0, (b-a) (a x0 + (b-a) x1))
     a, b = 0.7, 2.2
     t = rescale_matrix(1, a, b)
     np.testing.assert_allclose(t, [[b - a, 0.0], [(b - a) * a, (b - a) ** 2]], rtol=1e-15)
-    pair = rescale_ci1(
-        type("Z", (), {"x0": z.components[:, 0], "x1": z.components[:, 1]})(), a, b
-    )
+    x0, x1 = z.components[:, 0], z.components[:, 1]
     out = rescale_cid(z, a, b)
-    np.testing.assert_allclose(out.components[:, 0], pair.x0, rtol=1e-13)
-    np.testing.assert_allclose(out.components[:, 1], pair.x1, rtol=1e-13)
+    np.testing.assert_allclose(out.components[:, 0], (b - a) * x0, rtol=1e-13)
+    np.testing.assert_allclose(out.components[:, 1], (b - a) * (a * x0 + (b - a) * x1), rtol=1e-13)
+
+
+def test_rescale_matrix_is_the_sketch_interval_map():
+    # T.T @ p are the unit-interval coefficients of p on [a, b)
+    gen = np.random.default_rng(6)
+    a, b = 1e4 + 0.3, 1e4 + 1.9
+    for d in range(5):
+        p = gen.uniform(-1.0, 1.0, d + 1)
+        dens = PiecewisePolyDensity("p", [PolySegment(0, 1, p)], d)
+        want = unit_coefficients([dens], Breakpoints(np.array([a, b])))[0, 0]
+        t = rescale_matrix(d, a, b)
+        bound = 1e-13 * (np.abs(t.T) @ np.abs(p))
+        assert np.all(np.abs(t.T @ p - want) <= bound)
 
 
 def test_rescale_quadratic_law():

@@ -188,11 +188,16 @@ def test_dist_bad_epsilon_exit_3(pair_family_path, capsys):
     assert "epsilon" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threads", ["0", "-3"])
-def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, threads):
+@pytest.mark.parametrize(
+    "method,threads",
+    [(m, t) for m in ("sketch", "exact", "mc") for t in ("0", "-3")],
+    # the default method's cases are named by their thread count alone
+    ids=[t if m == "sketch" else f"{m}-{t}" for m in ("sketch", "exact", "mc") for t in ("0", "-3")],
+)
+def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, method, threads):
     out = tmp_path / "dist.csv"
     code = main(
-        ["dist", pair_family_path, "--method", "sketch", "--epsilon", "0.5",
+        ["dist", pair_family_path, "--method", method, "--epsilon", "0.5",
          "--threads", threads, "--out", str(out)]
     )
     assert code == 3
@@ -272,20 +277,6 @@ def test_calibrate_output(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["c"] > 0 and set(doc["per_degree"]) == {"1", "2"}
     assert doc["manifest"]["parameters"]["trials"] == 50
-
-
-def test_bench_smoke(tmp_path):
-    out = tmp_path / "bench.csv"
-    code = main(
-        ["bench", "--m", "3", "--n", "3", "--t", "1500", "3000",
-         "--seed", "6", "--out", str(out)]
-    )
-    assert code == 0
-    rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
-    assert rows[0] == "method,m,n,d,t,seconds"
-    methods = {r.split(",")[0] for r in rows[1:]}
-    assert methods == {"exact", "sketch"}
-    assert all(float(r.split(",")[5]) > 0 for r in rows[1:])
 
 
 def test_env_seed_default(pair_family_path, tmp_path, monkeypatch):

@@ -27,7 +27,6 @@ from l1sketch import (
     run_scheme,
     sketch_family,
     uniform_density,
-    uniformize_family,
     validate_family,
 )
 from l1sketch._poly import poly_eval
@@ -131,16 +130,6 @@ def test_estimate_disjoint_uniforms_within_guarantee():
     assert np.array_equal(dm.entries, dm.entries.T)
 
 
-def test_median_estimator_option():
-    fam = _uniform_pair()
-    t = required_sample_count(0.5, 0.1, 2)
-    sk = sketch_family(fam, t, SketchMode.UNIFORM_FASTPATH, RandomStream(11))
-    dm = estimate_all_pairs(sk, 0.5, 0.1, estimator="median")
-    assert 1.5 <= dm.entries[0, 1] <= 2.5
-    with pytest.raises(ParameterError):
-        estimate_all_pairs(sk, 0.5, 0.1, estimator="mode")
-
-
 # ------------------------------------------------------------------- sketches
 def test_sketch_deterministic_and_thread_invariant():
     fam = random_piecewise_linear_family(4, 3, RandomStream(12))
@@ -157,8 +146,6 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
     projection with the unit-local coefficients.  Returns the values and the
     number of replicates whose first proposal block fell short of one accept
     per interval."""
-    if mode is SketchMode.UNIFORMIZE:
-        family, mode = uniformize_family(family, approx_config.r), SketchMode.UNIFORM_FASTPATH
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
     first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
@@ -202,7 +189,6 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         (SketchMode.EXACT_CI1, "linear-few", None),
         (SketchMode.EXACT_CI1, "linear", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
-        (SketchMode.UNIFORMIZE, "linear", ApproxConfig(d=1, epsilon_integration=0.2)),
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10)),
@@ -259,22 +245,18 @@ def _with_unit_densities(family):
         (SketchMode.EXACT_CI1, 1, None),
         (SketchMode.CID_APPROX, 1, ApproxConfig(d=1, epsilon_integration=0.2)),
         (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.5)),
-        (SketchMode.UNIFORMIZE, 1, ApproxConfig(d=1, epsilon_integration=0.5)),
     ],
 )
 def test_projection_within_rounding_of_long_double_sum(mode, degree, config):
     # X_j = sum_l C[j, l] . z_l, with z read back through unit densities
     # and the sum redone in long double
     fam = random_segment_family(np.random.default_rng(50 + degree), 5, degree)
-    base, work_mode = fam, mode
-    if mode is SketchMode.UNIFORMIZE:
-        base, work_mode = uniformize_family(fam, config.r), SketchMode.UNIFORM_FASTPATH
     t = 3 * _BLOCK + 17
     x = sketch_family(fam, t, mode, RandomStream(43), approx_config=config).values
     z = sketch_family(
-        _with_unit_densities(base), t, work_mode, RandomStream(43), approx_config=config
+        _with_unit_densities(fam), t, mode, RandomStream(43), approx_config=config
     ).values[fam.m :]
-    coeffs = interval_coefficients(base.densities, base.breakpoints).reshape(fam.m, -1)
+    coeffs = interval_coefficients(fam.densities, fam.breakpoints).reshape(fam.m, -1)
     ref = coeffs.astype(np.longdouble) @ z.astype(np.longdouble)
     bound = 1e-12 * (np.abs(coeffs) @ np.abs(z))
     assert np.all(np.abs(x - ref) <= bound)
@@ -319,34 +301,6 @@ def test_cid_sketch_matches_exact_mode_distribution():
     sk = sketch_family(fam, 10_000, SketchMode.CID_APPROX, RandomStream(14), approx_config=cfg)
     diff = (sk.values[0] - sk.values[1]) / exact
     assert ks_against_cauchy(diff, 1.0) < 0.015
-
-
-def test_uniformize_family_structure():
-    fam = _linear_pair()
-    uni = uniformize_family(fam, 4)
-    assert uni.degree == 0
-    assert len(uni.breakpoints) == 5  # one original interval split into 4
-    ramp = uni.densities[1]
-    # value on each sub-piece is the original polynomial at its right endpoint
-    rights = uni.breakpoints.points[1:]
-    for seg, r in zip(ramp.segments, rights):
-        assert seg.coeffs[0] == pytest.approx(poly_eval([0.0, 2.0], r), rel=1e-15)
-
-
-def test_uniformize_mode_agrees_with_cid_mode():
-    fam = random_piecewise_linear_family(4, 3, RandomStream(15))
-    oracle = exact_all_pairs(fam).entries
-    t = 30_000
-    eps_est = 0.11
-    cfg = ApproxConfig(d=1, epsilon_integration=0.02)
-    sk_cid = sketch_family(fam, t, SketchMode.CID_APPROX, RandomStream(16), approx_config=cfg)
-    sk_uni = sketch_family(fam, t, SketchMode.UNIFORMIZE, RandomStream(17), approx_config=cfg)
-    dm_cid = estimate_all_pairs(sk_cid, eps_est, 0.1).entries
-    dm_uni = estimate_all_pairs(sk_uni, eps_est, 0.1).entries
-    mask = ~np.eye(4, dtype=bool)
-    # both carry the same discretization bias plus independent estimator noise
-    rel = np.abs(dm_cid[mask] - dm_uni[mask]) / oracle[mask]
-    assert rel.max() < 0.06
 
 
 # ------------------------------------------------------------------ mc method
