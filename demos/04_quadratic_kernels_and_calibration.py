@@ -1,8 +1,9 @@
 """Degree-2 families: discretized sampling and constant calibration.
 
 For degrees above one the integral vectors are sampled approximately via an
-r-step discretization with r = ceil(c d^2 / eps).  The constant c is
-empirical; this demo calibrates it, then runs the quadratic pipeline on a
+r-step discretization.  The pipeline puts the steps' nodes at midpoints,
+with r = ceil(c d / sqrt(eps)).  The constant c is empirical; this demo
+calibrates it for the midpoint rule, then runs the quadratic pipeline on a
 family of parabolic-kernel mixtures and compares against the exact oracle.
 """
 
@@ -40,12 +41,15 @@ family = merge_breakpoints(
 )
 
 print("calibrating the discretization constant on random polynomials...")
-result = calibrate_c(d_max=4, target_eps=0.05, trials=300, rng=RandomStream(99))
+result = calibrate_c(
+    d_max=4, target_eps=0.05, trials=300, rng=RandomStream(99), nodes="midpoint"
+)
 print(f"calibrated c = {result.c:.3f} (per-degree step counts: {result.per_degree_r})")
 
 oracle = exact_all_pairs(family).entries
 dm = run_scheme(family, 0.2, 0.1, "sketch", seed=7, c_constant=result.c)
-print(f"\nsketch mode: {dm.config['mode']}, r = {dm.config['r']} steps, t = {dm.config['t']}")
+print(f"\nsketch mode: {dm.config['mode']}, r = {dm.config['r']} {dm.config['nodes']} steps, "
+      f"t = {dm.config['t']}")
 print(f"error budget split: integration {dm.config['epsilon_integration']}, "
       f"estimation {dm.config['epsilon']}")
 print(f"combined guarantee: +{dm.config['relative_error_upper']:.1%} / "

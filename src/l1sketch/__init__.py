@@ -17,6 +17,7 @@ from .ci1 import (
 )
 from .cid import (
     DEFAULT_C,
+    DEFAULT_C_MIDPOINT,
     ApproxConfig,
     CalibrationResult,
     CIdSample,
@@ -67,6 +68,7 @@ __all__ = [
     "CIdSample",
     "CalibrationResult",
     "DEFAULT_C",
+    "DEFAULT_C_MIDPOINT",
     "DensityFamily",
     "DistanceMatrix",
     "EnvelopeDominationError",

@@ -4,15 +4,23 @@ For degree ``d`` the target is the joint law of the stochastic integrals of
 ``(1, x, ..., x^d)`` against Cauchy motion on the unit interval.  No exact
 sampler is known for ``d >= 2``; instead the motion is discretized into ``r``
 equal steps: independent Cauchy increments ``Z_j ~ C(0, 1/r)`` are combined
-as ``sum_j Z_j * (1, (j/r), ..., (j/r)^d)``.  Any linear functional
-``a . X`` of the result is then exactly Cauchy with scale equal to the
-right-endpoint Riemann sum ``(1/r) * sum_j |p(j/r)|`` of the polynomial
-``p`` with coefficients ``a``, so the only approximation error is that of
-the Riemann sum, which shrinks like ``d^2 / r``.
+as ``sum_j Z_j * (1, x_j, ..., x_j^d)`` with one node ``x_j`` per step.  Any
+linear functional ``a . X`` of the result is then exactly Cauchy with scale
+equal to the Riemann sum ``(1/r) * sum_j |p(x_j)|`` of the polynomial ``p``
+with coefficients ``a``, whatever the nodes, so the only approximation error
+is that of the Riemann sum.  Two node rules are offered:
 
-The proportionality constant in the required ``r >= c d^2 / eps`` is not
-constructive, so a calibrated empirical default is shipped; see
-:func:`calibrate_c`.
+* ``"right"``, ``x_j = j/r``: the error shrinks like ``d^2 / r``, so
+  ``r = ceil(c d^2 / eps)``;
+* ``"midpoint"``, ``x_j = (j - 1/2)/r``: the error of the composite midpoint
+  rule on ``|p|`` is ``O(1/r^2)``, also on steps where ``p`` changes sign
+  (Davis and Rabinowitz, *Methods of Numerical Integration*, ch. 2), so
+  ``r = ceil(c d / sqrt(eps))``.
+
+The constants are not constructive, so calibrated empirical defaults are
+shipped for both rules; see :func:`calibrate_c`.  The distance pipeline and
+the CLI use midpoints; right endpoints remain the library default, as the
+reference the acceptance suite pins.
 """
 
 from __future__ import annotations
@@ -26,10 +34,20 @@ from ._poly import MAX_DEGREE, integrate_abs_poly, poly_eval, to_unit_interval
 from .errors import ParameterError
 from .randstream import RandomStream, sample_cauchy
 
-#: Default discretization constant, from calibrate_c(d_max=8, target_eps=0.05,
-#: trials=400, seed=20260809), safety factor 2 included.  Recompute with the
-#: `calibrate` CLI command to override.
+#: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
+#: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
+#: factor 2 included.
 DEFAULT_C = 2.1
+
+#: Default constant of the midpoint rule ``r = ceil(c d / sqrt(eps))``, from
+#: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809,
+#: nodes="midpoint"), safety factor 2 included: the fit is 2 * 5 * sqrt(0.05)
+#: = 2.236, set by degree 1 (per-degree r 5/7/6/6/9/8/8/9 for d = 1..8),
+#: rounded up.  Recompute with the `calibrate` CLI command to override.
+DEFAULT_C_MIDPOINT = 2.24
+
+#: Node rules of the r-step sampler and their default constants.
+NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
 
 #: Calibration discards polynomials with |p|-mass below this, to avoid
 #: relative-error blowup on near-null polynomials.
@@ -50,38 +68,66 @@ class CIdSample:
         return int(self.components.shape[-1] - 1)
 
 
+def _check_nodes(nodes: str) -> None:
+    if nodes not in NODE_RULES:
+        raise ParameterError(f"nodes must be one of {sorted(NODE_RULES)}, got {nodes!r}")
+
+
+def unit_nodes(r: int, nodes: str) -> np.ndarray:
+    """The ``r`` nodes of a rule on the unit interval: ``j/r`` (right) or
+    ``(j - 1/2)/r`` (midpoint) for ``j = 1..r``."""
+    _check_nodes(nodes)
+    if nodes == "right":
+        return np.arange(1, r + 1) / r
+    return (np.arange(r) + 0.5) / r
+
+
 @dataclass
 class ApproxConfig:
-    """Discretization settings: ``r = ceil(c * d^2 / eps)`` unless overridden."""
+    """Discretization settings: ``r`` steps at the nodes of rule ``nodes``.
+
+    Unless given, ``r = ceil(c d^2 / eps)`` for right endpoints and
+    ``r = ceil(c d / sqrt(eps))`` for midpoints, with ``c = c_constant``
+    defaulting to the rule's calibrated constant (:data:`DEFAULT_C` or
+    :data:`DEFAULT_C_MIDPOINT`).
+    """
 
     d: int
     epsilon_integration: float
-    c_constant: float = DEFAULT_C
+    c_constant: float | None = None
     r: int | None = None
+    nodes: str = "right"
 
     def __post_init__(self):
         self.d = int(self.d)
         if self.d < 0 or self.d > MAX_DEGREE:
             raise ParameterError(f"degree must be in [0, {MAX_DEGREE}], got {self.d}")
+        _check_nodes(self.nodes)
+        if self.c_constant is None:
+            self.c_constant = NODE_RULES[self.nodes]
         if self.c_constant <= 0:
             raise ParameterError("c_constant must be positive")
         if self.epsilon_integration <= 0:
             raise ParameterError("epsilon_integration must be positive")
-        if self.r is None:
-            self.r = max(1, math.ceil(self.c_constant * self.d**2 / self.epsilon_integration))
+        c, d, eps = self.c_constant, self.d, self.epsilon_integration
+        if self.r is None and self.nodes == "right":
+            self.r = max(1, math.ceil(c * d**2 / eps))
+        elif self.r is None:
+            self.r = max(1, math.ceil(c * d / math.sqrt(eps)))
         else:
             self.r = int(self.r)
             if self.r < 1:
                 raise ParameterError("r must be >= 1")
 
 
-def _node_powers(r: int, d: int) -> np.ndarray:
-    """Matrix ``V[j, k] = ((j+1)/r)^k`` built incrementally, shape (r, d+1)."""
-    nodes = np.arange(1, r + 1) / r
+def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
+    """Matrix ``V[j, k] = x_j^k`` at the rule's nodes, built incrementally,
+    shape (r, d+1)."""
+    x = unit_nodes(r, nodes)
     v = np.empty((r, d + 1))
     v[:, 0] = 1.0
     for k in range(1, d + 1):
-        v[:, k] = v[:, k - 1] * nodes
+        v[:, k] = v[:, k - 1] * x
     return v
 
 
@@ -90,7 +136,7 @@ def sample_cid_approx_unit(
 ) -> CIdSample:
     """Draw the r-step discretized integral vector on the unit interval."""
     n = 1 if size is None else int(size)
-    v = _node_powers(cfg.r, cfg.d)
+    v = _node_powers(cfg.r, cfg.d, cfg.nodes)
     z = sample_cauchy(0.0, 1.0 / cfg.r, rng, size=(n, cfg.r))
     comps = z @ v
     return CIdSample(comps[0] if size is None else comps)
@@ -116,16 +162,17 @@ def rescale_cid(z: CIdSample, a: float, b: float) -> CIdSample:
     return CIdSample(z.components @ t.T)
 
 
-def riemann_abs_scale(coeffs, r: int) -> float:
-    """Right-endpoint Riemann sum ``(1/r) sum_j |p(j/r)|``.
+def riemann_abs_scale(coeffs, r: int, nodes: str = "right") -> float:
+    """Riemann sum ``(1/r) sum_j |p(x_j)|`` at the rule's nodes: ``j/r``
+    (right) or ``(j - 1/2)/r`` (midpoint).
 
     This is the exact Cauchy scale of ``a . X`` when ``X`` is the r-step
-    discretized vector and ``p`` has coefficients ``a``.
+    discretized vector with those nodes and ``p`` has coefficients ``a``.
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
-    nodes = np.arange(1, r + 1) / r
-    return float(np.mean(np.abs(poly_eval(np.asarray(coeffs, dtype=float), nodes))))
+    x = unit_nodes(r, nodes)
+    return float(np.mean(np.abs(poly_eval(np.asarray(coeffs, dtype=float), x))))
 
 
 def random_polynomial(
@@ -146,24 +193,30 @@ class CalibrationResult:
     per_degree_r: dict[int, int]
     target_eps: float
     trials: int
+    nodes: str = "right"
     safety_factor: float = 2.0
 
 
 def calibrate_c(
-    d_max: int, target_eps: float, trials: int, rng: RandomStream
+    d_max: int, target_eps: float, trials: int, rng: RandomStream, nodes: str = "right"
 ) -> CalibrationResult:
-    """Empirically calibrate the constant in ``r = ceil(c d^2 / eps)``.
+    """Empirically calibrate the constant of a node rule's step count:
+    ``r = ceil(c d^2 / eps)`` for right endpoints, ``r = ceil(c d /
+    sqrt(eps))`` for midpoints (see :class:`ApproxConfig`).
 
     For each degree up to ``d_max``, random polynomials are drawn (one
     per-trial substream, so trials are order-independent and could run in
     parallel) and the smallest ``r`` is found, by doubling then bisection,
-    at which every trial's Riemann scale sits within ``target_eps`` relative
-    error of the exact integral.  The returned ``c`` is the max over degrees
-    of ``r * target_eps / d^2``, inflated by a safety factor of 2.
+    at which every trial's Riemann scale at the rule's nodes sits within
+    ``target_eps`` relative error of the exact integral.  The returned ``c``
+    is the max over degrees of ``r * target_eps / d^2`` (right) or
+    ``r * sqrt(target_eps) / d`` (midpoint), inflated by a safety factor
+    of 2.
 
     Degree 0 needs no calibration: the Riemann sum of a constant is exact
     for every ``r``.
     """
+    _check_nodes(nodes)
     if d_max < 1 or d_max > MAX_DEGREE:
         raise ParameterError(f"d_max must be in [1, {MAX_DEGREE}], got {d_max}")
     if trials < 1:
@@ -181,7 +234,7 @@ def calibrate_c(
         exact_arr = np.array(exact)
 
         def all_within(r: int) -> bool:
-            scales = np.abs(poly_eval(coeff_mat, np.arange(1, r + 1) / r)).mean(axis=1)
+            scales = np.abs(poly_eval(coeff_mat, unit_nodes(r, nodes))).mean(axis=1)
             return bool(np.all(np.abs(scales - exact_arr) <= target_eps * exact_arr))
 
         r = 1
@@ -197,10 +250,14 @@ def calibrate_c(
             else:
                 lo = mid
         per_degree[d] = hi
-    c = max(r * target_eps / d**2 for d, r in per_degree.items())
+    if nodes == "right":
+        c = max(r * target_eps / d**2 for d, r in per_degree.items())
+    else:
+        c = max(r * math.sqrt(target_eps) / d for d, r in per_degree.items())
     return CalibrationResult(
         c=2.0 * c,
         per_degree_r=per_degree,
         target_eps=target_eps,
         trials=trials,
+        nodes=nodes,
     )

@@ -2,8 +2,10 @@
 
 Subcommands: ``dist`` (all-pairs distances), ``sample`` (raw draws),
 ``eval`` (density values for plotting) and ``calibrate`` (discretization
-constant).  The default seed comes from the ``L1SKETCH_SEED`` environment
-variable when set.
+constant).  The r-step sampler of ``dist`` and ``sample cid`` uses midpoint
+nodes, so ``--c-constant`` and the constant ``calibrate`` emits are the ``c``
+of ``r = ceil(c d / sqrt(eps))``.  The default seed comes from the
+``L1SKETCH_SEED`` environment variable when set.
 
 Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
 4 internal invariant breach or a non-finite result.
@@ -21,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .ci1 import ci1_density, sample_ci1_unit
-from .cid import DEFAULT_C, ApproxConfig, CIdSample, calibrate_c, rescale_cid, sample_cid_approx_unit
+from .cid import ApproxConfig, CIdSample, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json, sha256_digest
@@ -101,23 +103,26 @@ def cmd_dist(args) -> int:
 
 def cmd_sample(args) -> int:
     rng = RandomStream(args.seed)
-    lines = [
-        _manifest_line(
-            "sample",
-            {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
-             "d": args.d if args.kind == "cid" else None,
-             "r": args.r if args.kind == "cid" else None},
-            args.seed,
-        )
-    ]
     cfg = None
     if args.kind == "cid":
         cfg = ApproxConfig(
             d=args.d,
             epsilon_integration=args.eps_int,
-            c_constant=args.c_constant if args.c_constant is not None else DEFAULT_C,
+            c_constant=args.c_constant,
             r=args.r,
+            nodes="midpoint",
         )
+    lines = [
+        _manifest_line(
+            "sample",
+            # the resolved r: with d, nodes and the seed it fixes the draws
+            {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
+             "d": None if cfg is None else cfg.d,
+             "r": None if cfg is None else cfg.r,
+             "nodes": None if cfg is None else cfg.nodes},
+            args.seed,
+        )
+    ]
     lines.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
     if args.count > 0:
         if cfg is None:
@@ -170,7 +175,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    result = calibrate_c(args.d_max, args.eps, args.trials, RandomStream(args.seed))
+    result = calibrate_c(
+        args.d_max, args.eps, args.trials, RandomStream(args.seed), nodes="midpoint"
+    )
     manifest = build_manifest(
         "calibrate",
         {"d_max": args.d_max, "eps": args.eps, "trials": args.trials},
@@ -179,6 +186,7 @@ def cmd_calibrate(args) -> int:
     )
     doc = {
         "c": result.c,
+        "nodes": result.nodes,
         "per_degree": {str(d): r for d, r in result.per_degree_r.items()},
         "target_eps": result.target_eps,
         "trials": result.trials,
@@ -209,7 +217,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the automatic degree-based sketch mode",
     )
-    p.add_argument("--c-constant", type=float, default=None)
+    p.add_argument(
+        "--c-constant", type=float, default=None,
+        help="c in r = ceil(c d / sqrt(eps_int)) of the midpoint r-step sampler",
+    )
     p.set_defaults(func=cmd_dist)
 
     p = sub.add_parser("sample", help="raw integral-vector draws as CSV")
@@ -220,7 +231,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2, help="degree (cid only)")
     p.add_argument("--r", type=int, default=None, help="discretization steps (cid only)")
     p.add_argument("--eps-int", type=float, default=0.05, help="derives r when --r is absent")
-    p.add_argument("--c-constant", type=float, default=None)
+    p.add_argument(
+        "--c-constant", type=float, default=None, help="c in r = ceil(c d / sqrt(eps_int))"
+    )
     p.add_argument("--seed", type=int, default=_default_seed())
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
@@ -234,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("calibrate", help="calibrate the discretization constant")
+    p = sub.add_parser("calibrate", help="calibrate the midpoint discretization constant")
     p.add_argument("--d-max", type=int, default=5)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=400)

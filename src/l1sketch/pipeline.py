@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ci1 import _accept_mask, _proposal_block, first_block, unit_pairs
-from .cid import DEFAULT_C, ApproxConfig, _node_powers
+from .cid import ApproxConfig, _node_powers
 from .densities import (
     DensityFamily,
     eval_density,
@@ -60,9 +60,10 @@ _CI1_GROUP_PROPOSALS = 3000
 #: Uniform draws per group of the r-step mode (whole replicates, at least
 #: one).  Each group is transformed and projected onto the node powers in a
 #: few whole-array operations, which release the GIL.  Its buffer grows with
-#: it, so peak memory does too: at 71 intervals and r = 42 on 2 threads, a
-#: whole 64-replicate block raised a run's peak RSS by about 15%, groups of
-#: about 12,000 draws (4 replicates) by about 1%.
+#: it, so peak memory does too: at 71 intervals and r = 42 (right endpoints)
+#: on 2 threads, a whole 64-replicate block raised a run's peak RSS by about
+#: 15%, groups of about 12,000 draws (4 replicates) by about 1%.  At the
+#: midpoint rule's r = 11 a group holds 15 such replicates.
 _CID_GROUP_DRAWS = 12_000
 
 
@@ -196,7 +197,7 @@ def sketch_family(
         group = max(_CI1_GROUP_PROPOSALS // first_block(n_int), 1)
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
-        node_pow = _node_powers(r, d)
+        node_pow = _node_powers(r, d, approx_config.nodes)
         group = max(_CID_GROUP_DRAWS // (n_int * r), 1)
     x = np.empty((family.m, t))
 
@@ -349,7 +350,9 @@ def run_scheme(
     For sketch modes with discretization error the error budget is split
     evenly, ``eps_int = eps_est = epsilon / 2``, and the combined guarantee
     ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the config rather than
-    rounded to a clean ``1 +/- epsilon``.
+    rounded to a clean ``1 +/- epsilon``.  The r-step mode uses midpoint
+    nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
+    :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.
     """
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
@@ -373,7 +376,8 @@ def run_scheme(
         approx_config = ApproxConfig(
             d=family.degree,
             epsilon_integration=eps_int,
-            c_constant=DEFAULT_C if c_constant is None else c_constant,
+            c_constant=c_constant,
+            nodes="midpoint",
         )
     t = required_sample_count(eps_est, delta, family.m)
     sketch = sketch_family(
@@ -386,6 +390,7 @@ def run_scheme(
             {
                 "epsilon_integration": eps_int,
                 "r": approx_config.r,
+                "nodes": approx_config.nodes,
                 "c_constant": approx_config.c_constant,
                 "relative_error_upper": (1 + eps_int) * (1 + eps_est) - 1.0,
                 "relative_error_lower": 1.0 - (1 - eps_int) * (1 - eps_est),

@@ -13,6 +13,7 @@ from scipy.integrate import quad
 
 from conftest import ks_against_cauchy
 from l1sketch import (
+    DEFAULT_C_MIDPOINT,
     ApproxConfig,
     DensityFamily,
     PiecewisePolyDensity,
@@ -216,6 +217,35 @@ def test_c08_discretization_interpolation():
         "calibrated c: 500 held-out polynomials per degree satisfy the 5% sandwich",
         worst_rel <= eps and elapsed < 60.0,
         f"c={result.c:.3f} worst_rel={worst_rel:.4f} time={elapsed:.1f}s",
+    )
+
+
+def test_c08_midpoint_discretization_heldout():
+    # c08's protocol for the midpoint rule, r = ceil(c d / sqrt(eps)), at the
+    # integration budget of the default dist call (0.2) as well as c08's 0.05
+    start = time.perf_counter()
+    ok, details = True, []
+    for eps in (0.05, 0.2):
+        result = calibrate_c(5, eps, 400, RandomStream(808), nodes="midpoint")
+        worst_rel = 0.0
+        steps = []
+        for d in range(1, 6):
+            r = ApproxConfig(d, eps, result.c, nodes="midpoint").r
+            steps.append(r)
+            held = RandomStream(808, 5000 + d)
+            for _ in range(500):
+                coeffs = random_polynomial(d, held)
+                exact = integrate_abs_poly(coeffs, 0.0, 1.0)
+                rel = abs(riemann_abs_scale(coeffs, r, nodes="midpoint") - exact) / exact
+                worst_rel = max(worst_rel, rel)
+        ok = ok and worst_rel <= eps and result.c <= DEFAULT_C_MIDPOINT
+        details.append(f"eps={eps} c={result.c:.3f} r={steps} worst_rel={worst_rel:.4f}")
+    elapsed = time.perf_counter() - start
+    _report(
+        8,
+        "calibrated midpoint c: 500 held-out polynomials per degree within eps = 0.05 and 0.2",
+        ok and elapsed < 60.0,
+        " ".join(details) + f" time={elapsed:.1f}s",
     )
 
 

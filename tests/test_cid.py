@@ -6,6 +6,7 @@ import pytest
 
 from conftest import ks_against_cauchy
 from l1sketch import (
+    DEFAULT_C_MIDPOINT,
     ApproxConfig,
     CIdSample,
     ParameterError,
@@ -19,7 +20,7 @@ from l1sketch import (
     sample_cid_approx_unit,
 )
 from l1sketch._poly import integrate_abs_poly, poly_deriv
-from l1sketch.cid import rescale_matrix
+from l1sketch.cid import rescale_matrix, unit_nodes
 from l1sketch.densities import Breakpoints, unit_coefficients
 
 
@@ -28,6 +29,15 @@ def test_config_derives_r():
     assert cfg.r == int(np.ceil(2.0 * 9 / 0.05))
     assert ApproxConfig(d=0, epsilon_integration=0.1).r == 1
     assert ApproxConfig(d=2, epsilon_integration=0.1, r=123).r == 123
+
+
+def test_midpoint_config_derives_r():
+    cfg = ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")
+    assert cfg.c_constant == DEFAULT_C_MIDPOINT
+    assert cfg.r == int(np.ceil(DEFAULT_C_MIDPOINT * 2 / np.sqrt(0.2))) == 11
+    assert ApproxConfig(d=3, epsilon_integration=0.05, c_constant=2.0, nodes="midpoint").r == 27
+    np.testing.assert_array_equal(unit_nodes(4, "midpoint"), [0.125, 0.375, 0.625, 0.875])
+    np.testing.assert_array_equal(unit_nodes(4, "right"), [0.25, 0.5, 0.75, 1.0])
 
 
 def test_config_rejects_bad_values():
@@ -39,6 +49,8 @@ def test_config_rejects_bad_values():
         ApproxConfig(d=2, epsilon_integration=0.1, c_constant=-1.0)
     with pytest.raises(ParameterError):
         ApproxConfig(d=2, epsilon_integration=0.1, r=0)
+    with pytest.raises(ParameterError):
+        ApproxConfig(d=2, epsilon_integration=0.1, nodes="left")
 
 
 def test_degree_zero_sum_is_standard_cauchy():
@@ -118,15 +130,20 @@ def test_riemann_scale_frozen_values():
     assert abs(riemann_abs_scale([-1.0, 2.0], 10**6) - 0.5) < 1e-5
     with pytest.raises(ParameterError):
         riemann_abs_scale([1.0], 0)
+    # the midpoint rule is exact on a linear p without a sign change
+    assert riemann_abs_scale([0.0, 1.0], 100, nodes="midpoint") == 0.5
+    with pytest.raises(ParameterError):
+        riemann_abs_scale([1.0], 3, nodes="left")
 
 
-def test_riemann_scale_is_the_exact_law_of_linear_functionals():
+@pytest.mark.parametrize("nodes", ["right", "midpoint"])
+def test_riemann_scale_is_the_exact_law_of_linear_functionals(nodes):
     coeffs = np.array([0.3, -1.1, 0.7])
     r = 64
-    cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=r)
+    cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=r, nodes=nodes)
     z = sample_cid_approx_unit(cfg, RandomStream(6), size=100_000)
     w = z.components @ coeffs
-    assert ks_against_cauchy(w, riemann_abs_scale(coeffs, r)) < 0.01
+    assert ks_against_cauchy(w, riemann_abs_scale(coeffs, r, nodes=nodes)) < 0.01
 
 
 def test_random_polynomial_respects_mass_floor():
@@ -147,6 +164,17 @@ def test_calibrate_linear_heldout():
         coeffs = random_polynomial(1, held)
         exact = integrate_abs_poly(coeffs, 0.0, 1.0)
         assert abs(riemann_abs_scale(coeffs, r) - exact) <= 0.01 * exact
+
+
+def test_calibrate_midpoint_constant_formula():
+    result = calibrate_c(3, 0.05, 100, RandomStream(8), nodes="midpoint")
+    assert result.nodes == "midpoint"
+    assert result.c == 2.0 * max(r * np.sqrt(0.05) / d for d, r in result.per_degree_r.items())
+    # midpoints need far fewer steps than right endpoints on the same trials
+    right = calibrate_c(3, 0.05, 100, RandomStream(8))
+    assert all(result.per_degree_r[d] < right.per_degree_r[d] for d in (1, 2, 3))
+    with pytest.raises(ParameterError):
+        calibrate_c(3, 0.05, 10, RandomStream(8), nodes="left")
 
 
 def test_calibrate_sanity_bound_small_degrees():

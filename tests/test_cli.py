@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
 import json
+import math
 import subprocess
 import sys
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from l1sketch import (
+    DEFAULT_C_MIDPOINT,
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
@@ -76,6 +78,36 @@ def test_dist_sketch_rerun_byte_identical(pair_family_path, tmp_path):
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
+    fam = DensityFamily(
+        Breakpoints(np.array([0.0, 0.4, 1.0])),
+        [
+            PiecewisePolyDensity(
+                f"q{j}", [PolySegment(i, i + 1, np.array([1.0, j - 1.0, 0.5 * j])) for i in range(2)], 2
+            )
+            for j in range(3)
+        ],
+        2,
+    )
+    path = tmp_path / "quad.json"
+    save_family(fam, str(path))
+    eps_int = 0.2
+    args = ["dist", str(path), "--epsilon", str(2 * eps_int), "--seed", "3", "--format", "json"]
+    out = tmp_path / "d.json"
+    assert main(args + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["nodes"] == "midpoint"
+    assert config["r"] == math.ceil(DEFAULT_C_MIDPOINT * 2 / math.sqrt(eps_int))
+    # the constant calibrate emits is the one --c-constant takes
+    cal = tmp_path / "c.json"
+    assert main(["calibrate", "--d-max", "2", "--trials", "50", "--seed", "5", "--out", str(cal)]) == 0
+    c = json.loads(cal.read_text())["c"]
+    assert main(args + ["--c-constant", repr(c), "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["config"]
+    assert config["c_constant"] == c
+    assert config["r"] == math.ceil(c * 2 / math.sqrt(eps_int))
 
 
 def test_dist_malformed_json_exit_2(tmp_path, capsys):
@@ -237,6 +269,13 @@ def test_sample_cid_shape(tmp_path):
     rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
     assert rows[0] == "x0,x1,x2" and len(rows) == 4
     assert len(rows[1].split(",")) == 3
+    manifest = json.loads(out.read_text().splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["parameters"]["nodes"] == "midpoint"
+    assert manifest["parameters"]["r"] == 50
+    # a derived r is recorded as resolved: 2.24 * 2 / sqrt(0.05) -> 21
+    assert main(["sample", "cid", "--d", "2", "--count", "1", "--out", str(out)]) == 0
+    manifest = json.loads(out.read_text().splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["parameters"]["r"] == 21
 
 
 def test_eval_ci1_density_grid(tmp_path):
@@ -276,6 +315,7 @@ def test_calibrate_output(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["c"] > 0 and set(doc["per_degree"]) == {"1", "2"}
+    assert doc["nodes"] == "midpoint"
     assert doc["manifest"]["parameters"]["trials"] == 50
 
 

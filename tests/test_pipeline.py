@@ -151,7 +151,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
     first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
     if mode is SketchMode.CID_APPROX:
         r = approx_config.r
-        node_pow = _node_powers(r, d)
+        node_pow = _node_powers(r, d, approx_config.nodes)
 
     def accepted(gen, k):
         x0, x1, u = _proposal_block(gen, k)
@@ -192,6 +192,8 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10)),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10, nodes="midpoint")),
     ],
 )
 def test_sketch_bit_identical_to_reference(mode, family, config, threads):
@@ -245,6 +247,7 @@ def _with_unit_densities(family):
         (SketchMode.EXACT_CI1, 1, None),
         (SketchMode.CID_APPROX, 1, ApproxConfig(d=1, epsilon_integration=0.2)),
         (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.5)),
+        (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
     ],
 )
 def test_projection_within_rounding_of_long_double_sum(mode, degree, config):
@@ -369,7 +372,7 @@ def test_sketch_cost_scales_linearly_in_t():
 
     def measure(t):
         best = np.inf
-        for _ in range(3):
+        for _ in range(5):
             start = time.perf_counter()
             sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(25))
             best = min(best, time.perf_counter() - start)
