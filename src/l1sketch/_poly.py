@@ -12,8 +12,6 @@ bisection (:func:`sign_change_roots`).
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 #: Degrees above this are rejected; monomial-basis conditioning degrades.
@@ -129,8 +127,11 @@ def _refine_sign_change(coeffs, lo, hi, flo, tol):
 
 
 def sign_change_roots(coeffs, lo: float, hi: float, tol: float | None = None):
-    """Points in ``(lo, hi)`` where ``p`` changes sign, sorted.
+    """Points in ``(lo, hi)`` where ``p`` changes sign, sorted, by
+    Sturm-sequence guided bisection.
 
+    :func:`integrate_abs_poly` calls it for degree >= 3 only; degree <= 2
+    has closed-form roots in :func:`integrate_abs_local`.
     Roots of even multiplicity are ignored when cleanly detected: they do
     not affect the sign of ``p`` and therefore not ``integral of |p|``.
     Near multiple roots, floating-point evaluation of ``p`` is noise-level
@@ -143,22 +144,6 @@ def sign_change_roots(coeffs, lo: float, hi: float, tol: float | None = None):
     deg = len(c) - 1
     if deg <= 0 or hi <= lo:
         return []
-    if deg == 1:
-        r = -c[0] / c[1]
-        return [r] if lo < r < hi else []
-    if deg == 2:
-        disc = c[1] * c[1] - 4.0 * c[2] * c[0]
-        if disc <= 0.0:
-            return []
-        q = -0.5 * (c[1] + math.copysign(math.sqrt(disc), c[1] if c[1] != 0.0 else 1.0))
-        roots = []
-        if q != 0.0:
-            roots = [q / c[2], c[0] / q]
-        else:
-            r = math.sqrt(-c[0] / c[2]) if -c[0] / c[2] > 0 else 0.0
-            roots = [-r, r]
-        return sorted(r for r in roots if lo < r < hi)
-
     chain = sturm_chain(c)
     # Nudge endpoints inward so exact zeros of chain members at the interval
     # boundary cannot corrupt the variation counts.

@@ -20,7 +20,8 @@ is that of the Riemann sum.  Two node rules are offered:
 The constants are not constructive, so calibrated empirical defaults are
 shipped for both rules; see :func:`calibrate_c`.  The distance pipeline and
 the CLI use midpoints; right endpoints remain the library default, as the
-reference the acceptance suite pins.
+reference the acceptance suite pins.  :func:`steps_to_vectors` makes every
+r-step draw, of :func:`sample_cid_approx_unit` and of the sketch alike.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from ._poly import MAX_DEGREE, integrate_abs_poly, poly_eval, to_unit_interval
 from .errors import ParameterError
-from .randstream import RandomStream, sample_cauchy
+from .randstream import RandomStream, cauchy_in_place
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
@@ -131,14 +132,21 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
     return v
 
 
+def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarray:
+    """r-step vectors from uniforms ``u[..., r]`` (overwritten): Cauchy steps
+    of scale ``1/r`` times the node powers of :func:`_node_powers`.  Stacked,
+    not flattened, so each ``(L, r)`` product has the bits it has alone."""
+    cauchy_in_place(u)
+    u /= u.shape[-1]
+    return np.matmul(u, node_pow, out=out)
+
+
 def sample_cid_approx_unit(
     cfg: ApproxConfig, rng: RandomStream, size: int | None = None
 ) -> CIdSample:
     """Draw the r-step discretized integral vector on the unit interval."""
     n = 1 if size is None else int(size)
-    v = _node_powers(cfg.r, cfg.d, cfg.nodes)
-    z = sample_cauchy(0.0, 1.0 / cfg.r, rng, size=(n, cfg.r))
-    comps = z @ v
+    comps = steps_to_vectors(rng.random((n, cfg.r)), _node_powers(cfg.r, cfg.d, cfg.nodes))
     return CIdSample(comps[0] if size is None else comps)
 
 
@@ -162,17 +170,19 @@ def rescale_cid(z: CIdSample, a: float, b: float) -> CIdSample:
     return CIdSample(z.components @ t.T)
 
 
-def riemann_abs_scale(coeffs, r: int, nodes: str = "right") -> float:
+def riemann_abs_scale(coeffs, r: int, nodes: str = "right"):
     """Riemann sum ``(1/r) sum_j |p(x_j)|`` at the rule's nodes: ``j/r``
     (right) or ``(j - 1/2)/r`` (midpoint).
 
     This is the exact Cauchy scale of ``a . X`` when ``X`` is the r-step
     discretized vector with those nodes and ``p`` has coefficients ``a``.
+    An ``(n, d+1)`` table gives its rows' sums, bit for bit.
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
-    x = unit_nodes(r, nodes)
-    return float(np.mean(np.abs(poly_eval(np.asarray(coeffs, dtype=float), x))))
+    c = np.asarray(coeffs, dtype=float)
+    scale = np.abs(poly_eval(c[..., None, :], unit_nodes(r, nodes))).mean(axis=-1)
+    return float(scale) if c.ndim == 1 else scale
 
 
 def random_polynomial(
@@ -230,11 +240,11 @@ def calibrate_c(
             coeffs = random_polynomial(d, sub)
             polys.append(coeffs)
             exact.append(integrate_abs_poly(coeffs, 0.0, 1.0))
-        coeff_mat = np.array(polys)[:, None, :]
+        coeff_mat = np.array(polys)
         exact_arr = np.array(exact)
 
         def all_within(r: int) -> bool:
-            scales = np.abs(poly_eval(coeff_mat, unit_nodes(r, nodes))).mean(axis=1)
+            scales = riemann_abs_scale(coeff_mat, r, nodes)
             return bool(np.all(np.abs(scales - exact_arr) <= target_eps * exact_arr))
 
         r = 1

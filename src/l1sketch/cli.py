@@ -2,8 +2,9 @@
 
 Subcommands: ``dist`` (all-pairs distances), ``sample`` (raw draws),
 ``eval`` (density values for plotting) and ``calibrate`` (discretization
-constant).  The r-step sampler of ``dist`` and ``sample cid`` uses midpoint
-nodes, so ``--c-constant`` and the constant ``calibrate`` emits are the ``c``
+constant).  ``dist`` picks its sampler by degree; its r-step sampler
+(degree >= 2) and ``sample cid`` use midpoint nodes, so ``--c-constant``
+(in ``dist``'s manifest) and the constant ``calibrate`` emits are the ``c``
 of ``r = ceil(c d / sqrt(eps))``.  The default seed comes from the
 ``L1SKETCH_SEED`` environment variable when set.
 
@@ -79,7 +80,6 @@ def cmd_dist(args) -> int:
         method=args.method,
         seed=args.seed,
         threads=args.threads,
-        sketch_mode=args.sketch_mode,
         c_constant=args.c_constant,
     )
     elapsed = time.perf_counter() - start
@@ -89,7 +89,7 @@ def cmd_dist(args) -> int:
             "method": args.method,
             "epsilon": args.epsilon,
             "delta": args.delta,
-            "sketch_mode": args.sketch_mode,
+            "c_constant": args.c_constant,
             "format": args.format,
         },
         seed=args.seed,
@@ -211,12 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=1)
-    p.add_argument(
-        "--sketch-mode",
-        choices=["exact_ci1", "cid_approx", "uniform_fastpath"],
-        default=None,
-        help="override the automatic degree-based sketch mode",
-    )
     p.add_argument(
         "--c-constant", type=float, default=None,
         help="c in r = ceil(c d / sqrt(eps_int)) of the midpoint r-step sampler",

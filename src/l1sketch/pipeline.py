@@ -12,7 +12,8 @@ operations, which release the GIL, so blocks run in parallel on threads.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
-one m-by-t matrix.
+one m-by-t matrix.  In :func:`run_scheme` the degree alone picks the sampler;
+:func:`sketch_family` also runs the r-step mode on degree 1.
 
 Sharing the per-interval draws within a replicate is what makes differences
 meaningful: identical densities cancel exactly, replicate by replicate.
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ci1 import _accept_mask, _proposal_block, first_block, unit_pairs
-from .cid import ApproxConfig, _node_powers
+from .cid import ApproxConfig, _node_powers, steps_to_vectors
 from .densities import (
     DensityFamily,
     eval_density,
@@ -45,7 +46,9 @@ from .densities import (
     validate_family,
 )
 from .errors import NonFiniteResultError, ParameterError
-from .randstream import RandomStream, geometric_mean_estimate, required_sample_count
+from .randstream import (
+    RandomStream, cauchy_in_place, geometric_mean_estimate, required_sample_count,
+)
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
 #: independent of threading and chunk scheduling.
@@ -58,12 +61,12 @@ _BLOCK = 64
 _CI1_GROUP_PROPOSALS = 3000
 
 #: Uniform draws per group of the r-step mode (whole replicates, at least
-#: one).  Each group is transformed and projected onto the node powers in a
+#: one).  Each group goes through :func:`l1sketch.cid.steps_to_vectors` in a
 #: few whole-array operations, which release the GIL.  Its buffer grows with
 #: it, so peak memory does too: at 71 intervals and r = 42 (right endpoints)
 #: on 2 threads, a whole 64-replicate block raised a run's peak RSS by about
 #: 15%, groups of about 12,000 draws (4 replicates) by about 1%.  At the
-#: midpoint rule's r = 11 a group holds 15 such replicates.
+#: midpoint rule's r = 11 that ``dist`` uses there, a group holds 15.
 _CID_GROUP_DRAWS = 12_000
 
 
@@ -117,13 +120,6 @@ class DistanceMatrix:
             raise ParameterError("entries must be symmetric")
         if np.any(self.entries < 0.0):
             raise ParameterError("entries must be nonnegative")
-
-
-def _cauchy_in_place(u: np.ndarray) -> None:
-    """Map uniforms to standard Cauchy draws ``tan(pi (u - 1/2))``, in place."""
-    u -= 0.5
-    u *= np.pi
-    np.tan(u, out=u)
 
 
 def _ci1_group(stream: RandomStream, reps: range, need: int):
@@ -210,7 +206,7 @@ def sketch_family(
             for i, rep in enumerate(range(b0, b1)):
                 stream.rekey(rep)
                 stream.generator.random(out=z[i])
-            _cauchy_in_place(z)
+            cauchy_in_place(z)
         elif mode is SketchMode.EXACT_CI1:
             for g0 in range(0, nb, group):
                 g1 = min(g0 + group, nb)
@@ -225,11 +221,7 @@ def sketch_family(
                 for i, rep in enumerate(range(b0 + g0, b0 + g1)):
                     stream.rekey(rep)
                     stream.generator.random(out=u[i])
-                _cauchy_in_place(u)
-                u /= r
-                # stacked, not flattened: each replicate's (L, r) @ (r, d+1)
-                # product has the bits it has on its own
-                np.matmul(u, node_pow, out=z[g0:g1])
+                steps_to_vectors(u, node_pow, out=z[g0:g1])
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
@@ -342,15 +334,15 @@ def run_scheme(
     method: str,
     seed: int,
     threads: int = 1,
-    sketch_mode: SketchMode | str | None = None,
     c_constant: float | None = None,
 ) -> DistanceMatrix:
     """Dispatch to the exact oracle, the sketch scheme, or the MC baseline.
 
-    For sketch modes with discretization error the error budget is split
-    evenly, ``eps_int = eps_est = epsilon / 2``, and the combined guarantee
-    ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the config rather than
-    rounded to a clean ``1 +/- epsilon``.  The r-step mode uses midpoint
+    The degree picks the sampler: fast path at 0, exact pairs at 1, r-step
+    vectors from 2.  The r-step mode has discretization error, so the error
+    budget is split evenly, ``eps_int = eps_est = epsilon / 2``, and the
+    combined guarantee ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the
+    config rather than rounded to a clean ``1 +/- epsilon``.  It uses midpoint
     nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
     :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.
     """
@@ -367,7 +359,7 @@ def run_scheme(
 
     if not (0.0 < epsilon <= 0.5):
         raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
-    mode = _auto_mode(family.degree) if sketch_mode is None else SketchMode(sketch_mode)
+    mode = _auto_mode(family.degree)
     split = mode is SketchMode.CID_APPROX
     eps_est = epsilon / 2.0 if split else epsilon
     eps_int = epsilon / 2.0 if split else None

@@ -1,11 +1,12 @@
-"""Seeded random primitives and the geometric-mean scale estimator.
+"""Seeded random primitives, the Cauchy step and the scale estimator.
 
 Randomness comes from numpy's Philox counter-based generator keyed directly
 by ``(seed, stream_id)``, so any (seed, stream) pair names the same sequence
 on every platform and under any threading layout.  Substreams are cheap to
 create, which lets callers assign one stream per replicate or per worker
 without coordination; re-keying one stream in place (:meth:`RandomStream.rekey`)
-is cheaper still, for callers that visit many streams in turn.
+is cheaper still, for callers that visit many streams in turn.  Every
+Cauchy draw in the package is made by :func:`cauchy_in_place`.
 """
 
 from __future__ import annotations
@@ -65,12 +66,20 @@ class RandomStream:
         return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"
 
 
+def cauchy_in_place(u: np.ndarray) -> None:
+    """Map uniforms to standard Cauchy draws ``tan(pi (u - 1/2))``, in place."""
+    u -= 0.5
+    u *= np.pi
+    np.tan(u, out=u)
+
+
 def sample_cauchy(center: float, scale: float, rng: RandomStream, size=None):
     """Centered-and-scaled Cauchy draws via the tangent quantile transform."""
     if scale < 0:
         raise ParameterError(f"Cauchy scale must be >= 0, got {scale}")
-    u = rng.random(size)
-    return center + scale * np.tan(np.pi * (u - 0.5))
+    x = np.asarray(rng.random(size))
+    cauchy_in_place(x)
+    return center + scale * x
 
 
 def required_sample_count(epsilon: float, delta: float, m: int) -> int:

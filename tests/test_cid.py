@@ -9,8 +9,10 @@ from l1sketch import (
     DEFAULT_C_MIDPOINT,
     ApproxConfig,
     CIdSample,
+    DensityFamily,
     ParameterError,
     RandomStream,
+    SketchMode,
     calibrate_c,
     PiecewisePolyDensity,
     PolySegment,
@@ -18,10 +20,12 @@ from l1sketch import (
     rescale_cid,
     riemann_abs_scale,
     sample_cid_approx_unit,
+    sketch_family,
 )
 from l1sketch._poly import integrate_abs_poly, poly_deriv
 from l1sketch.cid import rescale_matrix, unit_nodes
 from l1sketch.densities import Breakpoints, unit_coefficients
+from l1sketch.pipeline import _BLOCK
 
 
 def test_config_derives_r():
@@ -136,6 +140,31 @@ def test_riemann_scale_frozen_values():
         riemann_abs_scale([1.0], 3, nodes="left")
 
 
+def test_riemann_scale_of_a_table_equals_its_rows():
+    table = np.random.default_rng(3).uniform(-1.0, 1.0, (40, 4))
+    for r, nodes in ((1, "right"), (17, "right"), (64, "midpoint")):
+        rows = [riemann_abs_scale(row, r, nodes) for row in table]
+        np.testing.assert_array_equal(riemann_abs_scale(table, r, nodes), rows)
+
+
+@pytest.mark.parametrize("nodes", ["right", "midpoint"])
+@pytest.mark.parametrize("d,r", [(1, 9), (3, 40)])
+def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
+    # on [0, 1] the density x^k projects to entry k of the integral vector,
+    # so the sketch's column rep is the replicate's r-step vector itself
+    fam = DensityFamily(
+        Breakpoints(np.array([0.0, 1.0])),
+        [PiecewisePolyDensity(f"x{k}", [PolySegment(0, 1, np.eye(d + 1)[k])], d) for k in range(d + 1)],
+        d,
+    )
+    cfg = ApproxConfig(d=d, epsilon_integration=0.1, r=r, nodes=nodes)
+    t = 2 * _BLOCK + 3
+    sk = sketch_family(fam, t, SketchMode.CID_APPROX, RandomStream(61), approx_config=cfg)
+    for rep in (0, 1, _BLOCK + 5, t - 1):
+        z = sample_cid_approx_unit(cfg, RandomStream(61, rep), size=1)
+        np.testing.assert_array_equal(z.components[0], sk.values[:, rep])
+
+
 @pytest.mark.parametrize("nodes", ["right", "midpoint"])
 def test_riemann_scale_is_the_exact_law_of_linear_functionals(nodes):
     coeffs = np.array([0.3, -1.1, 0.7])
@@ -175,6 +204,16 @@ def test_calibrate_midpoint_constant_formula():
     assert all(result.per_degree_r[d] < right.per_degree_r[d] for d in (1, 2, 3))
     with pytest.raises(ParameterError):
         calibrate_c(3, 0.05, 10, RandomStream(8), nodes="left")
+
+
+@pytest.mark.parametrize(
+    "nodes,per_degree",
+    [("right", [21, 40, 55, 49, 62, 54, 72, 68]), ("midpoint", [5, 7, 6, 6, 9, 8, 8, 9])],
+)
+def test_calibrate_reproduces_the_default_constants_provenance(nodes, per_degree):
+    # the runs DEFAULT_C and DEFAULT_C_MIDPOINT quote in l1sketch.cid
+    result = calibrate_c(8, 0.05, 400, RandomStream(20260809), nodes=nodes)
+    assert [result.per_degree_r[d] for d in range(1, 9)] == per_degree
 
 
 def test_calibrate_sanity_bound_small_degrees():

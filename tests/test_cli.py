@@ -80,7 +80,7 @@ def test_dist_sketch_rerun_byte_identical(pair_family_path, tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
+def _quadratic_family_path(tmp_path):
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 0.4, 1.0])),
         [
@@ -93,6 +93,11 @@ def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
     )
     path = tmp_path / "quad.json"
     save_family(fam, str(path))
+    return path
+
+
+def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
+    path = _quadratic_family_path(tmp_path)
     eps_int = 0.2
     args = ["dist", str(path), "--epsilon", str(2 * eps_int), "--seed", "3", "--format", "json"]
     out = tmp_path / "d.json"
@@ -108,6 +113,28 @@ def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
     config = json.loads(out.read_text())["config"]
     assert config["c_constant"] == c
     assert config["r"] == math.ceil(c * 2 / math.sqrt(eps_int))
+
+
+def test_dist_manifest_records_c_constant(tmp_path):
+    # the constant sets r, so it changes the matrix: identical manifests
+    # must mean identical output
+    args = ["dist", str(_quadratic_family_path(tmp_path)), "--epsilon", "0.4", "--seed", "3"]
+    outputs = {}
+    for c in ("2.24", "6.0"):
+        out = tmp_path / f"c{c}.csv"
+        assert main(args + ["--c-constant", c, "--out", str(out)]) == 0
+        outputs[c] = out.read_text().splitlines()
+    assert outputs["2.24"][0] != outputs["6.0"][0]
+    manifest = json.loads(outputs["6.0"][0].removeprefix("# manifest: "))
+    assert manifest["parameters"]["c_constant"] == 6.0
+    assert outputs["2.24"][4:] != outputs["6.0"][4:]
+
+
+def test_dist_sketch_mode_is_refused(pair_family_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dist", pair_family_path, "--sketch-mode", "cid_approx"])
+    assert exc.value.code == 2
+    assert "--sketch-mode" in capsys.readouterr().err
 
 
 def test_dist_malformed_json_exit_2(tmp_path, capsys):

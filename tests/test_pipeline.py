@@ -51,6 +51,12 @@ def _linear_pair():
     return merge_breakpoints([flat, ramp])
 
 
+def _quadratic_pair():
+    flat = density_from_pieces("one", [(0.0, 1.0, np.array([1.0, 0.0, 0.0]))], degree=2)
+    bowl = density_from_pieces("3x2", [(0.0, 1.0, np.array([0.0, 0.0, 3.0]))], degree=2)
+    return merge_breakpoints([flat, bowl])
+
+
 def test_single_uniform_projection_is_standard_cauchy():
     fam = uniform_density("u", 0.0, 1.0)
     sk = sketch_family(fam, 100_000, SketchMode.UNIFORM_FASTPATH, RandomStream(1))
@@ -358,13 +364,27 @@ def test_run_scheme_epsilon_domain():
 
 
 def test_run_scheme_splits_epsilon_for_approx_modes():
-    fam = _linear_pair()
-    dm = run_scheme(fam, 0.4, 0.2, "sketch", seed=23, sketch_mode="cid_approx")
+    fam = _quadratic_pair()
+    dm = run_scheme(fam, 0.4, 0.2, "sketch", seed=23)
     assert dm.config["epsilon_integration"] == 0.2
     assert dm.config["epsilon"] == 0.2  # estimator share
     assert dm.config["r"] >= 1
     up = dm.config["relative_error_upper"]
     assert up == pytest.approx((1.2 * 1.2) - 1.0)
+
+
+@pytest.mark.parametrize("family", [_uniform_pair, _linear_pair, _quadratic_pair])
+def test_sketch_family_rebuilds_from_a_run_config(family):
+    # the call a traced benchmark run makes to time one replicate's set-up:
+    # mode, seed and r-step settings read back from run_scheme's config
+    fam = family()
+    config = run_scheme(fam, 0.5, 0.5, "sketch", seed=26).config
+    approx = None
+    if "epsilon_integration" in config:
+        approx = ApproxConfig(fam.degree, config["epsilon_integration"], r=config["r"])
+    sk = sketch_family(fam, 1, config["mode"], RandomStream(config["seed"]), approx_config=approx)
+    assert sk.values.shape == (fam.m, 1)
+    assert sk.mode.value == config["mode"]
 
 
 def test_sketch_cost_scales_linearly_in_t():
