@@ -3,8 +3,8 @@
 ``L`` is Cauchy motion on ``[0, 1]`` (the symmetric 1-stable process).  The
 pair of stochastic integrals of the functions ``1`` and ``x`` has an explicit
 two-dimensional density with two analytic branches: a generic closed form
-involving a complex arctangent, and a simpler formula on the line
-``x0 = 2*x1`` where the generic expression degenerates.  The density is
+involving a complex square root and arctangent, and a simpler formula on the
+line ``x0 = 2*x1`` where the generic expression degenerates.  The density is
 dominated by ``(C/pi)`` times a bivariate Student law with one degree of
 freedom, which yields an exact rejection sampler with acceptance rate
 ``pi/C``.
@@ -16,9 +16,9 @@ The density is then evaluated on about 38% of proposals (``3 pi/25``); the
 decisions, and so the acceptance rate ``pi/25``, are those of the plain test.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
-coefficient-of-x component.  All complex powers and logarithms use the
-principal branch (log imaginary part in ``(-pi, pi]``, arctangent real part
-in ``(-pi/2, pi/2)``).
+coefficient-of-x component.  The square root and the arctangent are
+principal-branch, and the generic branch evaluates both in real arithmetic
+(the arctangent through :func:`_atan_parts`).
 """
 
 from __future__ import annotations
@@ -61,15 +61,26 @@ class CI1Sample:
     x1: float | np.ndarray
 
 
-def complex_atan(z):
-    """Principal-branch arctangent, ``(i/2) * (log(1 - i z) - log(1 + i z))``.
+def _atan_parts(x, y):
+    """Real and imaginary parts of the principal ``atan(x + i y)``; vectorized.
 
-    Evaluating the two logarithms separately (rather than the log of their
-    ratio) keeps the real part in ``(-pi/2, pi/2)`` for every argument off
-    the branch cuts on the imaginary axis.
+    From ``atan z = (i/2) (log(1 - i z) - log(1 + i z))``: the real part is
+    half the sum of the arguments of ``(1 - y) + i x`` and ``(1 + y) + i x``,
+    so it stays in ``(-pi/2, pi/2)`` off the branch cuts on the imaginary
+    axis; the imaginary part is a quarter of the log of the ratio of their
+    squared moduli.
     """
+    re = 0.5 * (np.arctan2(x, 1.0 - y) + np.arctan2(x, 1.0 + y))
+    xx = x * x
+    im = 0.25 * np.log(((1.0 + y) ** 2 + xx) / ((1.0 - y) ** 2 + xx))
+    return re, im
+
+
+def complex_atan(z):
+    """Principal-branch arctangent of a complex argument, via :func:`_atan_parts`."""
     z = np.asarray(z, dtype=complex)
-    return 0.5j * (np.log(1.0 - 1j * z) - np.log(1.0 + 1j * z))
+    re, im = _atan_parts(z.real, z.imag)
+    return re + 1j * im
 
 
 def diagonal_tolerance(x0):
@@ -83,14 +94,20 @@ def diagonal_tolerance(x0):
 
 
 def _density_generic(x0, x1):
-    # Valid only away from the diagonal band: divides by x0 - 2*x1.
+    # Valid only away from the diagonal band: divides by x0 - 2*x1.  The
+    # closed form flat + (2/pi^2) Re(atan(i sqrt(q) / delta) / q^(3/2)), with
+    # q = s0 - 2i delta, in real parts: sqrt(q) = a + ib with a >= 1 (Re q =
+    # s0 >= 1 keeps it off the cut), q^(3/2) = q sqrt(q) = p + i r, and
+    # i sqrt(q) / delta = 1/a + i a/delta.
     delta = x0 - 2.0 * x1
     s0 = 1.0 + x0 * x0
-    q = s0 - 2j * delta
-    root_q = np.sqrt(q)  # principal; Re(q) >= 1 keeps it off the cut
-    q32 = q * root_q
+    a = np.sqrt((np.hypot(s0, 2.0 * delta) + s0) / 2.0)
+    b = -delta / a
+    p = s0 * a + 2.0 * delta * b
+    r = s0 * b - 2.0 * delta * a
+    re, im = _atan_parts(1.0 / a, a / delta)
     flat = _FOUR_OVER_PI2 / (s0 * s0 + 4.0 * delta * delta)
-    return flat + _TWO_OVER_PI2 * np.real(complex_atan(1j * root_q / delta) / q32)
+    return flat + _TWO_OVER_PI2 * (re * p + im * r) / (p * p + r * r)
 
 
 def _density_diagonal(x0):
@@ -103,11 +120,11 @@ def ci1_density(x0, x1):
 
     Points with ``|x0 - 2 x1|`` inside :func:`diagonal_tolerance` use the
     diagonal closed form; all others use the generic formula.  Nonnegative
-    where ``|x0|`` and ``|x1|`` are at most 1e6 (checked by scans).  Farther
-    out the generic formula cancels near the ``x0 = 0`` axis: it returns
-    values of either sign of about 1e-28 from ``|x1|`` about 1.8e6, and more
-    than 3 times the envelope from about ``|x1| = 2e11``, which is why the
-    squeeze stops at ``SQUEEZE_G_MIN``.
+    and below ``SQUEEZE_K`` times the envelope out to radius 1e6 (checked by
+    a polar scan).  Farther out the generic formula cancels near the
+    ``x0 = 0`` axis: it returns values of either sign of about 1e-27 from
+    ``|x1|`` about 1.5e6, and more than 3 times the envelope from about
+    ``|x1| = 2e11``, which is why the squeeze stops at ``SQUEEZE_G_MIN``.
     """
     x0a, x1a = np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)

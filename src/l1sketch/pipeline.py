@@ -55,7 +55,7 @@ from .randstream import (
 _BLOCK = 64
 
 #: Envelope proposals per grouped acceptance test of the exact degree-1 mode
-#: (whole replicates, at least one).  The density's complex temporaries grow
+#: (whole replicates, at least one).  The density's float temporaries grow
 #: with the group, so peak memory does too; at about 3,000 proposals a group
 #: adds well under 1% to a run's peak RSS.
 _CI1_GROUP_PROPOSALS = 3000

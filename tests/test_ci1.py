@@ -1,15 +1,18 @@
 """The exact pair sampler: density formulas, envelope, rejection, rescaling.
 
 The closed-form density is cross-checked against an independent
-characteristic-function oracle (see conftest), and the complex arctangent is
-checked against the classical addition identities it must satisfy on the
-principal branch.
+characteristic-function oracle (see conftest) and against the generic branch
+written in complex arithmetic.  The complex arctangent is checked against
+``cmath`` and against the classical addition identities it must satisfy on
+the principal branch.
 """
 
 import cmath
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cf_pair_density, ks_against_cauchy
 import l1sketch.ci1 as ci1_mod
@@ -45,6 +48,9 @@ from l1sketch.ci1 import (
 
 PI = np.pi
 
+#: Fixed example sequence, like the fixed seeds of the rest of the suite.
+DETERMINISTIC = settings(deadline=None, derandomize=True)
+
 
 # ---------------------------------------------------------------- complex atan
 def test_complex_atan_matches_cmath():
@@ -54,6 +60,15 @@ def test_complex_atan_matches_cmath():
         if abs(z.real) < 1e-3 and abs(z.imag) > 1:
             continue  # stay off the branch cuts
         assert complex(complex_atan(z)) == pytest.approx(cmath.atan(z), rel=1e-12)
+
+
+@settings(DETERMINISTIC, max_examples=500)
+@given(log_radius=st.floats(-3.0, 150.0), angle=st.floats(-PI, PI))
+def test_complex_atan_matches_cmath_over_magnitudes(log_radius, angle):
+    z = 10.0**log_radius * complex(np.cos(angle), np.sin(angle))
+    if abs(z.real) <= 1e-12 * abs(z) and abs(z.imag) >= 1.0:
+        return  # on the branch cuts, where the side taken is a convention
+    assert complex(complex_atan(z)) == pytest.approx(cmath.atan(z), rel=1e-12)
 
 
 def test_atan_addition_rule_inside_unit_disk():
@@ -109,6 +124,40 @@ def test_density_frozen_diagonal_values():
 )
 def test_density_matches_characteristic_function_oracle(x0, x1):
     assert ci1_density(x0, x1) == pytest.approx(cf_pair_density(x0, x1), abs=1e-6)
+
+
+def _complex_density_generic(x0, x1):
+    """The generic branch in complex arithmetic: principal square root, two
+    principal logarithms and a complex division."""
+    delta = x0 - 2.0 * x1
+    s0 = 1.0 + x0 * x0
+    q = s0 - 2j * delta
+    root_q = np.sqrt(q)
+    w = 1j * root_q / delta
+    atan_w = 0.5j * (np.log(1.0 - 1j * w) - np.log(1.0 + 1j * w))
+    flat = 4.0 / PI**2 / (s0 * s0 + 4.0 * delta * delta)
+    return flat + 2.0 / PI**2 * np.real(atan_w / (q * root_q))
+
+
+def test_density_matches_complex_reference_on_proposals():
+    z = sample_student_envelope(RandomStream(16), size=1_000_000)
+    on_diag = np.abs(z.x0 - 2.0 * z.x1) <= diagonal_tolerance(z.x0)
+    off = ~on_diag
+    x0, x1 = z.x0[off], z.x1[off]
+    ref = _complex_density_generic(x0, x1)
+    got = _density_generic(x0, x1)
+    near = np.hypot(x0, x1) <= 100.0
+    assert near.sum() > 900_000
+    np.testing.assert_allclose(got[near], ref[near], rtol=1e-10)
+    np.testing.assert_allclose(got, ref, rtol=1e-6)
+    # the squeezed test on the real form decides as the plain test on the
+    # complex form
+    f_ref = np.empty(z.x0.size)
+    f_ref[off] = ref
+    f_ref[on_diag] = _density_diagonal(z.x0[on_diag])
+    u = RandomStream(15).generator.random(z.x0.size)
+    plain = u * REJECTION_OVERHEAD * student_envelope_density(z.x0, z.x1) <= f_ref
+    np.testing.assert_array_equal(_accept_mask(z.x0, z.x1, u), plain)
 
 
 def test_density_point_symmetry():
@@ -261,6 +310,24 @@ def _plain_accept(x0, x1, u01):
     """The rejection test without the squeeze."""
     with np.errstate(all="ignore"):
         return u01 * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
+
+
+def test_density_range_claimed_out_to_radius_1e6():
+    # the range ci1_density's docstring claims: nonnegative and below the
+    # squeeze bound out to radius 1e6, including directions close to both
+    # axes (where the generic formula cancels farther out) and to the
+    # diagonal, with no floating-point error on the way
+    offsets = np.concatenate([[0.0], np.logspace(-12, -1, 45), -np.logspace(-12, -1, 45)])
+    centres = (0.0, PI / 2, PI, 3 * PI / 2, DIAGONAL, DIAGONAL + PI)
+    angles = np.concatenate(
+        [np.linspace(0.0, 2.0 * PI, 720, endpoint=False)] + [c + offsets for c in centres]
+    )
+    x0, x1 = _polar(np.logspace(-6, 6, 400), angles)
+    with np.errstate(all="raise"):
+        f = ci1_density(x0, x1)
+        ratio = f / student_envelope_density(x0, x1)
+    assert f.min() >= 0.0
+    assert ratio.max() < SQUEEZE_K
 
 
 def test_squeeze_bound_holds_wherever_it_applies():
