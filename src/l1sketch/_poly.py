@@ -6,8 +6,9 @@ changes of ``p`` and summing closed-form antiderivative differences.  The
 batched kernel :func:`integrate_abs_local` works in an interval-local variable
 ``u`` on ``[0, w]``, which keeps coefficients of the order of the values
 however far the interval lies from the origin.  Its sign changes are
-closed-form for degree <= 2; higher degrees use Sturm-sequence guided
-bisection (:func:`sign_change_roots`).
+closed-form for degree <= 2; higher degrees split at the real parts of the
+companion-matrix eigenvalues, one stacked ``eigvals`` call per degree
+(Edelman and Murakami, Math. Comp. 1995).
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ import numpy as np
 #: Degrees above this are rejected; monomial-basis conditioning degrades.
 MAX_DEGREE = 16
 
-#: Relative root-isolation tolerance, scaled by the interval width.
-ROOT_TOL_REL = 1e-12
+#: Leading coefficients at or below this times a row's largest are dropped
+#: when the row's degree is counted.
+TRIM_REL = 1e-13
 
 
 def poly_eval(coeffs, x):
@@ -36,153 +38,11 @@ def poly_eval(coeffs, x):
     return out
 
 
-def poly_trim(coeffs, rel: float = 1e-13):
-    """Drop leading coefficients that are negligible relative to the largest."""
-    c = np.asarray(coeffs, dtype=float)
-    if c.size == 0:
-        return np.zeros(1)
-    top = np.abs(c).max()
-    if top == 0.0:
-        return np.zeros(1)
-    nz = np.nonzero(np.abs(c) > rel * top)[0]
-    if nz.size == 0:
-        return np.zeros(1)
-    return c[: nz[-1] + 1]
-
-
-def poly_deriv(coeffs):
-    c = np.asarray(coeffs, dtype=float)
-    if len(c) <= 1:
-        return np.zeros(1)
-    return c[1:] * np.arange(1, len(c))
-
-
 def poly_antideriv(coeffs):
     """Antiderivative with zero constant term, batched over leading axes."""
     c = np.asarray(coeffs, dtype=float)
     zero = np.zeros(c.shape[:-1] + (1,))
     return np.concatenate([zero, c / np.arange(1, c.shape[-1] + 1)], axis=-1)
-
-
-def _poly_divmod(num: np.ndarray, den: np.ndarray):
-    num = num.copy()
-    dd = len(den) - 1
-    dn = len(num) - 1
-    if dn < dd:
-        return np.zeros(1), num
-    q = np.zeros(dn - dd + 1)
-    for k in range(dn - dd, -1, -1):
-        q[k] = num[k + dd] / den[dd]
-        num[k : k + dd + 1] -= q[k] * den
-    return q, poly_trim(num, rel=1e-14)
-
-
-def sturm_chain(coeffs):
-    """Sturm sequence of ``p``, each member scale-normalized.
-
-    Normalizing by the max-abs coefficient keeps the chain in range; positive
-    scaling preserves all sign information the chain is used for.
-    """
-    c = poly_trim(coeffs)
-    chain = [c]
-    if len(c) > 1:
-        chain.append(poly_trim(poly_deriv(c)))
-        while len(chain[-1]) > 1:
-            _, rem = _poly_divmod(chain[-2], chain[-1])
-            if len(rem) == 1 and rem[0] == 0.0:
-                break
-            rem = -rem
-            chain.append(rem / np.abs(rem).max())
-    return chain
-
-
-def sign_variations(chain, x: float) -> int:
-    """Number of sign changes along the chain evaluated at ``x`` (zeros skipped)."""
-    v = 0
-    prev = 0
-    for c in chain:
-        val = poly_eval(c, x)
-        s = 0 if val == 0.0 else (1 if val > 0.0 else -1)
-        if s != 0:
-            if prev != 0 and s != prev:
-                v += 1
-            prev = s
-    return v
-
-
-def _refine_sign_change(coeffs, lo, hi, flo, tol):
-    """Bisect a bracketed sign change of ``p`` down to width ``tol``."""
-    a, b = lo, hi
-    sa = flo > 0.0
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        fm = poly_eval(coeffs, m)
-        if fm == 0.0:
-            return m
-        if (fm > 0.0) == sa:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
-
-
-def sign_change_roots(coeffs, lo: float, hi: float, tol: float | None = None):
-    """Points in ``(lo, hi)`` where ``p`` changes sign, sorted, by
-    Sturm-sequence guided bisection.
-
-    :func:`integrate_abs_poly` calls it for degree >= 3 only; degree <= 2
-    has closed-form roots in :func:`integrate_abs_local`.
-    Roots of even multiplicity are ignored when cleanly detected: they do
-    not affect the sign of ``p`` and therefore not ``integral of |p|``.
-    Near multiple roots, floating-point evaluation of ``p`` is noise-level
-    and may flip sign more than once; the resulting extra split points are
-    harmless for integration (the affected mass is below noise).
-    """
-    if tol is None:
-        tol = ROOT_TOL_REL * (hi - lo)
-    c = poly_trim(coeffs)
-    deg = len(c) - 1
-    if deg <= 0 or hi <= lo:
-        return []
-    chain = sturm_chain(c)
-    # Nudge endpoints inward so exact zeros of chain members at the interval
-    # boundary cannot corrupt the variation counts.
-    eta = 0.25 * tol
-    roots: list[float] = []
-    a0, b0 = lo + eta, hi - eta
-    stack = [(a0, b0, sign_variations(chain, a0), sign_variations(chain, b0))]
-    while stack:
-        a, b, va, vb = stack.pop()
-        n = va - vb
-        if n <= 0:
-            continue
-        fa = poly_eval(c, a)
-        fb = poly_eval(c, b)
-        if n == 1:
-            if fa == 0.0:
-                roots.append(a)
-            elif fb == 0.0:
-                roots.append(b)
-            elif (fa > 0.0) != (fb > 0.0):
-                roots.append(_refine_sign_change(c, a, b, fa, tol))
-            # same sign at both ends: even-multiplicity root, no split needed
-            continue
-        if b - a <= tol:
-            if (fa > 0.0) != (fb > 0.0):
-                roots.append(0.5 * (a + b))
-            continue
-        m = 0.5 * (a + b)
-        vm = sign_variations(chain, m)
-        stack.append((a, m, va, vm))
-        stack.append((m, b, vm, vb))
-    roots.sort()
-    # collapse splits closer than the tolerance (noise near multiple roots);
-    # any sign information lost this way is below the isolation tolerance
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > tol:
-            merged.append(r)
-    return merged
 
 
 def taylor_shift(coeffs, a):
@@ -212,6 +72,51 @@ def to_unit_interval(coeffs, a, w):
     return c
 
 
+def _effective_degree(c):
+    """Degree of each row once leading coefficients at or below ``TRIM_REL``
+    times its largest are dropped: 0 for an all-zero row, the full degree
+    for a non-finite one."""
+    mag = np.abs(c)
+    top = mag.max(axis=-1, keepdims=True)
+    with np.errstate(invalid="ignore"):
+        keep = (mag > TRIM_REL * top) | ~np.isfinite(top)
+    return np.where(keep.any(axis=-1), c.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1), 0)
+
+
+def _integrate_abs_split(c, lo, hi):
+    """Integrals of ``|p|`` over ``[lo, hi]`` for the rows of an ``(n, d+1)``
+    table; ``lo`` and ``hi`` have shape ``(n,)``.
+
+    The roots of all rows of effective degree ``k`` come from one stacked
+    ``eigvals`` call on their ``k x k`` companion matrices.  The real part of
+    every root, clipped to ``[lo, hi]``, is a split point; a split that is
+    not a sign change (a complex pair, an even-multiplicity root) is
+    harmless, and root error near a multiple root perturbs the result only
+    at high order.  A non-finite row gives NaN.
+    """
+    finite = np.isfinite(c).all(axis=1)
+    c = np.where(finite[:, None], c, 0.0)
+    deg = _effective_degree(c)
+    pts = np.empty((c.shape[0], c.shape[1] + 1))
+    pts[:] = lo[:, None]
+    pts[:, -1] = hi
+    for k in range(1, c.shape[1]):
+        rows = np.flatnonzero(deg == k)
+        if rows.size == 0:
+            continue
+        comp = np.zeros((rows.size, k, k))
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        comp[:, :, -1] = -c[rows, :k] / c[rows, k, None]
+        roots = np.linalg.eigvals(comp).real
+        pts[rows, 1 : k + 1] = np.clip(roots, lo[rows, None], hi[rows, None])
+    pts.sort(axis=1)
+    # overflow yields inf or NaN, which DistanceMatrix refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = poly_eval(poly_antideriv(c)[:, None, :], pts)
+        out = np.abs(np.diff(vals, axis=1)).sum(axis=1)
+    return np.where(finite, out, np.nan)
+
+
 def integrate_abs_local(coeffs, width):
     """Integrals of ``|q|`` over ``[0, width]``, batched over leading axes.
 
@@ -220,16 +125,15 @@ def integrate_abs_local(coeffs, width):
     ``q / c2`` and ``c0 / q`` with ``q = -(c1 + sign(c1) sqrt(disc)) / 2``
     when the discriminant is positive.  Roots outside ``(0, width)``, or
     undefined (zero leading coefficients), collapse to ``u = 0`` and add a
-    piece of zero length; an all-zero row gives an exact 0.  Degree >= 3
-    rows go one by one through the Sturm path of :func:`integrate_abs_poly`.
+    piece of zero length; an all-zero row gives an exact 0.  A table of
+    degree >= 3 goes in one call through the companion-matrix kernel
+    :func:`_integrate_abs_split`, where a non-finite row gives NaN.
     """
     c = np.asarray(coeffs, dtype=float)
     w = np.broadcast_to(np.asarray(width, dtype=float), c.shape[:-1])
     if c.shape[-1] > 3:
-        rows, widths = c.reshape(-1, c.shape[-1]), w.ravel()
-        out = np.zeros(widths.shape)
-        for i in np.flatnonzero(np.any(rows != 0.0, axis=1)):
-            out[i] = integrate_abs_poly(rows[i], 0.0, widths[i])
+        widths = w.ravel()
+        out = _integrate_abs_split(c.reshape(-1, c.shape[-1]), np.zeros_like(widths), widths)
         return out.reshape(w.shape)
     c0 = c[..., 0]
     c1 = c[..., 1] if c.shape[-1] > 1 else np.zeros_like(c0)
@@ -255,22 +159,21 @@ def integrate_abs_local(coeffs, width):
 
 
 def integrate_abs_poly(coeffs, lo: float, hi: float) -> float:
-    """Integral of ``|p|`` over ``[lo, hi]``, exact up to root isolation.
+    """Integral of ``|p|`` over ``[lo, hi]``.
 
-    Trimmed degree <= 2 is shifted to ``u = x - lo`` and integrated by
-    :func:`integrate_abs_local`.  Higher degrees split the interval at the
-    sign changes from :func:`sign_change_roots`; on each piece the signed
-    integral is computed from the antiderivative and its absolute value is
-    accumulated.  Splitting at a point that is not a sign change is
-    harmless, so root-location error of order ``ROOT_TOL_REL * (hi - lo)``
-    perturbs the result only at second order.
+    Effective degree <= 2 (see :func:`_effective_degree`) is shifted to
+    ``u = x - lo`` and integrated in closed form by
+    :func:`integrate_abs_local`.  Higher degrees go through the
+    companion-matrix kernel :func:`_integrate_abs_split` in the caller's own
+    coordinates: a shift to ``u = x - lo`` first costs accuracy at high
+    degree, since the shifted coefficients can exceed the values by up to
+    ``(1 + |lo|)**d`` (4e-9 against 5e-16 relative at degree 16 on
+    ``[-2, 2]``, checked against 50-digit arithmetic).
     """
     if hi <= lo:
         return 0.0
-    c = poly_trim(coeffs)
-    if len(c) <= 3:
-        return float(integrate_abs_local(taylor_shift(c, lo), hi - lo))
-    anti = poly_antideriv(c)
-    pts = [lo] + sign_change_roots(c, lo, hi) + [hi]
-    vals = poly_eval(anti, np.asarray(pts))
-    return float(np.abs(np.diff(vals)).sum())
+    c = np.asarray(coeffs, dtype=float)
+    deg = int(_effective_degree(c))
+    if deg <= 2:
+        return float(integrate_abs_local(taylor_shift(c[: deg + 1], lo), hi - lo))
+    return float(_integrate_abs_split(c[None, :], np.array([lo]), np.array([hi]))[0])

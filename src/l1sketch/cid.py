@@ -31,7 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._poly import MAX_DEGREE, integrate_abs_poly, poly_eval, to_unit_interval
+from ._poly import (
+    MAX_DEGREE,
+    integrate_abs_local,
+    integrate_abs_poly,
+    poly_eval,
+    to_unit_interval,
+)
 from .errors import ParameterError
 from .randstream import RandomStream, cauchy_in_place
 
@@ -233,15 +239,10 @@ def calibrate_c(
         raise ParameterError("trials must be >= 1")
     per_degree: dict[int, int] = {}
     for d in range(1, d_max + 1):
-        polys = []
-        exact = []
-        for i in range(trials):
-            sub = rng.substream((d << 32) + i)
-            coeffs = random_polynomial(d, sub)
-            polys.append(coeffs)
-            exact.append(integrate_abs_poly(coeffs, 0.0, 1.0))
-        coeff_mat = np.array(polys)
-        exact_arr = np.array(exact)
+        coeff_mat = np.array(
+            [random_polynomial(d, rng.substream((d << 32) + i)) for i in range(trials)]
+        )
+        exact_arr = integrate_abs_local(coeff_mat, 1.0)
 
         def all_within(r: int) -> bool:
             scales = riemann_abs_scale(coeff_mat, r, nodes)

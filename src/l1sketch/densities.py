@@ -20,7 +20,7 @@ Distances are computed exactly and in batch.  The oracle Taylor-shifts ``C``
 to the interval-local variable ``u = x - a_l``.  On every interval the
 difference of two densities is then a polynomial in ``u`` on ``[0, w_l]``,
 whose absolute value integrates in closed form once its sign changes are
-found: closed-form roots for degree <= 2, Sturm-sequence isolation for
+found: closed-form roots for degree <= 2, companion-matrix eigenvalues for
 degree >= 3 (see :mod:`l1sketch._poly`).  Local coordinates keep the result
 accurate on grids far from the origin.
 """
@@ -348,7 +348,8 @@ def exact_all_pairs(family: DensityFamily):
     One batched kernel call per row ``j`` covers all pairs ``(j, k > j)``
     and all intervals.  Intervals where both densities carry identical
     coefficients contribute an exact 0.  Accurate to rounding for degree
-    <= 2, and to the root-isolation tolerance above.
+    <= 2; above, a root found with error ``delta`` changes the integral
+    only at order ``delta**(k+1)``, ``k`` the root's multiplicity.
     """
     from .pipeline import DistanceMatrix  # local import to avoid a cycle
 

@@ -158,11 +158,12 @@ def test_dist_structural_error_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
-def _two_constants(tmp_path, first: str, second: str) -> str:
-    """Degree-0 family of two constants on [0, 1), written as raw JSON tokens."""
-    path = tmp_path / "constants.json"
+def _two_densities(tmp_path, first: str, second: str, degree: int = 0) -> str:
+    """Family of two one-piece densities on [0, 1) of the given degree, each
+    coefficient list written as raw comma-separated JSON tokens."""
+    path = tmp_path / f"degree{degree}.json"
     path.write_text(
-        '{"degree": 0, "breakpoints": [0.0, 1.0], "densities": ['
+        f'{{"degree": {degree}, "breakpoints": [0.0, 1.0], "densities": ['
         f'{{"name": "a", "segments": [{{"b": 0, "c": 1, "coeffs": [{first}]}}]}}, '
         f'{{"name": "b", "segments": [{{"b": 0, "c": 1, "coeffs": [{second}]}}]}}]}}'
     )
@@ -173,7 +174,7 @@ def _two_constants(tmp_path, first: str, second: str) -> str:
 @pytest.mark.parametrize("token", ["NaN", "-Infinity", "1e400"])
 def test_dist_non_finite_coefficient_exit_2(tmp_path, capsys, method, token):
     out = tmp_path / "dist.csv"
-    path = _two_constants(tmp_path, "1.0", token)
+    path = _two_densities(tmp_path, "1.0", token)
     code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
     assert code == 2
     assert "'b': segment coefficients must be finite" in capsys.readouterr().err
@@ -182,16 +183,20 @@ def test_dist_non_finite_coefficient_exit_2(tmp_path, capsys, method, token):
 
 @pytest.mark.parametrize("method", ["exact", "sketch"])
 def test_dist_overflowing_distance_exit_4(tmp_path, capsys, method):
-    # finite coefficients whose difference overflows float64
+    # finite coefficients whose difference overflows float64, at degree 0 and
+    # at degree 3, where the difference [inf, 0, 0, inf] once integrated to 0.0
     out = tmp_path / "dist.csv"
-    path = _two_constants(tmp_path, "1e308", "-1e308")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
-    assert code == 4
-    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-    assert "not finite" in capsys.readouterr().err
-    assert not out.exists()
+    for path in (
+        _two_densities(tmp_path, "1e308", "-1e308"),
+        _two_densities(tmp_path, "1e308, 0, 0, 1e308", "-1e308, 0, 0, -1e308", degree=3),
+    ):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["dist", path, "--method", method, "--epsilon", "0.5", "--out", str(out)])
+        assert code == 4
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 _OK = {"name": "ok", "segments": [{"b": 0, "c": 3, "coeffs": [0.25]}]}

@@ -1,4 +1,9 @@
-"""Polynomial helpers: evaluation, sign-change isolation, |p| integration."""
+"""Polynomial helpers: evaluation, Taylor shift, |p| integration.
+
+The |p| references for degree >= 3 are polynomials built from known roots,
+integrated by adaptive Simpson in product form between their real roots, so
+they never go through monomial coefficients.
+"""
 
 import numpy as np
 import pytest
@@ -8,10 +13,7 @@ from l1sketch._poly import (
     integrate_abs_local,
     integrate_abs_poly,
     poly_antideriv,
-    poly_deriv,
     poly_eval,
-    poly_trim,
-    sign_change_roots,
     taylor_shift,
 )
 
@@ -24,20 +26,7 @@ def test_poly_eval_horner():
 
 
 def test_trim_and_calculus():
-    assert poly_trim([1.0, 2.0, 0.0]).tolist() == [1.0, 2.0]
-    assert poly_trim([0.0, 0.0]).tolist() == [0.0]
-    assert poly_deriv([5.0, 1.0, 3.0]).tolist() == [1.0, 6.0]
     assert poly_antideriv([2.0]).tolist() == [0.0, 2.0]
-
-
-def test_sign_change_linear_and_quadratic():
-    assert sign_change_roots([-1.0, 2.0], 0.0, 1.0) == [0.5]
-    assert sign_change_roots([-1.0, 2.0], 0.6, 1.0) == []
-    # (x - 0.3)(x - 0.7) = 0.21 - x + x^2
-    roots = sign_change_roots([0.21, -1.0, 1.0], 0.0, 1.0)
-    assert np.allclose(roots, [0.3, 0.7])
-    # double root has no sign change and is ignored
-    assert sign_change_roots([0.25, -1.0, 1.0], 0.0, 1.0) == []
 
 
 def test_integrate_abs_frozen_values():
@@ -75,7 +64,7 @@ def test_integrate_abs_local_degree_two_edge_cases():
 
 
 def test_integrate_abs_local_high_degree_rows():
-    # degree >= 3 rows take the Sturm path; all-zero rows stay exact zeros
+    # degree >= 3 rows take the companion-matrix kernel; all-zero rows stay exact zeros
     rows = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0], [-0.125, 0.75, -1.5, 1.0]])
     got = integrate_abs_local(rows, 1.0)
     # (u - 1/2)^3 is odd about 1/2: 2 * (1/2)^4 / 4
@@ -106,26 +95,108 @@ def test_integrate_abs_matches_quadrature(degree):
         assert abs(mine - ref) < 1e-8 * max(1.0, ref)
 
 
-def test_sign_changes_match_companion_roots():
-    gen = np.random.default_rng(7)
-    for _ in range(300):
-        degree = int(gen.integers(3, 17))
-        coeffs = gen.uniform(-1.0, 1.0, degree + 1)
-        lo, hi = sorted(gen.uniform(-2.0, 2.0, 2))
-        if hi - lo < 1e-2:
-            continue
-        mine = sign_change_roots(coeffs, lo, hi)
-        comp = np.roots(poly_trim(coeffs)[::-1])
-        ref = sorted(
-            float(r.real)
-            for r in comp
-            if abs(r.imag) < 1e-9 and lo < r.real < hi
-        )
-        # compare via the |p| integral, which is what the roots are for
-        anti = poly_antideriv(coeffs)
+def _from_roots(roots, lead=1.0):
+    """Ascending coefficients of ``lead * prod(x - r)``."""
+    return (lead * np.poly(roots)[::-1]).real
 
-        def total(points):
-            pts = np.array([lo] + list(points) + [hi])
-            return np.abs(np.diff(poly_eval(anti, pts))).sum()
 
-        assert abs(total(mine) - total(ref)) < 1e-9 * max(1.0, total(ref))
+def _reference(roots, lo, hi, lead=1.0):
+    """Integral of ``|lead * prod(x - r)|`` over ``[lo, hi]``, evaluated in
+    product form and split at the real roots inside."""
+
+    def abs_p(x):
+        return abs(lead * np.prod([x - r for r in roots]))
+
+    real = sorted(r.real for r in roots if r.imag == 0.0 and lo < r.real < hi)
+    cuts = [lo] + real + [hi]
+    return sum(adaptive_simpson(abs_p, a, b, tol=1e-14) for a, b in zip(cuts[:-1], cuts[1:]))
+
+
+@pytest.mark.parametrize(
+    "roots",
+    [
+        pytest.param([0.3, 0.3 + 1e-9, 0.8], id="roots-1e-9-apart"),
+        pytest.param([0.2, 0.7, 0.7 + 1e-9, 0.7 + 2e-9], id="three-roots-1e-9-apart"),
+        pytest.param([0.45, 0.45, 0.45], id="triple"),
+        pytest.param([-0.3, 0.6, 0.6, 0.6, 1.4], id="triple-and-simple"),
+        pytest.param([0.5 + 1e-7j, 0.5 - 1e-7j, 0.2, 0.9], id="complex-pair-1e-7"),
+        pytest.param([0.5 + 1e-3j, 0.5 - 1e-3j, 0.1], id="complex-pair-1e-3"),
+        pytest.param([0.3 + 1e-6j, 0.3 - 1e-6j, 0.6 + 1e-6j, 0.6 - 1e-6j], id="two-complex-pairs"),
+    ],
+)
+def test_integrate_abs_known_roots(roots):
+    coeffs = _from_roots(roots)
+    ref = _reference(roots, 0.0, 1.0)
+    assert abs(integrate_abs_poly(coeffs, 0.0, 1.0) - ref) <= 1e-12 * ref
+    assert abs(integrate_abs_local(coeffs, 1.0) - ref) <= 1e-12 * ref
+    assert integrate_abs_poly(coeffs, 0, 1) == integrate_abs_poly(coeffs, 0.0, 1.0)
+    # the same polynomial on a window away from the origin, in caller coordinates
+    lo, hi = -1.5, 2.0
+    shifted = [r + 1.0 for r in roots]
+    ref = _reference(shifted, lo, hi)
+    assert abs(integrate_abs_poly(_from_roots(shifted), lo, hi) - ref) <= 1e-12 * ref
+
+
+def test_integrate_abs_roots_at_both_ends():
+    # roots exactly at u = 0 and u = w, and one inside
+    for w in (0.9, 1.0, 3.0):
+        roots = [0.0, 0.35 * w, w]
+        for lead in (2.0, -0.5):
+            coeffs = _from_roots(roots, lead)
+            ref = _reference(roots, 0.0, w, lead)
+            assert abs(integrate_abs_local(coeffs, w) - ref) <= 1e-12 * ref
+            assert abs(integrate_abs_poly(coeffs, 0.0, w) - ref) <= 1e-12 * ref
+
+
+def test_integrate_abs_local_mixed_effective_degrees():
+    # one batch of width 8 whose rows have degree 7, 5, 3, 2, 1 and 0 once
+    # their leading zeros are dropped, plus an all-zero row
+    cases = [
+        ([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95], 1.0),
+        ([0.1 + 0.2j, 0.1 - 0.2j, 0.3, 0.6, 0.9], -2.0),
+        ([0.25, 0.5, 0.75], 1.0),
+        ([0.4, 0.4], 3.0),
+        ([0.6], -1.0),
+        ([], 0.7),
+    ]
+    rows = np.zeros((len(cases) + 1, 8))
+    for i, (roots, lead) in enumerate(cases):
+        c = _from_roots(roots, lead) if roots else np.array([lead])
+        rows[i, : c.size] = c
+    got = integrate_abs_local(rows, 1.0)
+    for (roots, lead), value in zip(cases, got):
+        ref = _reference(roots, 0.0, 1.0, lead) if roots else abs(lead)
+        assert abs(value - ref) <= 1e-12 * ref
+    assert got[-1] == 0.0
+
+
+def test_integrate_abs_local_batched_equals_row_by_row():
+    gen = np.random.default_rng(31)
+    for degree in (3, 6, 16):
+        rows = gen.uniform(-1.0, 1.0, (40, degree + 1))
+        rows[::5, -2:] = 0.0  # leading zeros: lower effective degree
+        rows[3] = 0.0
+        rows[7, :-1] = 0.0  # a monomial: a root of high multiplicity at 0
+        widths = gen.uniform(0.1, 3.0, (2, 1))
+        batched = integrate_abs_local(np.broadcast_to(rows, (2,) + rows.shape), widths)
+        for i, w in enumerate(widths[:, 0]):
+            for j, row in enumerate(rows):
+                assert batched[i, j] == integrate_abs_local(row, w)
+        assert np.all(batched[:, 3] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_integrate_abs_non_finite_rows_are_not_finite(bad):
+    # tier-1 turns any RuntimeWarning into an error, so none may be emitted
+    rows = np.array([[bad, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, bad]])
+    got = integrate_abs_local(rows, 1.0)
+    assert not np.isfinite(got[0]) and not np.isfinite(got[2])
+    assert got[1] == 1.25
+    for row in rows[[0, 2]]:
+        assert not np.isfinite(integrate_abs_poly(row, 0.0, 1.0))
+    assert not np.isfinite(integrate_abs_poly([1.0, bad, 2.0, 3.0, 4.0], -1.0, 1.0))
+    # the difference of the two overflowing densities [1e308, 0, 0, 1e308]
+    # and their negation
+    with np.errstate(over="ignore"):
+        diff = np.array([1e308, 0.0, 0.0, 1e308]) - np.array([-1e308, 0.0, 0.0, -1e308])
+    assert not np.isfinite(integrate_abs_local(diff, 1.0))
