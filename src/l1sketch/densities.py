@@ -226,7 +226,8 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     nonnegativity is probed at segment endpoints plus ``2*degree + 1``
     Chebyshev-spaced interior points per segment, and the total mass is
     checked against 1; both produce warnings, not errors, because the
-    sketching math only needs integrable functions.
+    sketching math only needs integrable functions.  A probe value that
+    overflows float64 gets its own warning instead of a ``RuntimeWarning``.
     """
     Breakpoints(family.breakpoints.points)
     for dens in family.densities:
@@ -242,10 +243,15 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     for dens in family.densities:
         lo, hi = pts[dens.b][:, None], pts[dens.c][:, None]
         probes = np.concatenate([lo, hi, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes], axis=1)
-        if np.any(poly_eval(dens.coeffs[:, None, :], probes) < 0.0):
+        # finite coefficients can still overflow; that is reported, not warned
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = poly_eval(dens.coeffs[:, None, :], probes)
+            mass = float(segment_masses(dens, family.breakpoints).sum())
+        if not np.isfinite(values).all():
+            warnings.append(f"density {dens.name!r} is not finite at probe points")
+        if np.any(values < 0.0):
             warnings.append(f"density {dens.name!r} is negative at probe points")
-        mass = float(segment_masses(dens, family.breakpoints).sum())
-        if abs(mass - 1.0) > MASS_TOLERANCE:
+        if not abs(mass - 1.0) <= MASS_TOLERANCE:  # a NaN mass is reported too
             warnings.append(f"density {dens.name!r} has total mass {mass!r}, expected 1")
     return warnings
 

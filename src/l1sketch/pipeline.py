@@ -24,6 +24,8 @@ absolute replicate indices, and each block's arithmetic is identical no
 matter which worker thread runs it.  Outputs are therefore bit-identical
 for any thread count.  Each block owns one generator and re-keys it to
 ``(seed, rep)`` for each of its replicates, so threads never share one.
+The estimator fans out the same way: each task reduces its own block of
+pair differences along the replicate axis and writes only its own entries.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .densities import (
 )
 from .errors import NonFiniteResultError, ParameterError
 from .randstream import (
-    RandomStream, cauchy_in_place, geometric_mean_estimate, required_sample_count,
+    RandomStream, cauchy_in_place, geometric_mean_rows, required_sample_count,
 )
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
@@ -68,6 +70,12 @@ _CI1_GROUP_PROPOSALS = 3000
 #: 15%, groups of about 12,000 draws (4 replicates) by about 1%.  At the
 #: midpoint rule's r = 11 that ``dist`` uses there, a group holds 15.
 _CID_GROUP_DRAWS = 12_000
+
+#: Sketch rows per estimator task, each estimated against one row ``j``.  A
+#: task's difference buffer is ``(_EST_ROWS, t)`` float64, about 1 MB at
+#: t = 8,187, so it stays in cache from the subtraction through the log to
+#: the row sums, and the estimator's scratch is that one buffer per thread.
+_EST_ROWS = 16
 
 
 class SketchMode(enum.Enum):
@@ -120,6 +128,33 @@ class DistanceMatrix:
             raise ParameterError("entries must be symmetric")
         if np.any(self.entries < 0.0):
             raise ParameterError("entries must be nonnegative")
+
+
+def _check_threads(threads: int) -> None:
+    if threads < 1:
+        raise ParameterError(f"threads must be >= 1, got {threads}")
+
+
+def _fan_out(fn, tasks, threads: int) -> None:
+    """Call ``fn`` on every task: in order on the calling thread when
+    ``threads`` is 1, else on up to ``threads`` workers, worker ``i`` taking
+    tasks ``i, i + threads, ...`` in order.  One share per worker rather than
+    one future per task: on a 2-vCPU VM at m = 400 and t = 2,000, the
+    estimator's 5,000 short tasks took 0.77 s as futures on 2 threads, 0.67 s
+    in one loop and 0.48 s in shares (medians of 5).  Each task must write
+    only its own outputs, so the result does not depend on the count."""
+    tasks, threads = list(tasks), int(threads)
+    if threads == 1:
+        for task in tasks:
+            fn(task)
+        return
+
+    def run_share(first: int) -> None:
+        for task in tasks[first::threads]:
+            fn(task)
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        list(pool.map(run_share, range(min(threads, len(tasks)))))
 
 
 def _ci1_group(stream: RandomStream, reps: range, need: int):
@@ -182,8 +217,7 @@ def sketch_family(
             raise ParameterError("approx_config degree does not match the family")
     if t < 1:
         raise ParameterError("t must be >= 1")
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
 
     n_int = len(family.breakpoints) - 1
     coeffs = unit_coefficients(family.densities, family.breakpoints)
@@ -226,24 +260,56 @@ def sketch_family(
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
 
-    starts = range(0, t, _BLOCK)
-    if threads == 1:
-        for b0 in starts:
-            run_block(b0)
-    else:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            list(pool.map(run_block, starts))
-
+    _fan_out(run_block, range(0, t, _BLOCK), threads)
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 
 
-def estimate_all_pairs(sketch: SketchMatrix, epsilon: float, delta: float) -> DistanceMatrix:
-    """Distance matrix from a sketch via the per-pair geometric-mean estimator.
+def _pair_estimates(values: np.ndarray, threads: int) -> np.ndarray:
+    """The symmetric ``(m, m)`` matrix of geometric-mean estimates of every
+    pair of rows of ``values``, zero on the diagonal, possibly not finite.
+
+    Task ``(j, k0)`` estimates rows ``k0 .. k0 + _EST_ROWS - 1`` (fewer at
+    the end) against row ``j < k0`` with one
+    :func:`l1sketch.randstream.geometric_mean_rows` call on their
+    differences, and writes only its own upper-triangle entries; the lower
+    triangle is mirrored once at the end.
+    """
+    m = values.shape[0]
+    entries = np.zeros((m, m))
+
+    def run_task(task: tuple[int, int]) -> None:
+        j, k0 = task
+        k1 = min(k0 + _EST_ROWS, m)
+        # a difference that overflows gives inf (inf - inf gives NaN), and a
+        # non-finite distance, which DistanceMatrix refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            diffs = np.subtract(values[j], values[k0:k1])
+        entries[j, k0:k1] = geometric_mean_rows(diffs)
+
+    tasks = [(j, k0) for j in range(m - 1) for k0 in range(j + 1, m, _EST_ROWS)]
+    _fan_out(run_task, tasks, threads)
+    lower = np.tril_indices(m, -1)
+    entries[lower] = entries.T[lower]
+    return entries
+
+
+def estimate_all_pairs(
+    sketch: SketchMatrix, epsilon: float, delta: float, threads: int = 1
+) -> DistanceMatrix:
+    """Distance matrix from a sketch via the geometric-mean estimator.
 
     Requires enough replicates for the requested ``(epsilon, delta)``
-    guarantee.  Estimates are deliberately not clamped: the estimator is
-    multiplicative and clamping would mask defects.
+    guarantee.  Pair ``(j, k)`` gets ``exp(mean(log|x_j - x_k|))`` over the
+    replicates, or 0.0 if any replicate's difference is exactly zero, even
+    when another is inf or NaN.  Pairs are estimated in blocks of at most
+    ``_EST_ROWS`` rows against one row, with ``threads`` workers; each entry
+    is bit-identical to a one-pair
+    :func:`l1sketch.randstream.geometric_mean_estimate` call, for
+    any thread count.  An inf or NaN estimate is refused by
+    :class:`DistanceMatrix`.  Estimates are deliberately not clamped: the
+    estimator is multiplicative and clamping would mask defects.
     """
+    _check_threads(threads)
     m = sketch.m
     t_needed = required_sample_count(epsilon, delta, m)
     if sketch.t < t_needed:
@@ -251,13 +317,7 @@ def estimate_all_pairs(sketch: SketchMatrix, epsilon: float, delta: float) -> Di
             f"sketch has t={sketch.t} replicates; epsilon={epsilon}, delta={delta}, "
             f"m={m} requires t >= {t_needed}"
         )
-    entries = np.zeros((m, m))
-    # a difference that overflows gives inf, which DistanceMatrix refuses
-    with np.errstate(over="ignore"):
-        for j in range(m):
-            for k in range(j + 1, m):
-                diff = sketch.values[j] - sketch.values[k]
-                entries[j, k] = entries[k, j] = geometric_mean_estimate(diff, epsilon, delta).value
+    entries = _pair_estimates(sketch.values, threads)
     return DistanceMatrix(
         names=sketch.names,
         entries=entries,
@@ -346,8 +406,7 @@ def run_scheme(
     nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
     :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.
     """
-    if threads < 1:
-        raise ParameterError(f"threads must be >= 1, got {threads}")
+    _check_threads(threads)
     if method == "exact":
         dm = _exact_all_pairs(family)
         dm.config.update({"epsilon": epsilon, "delta": delta, "seed": seed})
@@ -375,7 +434,7 @@ def run_scheme(
     sketch = sketch_family(
         family, t, mode, RandomStream(seed), threads=threads, approx_config=approx_config
     )
-    dm = estimate_all_pairs(sketch, eps_est, delta)
+    dm = estimate_all_pairs(sketch, eps_est, delta, threads=threads)
     dm.config.update({"epsilon_requested": epsilon, "seed": seed})
     if split:
         dm.config.update(

@@ -108,21 +108,38 @@ class ScaleEstimate:
     delta: float | None = None
 
 
+def geometric_mean_rows(diffs: np.ndarray) -> np.ndarray:
+    """Geometric-mean scale of each row of a C-contiguous ``(k, t)`` float64
+    buffer of centered Cauchy samples: ``exp(add.reduce(log|d|, axis=1) / t)``.
+
+    Works in place: the buffer ends up holding ``log|d|``.  Computed in
+    log-space, so products cannot overflow.  A row with an exact zero gives
+    0.0, even when an inf or NaN in it turned its log-sum into NaN.  Each row
+    is reduced along its own contiguous axis, so a row's estimate does not
+    depend on the other rows in the buffer.
+    """
+    np.abs(diffs, out=diffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.log(diffs, out=diffs)
+        sums = np.add.reduce(diffs, axis=1)
+    sums /= diffs.shape[1]
+    # a zero's -inf makes the sum -inf, which exp maps to 0.0, unless a +inf
+    # or NaN in the same row made the sum NaN
+    for i in np.flatnonzero(np.isnan(sums)):
+        if np.isneginf(diffs[i]).any():
+            sums[i] = -np.inf
+    return np.exp(sums, out=sums)
+
+
 def geometric_mean_estimate(
     samples, epsilon: float | None = None, delta: float | None = None
 ) -> ScaleEstimate:
-    """Scale of centered Cauchy samples via the uncorrected geometric mean.
-
-    Computed in log-space, ``exp(mean(log|x|))``, so products cannot
-    overflow.  An exact zero sample short-circuits to 0 rather than
-    propagating ``-inf``.
-    """
-    x = np.asarray(samples, dtype=float)
+    """Scale of centered Cauchy samples via the uncorrected geometric mean:
+    :func:`geometric_mean_rows` on one row, ``exp(mean(log|x|))``, with an
+    exact zero sample giving 0."""
+    x = np.array(samples, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ParameterError("geometric_mean_estimate needs at least one sample")
-    ax = np.abs(x)
-    if np.any(ax == 0.0):
-        return ScaleEstimate(value=0.0, t=int(x.size), epsilon=epsilon, delta=delta)
-    value = float(np.exp(np.mean(np.log(ax))))
+    value = float(geometric_mean_rows(x)[0])
     return ScaleEstimate(value=value, t=int(x.size), epsilon=epsilon, delta=delta)
 

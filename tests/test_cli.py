@@ -199,6 +199,30 @@ def test_dist_overflowing_distance_exit_4(tmp_path, capsys, method):
         assert not out.exists()
 
 
+def test_dist_identical_overflowing_densities_are_distance_zero(tmp_path):
+    # both projections overflow to the same inf in some replicates, where
+    # inf - inf is NaN, and cancel exactly in the rest, so the zero rule
+    # gives 0.0, without a RuntimeWarning
+    out = tmp_path / "dist.csv"
+    path = _two_densities(tmp_path, "1e308", "1e308")
+    assert main(["dist", path, "--method", "sketch", "--epsilon", "0.5", "--out", str(out)]) == 0
+    row_a = [l for l in out.read_text().splitlines() if l.startswith("a,")][0]
+    assert row_a.split(",")[2] == "0.0"
+
+
+def test_dist_mc_overflowing_density_exit_3(tmp_path, capsys):
+    # finite coefficients whose values overflow float64 are refused by name,
+    # without a RuntimeWarning (which this suite turns into an error)
+    out = tmp_path / "dist.csv"
+    path = _two_densities(tmp_path, "1e308, 0, 0, 1e308", "-1e308, 0, 0, -1e308", degree=3)
+    code = main(["dist", path, "--method", "mc", "--epsilon", "0.5", "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "density 'a' is not finite at probe points" in err
+    assert "density 'b' is not finite at probe points" in err
+    assert not out.exists()
+
+
 _OK = {"name": "ok", "segments": [{"b": 0, "c": 3, "coeffs": [0.25]}]}
 
 

@@ -1,16 +1,22 @@
 """Sketch construction, estimation, the MC baseline, and scheme dispatch."""
 
 import math
+import sys
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import l1sketch.pipeline as pipeline_mod
 from conftest import ks_against_cauchy, random_segment_family
 from l1sketch import (
     ApproxConfig,
     Breakpoints,
     DensityFamily,
+    DistanceMatrix,
     ParameterError,
     PiecewisePolyDensity,
     PolySegment,
@@ -20,6 +26,7 @@ from l1sketch import (
     estimate_all_pairs,
     exact_all_pairs,
     exact_l1_distance,
+    geometric_mean_estimate,
     mc_all_pairs,
     merge_breakpoints,
     random_piecewise_linear_family,
@@ -38,7 +45,8 @@ from l1sketch.ci1 import (
 )
 from l1sketch.cid import _node_powers
 from l1sketch.densities import interval_coefficients, unit_coefficients
-from l1sketch.pipeline import _BLOCK, _CID_GROUP_DRAWS
+from l1sketch.errors import NonFiniteResultError
+from l1sketch.pipeline import _BLOCK, _CID_GROUP_DRAWS, _EST_ROWS, SketchMatrix
 
 
 def _uniform_pair():
@@ -136,6 +144,82 @@ def test_estimate_disjoint_uniforms_within_guarantee():
     assert np.array_equal(dm.entries, dm.entries.T)
 
 
+def test_estimate_threads_below_one_refused():
+    t = required_sample_count(0.5, 0.5, 2)
+    sk = sketch_family(_uniform_pair(), t, SketchMode.UNIFORM_FASTPATH, RandomStream(11))
+    with pytest.raises(ParameterError, match="threads must be >= 1, got 0"):
+        estimate_all_pairs(sk, 0.5, 0.5, threads=0)
+
+
+def _per_pair_reference(values: np.ndarray) -> np.ndarray:
+    """The estimator one pair at a time, as one geometric_mean_estimate call
+    on each pair's differences."""
+    m = values.shape[0]
+    entries = np.zeros((m, m))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(m):
+            for k in range(j + 1, m):
+                entries[j, k] = entries[k, j] = geometric_mean_estimate(values[j] - values[k]).value
+    return entries
+
+
+@st.composite
+def awkward_sketches(draw):
+    """Cauchy sketch values of m in [2, 40] rows and t in [1, 300]
+    replicates, at scales up to where differences overflow, with duplicate
+    rows, columns tied across a subset of rows (exact zero differences),
+    and +inf, -inf and NaN entries injected."""
+    m, t = draw(st.integers(2, 40)), draw(st.integers(1, 300))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-300, 1e307]))
+    with np.errstate(over="ignore"):  # the projection also overflows to inf
+        values = np.tan(np.pi * (gen.random((m, t)) - 0.5)) * scale
+    for _ in range(draw(st.integers(0, 3))):
+        values[gen.integers(m)] = values[gen.integers(m)]
+    for _ in range(draw(st.integers(0, 3))):
+        rows = gen.random(m) < 0.5
+        values[rows, gen.integers(t)] = values[gen.integers(m), gen.integers(t)]
+    for bad in draw(st.lists(st.sampled_from([np.inf, -np.inf, np.nan]), max_size=3)):
+        values[gen.integers(m), gen.integers(t)] = bad
+    return values
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(values=awkward_sketches())
+def test_block_estimator_equals_per_pair_loop(values):
+    m, t = values.shape
+    ref = _per_pair_reference(values)
+    sk = SketchMatrix(values, t, SketchMode.UNIFORM_FASTPATH, [f"f{j}" for j in range(m)], 0)
+    # t in [1, 300] is below every (epsilon, delta) rule, so the rule is
+    # lifted to check the arithmetic alone
+    with mock.patch.object(pipeline_mod, "required_sample_count", return_value=1):
+        for threads in (1, 2):
+            np.testing.assert_array_equal(pipeline_mod._pair_estimates(values, threads), ref)
+            if np.isfinite(ref).all():
+                got = estimate_all_pairs(sk, 0.5, 0.5, threads=threads).entries
+                np.testing.assert_array_equal(got, ref)
+            else:
+                with pytest.raises(NonFiniteResultError) as want:
+                    DistanceMatrix(sk.names, ref, "sketch")
+                with pytest.raises(NonFiniteResultError, match=str(want.value)):
+                    estimate_all_pairs(sk, 0.5, 0.5, threads=threads)
+
+
+def test_block_estimator_many_threads_short_switch_interval():
+    # more workers than cores, switching threads as often as the interpreter
+    # allows: a lost or misplaced entry write would break the equality
+    gen = np.random.default_rng(5)
+    values = np.tan(np.pi * (gen.random((3 * _EST_ROWS + 5, 64)) - 0.5))
+    ref = _per_pair_reference(values)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            np.testing.assert_array_equal(pipeline_mod._pair_estimates(values, 8), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 # ------------------------------------------------------------------- sketches
 def test_sketch_deterministic_and_thread_invariant():
     fam = random_piecewise_linear_family(4, 3, RandomStream(12))
@@ -144,6 +228,13 @@ def test_sketch_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(a.values, b.values)
     c = sketch_family(fam, 700, SketchMode.EXACT_CI1, RandomStream(13), threads=4)
     np.testing.assert_array_equal(a.values, c.values)
+    # degree 0 with more rows than one estimator task holds: row 0 is
+    # estimated by three tasks, which go to three different workers
+    wide = random_segment_family(np.random.default_rng(12), 2 * _EST_ROWS + 3, 0)
+    one = run_scheme(wide, 0.5, 0.5, "sketch", seed=13)
+    four = run_scheme(wide, 0.5, 0.5, "sketch", seed=13, threads=4)
+    assert one.config["mode"] == "uniform_fastpath"
+    np.testing.assert_array_equal(one.entries, four.entries)
 
 
 def _reference_sketch(family, t, mode, seed, approx_config=None):

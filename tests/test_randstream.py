@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from l1sketch import (
     ParameterError,
@@ -99,6 +101,30 @@ def test_geometric_mean_frozen_cases():
     assert geometric_mean_estimate([1.0, 0.0, 5.0]).value == 0.0
     with pytest.raises(ParameterError):
         geometric_mean_estimate([])
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(
+    samples=st.lists(
+        st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan]),
+        ),
+        min_size=1,
+        max_size=60,
+    )
+)
+def test_geometric_mean_equals_log_mean_formula(samples):
+    # exp(mean(log|x|)), or 0.0 if any sample is zero, bit for bit, with
+    # NaN where the formula gives NaN
+    x = np.abs(np.array(samples))
+    if (x == 0.0).any():
+        want = 0.0
+    else:
+        with np.errstate(invalid="ignore"):
+            want = float(np.exp(np.mean(np.log(x))))
+    got = geometric_mean_estimate(samples).value
+    np.testing.assert_array_equal(got, want)
 
 
 def test_geometric_mean_overflow_safe():
