@@ -11,9 +11,11 @@ freedom, which yields an exact rejection sampler with acceptance rate
 
 The ratio of density to envelope never exceeds about ``2 sqrt(2)``, far
 below ``C/pi``, so an upper squeeze (``SQUEEZE_K = 3``) rejects every
-proposal whose uniform has ``u * (C/pi) > 3`` without evaluating the density.
-The density is then evaluated on about 38% of proposals (``3 pi/25``); the
-decisions, and so the acceptance rate ``pi/25``, are those of the plain test.
+proposal whose uniform has ``u * (C/pi) > 3``, whatever its point.  The
+sampler therefore draws each block's uniforms first and envelope points only
+for the proposals the squeeze lets through, about 38% of them (``3 pi/25``).
+A rejected proposal's point is independent of its uniform and unused, so
+leaving it undrawn changes no law: the acceptance rate stays ``pi/25``.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component.  The square root and the arctangent are
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EnvelopeDominationError
+from .errors import EnvelopeDominationError, ParameterError
 from .randstream import RandomStream
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
@@ -37,14 +39,8 @@ DOMINATION_C = 25.0
 #: Expected proposals per accepted sample.
 REJECTION_OVERHEAD = DOMINATION_C / np.pi
 
-#: Upper squeeze: the computed density stays below ``SQUEEZE_K`` times the
-#: envelope wherever the envelope is at least ``SQUEEZE_G_MIN``.
+#: Upper squeeze: the density stays below ``SQUEEZE_K`` times the envelope.
 SQUEEZE_K = 3.0
-
-#: Below this envelope value (radius beyond about 7e7) the squeeze is off.
-#: Far out the generic density formula cancels: near the ``x0 = 0`` axis its
-#: computed value passes 3 times the envelope from about ``|x1| = 2e11``.
-SQUEEZE_G_MIN = 1e-24
 
 #: Proposal cap per requested sample before declaring the envelope broken.
 REJECTION_ITERATION_CAP = 10_000
@@ -124,7 +120,8 @@ def ci1_density(x0, x1):
     a polar scan).  Farther out the generic formula cancels near the
     ``x0 = 0`` axis: it returns values of either sign of about 1e-27 from
     ``|x1|`` about 1.5e6, and more than 3 times the envelope from about
-    ``|x1| = 2e11``, which is why the squeeze stops at ``SQUEEZE_G_MIN``.
+    ``|x1| = 2e11``, where the true density stays below ``2 sqrt(2)`` times
+    it.  The sampler evaluates it there only for uniforms the squeeze passes.
     """
     x0a, x1a = np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
@@ -152,41 +149,62 @@ def student_envelope_density(x0, x1):
     return float(out) if out.ndim == 0 else out
 
 
-def _envelope_draws(gen: np.random.Generator, n: int):
-    """Raw envelope proposals from a numpy generator; resamples w == 0."""
-    y = gen.standard_normal((n, 3))
-    w = y[:, 2] * y[:, 2]
-    while np.any(w == 0.0):
-        bad = w == 0.0
-        y[bad, 2] = gen.standard_normal(int(bad.sum()))
-        w = y[:, 2] * y[:, 2]
-    rw = np.sqrt(w)
+def _envelope_points(y):
+    """Envelope points from an ``(n, 3)`` array of standard normals whose
+    third column has no zero square: ``u = y1/sqrt(w)``, ``v = y2/sqrt(w)``
+    with ``w = y3^2``, mapped to ``(u, (u + v)/2)``."""
+    rw = np.sqrt(y[:, 2] * y[:, 2])
     u = y[:, 0] / rw
     v = y[:, 1] / rw
     return u, 0.5 * (u + v)
 
 
+def _envelope_draws(gen: np.random.Generator, n: int):
+    """Raw envelope proposals from a numpy generator; resamples w == 0."""
+    y = gen.standard_normal((n, 3))
+    bad = y[:, 2] * y[:, 2] == 0.0
+    while bad.any():
+        y[bad, 2] = gen.standard_normal(int(bad.sum()))
+        bad = y[:, 2] * y[:, 2] == 0.0
+    return _envelope_points(y)
+
+
+def _squeeze_pass(u01):
+    """Where the upper squeeze lets a uniform through: ``u * (C/pi) <= SQUEEZE_K``."""
+    return u01 * REJECTION_OVERHEAD <= SQUEEZE_K
+
+
 def _proposal_block(gen: np.random.Generator, n: int):
-    """Envelope proposals plus their acceptance uniforms, in fixed draw order."""
-    x0, x1 = _envelope_draws(gen, n)
-    return x0, x1, gen.random(n)
+    """The proposals of a block of ``n`` that the squeeze lets through, as
+    ``(x0, x1, u01)``.
+
+    Draws the ``n`` acceptance uniforms first, then envelope points
+    (:func:`_envelope_draws`) only for the uniforms :func:`_squeeze_pass`
+    keeps, in order.  Every other proposal is rejected whatever its point,
+    and its point is independent of its uniform, so it is not drawn.
+    """
+    u01 = gen.random(n)
+    u01 = u01[_squeeze_pass(u01)]
+    x0, x1 = _envelope_draws(gen, u01.size)
+    return x0, x1, u01
 
 
 def _accept_mask(x0, x1, u01):
     """Rejection test: accept when ``u * (C/pi) * g <= f``.
 
-    Upper squeeze: where ``g >= SQUEEZE_G_MIN`` the computed ratio ``f / g``
-    stays below 2.8285 (sup 2 sqrt(2), approached at large radius towards
-    the direction ``(1, 1)``), so ``u * (C/pi) > SQUEEZE_K = 3`` makes
-    ``u * (C/pi) * g`` exceed ``f`` with a 6% margin, far above rounding: such
-    a proposal is rejected without evaluating ``f``.  Every other point gets
-    the plain test, in the same operation order, so no decision changes.
+    Upper squeeze: the density never exceeds ``2 sqrt(2)`` (about 2.8285)
+    times the envelope, approached at large radius towards the direction
+    ``(1, 1)``, so ``u * (C/pi) > SQUEEZE_K = 3`` rejects with a 6% margin,
+    and ``f`` and ``g`` are evaluated only where :func:`_squeeze_pass`
+    holds; there the test is the plain one.  Far out near the ``x0 = 0`` axis
+    the computed density cancels and can exceed 3 times the envelope (see
+    :func:`ci1_density`), but only a uniform at or below the cut meets it.
     """
-    scaled = u01 * REJECTION_OVERHEAD
-    g = student_envelope_density(x0, x1)
-    test = np.flatnonzero((scaled <= SQUEEZE_K) | ~(g >= SQUEEZE_G_MIN))
-    accept = np.zeros(np.shape(scaled), dtype=bool)
-    accept.flat[test] = scaled.take(test) * g.take(test) <= ci1_density(x0.take(test), x1.take(test))
+    test = np.flatnonzero(_squeeze_pass(u01))
+    x0, x1 = x0.take(test), x1.take(test)
+    accept = np.zeros(np.shape(u01), dtype=bool)
+    scaled = u01.take(test) * REJECTION_OVERHEAD
+    accept.flat[test] = scaled * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
     return accept
 
 
@@ -216,8 +234,9 @@ def unit_pairs(gen: np.random.Generator, need: int):
     """``need`` exact unit-interval pairs from ``gen``, as two arrays.
 
     Draws a first block of :func:`first_block` proposals (so block shapes do
-    not depend on acceptance luck), then tops up in the rare shortfall case.
-    A proposal budget of ``REJECTION_ITERATION_CAP`` per requested draw
+    not depend on acceptance luck), then tops up in the rare shortfall case;
+    each block is :func:`_proposal_block`, uniforms first.  A budget of
+    ``REJECTION_ITERATION_CAP`` proposals (uniforms) per requested draw
     guards against a broken domination bound; exceeding it raises, it never
     loops silently.
     """
@@ -245,10 +264,14 @@ def sample_ci1_unit(rng: RandomStream, size: int | None = None) -> CI1Sample:
 
     Proposals come from the envelope of :func:`sample_student_envelope`; a
     proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
-    ``C = 25``.  Expected proposals per sample: ``25/pi``, about 8.  The loop
-    is :func:`unit_pairs`, the one the sketch uses.
+    ``C = 25``.  Expected proposals per sample: ``25/pi``, about 8, of which
+    about 38% get an envelope point (the squeeze rejects the rest on their
+    uniform alone).  The loop is :func:`unit_pairs`, the one the sketch
+    uses.  A negative ``size`` raises :class:`ParameterError`.
     """
     n = 1 if size is None else int(size)
+    if n < 0:
+        raise ParameterError(f"size must be >= 0, got {size}")
     if n == 0:
         return CI1Sample(np.empty(0), np.empty(0))
     x0, x1 = unit_pairs(rng.generator, n)

@@ -150,8 +150,11 @@ def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarra
 def sample_cid_approx_unit(
     cfg: ApproxConfig, rng: RandomStream, size: int | None = None
 ) -> CIdSample:
-    """Draw the r-step discretized integral vector on the unit interval."""
+    """Draw the r-step discretized integral vector on the unit interval.
+    A negative ``size`` raises :class:`ParameterError`."""
     n = 1 if size is None else int(size)
+    if n < 0:
+        raise ParameterError(f"size must be >= 0, got {size}")
     comps = steps_to_vectors(rng.random((n, cfg.r)), _node_powers(cfg.r, cfg.d, cfg.nodes))
     return CIdSample(comps[0] if size is None else comps)
 

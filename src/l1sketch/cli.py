@@ -124,16 +124,15 @@ def cmd_sample(args) -> int:
         )
     ]
     lines.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
-    if args.count > 0:
-        if cfg is None:
-            pair = sample_ci1_unit(rng, size=args.count)
-            z = CIdSample(np.column_stack([pair.x0, pair.x1]))
-        else:
-            z = sample_cid_approx_unit(cfg, rng, size=args.count)
-        if args.a != 0.0 or args.b != 1.0:
-            z = rescale_cid(z, args.a, args.b)
-        for row in z.components:
-            lines.append(",".join(repr(float(v)) for v in row))
+    if cfg is None:
+        pair = sample_ci1_unit(rng, size=args.count)
+        z = CIdSample(np.column_stack([pair.x0, pair.x1]))
+    else:
+        z = sample_cid_approx_unit(cfg, rng, size=args.count)
+    if args.a != 0.0 or args.b != 1.0:
+        z = rescale_cid(z, args.a, args.b)
+    for row in z.components:
+        lines.append(",".join(repr(float(v)) for v in row))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

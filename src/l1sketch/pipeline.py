@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import _accept_mask, _proposal_block, first_block, unit_pairs
+from .ci1 import _accept_mask, _envelope_points, _squeeze_pass, first_block, unit_pairs
 from .cid import ApproxConfig, _node_powers, steps_to_vectors
 from .densities import (
     DensityFamily,
@@ -56,11 +56,14 @@ from .randstream import (
 #: independent of threading and chunk scheduling.
 _BLOCK = 64
 
-#: Envelope proposals per grouped acceptance test of the exact degree-1 mode
-#: (whole replicates, at least one).  The density's float temporaries grow
-#: with the group, so peak memory does too; at about 3,000 proposals a group
-#: adds well under 1% to a run's peak RSS.
-_CI1_GROUP_PROPOSALS = 3000
+#: Proposals (acceptance uniforms) per group of the exact degree-1 mode
+#: (whole replicates, at least one); about 38% of them get an envelope point
+#: and a density evaluation.  The group's buffers and the density's float
+#: temporaries grow with it, so peak memory does too.  On the 71-interval
+#: benchmark family (735 proposals a replicate) in-process sketch medians
+#: on a 2-vCPU VM were 0.38, 0.31, 0.27, 0.34 and 0.33 s at 3,000, 6,000,
+#: 12,000, 24,000 and 48,000 proposals.
+_CI1_GROUP_PROPOSALS = 12_000
 
 #: Uniform draws per group of the r-step mode (whole replicates, at least
 #: one).  Each group goes through :func:`l1sketch.cid.steps_to_vectors` in a
@@ -162,23 +165,42 @@ def _ci1_group(stream: RandomStream, reps: range, need: int):
     ``(len(reps), need)`` arrays equal to :func:`l1sketch.ci1.unit_pairs` on
     a fresh ``(seed, rep)`` generator per replicate.
 
-    Each replicate draws its first block from its own stream; one acceptance
-    test covers the stacked proposals, and each replicate takes its first
-    ``need`` accepts.  A replicate that falls short redraws through
-    :func:`l1sketch.ci1.unit_pairs` from a re-keyed stream.
+    Each replicate draws its first block's uniforms from its own stream,
+    then the normals of the envelope points the squeeze lets through, into
+    one buffer for the group.  One envelope transform and one acceptance
+    test cover the group, and each replicate takes its first ``need``
+    accepts.  A replicate that falls short, or drew a normal whose square
+    is zero (which :func:`l1sketch.ci1.unit_pairs` redraws), redraws
+    through :func:`l1sketch.ci1.unit_pairs` from a re-keyed stream.
     """
     k = first_block(need)
-    proposals = np.empty((3, len(reps), k))
+    nrep = len(reps)
+    u01 = np.empty((nrep, k))
+    normals = np.empty((nrep * k, 3))
+    counts = np.empty(nrep, dtype=np.intp)
+    n = 0
     for i, rep in enumerate(reps):
         stream.rekey(rep)
-        proposals[:, i] = _proposal_block(stream.generator, k)
-    px0, px1, u01 = proposals
-    acc = _accept_mask(px0, px1, u01)
-    take = acc & (np.cumsum(acc, axis=1) <= need)
-    full = take.sum(axis=1) == need
-    take[~full] = False
-    u0 = np.empty((len(reps), need))
-    u1 = np.empty((len(reps), need))
+        stream.generator.random(out=u01[i])
+        counts[i] = np.count_nonzero(_squeeze_pass(u01[i]))
+        stream.generator.standard_normal(out=normals[n : n + counts[i]])
+        n += counts[i]
+    normals = normals[:n]
+    owner = np.repeat(np.arange(nrep), counts)
+    zero = normals[:, 2] * normals[:, 2] == 0.0
+    normals[zero, 2] = 1.0  # its replicate is redrawn below
+    px0, px1 = _envelope_points(normals)
+    acc = _accept_mask(px0, px1, u01[_squeeze_pass(u01)])
+    # seen[j]: accepts among the group's first j points; before[i]: those
+    # ahead of replicate i's points
+    seen = np.concatenate(([0], np.cumsum(acc)))
+    ends = np.cumsum(counts)
+    before = seen[ends - counts]
+    full = seen[ends] - before >= need
+    full[owner[zero]] = False
+    take = acc & (seen[1:] - np.repeat(before, counts) <= need) & full[owner]
+    u0 = np.empty((nrep, need))
+    u1 = np.empty((nrep, need))
     u0[full] = px0[take].reshape(-1, need)
     u1[full] = px1[take].reshape(-1, need)
     for i in np.flatnonzero(~full):

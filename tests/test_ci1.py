@@ -38,7 +38,6 @@ from l1sketch import (
 from l1sketch.ci1 import (
     DOMINATION_C,
     REJECTION_OVERHEAD,
-    SQUEEZE_G_MIN,
     SQUEEZE_K,
     _accept_mask,
     _density_diagonal,
@@ -241,6 +240,8 @@ def test_sampler_scalar_and_empty():
     assert isinstance(one.x0, float) and isinstance(one.x1, float)
     empty = sample_ci1_unit(RandomStream(10), size=0)
     assert empty.x0.size == 0 and empty.x1.size == 0
+    with pytest.raises(ParameterError, match="size must be >= 0"):
+        sample_ci1_unit(RandomStream(10), size=-1)
 
 
 def test_rejection_loop_raises_instead_of_looping(monkeypatch):
@@ -333,7 +334,10 @@ def test_density_range_claimed_out_to_radius_1e6():
 def test_squeeze_bound_holds_wherever_it_applies():
     # every direction, plus directions within 1e-9 of the diagonal and of the
     # x1 axis (where the generic formula cancels at large radius), out to
-    # radius 1e150, and 1e6 envelope proposals
+    # radius 1e150, and 1e6 envelope proposals: the computed density stays
+    # below the squeeze bound wherever the envelope is at least g_min
+    # (radius up to about 7e7); beyond, see the next test
+    g_min = 1e-24
     offsets = np.concatenate([[0.0], np.logspace(-17, -9, 40), -np.logspace(-17, -9, 40)])
     centres = (DIAGONAL, DIAGONAL + PI, PI / 2, 3 * PI / 2, PI / 4, 5 * PI / 4)
     angles = np.concatenate(
@@ -344,7 +348,7 @@ def test_squeeze_bound_holds_wherever_it_applies():
     for x0, x1 in (grid, (z.x0, z.x1)):
         with np.errstate(all="ignore"):
             g = student_envelope_density(x0, x1)
-        inside = g >= SQUEEZE_G_MIN
+        inside = g >= g_min
         assert inside.any()
         for part in np.array_split(np.flatnonzero(inside), 5):
             ratio = ci1_density(x0[part], x1[part]) / g[part]
@@ -353,11 +357,10 @@ def test_squeeze_bound_holds_wherever_it_applies():
 
 def test_squeeze_off_where_density_cancels():
     # near the x1 axis the computed density passes SQUEEZE_K times the
-    # envelope from about |x1| = 2e11, which is why the squeeze stops at
-    # SQUEEZE_G_MIN
+    # envelope from about |x1| = 2e11 (cancellation: the true density stays
+    # below 2 sqrt(2) times it), so there the squeeze changes decisions
     x1 = np.array([1e13, -1e13])
     assert np.all(ci1_density(np.zeros(2), x1) > SQUEEZE_K * student_envelope_density(0.0, x1))
-    assert np.all(student_envelope_density(0.0, x1) < SQUEEZE_G_MIN)
 
 
 def test_accept_mask_equals_plain_test_on_proposals():
@@ -386,8 +389,17 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
     uu, xx0, xx1 = uu.ravel(), xx0.ravel(), xx1.ravel()
     with np.errstate(all="ignore"):
         mine = _accept_mask(xx0, xx1, uu)
-    np.testing.assert_array_equal(mine, _plain_accept(xx0, xx1, uu))
+        plain = _plain_accept(xx0, xx1, uu)
+    # reject above the cut, else the plain test
+    np.testing.assert_array_equal(mine, plain & (uu * REJECTION_OVERHEAD <= SQUEEZE_K))
     assert mine.any() and not mine.all()
+    # the far-field axis points, where the computed density passes 3 times
+    # the envelope, are rejected above the cut though the plain test accepts
+    # some of them
+    far = (xx0 == 0.0) & (np.abs(xx1) >= 3e11)
+    above = uu * REJECTION_OVERHEAD > SQUEEZE_K
+    assert not mine[far & above].any()
+    assert plain[far & above].any()
 
 
 # -------------------------------------------------------------------- rescale

@@ -70,6 +70,8 @@ def test_component_shapes():
     assert one.components.shape == (4,)
     batch = sample_cid_approx_unit(cfg, RandomStream(2), size=7)
     assert batch.components.shape == (7, 4)
+    with pytest.raises(ParameterError, match="size must be >= 0"):
+        sample_cid_approx_unit(cfg, RandomStream(2), size=-1)
 
 
 def test_linear_marginal_scale():

@@ -305,6 +305,14 @@ def test_sample_ci1_zero_count(tmp_path):
     assert lines[1] == "x0,x1" and len(lines) == 2  # no data rows
 
 
+@pytest.mark.parametrize("kind", [["ci1"], ["cid", "--d", "2"]])
+def test_sample_negative_count_exit_3(tmp_path, capsys, kind):
+    out = tmp_path / "s.csv"
+    assert main(["sample", *kind, "--count", "-1", "--out", str(out)]) == 3
+    assert "size must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sample_ci1_deterministic(tmp_path):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(["sample", "ci1", "--count", "5", "--seed", "3", "--out", str(a)]) == 0

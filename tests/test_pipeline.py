@@ -39,14 +39,17 @@ from l1sketch import (
 from l1sketch._poly import poly_eval
 from l1sketch.ci1 import (
     REJECTION_OVERHEAD,
+    SQUEEZE_K,
     _proposal_block,
     ci1_density,
+    first_block,
     student_envelope_density,
+    unit_pairs,
 )
 from l1sketch.cid import _node_powers
 from l1sketch.densities import interval_coefficients, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _CID_GROUP_DRAWS, _EST_ROWS, SketchMatrix
+from l1sketch.pipeline import _BLOCK, _CI1_GROUP_PROPOSALS, _CID_GROUP_DRAWS, _EST_ROWS, SketchMatrix
 
 
 def _uniform_pair():
@@ -239,19 +242,26 @@ def test_sketch_deterministic_and_thread_invariant():
 
 def _reference_sketch(family, t, mode, seed, approx_config=None):
     """The sketch built replicate by replicate: a fresh stream ``(seed, rep)``
-    per replicate, the rejection test without the squeeze, and the
-    projection with the unit-local coefficients.  Returns the values and the
-    number of replicates whose first proposal block fell short of one accept
-    per interval."""
+    per replicate; for each proposal block of k, k uniforms, then three
+    normals per uniform with ``u * (C/pi) <= SQUEEZE_K``, then the plain
+    rejection test on those; and the projection with the unit-local
+    coefficients.  Returns the values and the number of replicates whose
+    first proposal block fell short of one accept per interval."""
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
-    first_block = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
+    first = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
     if mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
 
     def accepted(gen, k):
-        x0, x1, u = _proposal_block(gen, k)
+        u = gen.random(k)
+        u = u[u * REJECTION_OVERHEAD <= SQUEEZE_K]
+        y = gen.standard_normal((u.size, 3))
+        w = y[:, 2] * y[:, 2]
+        assert np.all(w != 0.0)  # the sampler redraws such a normal
+        x0 = y[:, 0] / np.sqrt(w)
+        x1 = 0.5 * (x0 + y[:, 1] / np.sqrt(w))
         keep = u * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
         return x0[keep], x1[keep]
 
@@ -265,7 +275,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
             if mode is SketchMode.UNIFORM_FASTPATH:
                 z[i, :, 0] = np.tan(np.pi * (gen.random(n_int) - 0.5))
             elif mode is SketchMode.EXACT_CI1:
-                parts = [accepted(gen, first_block)]
+                parts = [accepted(gen, first)]
                 got = parts[0][0].size
                 shortfalls += got < n_int
                 while got < n_int:
@@ -285,6 +295,9 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         (SketchMode.UNIFORM_FASTPATH, "uniform", None),
         (SketchMode.EXACT_CI1, "linear-few", None),
         (SketchMode.EXACT_CI1, "linear", None),
+        # 31 intervals: groups of 37 replicates, so every block of 64 holds
+        # two groups
+        (SketchMode.EXACT_CI1, "linear-wide", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
@@ -300,6 +313,7 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
         # 3 accepts, so the shortfall path runs
         "linear-few": lambda: random_piecewise_linear_family(2, 2, RandomStream(40)),
         "linear": lambda: random_piecewise_linear_family(4, 3, RandomStream(41)),
+        "linear-wide": lambda: random_piecewise_linear_family(2, 16, RandomStream(45)),
         "quadratic": lambda: DensityFamily(
             Breakpoints(np.array([0.0, 0.4, 1.0])),
             [
@@ -319,9 +333,74 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     if family == "linear-few":
         assert len(fam.breakpoints) - 1 <= 6
         assert shortfalls > 0
+    if family == "linear-wide":
+        group = _CI1_GROUP_PROPOSALS // first_block(len(fam.breakpoints) - 1)
+        assert 1 < group < _BLOCK and _BLOCK % group != 0
     if mode is SketchMode.CID_APPROX and config.r > 100:
         group = _CID_GROUP_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
         assert 1 < group < _BLOCK and _BLOCK % group != 0
+
+
+def _state(gen):
+    """The Philox state of ``gen`` as comparable Python values."""
+    st = gen.bit_generator.state
+    return (
+        st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
+        st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"],
+    )
+
+
+@pytest.mark.parametrize("k", [64, 735])
+def test_proposal_block_draws_uniforms_then_normals_for_survivors(k):
+    gen = RandomStream(43, k).generator
+    x0, x1, u = _proposal_block(gen, k)
+    ref = RandomStream(43, k).generator
+    uniforms = ref.random(k)
+    passed = uniforms * REJECTION_OVERHEAD <= SQUEEZE_K
+    np.testing.assert_array_equal(u, uniforms[passed])
+    ref.standard_normal(3 * u.size)
+    assert _state(gen) == _state(ref)
+    assert x0.size == x1.size == u.size < k
+
+
+class _ZeroSquareStub:
+    """A generator that zeroes the third normal of row 5 of every
+    ``(n, 3)`` normal draw on streams whose id is in ``ids``; other draws,
+    the resampling ones included, are the wrapped generator's."""
+
+    def __init__(self, gen, ids):
+        self._gen, self._ids = gen, ids
+        self.bit_generator = gen.bit_generator
+
+    def random(self, size=None, out=None):
+        return self._gen.random(size, out=out)
+
+    def standard_normal(self, size=None, out=None):
+        y = self._gen.standard_normal(size, out=out)
+        if y.ndim == 2 and y.shape[0] > 5 and int(self.bit_generator.state["state"]["key"][1]) in self._ids:
+            y[5, 2] = 0.0
+        return y
+
+
+def test_ci1_group_redraws_replicate_with_zero_square(monkeypatch):
+    need, reps, ids = 71, range(8, 13), {9, 12}
+    stream = RandomStream(44)
+    stream.generator = _ZeroSquareStub(stream.generator, ids)
+    redrawn = []
+
+    def counted(gen, n):
+        redrawn.append(int(gen.bit_generator.state["state"]["key"][1]))
+        return unit_pairs(gen, n)
+
+    monkeypatch.setattr(pipeline_mod, "unit_pairs", counted)
+    u0, u1 = pipeline_mod._ci1_group(stream, reps, need)
+    assert set(redrawn) == ids
+    for i, rep in enumerate(reps):
+        gen = _ZeroSquareStub(RandomStream(44, rep).generator, ids)
+        x0, x1 = unit_pairs(gen, need)
+        np.testing.assert_array_equal(u0[i], x0)
+        np.testing.assert_array_equal(u1[i], x1)
+    assert np.isfinite(u0).all() and np.isfinite(u1).all()
 
 
 def _with_unit_densities(family):
