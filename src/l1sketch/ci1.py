@@ -149,24 +149,19 @@ def student_envelope_density(x0, x1):
     return float(out) if out.ndim == 0 else out
 
 
-def _envelope_points(y):
-    """Envelope points from an ``(n, 3)`` array of standard normals whose
-    third column has no zero square: ``u = y1/sqrt(w)``, ``v = y2/sqrt(w)``
-    with ``w = y3^2``, mapped to ``(u, (u + v)/2)``."""
-    rw = np.sqrt(y[:, 2] * y[:, 2])
-    u = y[:, 0] / rw
-    v = y[:, 1] / rw
-    return u, 0.5 * (u + v)
-
-
 def _envelope_draws(gen: np.random.Generator, n: int):
-    """Raw envelope proposals from a numpy generator; resamples w == 0."""
+    """``n`` raw envelope proposals from a numpy generator: standard normals
+    ``y1, y2, y3`` give ``u = y1/sqrt(w)``, ``v = y2/sqrt(w)`` with
+    ``w = y3^2``, mapped to ``(u, (u + v)/2)``; a zero ``w`` is resampled."""
     y = gen.standard_normal((n, 3))
     bad = y[:, 2] * y[:, 2] == 0.0
     while bad.any():
         y[bad, 2] = gen.standard_normal(int(bad.sum()))
         bad = y[:, 2] * y[:, 2] == 0.0
-    return _envelope_points(y)
+    rw = np.sqrt(y[:, 2] * y[:, 2])
+    u = y[:, 0] / rw
+    v = y[:, 1] / rw
+    return u, 0.5 * (u + v)
 
 
 def _squeeze_pass(u01):
@@ -225,20 +220,29 @@ def sample_student_envelope(rng: RandomStream, size: int | None = None) -> CI1Sa
 
 
 def first_block(need: int) -> int:
-    """Proposals in the first block for ``need`` accepts: 1.3 times the
-    expected count, at least 64."""
-    return max(math.ceil(need * REJECTION_OVERHEAD * 1.3), 64)
+    """Proposals in the first block for ``need`` accepts: the expected count
+    ``mean = need * C/pi`` plus ``4 sqrt(mean)``, at least 64.
+
+    Each proposal is accepted with probability ``p = pi/C``, so the margin
+    is ``4 sqrt(p / (1 - p))``, about 1.5, standard deviations of the accept
+    count whatever ``need`` is: about 6% of first blocks fall short and top
+    up, and the overdraw share ``4 / sqrt(mean)`` falls as ``need`` grows.
+    """
+    mean = need * REJECTION_OVERHEAD
+    return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
 
 
 def unit_pairs(gen: np.random.Generator, need: int):
     """``need`` exact unit-interval pairs from ``gen``, as two arrays.
 
-    Draws a first block of :func:`first_block` proposals (so block shapes do
-    not depend on acceptance luck), then tops up in the rare shortfall case;
-    each block is :func:`_proposal_block`, uniforms first.  A budget of
-    ``REJECTION_ITERATION_CAP`` proposals (uniforms) per requested draw
-    guards against a broken domination bound; exceeding it raises, it never
-    loops silently.
+    Accepted proposals are i.i.d. draws of the pair law, so the sketch asks
+    for a whole group of replicates at once and lays the draws out by
+    (replicate, interval) slot.  Draws a first block of :func:`first_block`
+    proposals (so block shapes do not depend on acceptance luck), then tops
+    up while short; each block is :func:`_proposal_block`, uniforms first.
+    A budget of ``REJECTION_ITERATION_CAP`` proposals (uniforms) per
+    requested draw guards against a broken domination bound; exceeding it
+    raises, it never loops silently.
     """
     parts0, parts1 = [], []
     got = used = 0

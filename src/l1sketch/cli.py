@@ -27,7 +27,7 @@ from .ci1 import ci1_density, sample_ci1_unit
 from .cid import ApproxConfig, CIdSample, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
-from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json, sha256_digest
+from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json
 from .pipeline import run_scheme
 from .randstream import RandomStream
 
@@ -68,9 +68,7 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 
 def cmd_dist(args) -> int:
-    with open(args.input, "rb") as handle:
-        raw = handle.read()
-    family = load_family(args.input)
+    family, digest = load_family(args.input, with_digest=True)
     validate_family(family)
     start = time.perf_counter()
     dm = run_scheme(
@@ -93,7 +91,7 @@ def cmd_dist(args) -> int:
             "format": args.format,
         },
         seed=args.seed,
-        input_digest=sha256_digest(raw),
+        input_digest=digest,
     )
     text = matrix_to_csv(dm, manifest) if args.format == "csv" else matrix_to_json(dm, manifest)
     _write(text, args.out)
@@ -150,7 +148,7 @@ def cmd_eval(args) -> int:
                 lines.append(f"{float(x0)!r},{float(x1)!r},{float(v)!r}")
         _write("\n".join(lines) + "\n", args.out)
         return EXIT_OK
-    family = load_family(args.input)
+    family, digest = load_family(args.input, with_digest=True)
     names = {d.name: d for d in family.densities}
     if args.name not in names:
         raise ParameterError(f"density {args.name!r} not in family {sorted(names)}")
@@ -160,8 +158,6 @@ def cmd_eval(args) -> int:
     else:
         xs = _parse_grid(args.grid)
     vals = eval_density(dens, family.breakpoints, xs)
-    with open(args.input, "rb") as handle:
-        digest = sha256_digest(handle.read())
     header = _manifest_line(
         "eval",
         {"target": args.target, "name": args.name, "grid": args.grid, "points": args.points},

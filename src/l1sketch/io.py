@@ -88,9 +88,23 @@ def family_from_json(text: str) -> DensityFamily:
     return family_from_dict(doc)
 
 
-def load_family(path: str) -> DensityFamily:
-    with open(path, "r", encoding="utf-8") as handle:
-        return family_from_json(handle.read())
+def load_family(path: str, with_digest: bool = False):
+    """The family in the file at ``path``; with ``with_digest``, also the
+    sha256 of the bytes parsed.  The file is read once.  An unreadable path
+    or bytes that are not UTF-8 raise :class:`FamilyFormatError`."""
+    try:
+        with open(path, "rb") as handle:
+            raw = handle.read()
+    except OSError as exc:
+        raise FamilyFormatError(f"cannot read family file {path!r}: {exc.strerror}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FamilyFormatError(
+            f"family file is not UTF-8: byte {exc.start} ({raw[exc.start:exc.start + 1]!r})"
+        ) from exc
+    family = family_from_json(text)
+    return (family, sha256_digest(raw)) if with_digest else family
 
 
 def save_family(family: DensityFamily, path: str) -> None:

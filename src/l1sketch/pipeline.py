@@ -6,9 +6,10 @@ interval ``l``, shared by all densities.  Each density's projection value
 is ``X_j = sum_l Cu[j, l] . z_l``, with ``Cu`` the unit-local coefficient
 tensor of :func:`l1sketch.densities.unit_coefficients` (the coefficients of
 ``w_l p_{j,l}(a_l + w_l u)``), so no draw is mapped to its interval and one
-matrix product projects a whole block of replicates.  The uniforms of a
-group of replicates are turned into integral vectors by a few whole-array
-operations, which release the GIL, so blocks run in parallel on threads.
+matrix product projects a whole block of replicates.  The draws of a
+group of replicates are made and turned into integral vectors by a few
+whole-array operations, which release the GIL, so blocks run in parallel on
+threads.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
@@ -18,12 +19,13 @@ one m-by-t matrix.  In :func:`run_scheme` the degree alone picks the sampler;
 Sharing the per-interval draws within a replicate is what makes differences
 meaningful: identical densities cancel exactly, replicate by replicate.
 
-Determinism contract: replicate ``rep`` consumes only the stream
-``(seed, rep)``, replicates are processed in fixed-size blocks aligned to
-absolute replicate indices, and each block's arithmetic is identical no
-matter which worker thread runs it.  Outputs are therefore bit-identical
-for any thread count.  Each block owns one generator and re-keys it to
-``(seed, rep)`` for each of its replicates, so threads never share one.
+Determinism contract: replicates are processed in blocks of 64 aligned to
+absolute replicate indices, and the block starting at replicate ``b0``
+consumes only the stream ``(seed, b0)``, so no two blocks share a generator.
+A block draws its replicates in groups of a fixed size, each group in a few
+whole-array calls on that stream, and its arithmetic is identical no matter
+which worker thread runs it.  Outputs are therefore bit-identical for any
+thread count, and a full block's columns do not depend on ``t``.
 The estimator fans out the same way: each task reduces its own block of
 pair differences along the replicate axis and writes only its own entries.
 """
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import _accept_mask, _envelope_points, _squeeze_pass, first_block, unit_pairs
+from .ci1 import REJECTION_OVERHEAD, unit_pairs
 from .cid import ApproxConfig, _node_powers, steps_to_vectors
 from .densities import (
     DensityFamily,
@@ -56,23 +58,18 @@ from .randstream import (
 #: independent of threading and chunk scheduling.
 _BLOCK = 64
 
-#: Proposals (acceptance uniforms) per group of the exact degree-1 mode
-#: (whole replicates, at least one); about 38% of them get an envelope point
-#: and a density evaluation.  The group's buffers and the density's float
+#: Uniforms per draw call: a block is drawn in groups of ``_CALL_DRAWS // u``
+#: whole replicates (at least one) for ``u`` uniforms a replicate: ``n_int``
+#: at degree 0, ``n_int * r`` in the r-step mode, ``n_int * 25/pi``
+#: proposals at degree 1.  The group's buffers and the degree-1 density's
 #: temporaries grow with it, so peak memory does too.  On the 71-interval
-#: benchmark family (735 proposals a replicate) in-process sketch medians
-#: on a 2-vCPU VM were 0.38, 0.31, 0.27, 0.34 and 0.33 s at 3,000, 6,000,
-#: 12,000, 24,000 and 48,000 proposals.
-_CI1_GROUP_PROPOSALS = 12_000
-
-#: Uniform draws per group of the r-step mode (whole replicates, at least
-#: one).  Each group goes through :func:`l1sketch.cid.steps_to_vectors` in a
-#: few whole-array operations, which release the GIL.  Its buffer grows with
-#: it, so peak memory does too: at 71 intervals and r = 42 (right endpoints)
-#: on 2 threads, a whole 64-replicate block raised a run's peak RSS by about
-#: 15%, groups of about 12,000 draws (4 replicates) by about 1%.  At the
-#: midpoint rule's r = 11 that ``dist`` uses there, a group holds 15.
-_CID_GROUP_DRAWS = 12_000
+#: benchmark families, in-process sketch medians on a 2-vCPU VM (three
+#: rounds) at 6,000, 12,000, 24,000 and 48,000 were 0.15-0.20, 0.14-0.21,
+#: 0.14-0.18 and 0.15-0.20 s at degree 1 (t = 2,764), while the sketch
+#: raised peak RSS by 3.3, 3.6, 4.2 and 5.1 MB; and 0.11-0.14, 0.08-0.10,
+#: 0.08-0.09 and 0.07-0.08 s for r = 11 on 2 threads (t = 11,053), by 3.7,
+#: 3.8, 4.1 and 4.9 MB.  12,000 is 15-21 replicates a call there.
+_CALL_DRAWS = 12_000
 
 #: Sketch rows per estimator task, each estimated against one row ``j``.  A
 #: task's difference buffer is ``(_EST_ROWS, t)`` float64, about 1 MB at
@@ -160,55 +157,6 @@ def _fan_out(fn, tasks, threads: int) -> None:
         list(pool.map(run_share, range(min(threads, len(tasks)))))
 
 
-def _ci1_group(stream: RandomStream, reps: range, need: int):
-    """``need`` exact unit draws for each replicate in ``reps``, as two
-    ``(len(reps), need)`` arrays equal to :func:`l1sketch.ci1.unit_pairs` on
-    a fresh ``(seed, rep)`` generator per replicate.
-
-    Each replicate draws its first block's uniforms from its own stream,
-    then the normals of the envelope points the squeeze lets through, into
-    one buffer for the group.  One envelope transform and one acceptance
-    test cover the group, and each replicate takes its first ``need``
-    accepts.  A replicate that falls short, or drew a normal whose square
-    is zero (which :func:`l1sketch.ci1.unit_pairs` redraws), redraws
-    through :func:`l1sketch.ci1.unit_pairs` from a re-keyed stream.
-    """
-    k = first_block(need)
-    nrep = len(reps)
-    u01 = np.empty((nrep, k))
-    normals = np.empty((nrep * k, 3))
-    counts = np.empty(nrep, dtype=np.intp)
-    n = 0
-    for i, rep in enumerate(reps):
-        stream.rekey(rep)
-        stream.generator.random(out=u01[i])
-        counts[i] = np.count_nonzero(_squeeze_pass(u01[i]))
-        stream.generator.standard_normal(out=normals[n : n + counts[i]])
-        n += counts[i]
-    normals = normals[:n]
-    owner = np.repeat(np.arange(nrep), counts)
-    zero = normals[:, 2] * normals[:, 2] == 0.0
-    normals[zero, 2] = 1.0  # its replicate is redrawn below
-    px0, px1 = _envelope_points(normals)
-    acc = _accept_mask(px0, px1, u01[_squeeze_pass(u01)])
-    # seen[j]: accepts among the group's first j points; before[i]: those
-    # ahead of replicate i's points
-    seen = np.concatenate(([0], np.cumsum(acc)))
-    ends = np.cumsum(counts)
-    before = seen[ends - counts]
-    full = seen[ends] - before >= need
-    full[owner[zero]] = False
-    take = acc & (seen[1:] - np.repeat(before, counts) <= need) & full[owner]
-    u0 = np.empty((nrep, need))
-    u1 = np.empty((nrep, need))
-    u0[full] = px0[take].reshape(-1, need)
-    u1[full] = px1[take].reshape(-1, need)
-    for i in np.flatnonzero(~full):
-        stream.rekey(reps[i])
-        u0[i], u1[i] = unit_pairs(stream.generator, need)
-    return u0, u1
-
-
 def sketch_family(
     family: DensityFamily,
     t: int,
@@ -245,39 +193,33 @@ def sketch_family(
     coeffs = unit_coefficients(family.densities, family.breakpoints)
     coeffs = coeffs.reshape(family.m, n_int * (d + 1))
 
+    per_rep = n_int
     if mode is SketchMode.EXACT_CI1:
-        group = max(_CI1_GROUP_PROPOSALS // first_block(n_int), 1)
+        per_rep = n_int * REJECTION_OVERHEAD
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
-        group = max(_CID_GROUP_DRAWS // (n_int * r), 1)
+        per_rep = n_int * r
+    group = max(int(_CALL_DRAWS // per_rep), 1)
     x = np.empty((family.m, t))
 
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         nb = b1 - b0
         z = np.empty((nb, n_int, d + 1))
-        stream = rng.substream(b0)
+        gen = rng.substream(b0).generator
+        for g0 in range(0, nb, group):
+            zg = z[g0 : g0 + group]
+            if mode is SketchMode.UNIFORM_FASTPATH:
+                gen.random(out=zg[..., 0])
+            elif mode is SketchMode.EXACT_CI1:
+                u0, u1 = unit_pairs(gen, zg.shape[0] * n_int)
+                zg[..., 0] = u0.reshape(-1, n_int)
+                zg[..., 1] = u1.reshape(-1, n_int)
+            else:  # CID_APPROX
+                steps_to_vectors(gen.random((zg.shape[0], n_int, r)), node_pow, out=zg)
         if mode is SketchMode.UNIFORM_FASTPATH:
-            for i, rep in enumerate(range(b0, b1)):
-                stream.rekey(rep)
-                stream.generator.random(out=z[i])
             cauchy_in_place(z)
-        elif mode is SketchMode.EXACT_CI1:
-            for g0 in range(0, nb, group):
-                g1 = min(g0 + group, nb)
-                z[g0:g1, :, 0], z[g0:g1, :, 1] = _ci1_group(
-                    stream, range(b0 + g0, b0 + g1), n_int
-                )
-        else:  # CID_APPROX
-            buf = np.empty((min(group, nb), n_int, r))
-            for g0 in range(0, nb, group):
-                g1 = min(g0 + group, nb)
-                u = buf[: g1 - g0]
-                for i, rep in enumerate(range(b0 + g0, b0 + g1)):
-                    stream.rekey(rep)
-                    stream.generator.random(out=u[i])
-                steps_to_vectors(u, node_pow, out=z[g0:g1])
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T

@@ -3,10 +3,10 @@
 Randomness comes from numpy's Philox counter-based generator keyed directly
 by ``(seed, stream_id)``, so any (seed, stream) pair names the same sequence
 on every platform and under any threading layout.  Substreams are cheap to
-create, which lets callers assign one stream per replicate or per worker
-without coordination; re-keying one stream in place (:meth:`RandomStream.rekey`)
-is cheaper still, for callers that visit many streams in turn.  Every
-Cauchy draw in the package is made by :func:`cauchy_in_place`.
+create, which lets callers assign one stream per block of work without
+coordination: the sketch gives each block of 64 replicates the stream
+``(seed, b0)`` of its first replicate ``b0``.  Every Cauchy draw in the
+package is made by :func:`cauchy_in_place`.
 """
 
 from __future__ import annotations
@@ -33,27 +33,6 @@ class RandomStream:
         self.stream_id = int(stream_id) & _UINT64_MASK
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-        self._fresh_state = {
-            "bit_generator": "Philox",
-            "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-            "buffer": np.zeros(4, dtype=np.uint64),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-
-    def rekey(self, stream_id: int) -> None:
-        """Re-key in place to ``(seed, stream_id)``: later draws equal those
-        of a fresh ``RandomStream(seed, stream_id)``.
-
-        Sets the Philox state directly (counter 0, empty buffer, no cached
-        32-bit half), which costs a fraction of building a new generator.
-        Only the key of that state changes from call to call; the setter
-        copies it, so the dict is reused.
-        """
-        self.stream_id = int(stream_id) & _UINT64_MASK
-        self._fresh_state["state"]["key"][1] = self.stream_id
-        self.generator.bit_generator.state = self._fresh_state
 
     def substream(self, stream_id: int) -> "RandomStream":
         """A fresh stream with the same seed and the given stream id."""

@@ -8,15 +8,16 @@ the principal branch.
 """
 
 import cmath
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import binom
 
 from conftest import cf_pair_density, ks_against_cauchy
 import l1sketch.ci1 as ci1_mod
-import l1sketch.pipeline as pipeline_mod
 from l1sketch import (
     Breakpoints,
     CIdSample,
@@ -42,7 +43,9 @@ from l1sketch.ci1 import (
     _accept_mask,
     _density_diagonal,
     _density_generic,
+    _proposal_block,
     diagonal_tolerance,
+    first_block,
 )
 
 PI = np.pi
@@ -248,9 +251,8 @@ def test_rejection_loop_raises_instead_of_looping(monkeypatch):
     def reject_all(x0, x1, u01):
         return np.zeros(np.shape(u01), dtype=bool)
 
-    # the module's own loop and the sketch's grouped first test
+    # the one rejection loop, which the sketch calls too
     monkeypatch.setattr(ci1_mod, "_accept_mask", reject_all)
-    monkeypatch.setattr(pipeline_mod, "_accept_mask", reject_all)
     with pytest.raises(EnvelopeDominationError):
         sample_ci1_unit(RandomStream(14), size=3)
     fam = DensityFamily(
@@ -263,6 +265,29 @@ def test_rejection_loop_raises_instead_of_looping(monkeypatch):
     )
     with pytest.raises(EnvelopeDominationError):
         sketch_family(fam, 5, SketchMode.EXACT_CI1, RandomStream(16))
+
+
+def test_first_block_covers_the_expected_count_with_a_shrinking_margin():
+    shares = []
+    for need in (1, 3, 10, 71, 1_000, 16 * 71, 64 * 71, 100_000):
+        k = first_block(need)
+        assert k >= math.ceil(need * 25 / PI) and k >= 64
+        shares.append(k / (need * REJECTION_OVERHEAD) - 1.0)
+    assert all(a > b for a, b in zip(shares, shares[1:]))
+
+
+def test_first_block_shortfall_share_matches_binomial():
+    # each proposal is accepted with probability pi/C, so the accepts of a
+    # first block of k are Binomial(k, pi/C)
+    need, calls = 1_000, 500
+    k = first_block(need)
+    short = 0
+    for i in range(calls):
+        x0, x1, u01 = _proposal_block(RandomStream(48, i).generator, k)
+        short += int(_accept_mask(x0, x1, u01).sum()) < need
+    p = binom.cdf(need - 1, k, PI / DOMINATION_C)
+    assert 0.03 < p < 0.1
+    assert abs(short - calls * p) <= 4.0 * math.sqrt(calls * p * (1.0 - p))
 
 
 def test_linear_functional_law():

@@ -153,7 +153,8 @@ def test_riemann_scale_of_a_table_equals_its_rows():
 @pytest.mark.parametrize("d,r", [(1, 9), (3, 40)])
 def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
     # on [0, 1] the density x^k projects to entry k of the integral vector,
-    # so the sketch's column rep is the replicate's r-step vector itself
+    # so the sketch's column rep is the replicate's r-step vector itself; the
+    # block of replicates from b0 draws them in turn from stream (seed, b0)
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 1.0])),
         [PiecewisePolyDensity(f"x{k}", [PolySegment(0, 1, np.eye(d + 1)[k])], d) for k in range(d + 1)],
@@ -162,9 +163,11 @@ def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
     cfg = ApproxConfig(d=d, epsilon_integration=0.1, r=r, nodes=nodes)
     t = 2 * _BLOCK + 3
     sk = sketch_family(fam, t, SketchMode.CID_APPROX, RandomStream(61), approx_config=cfg)
-    for rep in (0, 1, _BLOCK + 5, t - 1):
-        z = sample_cid_approx_unit(cfg, RandomStream(61, rep), size=1)
-        np.testing.assert_array_equal(z.components[0], sk.values[:, rep])
+    for b0 in range(0, t, _BLOCK):
+        stream = RandomStream(61, b0)
+        for rep in range(b0, min(b0 + _BLOCK, t)):
+            z = sample_cid_approx_unit(cfg, stream, size=1)
+            np.testing.assert_array_equal(z.components[0], sk.values[:, rep])
 
 
 @pytest.mark.parametrize("nodes", ["right", "midpoint"])

@@ -1,5 +1,6 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -295,6 +296,40 @@ def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, metho
 
 def test_dist_missing_file_exit_2(capsys):
     assert main(["dist", "/nonexistent/family.json", "--method", "exact"]) == 2
+
+
+def _input_argv(command, path):
+    if command == "dist":
+        return ["dist", path, "--method", "exact"]
+    return ["eval", "density", "--input", path, "--name", "a", "--points", "0.5"]
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_family_file_not_utf8_exit_2(pair_family_path, tmp_path, capsys, command):
+    # a density name holding a byte that is not UTF-8
+    path = tmp_path / "bad.json"
+    path.write_bytes(open(pair_family_path, "rb").read().replace(b'"a"', b'"a\xff"', 1))
+    out = tmp_path / "out.csv"
+    assert main(_input_argv(command, str(path)) + ["--out", str(out)]) == 2
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_family_path_unreadable_exit_2(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert main(_input_argv(command, str(tmp_path)) + ["--out", str(out)]) == 2
+    assert "cannot read family file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["dist", "eval"])
+def test_manifest_digest_is_of_the_bytes_parsed(pair_family_path, tmp_path, command):
+    raw = open(pair_family_path, "rb").read()
+    out = tmp_path / "out.csv"
+    assert main(_input_argv(command, pair_family_path) + ["--out", str(out)]) == 0
+    manifest = json.loads(out.read_text().splitlines()[0].removeprefix("# manifest: "))
+    assert manifest["input_digest"] == hashlib.sha256(raw).hexdigest()
 
 
 def test_sample_ci1_zero_count(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import l1sketch.ci1 as ci1_mod
 import l1sketch.pipeline as pipeline_mod
 from conftest import ks_against_cauchy, random_segment_family
 from l1sketch import (
@@ -42,14 +43,13 @@ from l1sketch.ci1 import (
     SQUEEZE_K,
     _proposal_block,
     ci1_density,
-    first_block,
     student_envelope_density,
     unit_pairs,
 )
 from l1sketch.cid import _node_powers
 from l1sketch.densities import interval_coefficients, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _CI1_GROUP_PROPOSALS, _CID_GROUP_DRAWS, _EST_ROWS, SketchMatrix
+from l1sketch.pipeline import _BLOCK, _CALL_DRAWS, _EST_ROWS, SketchMatrix
 
 
 def _uniform_pair():
@@ -240,19 +240,36 @@ def test_sketch_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(one.entries, four.entries)
 
 
-def _reference_sketch(family, t, mode, seed, approx_config=None):
-    """The sketch built replicate by replicate: a fresh stream ``(seed, rep)``
-    per replicate; for each proposal block of k, k uniforms, then three
-    normals per uniform with ``u * (C/pi) <= SQUEEZE_K``, then the plain
-    rejection test on those; and the projection with the unit-local
-    coefficients.  Returns the values and the number of replicates whose
-    first proposal block fell short of one accept per interval."""
+def _first_proposals(need):
+    mean = need * 25.0 / math.pi
+    return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
+
+
+def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_proposals):
+    """The sketch built block by block: the block of replicates ``b0 ..
+    b0 + 63`` reads only a fresh stream ``(seed, b0)``, in groups of
+    ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate.  A
+    group of g replicates draws ``(g, n_int)`` uniforms (degree 0),
+    ``(g, n_int, r)`` uniforms (r-step), or its ``g * n_int`` degree-1 pairs
+    from proposal blocks of k: k uniforms, then three normals per uniform
+    with ``u * (C/pi) <= SQUEEZE_K``, then the plain rejection test on
+    those; the accepts fill the group's (replicate, interval) slots in
+    row-major order.  The first k is ``first(g * n_int)``, by default
+    ``mean + 4 sqrt(mean)`` for the expected count ``mean``, at least 64,
+    and each top-up is 1.4 times the expected count still missing, at
+    least 64.  Then comes the projection with
+    the unit-local coefficients.  Returns the values and the number of
+    groups whose first proposal block fell short."""
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
-    first = max(int(math.ceil(n_int * REJECTION_OVERHEAD * 1.3)), 64)
-    if mode is SketchMode.CID_APPROX:
+    per_rep = n_int
+    if mode is SketchMode.EXACT_CI1:
+        per_rep = n_int * 25.0 / math.pi
+    elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
+        per_rep = n_int * r
+    group = max(int(_CALL_DRAWS // per_rep), 1)
 
     def accepted(gen, k):
         u = gen.random(k)
@@ -270,20 +287,24 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
     for b0 in range(0, t, _BLOCK):
         b1 = min(b0 + _BLOCK, t)
         z = np.empty((b1 - b0, n_int, d + 1))
-        for i, rep in enumerate(range(b0, b1)):
-            gen = RandomStream(seed, rep).generator
+        gen = RandomStream(seed, b0).generator
+        for g0 in range(0, b1 - b0, group):
+            g = min(group, b1 - b0 - g0)
             if mode is SketchMode.UNIFORM_FASTPATH:
-                z[i, :, 0] = np.tan(np.pi * (gen.random(n_int) - 0.5))
+                z[g0 : g0 + g, :, 0] = np.tan(np.pi * (gen.random((g, n_int)) - 0.5))
             elif mode is SketchMode.EXACT_CI1:
-                parts = [accepted(gen, first)]
+                need = g * n_int
+                parts = [accepted(gen, first(need))]
                 got = parts[0][0].size
-                shortfalls += got < n_int
-                while got < n_int:
-                    parts.append(accepted(gen, max(int((n_int - got) * REJECTION_OVERHEAD * 1.4), 64)))
+                shortfalls += got < need
+                while got < need:
+                    parts.append(accepted(gen, max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)))
                     got += parts[-1][0].size
-                z[i, :, 0], z[i, :, 1] = (np.concatenate(p)[:n_int] for p in zip(*parts))
+                for k, p in enumerate(zip(*parts)):
+                    z[g0 : g0 + g, :, k] = np.concatenate(p)[:need].reshape(g, n_int)
             else:
-                z[i] = (np.tan(np.pi * (gen.random((n_int, r)) - 0.5)) / r) @ node_pow
+                steps = np.tan(np.pi * (gen.random((g, n_int, r)) - 0.5)) / r
+                z[g0 : g0 + g] = steps @ node_pow
         x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
     return x, shortfalls
 
@@ -295,22 +316,21 @@ def _reference_sketch(family, t, mode, seed, approx_config=None):
         (SketchMode.UNIFORM_FASTPATH, "uniform", None),
         (SketchMode.EXACT_CI1, "linear-few", None),
         (SketchMode.EXACT_CI1, "linear", None),
-        # 31 intervals: groups of 37 replicates, so every block of 64 holds
+        # 31 intervals: groups of 48 replicates, so every block of 64 holds
         # two groups
         (SketchMode.EXACT_CI1, "linear-wide", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10)),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10)),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CID_GROUP_DRAWS // 10, nodes="midpoint")),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10, nodes="midpoint")),
     ],
 )
 def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     families = {
         "uniform": _uniform_pair,
-        # 3 intervals: a first block of 64 proposals often yields fewer than
-        # 3 accepts, so the shortfall path runs
+        # 3 intervals: a whole block of 64 replicates in one call
         "linear-few": lambda: random_piecewise_linear_family(2, 2, RandomStream(40)),
         "linear": lambda: random_piecewise_linear_family(4, 3, RandomStream(41)),
         "linear-wide": lambda: random_piecewise_linear_family(2, 16, RandomStream(45)),
@@ -327,18 +347,60 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     }
     fam = families[family]()
     t = 3 * _BLOCK + 17
-    ref, shortfalls = _reference_sketch(fam, t, mode, 42, config)
+    ref, _ = _reference_sketch(fam, t, mode, 42, config)
     sk = sketch_family(fam, t, mode, RandomStream(42), threads=threads, approx_config=config)
     np.testing.assert_array_equal(sk.values, ref)
-    if family == "linear-few":
-        assert len(fam.breakpoints) - 1 <= 6
-        assert shortfalls > 0
     if family == "linear-wide":
-        group = _CI1_GROUP_PROPOSALS // first_block(len(fam.breakpoints) - 1)
+        group = int(_CALL_DRAWS // ((len(fam.breakpoints) - 1) * REJECTION_OVERHEAD))
         assert 1 < group < _BLOCK and _BLOCK % group != 0
     if mode is SketchMode.CID_APPROX and config.r > 100:
-        group = _CID_GROUP_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
+        group = _CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
         assert 1 < group < _BLOCK and _BLOCK % group != 0
+
+
+def test_sketch_tops_up_groups_whose_first_block_falls_short(monkeypatch):
+    # a first block of 90% of the expected proposals falls short in almost
+    # every group, so the top-up path runs inside the sketch's draw order
+    def short(need):
+        return max(math.ceil(0.9 * need * REJECTION_OVERHEAD), 64)
+
+    monkeypatch.setattr(ci1_mod, "first_block", short)
+    fam = random_piecewise_linear_family(2, 2, RandomStream(40))
+    t = 3 * _BLOCK + 17
+    ref, shortfalls = _reference_sketch(fam, t, SketchMode.EXACT_CI1, 42, first=short)
+    assert shortfalls >= 3
+    for threads in (1, 2):
+        sk = sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(42), threads=threads)
+        np.testing.assert_array_equal(sk.values, ref)
+
+
+_MODE_CASES = [
+    (SketchMode.UNIFORM_FASTPATH, 0, None),
+    (SketchMode.EXACT_CI1, 1, None),
+    (SketchMode.CID_APPROX, 1, ApproxConfig(d=1, epsilon_integration=0.2)),
+    (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
+    # 8 intervals of 200 steps: groups of 7 replicates, the last one partial
+    (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.2, r=200)),
+]
+
+
+@pytest.mark.parametrize("mode,degree,config", _MODE_CASES)
+def test_full_block_columns_do_not_depend_on_t(mode, degree, config):
+    fam = random_segment_family(np.random.default_rng(60 + degree), 4, degree)
+    short = sketch_family(fam, 2 * _BLOCK, mode, RandomStream(46), approx_config=config)
+    long = sketch_family(fam, 3 * _BLOCK + 17, mode, RandomStream(46), approx_config=config)
+    np.testing.assert_array_equal(short.values, long.values[:, : 2 * _BLOCK])
+
+
+@settings(deadline=None, derandomize=True, max_examples=40)
+@given(t=st.integers(1, 300), case=st.sampled_from(_MODE_CASES))
+def test_sketch_equal_at_one_two_and_three_threads(t, case):
+    mode, degree, config = case
+    fam = random_segment_family(np.random.default_rng(70 + degree), 3, degree)
+    one = sketch_family(fam, t, mode, RandomStream(47), approx_config=config).values
+    for threads in (2, 3):
+        other = sketch_family(fam, t, mode, RandomStream(47), threads=threads, approx_config=config)
+        np.testing.assert_array_equal(other.values, one)
 
 
 def _state(gen):
@@ -364,43 +426,40 @@ def test_proposal_block_draws_uniforms_then_normals_for_survivors(k):
 
 
 class _ZeroSquareStub:
-    """A generator that zeroes the third normal of row 5 of every
-    ``(n, 3)`` normal draw on streams whose id is in ``ids``; other draws,
-    the resampling ones included, are the wrapped generator's."""
+    """A generator that zeroes the third normal of row 5 of every ``(n, 3)``
+    normal draw; all draws are the wrapped generator's.  It keeps the
+    ``(n, 3)`` arrays it returns and copies of the 1-D draws, the
+    resampling ones."""
 
-    def __init__(self, gen, ids):
-        self._gen, self._ids = gen, ids
-        self.bit_generator = gen.bit_generator
+    def __init__(self, gen):
+        self._gen = gen
+        self.blocks, self.redraws = [], []
 
     def random(self, size=None, out=None):
         return self._gen.random(size, out=out)
 
     def standard_normal(self, size=None, out=None):
         y = self._gen.standard_normal(size, out=out)
-        if y.ndim == 2 and y.shape[0] > 5 and int(self.bit_generator.state["state"]["key"][1]) in self._ids:
+        if y.ndim == 2 and y.shape[0] > 5:
             y[5, 2] = 0.0
+            self.blocks.append(y)
+        elif y.ndim == 1:
+            self.redraws.append(y.copy())
         return y
 
 
-def test_ci1_group_redraws_replicate_with_zero_square(monkeypatch):
-    need, reps, ids = 71, range(8, 13), {9, 12}
-    stream = RandomStream(44)
-    stream.generator = _ZeroSquareStub(stream.generator, ids)
-    redrawn = []
-
-    def counted(gen, n):
-        redrawn.append(int(gen.bit_generator.state["state"]["key"][1]))
-        return unit_pairs(gen, n)
-
-    monkeypatch.setattr(pipeline_mod, "unit_pairs", counted)
-    u0, u1 = pipeline_mod._ci1_group(stream, reps, need)
-    assert set(redrawn) == ids
-    for i, rep in enumerate(reps):
-        gen = _ZeroSquareStub(RandomStream(44, rep).generator, ids)
-        x0, x1 = unit_pairs(gen, need)
-        np.testing.assert_array_equal(u0[i], x0)
-        np.testing.assert_array_equal(u1[i], x1)
-    assert np.isfinite(u0).all() and np.isfinite(u1).all()
+def test_unit_pairs_redraws_a_zero_square_in_a_block_call():
+    # one call for a 16-replicate group of 71 intervals, as the sketch makes;
+    # the sampler resamples the zeroed normal in place in the stub's array
+    need = 16 * 71
+    stub = _ZeroSquareStub(RandomStream(44, 0).generator)
+    x0, x1 = unit_pairs(stub, need)
+    assert len(stub.blocks) == len(stub.redraws) >= 1
+    for y, redraw in zip(stub.blocks, stub.redraws):
+        assert y[5, 2] == redraw[0] != 0.0
+        assert np.all(y[:, 2] * y[:, 2] != 0.0)
+    assert x0.size == x1.size == need
+    assert np.isfinite(x0).all() and np.isfinite(x1).all()
 
 
 def _with_unit_densities(family):

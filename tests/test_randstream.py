@@ -34,32 +34,6 @@ def test_substream_matches_direct_construction():
     )
 
 
-def test_rekey_matches_fresh_stream():
-    stream = RandomStream(9, 1)
-    gen = stream.generator
-    gen.random(3)
-    gen.standard_normal(5)
-    gen.integers(0, 100, size=3, dtype=np.int32)  # leaves a cached 32-bit half
-    stream.rekey(42)
-    fresh = RandomStream(9, 42).generator
-    assert stream.stream_id == 42 and stream.generator is gen
-    np.testing.assert_array_equal(gen.random(16), fresh.random(16))
-    np.testing.assert_array_equal(gen.standard_normal(16), fresh.standard_normal(16))
-    np.testing.assert_array_equal(
-        gen.integers(0, 100, size=7, dtype=np.int32), fresh.integers(0, 100, size=7, dtype=np.int32)
-    )
-
-
-def test_repeated_rekey_matches_fresh_streams():
-    stream = RandomStream(9, 1)
-    for stream_id in (42, 2**64 - 1, 42, 2**64 + 5):
-        stream.generator.random(5)
-        stream.rekey(stream_id)
-        fresh = RandomStream(9, stream_id)
-        assert stream.stream_id == fresh.stream_id
-        np.testing.assert_array_equal(stream.generator.random(16), fresh.generator.random(16))
-
-
 def test_cauchy_scale_zero_returns_center():
     draws = sample_cauchy(3.5, 0.0, RandomStream(1), size=100)
     assert np.all(draws == 3.5)
