@@ -223,10 +223,11 @@ def first_block(need: int) -> int:
     """Proposals in the first block for ``need`` accepts: the expected count
     ``mean = need * C/pi`` plus ``4 sqrt(mean)``, at least 64.
 
-    Each proposal is accepted with probability ``p = pi/C``, so the margin
-    is ``4 sqrt(p / (1 - p))``, about 1.5, standard deviations of the accept
-    count whatever ``need`` is: about 6% of first blocks fall short and top
-    up, and the overdraw share ``4 / sqrt(mean)`` falls as ``need`` grows.
+    Each proposal is accepted with probability ``p = pi/C``, so whatever
+    ``need`` is, the margin holds ``4 sqrt(p / (1 - p))``, about 1.5,
+    standard deviations of the accept count: about 6% of first blocks fall
+    short and top up, and the overdraw share ``4 / sqrt(mean)`` falls as
+    ``need`` grows.
     """
     mean = need * REJECTION_OVERHEAD
     return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
