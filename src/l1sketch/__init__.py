@@ -8,7 +8,6 @@ Monte Carlo baseline are included for cross-validation.
 __version__ = "0.1.0"
 
 from .ci1 import (
-    CI1Sample,
     ci1_density,
     complex_atan,
     sample_ci1_unit,
@@ -20,7 +19,6 @@ from .cid import (
     DEFAULT_C_MIDPOINT,
     ApproxConfig,
     CalibrationResult,
-    CIdSample,
     calibrate_c,
     random_polynomial,
     rescale_cid,
@@ -31,7 +29,6 @@ from .densities import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
-    PolySegment,
     density_from_pieces,
     eval_density,
     exact_all_pairs,
@@ -54,7 +51,6 @@ from .pipeline import (
 )
 from .randstream import (
     RandomStream,
-    ScaleEstimate,
     geometric_mean_estimate,
     required_sample_count,
     sample_cauchy,
@@ -64,8 +60,6 @@ __all__ = [
     "__version__",
     "ApproxConfig",
     "Breakpoints",
-    "CI1Sample",
-    "CIdSample",
     "CalibrationResult",
     "DEFAULT_C",
     "DEFAULT_C_MIDPOINT",
@@ -75,9 +69,7 @@ __all__ = [
     "FamilyFormatError",
     "ParameterError",
     "PiecewisePolyDensity",
-    "PolySegment",
     "RandomStream",
-    "ScaleEstimate",
     "SketchMatrix",
     "SketchMode",
     "calibrate_c",

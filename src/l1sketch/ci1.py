@@ -18,15 +18,15 @@ A rejected proposal's point is independent of its uniform and unused, so
 leaving it undrawn changes no law: the acceptance rate stays ``pi/25``.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
-coefficient-of-x component.  The square root and the arctangent are
-principal-branch, and the generic branch evaluates both in real arithmetic
-(the arctangent through :func:`_atan_parts`).
+coefficient-of-x component; the samplers return the tuple ``(x0, x1)`` of
+two arrays, or of two floats for a single draw.  The square root and the
+arctangent are principal-branch, and the generic branch evaluates both in
+real arithmetic (the arctangent through :func:`_atan_parts`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,14 +47,6 @@ REJECTION_ITERATION_CAP = 10_000
 
 _FOUR_OVER_PI2 = 4.0 / np.pi**2
 _TWO_OVER_PI2 = 2.0 / np.pi**2
-
-
-@dataclass
-class CI1Sample:
-    """One draw (or a batch) of the pair of stochastic integrals."""
-
-    x0: float | np.ndarray
-    x1: float | np.ndarray
 
 
 def _atan_parts(x, y):
@@ -203,20 +195,18 @@ def _accept_mask(x0, x1, u01):
     return accept
 
 
-def sample_student_envelope(rng: RandomStream, size: int | None = None) -> CI1Sample:
-    """Draw from the envelope: ``u = y1/sqrt(w)``, ``v = y2/sqrt(w)``,
-    return ``(u, (u + v)/2)``.
+def sample_student_envelope(rng: RandomStream, size: int | None = None):
+    """Draw ``(x0, x1)`` from the envelope: ``u = y1/sqrt(w)``,
+    ``v = y2/sqrt(w)``, returned as ``(u, (u + v)/2)``; two arrays of
+    ``size``, or two floats when ``size`` is None.
 
     ``y1, y2`` are standard normal and ``w`` is chi-squared(1); a zero ``w``
     (probability zero) is resampled.  The change of variables ``u = x0``,
     ``v = 2 x1 - x0`` (Jacobian 1/2) maps the spherical bivariate Student(1)
     law of ``(u, v)`` exactly onto :func:`student_envelope_density`.
     """
-    n = 1 if size is None else int(size)
-    x0, x1 = _envelope_draws(rng.generator, n)
-    if size is None:
-        return CI1Sample(float(x0[0]), float(x1[0]))
-    return CI1Sample(x0, x1)
+    x0, x1 = _envelope_draws(rng.generator, 1 if size is None else int(size))
+    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)
 
 
 def first_block(need: int) -> int:
@@ -264,8 +254,9 @@ def unit_pairs(gen: np.random.Generator, need: int):
     return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
 
 
-def sample_ci1_unit(rng: RandomStream, size: int | None = None) -> CI1Sample:
-    """Exact draws of the unit-interval pair by rejection under the envelope.
+def sample_ci1_unit(rng: RandomStream, size: int | None = None):
+    """Exact draws ``(x0, x1)`` of the unit-interval pair by rejection under
+    the envelope: two arrays of ``size``, or two floats when ``size`` is None.
 
     Proposals come from the envelope of :func:`sample_student_envelope`; a
     proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
@@ -278,8 +269,6 @@ def sample_ci1_unit(rng: RandomStream, size: int | None = None) -> CI1Sample:
     if n < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     if n == 0:
-        return CI1Sample(np.empty(0), np.empty(0))
+        return np.empty(0), np.empty(0)
     x0, x1 = unit_pairs(rng.generator, n)
-    if size is None:
-        return CI1Sample(float(x0[0]), float(x1[0]))
-    return CI1Sample(x0, x1)
+    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)

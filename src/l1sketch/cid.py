@@ -22,6 +22,7 @@ shipped for both rules; see :func:`calibrate_c`.  The distance pipeline and
 the CLI use midpoints; right endpoints remain the library default, as the
 reference the acceptance suite pins.  :func:`steps_to_vectors` makes every
 r-step draw, of :func:`sample_cid_approx_unit` and of the sketch alike.
+Draws are plain arrays whose last axis holds ``(X_0, ..., X_d)``.
 """
 
 from __future__ import annotations
@@ -61,18 +62,9 @@ NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
 MIN_CALIBRATION_MASS = 1e-3
 
 
-@dataclass
-class CIdSample:
-    """Components ``(X_0, ..., X_d)`` of one draw; batches stack rows."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        self.components = np.asarray(self.components, dtype=float)
-
-    @property
-    def degree(self) -> int:
-        return int(self.components.shape[-1] - 1)
+def _check_positive(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value > 0):
+        raise ParameterError(f"{name} must be finite and positive, got {value}")
 
 
 def _check_nodes(nodes: str) -> None:
@@ -112,10 +104,8 @@ class ApproxConfig:
         _check_nodes(self.nodes)
         if self.c_constant is None:
             self.c_constant = NODE_RULES[self.nodes]
-        if self.c_constant <= 0:
-            raise ParameterError("c_constant must be positive")
-        if self.epsilon_integration <= 0:
-            raise ParameterError("epsilon_integration must be positive")
+        _check_positive("c_constant", self.c_constant)
+        _check_positive("epsilon_integration", self.epsilon_integration)
         c, d, eps = self.c_constant, self.d, self.epsilon_integration
         if self.r is None and self.nodes == "right":
             self.r = max(1, math.ceil(c * d**2 / eps))
@@ -147,16 +137,15 @@ def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarra
     return np.matmul(u, node_pow, out=out)
 
 
-def sample_cid_approx_unit(
-    cfg: ApproxConfig, rng: RandomStream, size: int | None = None
-) -> CIdSample:
-    """Draw the r-step discretized integral vector on the unit interval.
+def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int | None = None):
+    """Draw the r-step discretized integral vector on the unit interval: an
+    ``(size, d+1)`` array, or one ``(d+1,)`` vector when ``size`` is None.
     A negative ``size`` raises :class:`ParameterError`."""
     n = 1 if size is None else int(size)
     if n < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     comps = steps_to_vectors(rng.random((n, cfg.r)), _node_powers(cfg.r, cfg.d, cfg.nodes))
-    return CIdSample(comps[0] if size is None else comps)
+    return comps[0] if size is None else comps
 
 
 def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:
@@ -172,11 +161,11 @@ def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:
     return to_unit_interval(np.eye(d + 1), a, b - a)
 
 
-def rescale_cid(z: CIdSample, a: float, b: float) -> CIdSample:
-    """Map unit-interval draws to the interval ``[a, b]``."""
-    d = z.degree
-    t = rescale_matrix(d, a, b)
-    return CIdSample(z.components @ t.T)
+def rescale_cid(z, a: float, b: float) -> np.ndarray:
+    """Map unit-interval draws ``z[..., d+1]`` (one vector or rows of them)
+    to the interval ``[a, b]`` with :func:`rescale_matrix`."""
+    z = np.asarray(z, dtype=float)
+    return z @ rescale_matrix(z.shape[-1] - 1, a, b).T
 
 
 def riemann_abs_scale(coeffs, r: int, nodes: str = "right"):
@@ -236,6 +225,7 @@ def calibrate_c(
     for every ``r``.
     """
     _check_nodes(nodes)
+    _check_positive("target_eps", target_eps)
     if d_max < 1 or d_max > MAX_DEGREE:
         raise ParameterError(f"d_max must be in [1, {MAX_DEGREE}], got {d_max}")
     if trials < 1:

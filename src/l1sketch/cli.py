@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .ci1 import ci1_density, sample_ci1_unit
-from .cid import ApproxConfig, CIdSample, calibrate_c, rescale_cid, sample_cid_approx_unit
+from .cid import ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json
@@ -63,8 +64,20 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise ParameterError(f"bad grid spec {spec!r}, expected lo:hi:step") from exc
     if step <= 0 or hi <= lo:
         raise ParameterError(f"bad grid spec {spec!r}: need lo < hi and step > 0")
+    if not all(math.isfinite(v) for v in (lo, hi, step, (hi - lo) / step)):
+        raise ParameterError(f"bad grid spec {spec!r}: need finite lo, hi, step and (hi - lo)/step")
     count = int(round((hi - lo) / step)) + 1
     return np.linspace(lo, hi, count)
+
+
+def _parse_points(spec: str) -> np.ndarray:
+    try:
+        xs = np.array([float(v) for v in spec.split(",")])
+    except ValueError as exc:
+        raise ParameterError(f"bad --points {spec!r}, expected comma-separated numbers") from exc
+    if not np.isfinite(xs).all():
+        raise ParameterError(f"bad --points {spec!r}: every point must be finite")
+    return xs
 
 
 def cmd_dist(args) -> int:
@@ -123,13 +136,12 @@ def cmd_sample(args) -> int:
     ]
     lines.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
     if cfg is None:
-        pair = sample_ci1_unit(rng, size=args.count)
-        z = CIdSample(np.column_stack([pair.x0, pair.x1]))
+        z = np.column_stack(sample_ci1_unit(rng, size=args.count))
     else:
         z = sample_cid_approx_unit(cfg, rng, size=args.count)
     if args.a != 0.0 or args.b != 1.0:
         z = rescale_cid(z, args.a, args.b)
-    for row in z.components:
+    for row in z:
         lines.append(",".join(repr(float(v)) for v in row))
     _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -153,10 +165,7 @@ def cmd_eval(args) -> int:
     if args.name not in names:
         raise ParameterError(f"density {args.name!r} not in family {sorted(names)}")
     dens = names[args.name]
-    if args.points is not None:
-        xs = np.array([float(v) for v in args.points.split(",")])
-    else:
-        xs = _parse_grid(args.grid)
+    xs = _parse_grid(args.grid) if args.points is None else _parse_points(args.points)
     vals = eval_density(dens, family.breakpoints, xs)
     header = _manifest_line(
         "eval",
@@ -267,6 +276,10 @@ def _normalize_argv(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(_normalize_argv(argv))
+    if args.command == "eval" and args.target == "density":
+        missing = [flag for flag in ("--input", "--name") if getattr(args, flag[2:]) is None]
+        if missing:
+            parser.error(f"eval density needs {' and '.join(missing)}")
     try:
         return args.func(args)
     except FamilyFormatError as exc:

@@ -7,8 +7,8 @@ and float ``coeffs`` of shape ``(n, d+1)``.  Row ``i`` is one polynomial
 piece over the half-open interval ``[a_{b_i}, a_{c_i})`` with monomial
 coefficients ``coeffs[i]``, so evaluation at shared endpoints is
 unambiguous.  A piece may span several grid intervals; pieces do not
-overlap.  Every invariant is checked with array operations on the tables,
-so no per-segment object is built on the way from a file to a distance.
+overlap.  The table is the only representation of a density: there is no
+per-segment object, and every invariant is checked with array operations.
 
 :func:`interval_coefficients` expands the tables into one tensor
 ``C[m, L, d+1]``: density ``j``'s coefficients on grid interval ``l``, zero
@@ -65,32 +65,13 @@ class Breakpoints:
         return int(self.points.size)
 
 
-@dataclass
-class PolySegment:
-    """One polynomial piece over ``[points[b], points[c])``."""
-
-    b: int
-    c: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.b = int(self.b)
-        self.c = int(self.c)
-        self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.coeffs.ndim != 1 or self.coeffs.size == 0:
-            raise FamilyFormatError("segment coeffs must be a non-empty 1-D vector")
-        if self.b < 0 or self.c <= self.b:
-            raise FamilyFormatError(
-                f"segment indices must satisfy 0 <= b < c, got b={self.b}, c={self.c}"
-            )
-
-
 def coeff_rows(name: str, rows, degree: int) -> np.ndarray:
-    """Stack one density's segment coefficient rows into a float array."""
+    """One density's segment coefficient rows as a float array; ragged rows
+    or entries that are not numbers raise :class:`FamilyFormatError`."""
     if len(rows) == 0:
         return np.empty((0, max(int(degree), 0) + 1))
     try:
-        return np.array(rows, dtype=float)
+        return np.asarray(rows, dtype=float)
     except ValueError as exc:  # ragged rows, or entries that are not numbers
         sizes = sorted({np.size(row) for row in rows})
         detail = f"lengths {sizes}" if len(sizes) > 1 else exc
@@ -130,40 +111,20 @@ def _check_table(name: str, b: np.ndarray, c: np.ndarray, coeffs: np.ndarray, de
 class PiecewisePolyDensity:
     """A named density: a segment table ``b``, ``c``, ``coeffs`` sorted by ``b``.
 
-    Built from a list of :class:`PolySegment`, or from the arrays with
-    :meth:`from_table`.
+    ``b`` and ``c`` are taken as int64 and ``coeffs`` as float rows of
+    ``degree + 1`` (:func:`coeff_rows`); the rows are stably sorted by ``b``
+    and the table is checked by :func:`_check_table`.
     """
 
-    def __init__(self, name: str, segments: list[PolySegment], degree: int):
-        rows = [seg.coeffs for seg in segments]
-        self._set_table(
-            name, [seg.b for seg in segments], [seg.c for seg in segments],
-            coeff_rows(name, rows, degree), degree,
-        )
-
-    @classmethod
-    def from_table(cls, name: str, b, c, coeffs, degree: int) -> PiecewisePolyDensity:
-        dens = cls.__new__(cls)
-        dens._set_table(name, b, c, coeffs, degree)
-        return dens
-
-    def _set_table(self, name, b, c, coeffs, degree) -> None:
+    def __init__(self, name: str, b, c, coeffs, degree: int):
         b, c = np.asarray(b, dtype=np.int64), np.asarray(c, dtype=np.int64)
-        coeffs = np.asarray(coeffs, dtype=float)
+        coeffs = coeff_rows(name, coeffs, degree)
         order = slice(None)  # tables of unequal lengths stay unsorted for the check to refuse
         if b.shape == c.shape == coeffs.shape[:1]:
             order = np.argsort(b, kind="stable")
         self.name, self.degree = name, int(degree)
         self.b, self.c, self.coeffs = b[order], c[order], coeffs[order]
         _check_table(name, self.b, self.c, self.coeffs, self.degree)
-
-    @property
-    def segments(self) -> list[PolySegment]:
-        """The table rows as :class:`PolySegment` views, in ``b`` order."""
-        return [
-            PolySegment(b, c, row)
-            for b, c, row in zip(self.b.tolist(), self.c.tolist(), self.coeffs)
-        ]
 
 
 def _check_family(family: DensityFamily) -> None:
@@ -298,7 +259,7 @@ def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
         for dens in fam.densities:
             seg, ell = _runs(np.searchsorted(grid, old[dens.b]), np.searchsorted(grid, old[dens.c]))
             densities.append(
-                PiecewisePolyDensity.from_table(dens.name, ell, ell + 1, dens.coeffs[seg], degree)
+                PiecewisePolyDensity(dens.name, ell, ell + 1, dens.coeffs[seg], degree)
             )
     return DensityFamily(Breakpoints(grid), densities, degree)
 
@@ -414,15 +375,13 @@ def sample_from_density(
 def density_from_pieces(
     name: str, pieces: list[tuple[float, float, np.ndarray]], degree: int
 ) -> DensityFamily:
-    """Build a one-density family from ``(lo, hi, coeffs)`` pieces."""
-    endpoints = np.unique(np.array([e for p in pieces for e in (p[0], p[1])], dtype=float))
-    bp = Breakpoints(endpoints)
-    segs = []
-    for lo, hi, coeffs in pieces:
-        b = int(np.searchsorted(endpoints, lo))
-        c = int(np.searchsorted(endpoints, hi))
-        segs.append(PolySegment(b, c, np.asarray(coeffs, dtype=float)))
-    dens = PiecewisePolyDensity(name, segs, degree)
+    """Build a one-density family from ``(lo, hi, coeffs)`` pieces: the grid
+    is the sorted, deduplicated piece ends, and each piece one table row."""
+    lo = np.array([p[0] for p in pieces], dtype=float)
+    hi = np.array([p[1] for p in pieces], dtype=float)
+    bp = Breakpoints(np.unique(np.concatenate([lo, hi])))
+    b, c = np.searchsorted(bp.points, lo), np.searchsorted(bp.points, hi)
+    dens = PiecewisePolyDensity(name, b, c, [p[2] for p in pieces], degree)
     return DensityFamily(bp, [dens], degree)
 
 

@@ -49,13 +49,29 @@ def family_to_dict(family: DensityFamily) -> dict:
     }
 
 
+def _integers(name: str, segs, key: str) -> np.ndarray:
+    """The segments' ``key`` indices as one int64 array.  Every one must be
+    a JSON integer: a float, string or boolean is refused, not truncated or
+    cast.  The type check is one pass over the list, not one per segment."""
+    values = [sd[key] for sd in segs]
+    if not set(map(type, values)) <= {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise FamilyFormatError(
+            f"density {name!r}: segment index {key!r} must be an integer, got {bad!r}"
+        )
+    return np.array(values, dtype=np.int64)
+
+
 def family_from_dict(doc: Any) -> DensityFamily:
     """Parse a family document: each density's segments go straight into
-    its table, and every check runs on the arrays."""
+    its table, and every check runs on the arrays.  ``degree``, ``b`` and
+    ``c`` must be JSON integers, as :func:`family_to_dict` writes them."""
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
     try:
-        degree = int(doc["degree"])
+        degree = doc["degree"]
+        if type(degree) is not int:
+            raise FamilyFormatError(f"degree must be an integer, got {degree!r}")
         bp = Breakpoints(np.asarray(doc["breakpoints"], dtype=float))
         densities = []
         for dd in doc["densities"]:
@@ -64,9 +80,8 @@ def family_from_dict(doc: Any) -> DensityFamily:
             # JSON admits NaN and Infinity
             if not np.isfinite(coeffs).all():
                 raise FamilyFormatError(f"density {name!r}: segment coefficients must be finite")
-            b = np.array([sd["b"] for sd in segs], dtype=np.int64)
-            c = np.array([sd["c"] for sd in segs], dtype=np.int64)
-            densities.append(PiecewisePolyDensity.from_table(name, b, c, coeffs, degree))
+            b, c = _integers(name, segs, "b"), _integers(name, segs, "c")
+            densities.append(PiecewisePolyDensity(name, b, c, coeffs, degree))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FamilyFormatError):
             raise

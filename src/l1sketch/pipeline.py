@@ -368,9 +368,14 @@ def run_scheme(
     combined guarantee ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the
     config rather than rounded to a clean ``1 +/- epsilon``.  It uses midpoint
     nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
-    :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.
+    :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.  A non-finite ``epsilon``,
+    ``delta`` or ``c_constant`` raises :class:`ParameterError` for every
+    method, before any work.
     """
     _check_threads(threads)
+    for name, value in (("epsilon", epsilon), ("delta", delta), ("c_constant", c_constant)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterError(f"{name} must be finite, got {value}")
     if method == "exact":
         dm = _exact_all_pairs(family)
         dm.config.update({"epsilon": epsilon, "delta": delta, "seed": seed})

@@ -12,7 +12,6 @@ package is made by :func:`cauchy_in_place`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,16 +76,6 @@ def required_sample_count(epsilon: float, delta: float, m: int) -> int:
     return int(math.ceil((8.0 / epsilon) ** 2 * math.log(m * m / delta)))
 
 
-@dataclass
-class ScaleEstimate:
-    """An estimated Cauchy scale with the targets it was computed for."""
-
-    value: float
-    t: int
-    epsilon: float | None = None
-    delta: float | None = None
-
-
 def geometric_mean_rows(diffs: np.ndarray) -> np.ndarray:
     """Geometric-mean scale of each row of a C-contiguous ``(k, t)`` float64
     buffer of centered Cauchy samples: ``exp(add.reduce(log|d|, axis=1) / t)``.
@@ -110,15 +99,11 @@ def geometric_mean_rows(diffs: np.ndarray) -> np.ndarray:
     return np.exp(sums, out=sums)
 
 
-def geometric_mean_estimate(
-    samples, epsilon: float | None = None, delta: float | None = None
-) -> ScaleEstimate:
+def geometric_mean_estimate(samples) -> float:
     """Scale of centered Cauchy samples via the uncorrected geometric mean:
     :func:`geometric_mean_rows` on one row, ``exp(mean(log|x|))``, with an
     exact zero sample giving 0."""
     x = np.array(samples, dtype=float).reshape(1, -1)
     if x.size == 0:
         raise ParameterError("geometric_mean_estimate needs at least one sample")
-    value = float(geometric_mean_rows(x)[0])
-    return ScaleEstimate(value=value, t=int(x.size), epsilon=epsilon, delta=delta)
-
+    return float(geometric_mean_rows(x)[0])

@@ -17,7 +17,6 @@ from l1sketch import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
-    PolySegment,
     RandomStream,
 )
 
@@ -87,13 +86,15 @@ def random_segment_family(gen, m, degree, n_intervals=8, prefix="f"):
     grid = gen.uniform(-5.0, 5.0) + np.cumsum(gen.uniform(0.1, 1.0, n_intervals + 1))
     densities = []
     for j in range(m):
-        segs, pos = [], int(gen.integers(0, 2))
+        rows, pos = [], int(gen.integers(0, 2))
         while pos < n_intervals:
             end = min(pos + int(gen.integers(1, 4)), n_intervals)
-            segs.append(PolySegment(pos, end, gen.uniform(-1.0, 1.0, degree + 1)))
+            rows.append((pos, end, gen.uniform(-1.0, 1.0, degree + 1)))
             pos = end + int(gen.integers(0, 3))
-        gen.shuffle(segs)
-        densities.append(PiecewisePolyDensity(f"{prefix}{j}", segs, degree))
+        gen.shuffle(rows)
+        b, c = [row[0] for row in rows], [row[1] for row in rows]
+        coeffs = np.reshape([row[2] for row in rows], (-1, degree + 1))
+        densities.append(PiecewisePolyDensity(f"{prefix}{j}", b, c, coeffs, degree))
     return DensityFamily(Breakpoints(grid), densities, degree)
 
 

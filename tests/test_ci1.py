@@ -20,12 +20,10 @@ from conftest import cf_pair_density, ks_against_cauchy
 import l1sketch.ci1 as ci1_mod
 from l1sketch import (
     Breakpoints,
-    CIdSample,
     DensityFamily,
     EnvelopeDominationError,
     ParameterError,
     PiecewisePolyDensity,
-    PolySegment,
     RandomStream,
     SketchMode,
     ci1_density,
@@ -142,10 +140,10 @@ def _complex_density_generic(x0, x1):
 
 
 def test_density_matches_complex_reference_on_proposals():
-    z = sample_student_envelope(RandomStream(16), size=1_000_000)
-    on_diag = np.abs(z.x0 - 2.0 * z.x1) <= diagonal_tolerance(z.x0)
+    z0, z1 = sample_student_envelope(RandomStream(16), size=1_000_000)
+    on_diag = np.abs(z0 - 2.0 * z1) <= diagonal_tolerance(z0)
     off = ~on_diag
-    x0, x1 = z.x0[off], z.x1[off]
+    x0, x1 = z0[off], z1[off]
     ref = _complex_density_generic(x0, x1)
     got = _density_generic(x0, x1)
     near = np.hypot(x0, x1) <= 100.0
@@ -154,12 +152,12 @@ def test_density_matches_complex_reference_on_proposals():
     np.testing.assert_allclose(got, ref, rtol=1e-6)
     # the squeezed test on the real form decides as the plain test on the
     # complex form
-    f_ref = np.empty(z.x0.size)
+    f_ref = np.empty(z0.size)
     f_ref[off] = ref
-    f_ref[on_diag] = _density_diagonal(z.x0[on_diag])
-    u = RandomStream(15).generator.random(z.x0.size)
-    plain = u * REJECTION_OVERHEAD * student_envelope_density(z.x0, z.x1) <= f_ref
-    np.testing.assert_array_equal(_accept_mask(z.x0, z.x1, u), plain)
+    f_ref[on_diag] = _density_diagonal(z0[on_diag])
+    u = RandomStream(15).generator.random(z0.size)
+    plain = u * REJECTION_OVERHEAD * student_envelope_density(z0, z1) <= f_ref
+    np.testing.assert_array_equal(_accept_mask(z0, z1, u), plain)
 
 
 def test_density_point_symmetry():
@@ -219,30 +217,30 @@ def test_envelope_integrates_to_one():
 
 
 def test_envelope_sampler_marginals():
-    z = sample_student_envelope(RandomStream(7), size=100_000)
-    assert abs(np.median(np.abs(z.x0)) - 1.0) < 0.03
-    assert abs(np.median(np.abs(2.0 * z.x1 - z.x0)) - 1.0) < 0.03
+    z0, z1 = sample_student_envelope(RandomStream(7), size=100_000)
+    assert abs(np.median(np.abs(z0)) - 1.0) < 0.03
+    assert abs(np.median(np.abs(2.0 * z1 - z0)) - 1.0) < 0.03
 
 
 def test_envelope_sampler_deterministic():
-    a = sample_student_envelope(RandomStream(8, 3), size=100)
-    b = sample_student_envelope(RandomStream(8, 3), size=100)
-    np.testing.assert_array_equal(a.x0, b.x0)
-    np.testing.assert_array_equal(a.x1, b.x1)
+    a0, a1 = sample_student_envelope(RandomStream(8, 3), size=100)
+    b0, b1 = sample_student_envelope(RandomStream(8, 3), size=100)
+    np.testing.assert_array_equal(a0, b0)
+    np.testing.assert_array_equal(a1, b1)
 
 
 # ---------------------------------------------------------- rejection sampler
 def test_sampler_marginals_ks():
-    z = sample_ci1_unit(RandomStream(9), size=20_000)
-    assert ks_against_cauchy(z.x0, 1.0) < 0.02
-    assert ks_against_cauchy(z.x1, 0.5) < 0.02
+    z0, z1 = sample_ci1_unit(RandomStream(9), size=20_000)
+    assert ks_against_cauchy(z0, 1.0) < 0.02
+    assert ks_against_cauchy(z1, 0.5) < 0.02
 
 
 def test_sampler_scalar_and_empty():
-    one = sample_ci1_unit(RandomStream(10))
-    assert isinstance(one.x0, float) and isinstance(one.x1, float)
-    empty = sample_ci1_unit(RandomStream(10), size=0)
-    assert empty.x0.size == 0 and empty.x1.size == 0
+    x0, x1 = sample_ci1_unit(RandomStream(10))
+    assert isinstance(x0, float) and isinstance(x1, float)
+    x0, x1 = sample_ci1_unit(RandomStream(10), size=0)
+    assert x0.size == 0 and x1.size == 0
     with pytest.raises(ParameterError, match="size must be >= 0"):
         sample_ci1_unit(RandomStream(10), size=-1)
 
@@ -258,8 +256,8 @@ def test_rejection_loop_raises_instead_of_looping(monkeypatch):
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 0.5, 1.0])),
         [
-            PiecewisePolyDensity("flat", [PolySegment(0, 2, np.array([1.0, 0.0]))], 1),
-            PiecewisePolyDensity("ramp", [PolySegment(0, 2, np.array([0.0, 2.0]))], 1),
+            PiecewisePolyDensity("flat", [0], [2], [[1.0, 0.0]], 1),
+            PiecewisePolyDensity("ramp", [0], [2], [[0.0, 2.0]], 1),
         ],
         1,
     )
@@ -291,10 +289,10 @@ def test_first_block_shortfall_share_matches_binomial():
 
 
 def test_linear_functional_law():
-    z = sample_ci1_unit(RandomStream(11), size=100_000)
+    z0, z1 = sample_ci1_unit(RandomStream(11), size=100_000)
     cases = {(1.0, -2.0): 0.5, (3.0, 0.0): 3.0, (1.0, 1.0): 1.5}
     for (c0, c1), scale in cases.items():
-        assert ks_against_cauchy(c0 * z.x0 + c1 * z.x1, scale) < 0.01
+        assert ks_against_cauchy(c0 * z0 + c1 * z1, scale) < 0.01
 
 
 def test_domination_on_moderate_grid():
@@ -369,8 +367,8 @@ def test_squeeze_bound_holds_wherever_it_applies():
         [np.linspace(0.0, 2.0 * PI, 720, endpoint=False)] + [c + offsets for c in centres]
     )
     grid = _polar(np.logspace(-6, 150, 300), angles)
-    z = sample_student_envelope(RandomStream(14), size=1_000_000)
-    for x0, x1 in (grid, (z.x0, z.x1)):
+    z0, z1 = sample_student_envelope(RandomStream(14), size=1_000_000)
+    for x0, x1 in (grid, (z0, z1)):
         with np.errstate(all="ignore"):
             g = student_envelope_density(x0, x1)
         inside = g >= g_min
@@ -390,9 +388,9 @@ def test_squeeze_off_where_density_cancels():
 
 def test_accept_mask_equals_plain_test_on_proposals():
     gen = RandomStream(15).generator
-    z = sample_student_envelope(RandomStream(16), size=1_000_000)
-    u = gen.random(z.x0.size)
-    np.testing.assert_array_equal(_accept_mask(z.x0, z.x1, u), _plain_accept(z.x0, z.x1, u))
+    z0, z1 = sample_student_envelope(RandomStream(16), size=1_000_000)
+    u = gen.random(z0.size)
+    np.testing.assert_array_equal(_accept_mask(z0, z1, u), _plain_accept(z0, z1, u))
 
 
 def test_accept_mask_equals_plain_test_on_adversarial_points():
@@ -429,20 +427,20 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
 
 # -------------------------------------------------------------------- rescale
 def _pairs(x0, x1):
-    return CIdSample(np.column_stack([x0, x1]))
+    return np.column_stack([x0, x1])
 
 
 def test_rescale_identity():
     z = _pairs(np.array([1.0, -2.0]), np.array([0.5, 0.25]))
     out = rescale_cid(z, 0.0, 1.0)
-    np.testing.assert_array_equal(out.components, z.components)
+    np.testing.assert_array_equal(out, z)
 
 
 def test_rescale_laws():
-    z = sample_ci1_unit(RandomStream(13), size=100_000)
-    wide = rescale_cid(_pairs(z.x0, z.x1), 0.0, 2.0).components
+    z0, z1 = sample_ci1_unit(RandomStream(13), size=100_000)
+    wide = rescale_cid(_pairs(z0, z1), 0.0, 2.0)
     assert abs(np.median(np.abs(wide[:, 1])) - 2.0) < 0.06  # integral of |x| on [0,2]
-    shifted = rescale_cid(_pairs(z.x0, z.x1), 3.0, 4.0).components
+    shifted = rescale_cid(_pairs(z0, z1), 3.0, 4.0)
     assert abs(np.median(np.abs(shifted[:, 0])) - 1.0) < 0.03  # unit-length interval
     assert ks_against_cauchy(shifted[:, 0], 1.0) < 0.01
 

@@ -8,14 +8,12 @@ from conftest import ks_against_cauchy
 from l1sketch import (
     DEFAULT_C_MIDPOINT,
     ApproxConfig,
-    CIdSample,
     DensityFamily,
     ParameterError,
     RandomStream,
     SketchMode,
     calibrate_c,
     PiecewisePolyDensity,
-    PolySegment,
     random_polynomial,
     rescale_cid,
     riemann_abs_scale,
@@ -51,6 +49,11 @@ def test_config_rejects_bad_values():
         ApproxConfig(d=2, epsilon_integration=0.0)
     with pytest.raises(ParameterError):
         ApproxConfig(d=2, epsilon_integration=0.1, c_constant=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ParameterError, match="epsilon_integration must be finite"):
+            ApproxConfig(d=2, epsilon_integration=bad)
+        with pytest.raises(ParameterError, match="c_constant must be finite"):
+            ApproxConfig(d=2, epsilon_integration=0.1, c_constant=bad)
     with pytest.raises(ParameterError):
         ApproxConfig(d=2, epsilon_integration=0.1, r=0)
     with pytest.raises(ParameterError):
@@ -61,15 +64,15 @@ def test_degree_zero_sum_is_standard_cauchy():
     # the first component is a sum of r Cauchy(0, 1/r) draws: exactly C(0,1)
     cfg = ApproxConfig(d=0, epsilon_integration=0.1, r=50)
     z = sample_cid_approx_unit(cfg, RandomStream(1), size=100_000)
-    assert ks_against_cauchy(z.components[:, 0], 1.0) < 0.01
+    assert ks_against_cauchy(z[:, 0], 1.0) < 0.01
 
 
 def test_component_shapes():
     cfg = ApproxConfig(d=3, epsilon_integration=0.1, r=10)
     one = sample_cid_approx_unit(cfg, RandomStream(2))
-    assert one.components.shape == (4,)
+    assert one.shape == (4,)
     batch = sample_cid_approx_unit(cfg, RandomStream(2), size=7)
-    assert batch.components.shape == (7, 4)
+    assert batch.shape == (7, 4)
     with pytest.raises(ParameterError, match="size must be >= 0"):
         sample_cid_approx_unit(cfg, RandomStream(2), size=-1)
 
@@ -78,7 +81,7 @@ def test_linear_marginal_scale():
     # second component at r=1000 is Cauchy with scale (1/1000) sum j/1000
     cfg = ApproxConfig(d=1, epsilon_integration=0.1, r=1000)
     z = sample_cid_approx_unit(cfg, RandomStream(3), size=30_000)
-    med = np.median(np.abs(z.components[:, 1]))
+    med = np.median(np.abs(z[:, 1]))
     assert abs(med - 0.5005) < 0.015
 
 
@@ -86,16 +89,16 @@ def test_rescale_identity_and_linear_agreement():
     cfg = ApproxConfig(d=1, epsilon_integration=0.1, r=100)
     z = sample_cid_approx_unit(cfg, RandomStream(4), size=100)
     same = rescale_cid(z, 0.0, 1.0)
-    np.testing.assert_allclose(same.components, z.components, rtol=1e-15)
+    np.testing.assert_allclose(same, z, rtol=1e-15)
 
     # degree 1: the closed form ((b-a) x0, (b-a) (a x0 + (b-a) x1))
     a, b = 0.7, 2.2
     t = rescale_matrix(1, a, b)
     np.testing.assert_allclose(t, [[b - a, 0.0], [(b - a) * a, (b - a) ** 2]], rtol=1e-15)
-    x0, x1 = z.components[:, 0], z.components[:, 1]
+    x0, x1 = z[:, 0], z[:, 1]
     out = rescale_cid(z, a, b)
-    np.testing.assert_allclose(out.components[:, 0], (b - a) * x0, rtol=1e-13)
-    np.testing.assert_allclose(out.components[:, 1], (b - a) * (a * x0 + (b - a) * x1), rtol=1e-13)
+    np.testing.assert_allclose(out[:, 0], (b - a) * x0, rtol=1e-13)
+    np.testing.assert_allclose(out[:, 1], (b - a) * (a * x0 + (b - a) * x1), rtol=1e-13)
 
 
 def test_rescale_matrix_is_the_sketch_interval_map():
@@ -104,7 +107,7 @@ def test_rescale_matrix_is_the_sketch_interval_map():
     a, b = 1e4 + 0.3, 1e4 + 1.9
     for d in range(5):
         p = gen.uniform(-1.0, 1.0, d + 1)
-        dens = PiecewisePolyDensity("p", [PolySegment(0, 1, p)], d)
+        dens = PiecewisePolyDensity("p", [0], [1], p[None, :], d)
         want = unit_coefficients([dens], Breakpoints(np.array([a, b])))[0, 0]
         t = rescale_matrix(d, a, b)
         bound = 1e-13 * (np.abs(t.T) @ np.abs(p))
@@ -120,14 +123,13 @@ def test_rescale_quadratic_law():
     out = rescale_cid(z, 0.0, 2.0)
     expected = 8.0 * riemann_abs_scale([0.0, 0.0, 1.0], 10_000)
     assert abs(expected - 8.0 / 3.0) < 0.01 * (8.0 / 3.0)
-    med = np.median(np.abs(out.components[:, 2]))
+    med = np.median(np.abs(out[:, 2]))
     assert abs(med - 8.0 / 3.0) < 0.03 * (8.0 / 3.0)
 
 
 def test_rescale_rejects_bad_interval():
-    z = CIdSample(np.zeros(3))
     with pytest.raises(ParameterError):
-        rescale_cid(z, 1.0, 0.5)
+        rescale_cid(np.zeros(3), 1.0, 0.5)
 
 
 def test_riemann_scale_frozen_values():
@@ -157,7 +159,7 @@ def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
     # block of replicates from b0 draws them in turn from stream (seed, b0)
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 1.0])),
-        [PiecewisePolyDensity(f"x{k}", [PolySegment(0, 1, np.eye(d + 1)[k])], d) for k in range(d + 1)],
+        [PiecewisePolyDensity(f"x{k}", [0], [1], np.eye(d + 1)[k : k + 1], d) for k in range(d + 1)],
         d,
     )
     cfg = ApproxConfig(d=d, epsilon_integration=0.1, r=r, nodes=nodes)
@@ -167,7 +169,7 @@ def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
         stream = RandomStream(61, b0)
         for rep in range(b0, min(b0 + _BLOCK, t)):
             z = sample_cid_approx_unit(cfg, stream, size=1)
-            np.testing.assert_array_equal(z.components[0], sk.values[:, rep])
+            np.testing.assert_array_equal(z[0], sk.values[:, rep])
 
 
 @pytest.mark.parametrize("nodes", ["right", "midpoint"])
@@ -176,7 +178,7 @@ def test_riemann_scale_is_the_exact_law_of_linear_functionals(nodes):
     r = 64
     cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=r, nodes=nodes)
     z = sample_cid_approx_unit(cfg, RandomStream(6), size=100_000)
-    w = z.components @ coeffs
+    w = z @ coeffs
     assert ks_against_cauchy(w, riemann_abs_scale(coeffs, r, nodes=nodes)) < 0.01
 
 
@@ -227,11 +229,22 @@ def test_calibrate_sanity_bound_small_degrees():
     assert set(result.per_degree_r) == {1, 2, 3, 4, 5}
 
 
-def test_calibrate_rejects_bad_args():
+def test_calibrate_rejects_bad_args(monkeypatch):
     with pytest.raises(ParameterError):
         calibrate_c(0, 0.05, 10, RandomStream(10))
     with pytest.raises(ParameterError):
         calibrate_c(3, 0.05, 0, RandomStream(10))
+    # no r passes eps <= 0 or NaN, so the search would double r towards 1e8
+    # over a (trials, r) array: it must not start
+    import l1sketch.cid as cid_mod
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cid_mod, "random_polynomial", no_trials)
+    for bad in (0.0, -0.05, np.nan, np.inf):
+        with pytest.raises(ParameterError, match="target_eps must be finite and positive"):
+            calibrate_c(3, bad, 10, RandomStream(10))
 
 
 def test_derivative_mass_ratio_within_doubled_calibration_bound():

@@ -15,7 +15,6 @@ from l1sketch import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
-    PolySegment,
     merge_breakpoints,
     uniform_density,
 )
@@ -38,9 +37,8 @@ def test_family_round_trip(tmp_path):
     assert back.names == fam.names
     np.testing.assert_array_equal(back.breakpoints.points, fam.breakpoints.points)
     for d1, d2 in zip(back.densities, fam.densities):
-        assert [(s.b, s.c) for s in d1.segments] == [(s.b, s.c) for s in d2.segments]
-        for s1, s2 in zip(d1.segments, d2.segments):
-            np.testing.assert_array_equal(s1.coeffs, s2.coeffs)
+        assert d1.b.tolist() == d2.b.tolist() and d1.c.tolist() == d2.c.tolist()
+        np.testing.assert_array_equal(d1.coeffs, d2.coeffs)
     # canonical form is a fixed point
     assert family_to_json(back) == text
 
@@ -85,9 +83,7 @@ def _quadratic_family_path(tmp_path):
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 0.4, 1.0])),
         [
-            PiecewisePolyDensity(
-                f"q{j}", [PolySegment(i, i + 1, np.array([1.0, j - 1.0, 0.5 * j])) for i in range(2)], 2
-            )
+            PiecewisePolyDensity(f"q{j}", [0, 1], [1, 2], [[1.0, j - 1.0, 0.5 * j]] * 2, 2)
             for j in range(3)
         ],
         2,
@@ -239,6 +235,12 @@ _OK = {"name": "ok", "segments": [{"b": 0, "c": 3, "coeffs": [0.25]}]}
         pytest.param([{"name": "bad", "segments": [{"b": 2, "c": 4, "coeffs": [1.0]}]}], id="beyond-grid"),
         pytest.param([{"name": "bad", "segments": []}, {"name": "bad", "segments": []}], id="duplicate"),
         pytest.param([{"name": "bad", "segments": [{"b": 0, "c": 1, "coeffs": [float("nan")]}]}], id="nan"),
+        # indices that were once truncated or cast to another family's
+        pytest.param([{"name": "bad", "segments": [{"b": 0.7, "c": 1, "coeffs": [1.0]}]}], id="float-b"),
+        pytest.param([{"name": "bad", "segments": [{"b": 0, "c": 2.9, "coeffs": [1.0]}]}], id="float-c"),
+        pytest.param([{"name": "bad", "segments": [{"b": "1", "c": 2, "coeffs": [1.0]}]}], id="string-b"),
+        pytest.param([{"name": "bad", "segments": [
+            {"b": 0, "c": True, "coeffs": [1.0]}, {"b": 1, "c": 2, "coeffs": [1.0]}]}], id="bool-c"),
     ],
 )
 def test_dist_bad_segments_exit_2_naming_density(tmp_path, capsys, densities):
@@ -249,14 +251,30 @@ def test_dist_bad_segments_exit_2_naming_density(tmp_path, capsys, densities):
     assert "'bad'" in capsys.readouterr().err
 
 
+def _assert_refused(code, want, out, capsys):
+    """Exit code ``want``, no output file and no traceback."""
+    assert code == want
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+    return err
+
+
+@pytest.mark.parametrize("degree", ["1.5", '"1"', "true", "[1]"])
+def test_dist_non_integer_degree_exit_2(tmp_path, capsys, degree):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"degree": {degree}, "breakpoints": [0.0, 1.0], "densities": []}}')
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(path), "--method", "exact", "--out", str(out)])
+    assert "degree must be an integer" in _assert_refused(code, 2, out, capsys)
+
+
 def test_multi_interval_family_round_trips_byte_for_byte(tmp_path):
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 0.25, 0.5, 1.0, 2.0])),
         [
-            PiecewisePolyDensity(
-                "p", [PolySegment(2, 4, np.array([0.1, 0.3])), PolySegment(0, 2, np.array([1 / 3, -0.7]))], 1
-            ),
-            PiecewisePolyDensity("q", [PolySegment(1, 3, np.array([0.2, 0.1]))], 1),
+            PiecewisePolyDensity("p", [2, 0], [4, 2], [[0.1, 0.3], [1 / 3, -0.7]], 1),
+            PiecewisePolyDensity("q", [1], [3], [[0.2, 0.1]], 1),
         ],
         1,
     )
@@ -292,6 +310,52 @@ def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, metho
     assert code == 3
     assert f"threads must be >= 1, got {threads}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--method", "exact", "--epsilon", "nan"], "epsilon must be finite"),
+        (["--method", "exact", "--delta", "nan"], "delta must be finite"),
+        (["--method", "exact", "--delta", "inf"], "delta must be finite"),
+        (["--method", "mc", "--epsilon", "nan"], "epsilon must be finite"),
+        (["--c-constant", "nan"], "c_constant must be finite"),
+        (["--c-constant", "inf"], "c_constant must be finite"),
+        (["--c-constant", "-1"], "c_constant must be finite and positive"),
+    ],
+)
+def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(_quadratic_family_path(tmp_path)), *args, "--out", str(out)])
+    assert message in _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["--eps-int", "nan"], "epsilon_integration must be finite and positive"),
+        (["--eps-int", "inf", "--r", "5"], "epsilon_integration must be finite and positive"),
+        (["--c-constant", "inf"], "c_constant must be finite and positive"),
+    ],
+)
+def test_sample_cid_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
+    out = tmp_path / "s.csv"
+    code = main(["sample", "cid", "--count", "3", *args, "--out", str(out)])
+    assert message in _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.05", "nan", "inf"])
+def test_calibrate_bad_eps_exit_3_before_any_trial(tmp_path, capsys, monkeypatch, eps):
+    # no r passes eps <= 0 or NaN: the search would double r towards 1e8
+    import l1sketch.cid as cid_mod
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("calibration started")
+
+    monkeypatch.setattr(cid_mod, "random_polynomial", no_trials)
+    out = tmp_path / "cal.json"
+    code = main(["calibrate", "--d-max", "1", "--trials", "1", "--eps", eps, "--out", str(out)])
+    assert "target_eps must be finite and positive" in _assert_refused(code, 3, out, capsys)
 
 
 def test_dist_missing_file_exit_2(capsys):
@@ -398,6 +462,39 @@ def test_eval_density_points(pair_family_path, tmp_path):
     rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
     assert float(rows[1].split(",")[1]) == 1.0
     assert float(rows[2].split(",")[1]) == 0.0
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--points", "0.1,x"],
+        ["--points", "0.1,nan"],
+        ["--points", "inf"],
+        ["--grid=nan:1:0.1"],
+        ["--grid=0:inf:1"],
+        ["--grid=0:1:nan"],
+        ["--grid=0:1:inf"],
+        ["--grid=-1e308:1e308:1e-10"],
+    ],
+)
+def test_eval_density_bad_points_or_grid_exit_3(pair_family_path, tmp_path, capsys, args):
+    out = tmp_path / "vals.csv"
+    code = main(["eval", "density", "--input", pair_family_path, "--name", "a", *args,
+                 "--out", str(out)])
+    _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize("missing", ["--input", "--name"])
+def test_eval_density_missing_input_or_name_exit_2(pair_family_path, tmp_path, capsys, missing):
+    argv = {"--input": pair_family_path, "--name": "a"}
+    del argv[missing]
+    out = tmp_path / "vals.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "density", *[v for kv in argv.items() for v in kv], "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"eval density needs {missing}" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_eval_density_unknown_name(pair_family_path, capsys):

@@ -12,7 +12,6 @@ from l1sketch import (
     FamilyFormatError,
     ParameterError,
     PiecewisePolyDensity,
-    PolySegment,
     RandomStream,
     calibrate_c,
     density_from_pieces,
@@ -41,15 +40,11 @@ def test_breakpoints_invariants():
 
 def test_segment_invariants():
     with pytest.raises(FamilyFormatError):
-        PolySegment(1, 1, np.array([1.0]))  # empty interval is a hard error
+        PiecewisePolyDensity("bad", [1], [1], [[1.0]], 0)  # empty interval is a hard error
     with pytest.raises(FamilyFormatError):
-        PolySegment(2, 1, np.array([1.0]))
+        PiecewisePolyDensity("bad", [2], [1], [[1.0]], 0)
     with pytest.raises(FamilyFormatError):
-        PiecewisePolyDensity(
-            "bad",
-            [PolySegment(0, 2, np.array([1.0])), PolySegment(1, 3, np.array([1.0]))],
-            degree=0,
-        )
+        PiecewisePolyDensity("bad", [0, 1], [2, 3], [[1.0], [1.0]], degree=0)
 
 
 def test_validate_uniform_no_warnings():
@@ -69,7 +64,7 @@ def test_validate_mass_and_negativity_warnings():
 
 def test_degree_cap():
     with pytest.raises(FamilyFormatError):
-        PiecewisePolyDensity("big", [PolySegment(0, 1, np.zeros(18))], degree=17)
+        PiecewisePolyDensity("big", [0], [1], np.zeros((1, 18)), degree=17)
 
 
 def test_eval_density_basic():
@@ -91,8 +86,8 @@ def test_merge_grids_and_split():
     merged = merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.5, 1.5)])
     assert merged.breakpoints.points.tolist() == [0.0, 0.5, 1.0, 1.5]
     dens_a = merged.densities[0]
-    assert [(s.b, s.c) for s in dens_a.segments] == [(0, 1), (1, 2)]
-    assert all(s.coeffs.tolist() == [1.0] for s in dens_a.segments)
+    assert dens_a.b.tolist() == [0, 1] and dens_a.c.tolist() == [1, 2]
+    assert dens_a.coeffs.tolist() == [[1.0], [1.0]]
 
 
 def test_merge_single_family_identity_values():
@@ -179,8 +174,8 @@ def test_exact_distance_matches_adaptive_simpson():
         degree = trial % 4
 
         def rand_density(name):
-            segs = [PolySegment(i, i + 1, gen.uniform(-1, 1, degree + 1)) for i in range(3)]
-            return PiecewisePolyDensity(name, segs, degree)
+            rows = [gen.uniform(-1, 1, degree + 1) for _ in range(3)]
+            return PiecewisePolyDensity(name, [0, 1, 2], [1, 2, 3], rows, degree)
 
         f, g = rand_density("f"), rand_density("g")
         DensityFamily(bp, [f, g], degree)
@@ -237,14 +232,12 @@ def test_distance_positive_for_distinct_coefficients():
 
 
 # -------------------------------------------------------- segment tables
-def test_segments_are_views_in_b_order():
+def test_table_rows_sorted_by_b():
     coeffs = [np.array([0.5]), np.array([0.25])]
-    dens = PiecewisePolyDensity("p", [PolySegment(2, 3, coeffs[0]), PolySegment(0, 2, coeffs[1])], 0)
+    dens = PiecewisePolyDensity("p", [2, 0], [3, 2], coeffs, 0)
     assert dens.b.tolist() == [0, 2] and dens.c.tolist() == [2, 3]
     assert dens.b.dtype == dens.c.dtype == np.int64 and dens.coeffs.shape == (2, 1)
-    segs = dens.segments
-    assert [(s.b, s.c, s.coeffs.tolist()) for s in segs] == [(0, 2, [0.25]), (2, 3, [0.5])]
-    assert np.shares_memory(segs[0].coeffs, dens.coeffs)
+    assert dens.coeffs.tolist() == [[0.25], [0.5]]
 
 
 def test_table_invariants_name_the_density():
@@ -256,11 +249,11 @@ def test_table_invariants_name_the_density():
     ]
     for b, c, coeffs, message in cases:
         with pytest.raises(FamilyFormatError, match=f"'bad'.*{message}"):
-            PiecewisePolyDensity.from_table("bad", b, c, np.array(coeffs), 0)
+            PiecewisePolyDensity("bad", b, c, np.array(coeffs), 0)
     with pytest.raises(FamilyFormatError, match="'bad'.*differ in length"):
-        PiecewisePolyDensity.from_table("bad", [1, 0], [2], np.ones((2, 1)), 0)
+        PiecewisePolyDensity("bad", [1, 0], [2], np.ones((2, 1)), 0)
     with pytest.raises(FamilyFormatError, match="'bad'"):
-        PiecewisePolyDensity("bad", [PolySegment(0, 1, [1.0]), PolySegment(1, 2, [1.0, 2.0])], 0)
+        PiecewisePolyDensity("bad", [0, 1], [1, 2], [[1.0], [1.0, 2.0]], 0)
 
 
 def test_validate_refuses_family_mutated_after_construction():
@@ -268,11 +261,11 @@ def test_validate_refuses_family_mutated_after_construction():
         return merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.5, 1.5)])
 
     fam = fresh()
-    fam.densities.append(PiecewisePolyDensity("a", [PolySegment(0, 1, np.array([1.0]))], 0))
+    fam.densities.append(PiecewisePolyDensity("a", [0], [1], [[1.0]], 0))
     with pytest.raises(FamilyFormatError, match="duplicate density name 'a'"):
         validate_family(fam)
     fam = fresh()
-    fam.densities.append(PiecewisePolyDensity("c", [PolySegment(0, 1, np.array([1.0, 0.0]))], 1))
+    fam.densities.append(PiecewisePolyDensity("c", [0], [1], [[1.0, 0.0]], 1))
     with pytest.raises(FamilyFormatError, match="'c' has degree 1"):
         validate_family(fam)
     fam = fresh()
@@ -291,17 +284,19 @@ def test_validate_refuses_family_mutated_after_construction():
 
 
 def _merge_by_segment(families):
-    """The merge built segment object by segment object."""
+    """The merge built segment by segment, one single-interval row at a time."""
     grid = np.unique(np.concatenate([fam.breakpoints.points for fam in families]))
     densities = []
     for fam in families:
         old = fam.breakpoints.points
         for dens in fam.densities:
-            segs = []
-            for seg in dens.segments:
-                nb, nc = np.searchsorted(grid, old[seg.b]), np.searchsorted(grid, old[seg.c])
-                segs += [PolySegment(j, j + 1, seg.coeffs.copy()) for j in range(nb, nc)]
-            densities.append(PiecewisePolyDensity(dens.name, segs, dens.degree))
+            b, rows = [], []
+            for sb, sc, row in zip(dens.b.tolist(), dens.c.tolist(), dens.coeffs):
+                nb, nc = np.searchsorted(grid, old[sb]), np.searchsorted(grid, old[sc])
+                b += range(nb, nc)
+                rows += [row.copy() for _ in range(nb, nc)]
+            rows = np.reshape(rows, (-1, dens.degree + 1))
+            densities.append(PiecewisePolyDensity(dens.name, b, np.add(b, 1), rows, dens.degree))
     return DensityFamily(Breakpoints(grid), densities, families[0].degree)
 
 
@@ -331,12 +326,8 @@ def test_horner_results_match_recorded_bits():
     # calibrate_c shared one Horner evaluator
     gen = np.random.default_rng(2024)
     bp = Breakpoints(np.array([-1.5, -0.25, 0.0, 0.5, 1.25, 3.0]))
-    segs = [
-        PolySegment(0, 2, gen.uniform(-1, 1, 4)),
-        PolySegment(3, 5, gen.uniform(-1, 1, 4)),
-        PolySegment(2, 3, gen.uniform(-1, 1, 4)),
-    ]
-    dens = PiecewisePolyDensity("p", segs, 3)
+    rows = [gen.uniform(-1, 1, 4) for _ in range(3)]
+    dens = PiecewisePolyDensity("p", [0, 3, 2], [2, 5, 3], rows, 3)
     values = eval_density(dens, bp, np.linspace(-2.0, 3.5, 1001))
     digest = hashlib.sha256(values.tobytes()).hexdigest()
     assert digest == "24335c89b92dec7fc6b298270b8198da214583613fb92b05465eb705f352c67a"

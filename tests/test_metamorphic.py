@@ -31,7 +31,6 @@ from l1sketch import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
-    PolySegment,
     RandomStream,
     SketchMode,
     density_from_pieces,
@@ -128,12 +127,13 @@ def shifted_families(draw, max_degree: int = 4):
     local = np.zeros((m, len(widths), degree + 1))
     densities = []
     for j in range(m):
-        segs = []
+        ells = []
         for ell in range(len(widths)):
-            if draw(st.booleans()) or not segs and ell == len(widths) - 1:
+            if draw(st.booleans()) or not ells and ell == len(widths) - 1:
                 local[j, ell] = draw(st.lists(coeff, min_size=degree + 1, max_size=degree + 1))
-                segs.append(PolySegment(ell, ell + 1, _global(local[j, ell], grid[ell], degree)))
-        densities.append(PiecewisePolyDensity(f"f{j}", segs, degree))
+                ells.append(ell)
+        rows = [_global(local[j, ell], grid[ell], degree) for ell in ells]
+        densities.append(PiecewisePolyDensity(f"f{j}", ells, np.add(ells, 1), rows, degree))
     return DensityFamily(Breakpoints(grid), densities, degree), local
 
 
@@ -169,9 +169,7 @@ def _scaled(family: DensityFamily, a: float, lam: float) -> DensityFamily:
     """``lam * f(x / a) / a`` for every density ``f``, on the grid times ``a``."""
     powers = lam * a ** -(np.arange(family.degree + 1) + 1.0)
     densities = [
-        PiecewisePolyDensity(
-            dens.name, [PolySegment(s.b, s.c, s.coeffs * powers) for s in dens.segments], dens.degree
-        )
+        PiecewisePolyDensity(dens.name, dens.b, dens.c, dens.coeffs * powers, dens.degree)
         for dens in family.densities
     ]
     return DensityFamily(Breakpoints(a * family.breakpoints.points), densities, family.degree)
@@ -209,7 +207,7 @@ def test_merging_family_with_itself_changes_nothing(drawn):
     base = exact_all_pairs(family).entries
     copy = DensityFamily(
         family.breakpoints,
-        [PiecewisePolyDensity(d.name + "'", d.segments, d.degree) for d in family.densities],
+        [PiecewisePolyDensity(d.name + "'", d.b, d.c, d.coeffs, d.degree) for d in family.densities],
         family.degree,
     )
     merged = exact_all_pairs(merge_breakpoints([family, copy])).entries

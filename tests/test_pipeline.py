@@ -20,7 +20,6 @@ from l1sketch import (
     DistanceMatrix,
     ParameterError,
     PiecewisePolyDensity,
-    PolySegment,
     RandomStream,
     SketchMode,
     density_from_pieces,
@@ -90,11 +89,8 @@ def test_identical_densities_cancel_exactly():
 
 def test_duplicate_density_row_identical_d1():
     fam = random_piecewise_linear_family(3, 4, RandomStream(4))
-    dup = PiecewisePolyDensity(
-        "dup_of_0",
-        [type(s)(s.b, s.c, s.coeffs.copy()) for s in fam.densities[0].segments],
-        fam.degree,
-    )
+    src = fam.densities[0]
+    dup = PiecewisePolyDensity("dup_of_0", src.b.copy(), src.c.copy(), src.coeffs.copy(), fam.degree)
     bigger = DensityFamily(fam.breakpoints, fam.densities + [dup], fam.degree)
     sk = sketch_family(bigger, 256, SketchMode.EXACT_CI1, RandomStream(5))
     np.testing.assert_array_equal(sk.values[0], sk.values[-1])
@@ -162,7 +158,7 @@ def _per_pair_reference(values: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(m):
             for k in range(j + 1, m):
-                entries[j, k] = entries[k, j] = geometric_mean_estimate(values[j] - values[k]).value
+                entries[j, k] = entries[k, j] = geometric_mean_estimate(values[j] - values[k])
     return entries
 
 
@@ -337,9 +333,7 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
         "quadratic": lambda: DensityFamily(
             Breakpoints(np.array([0.0, 0.4, 1.0])),
             [
-                PiecewisePolyDensity(
-                    f"q{j}", [PolySegment(i, i + 1, np.array([1.0, j - 1.0, 0.5 * j])) for i in range(2)], 2
-                )
+                PiecewisePolyDensity(f"q{j}", [0, 1], [1, 2], [[1.0, j - 1.0, 0.5 * j]] * 2, 2)
                 for j in range(3)
             ],
             2,
@@ -468,7 +462,7 @@ def _with_unit_densities(family):
     the replicate's integral vector, exactly."""
     d = family.degree
     units = [
-        PiecewisePolyDensity(f"unit{ell}_{k}", [PolySegment(ell, ell + 1, np.eye(d + 1)[k])], d)
+        PiecewisePolyDensity(f"unit{ell}_{k}", [ell], [ell + 1], np.eye(d + 1)[k : k + 1], d)
         for ell in range(len(family.breakpoints) - 1)
         for k in range(d + 1)
     ]
@@ -504,12 +498,12 @@ def test_interval_coefficients_match_per_segment_loop():
     gen = np.random.default_rng(8)
     for degree in range(4):
         fam = random_segment_family(gen, 5, degree)
-        low = PiecewisePolyDensity("low", [PolySegment(1, 4, np.array([0.5]))], 0)
+        low = PiecewisePolyDensity("low", [1], [4], [[0.5]], 0)
         densities = fam.densities + [low]
         ref = np.zeros((len(densities), len(fam.breakpoints) - 1, degree + 1))
         for j, dens in enumerate(densities):
-            for seg in dens.segments:
-                ref[j, seg.b : seg.c, : seg.coeffs.size] = seg.coeffs
+            for b, c, row in zip(dens.b, dens.c, dens.coeffs):
+                ref[j, b:c, : row.size] = row
         assert any(np.any(dens.c - dens.b > 1) for dens in fam.densities)
         assert np.any(np.all(ref == 0.0, axis=2))  # some intervals are unsupported
         np.testing.assert_array_equal(interval_coefficients(densities, fam.breakpoints), ref)
@@ -641,8 +635,8 @@ def test_quadratic_family_end_to_end():
     pts = np.array([0.0, 0.4, 1.0])
     densities = []
     for j in range(3):
-        segs = [PolySegment(i, i + 1, gen.uniform(-1, 1, 3)) for i in range(2)]
-        densities.append(PiecewisePolyDensity(f"q{j}", segs, 2))
+        rows = [gen.uniform(-1, 1, 3) for _ in range(2)]
+        densities.append(PiecewisePolyDensity(f"q{j}", [0, 1], [1, 2], rows, 2))
     fam = DensityFamily(Breakpoints(pts), densities, 2)
     oracle = exact_all_pairs(fam).entries
     dm = run_scheme(fam, 0.2, 0.1, "sketch", seed=34)
@@ -659,8 +653,8 @@ def test_cubic_family_sketch_vs_exact():
     pts = np.array([-1.0, 0.0, 0.5, 1.0])
     densities = []
     for j in range(3):
-        segs = [PolySegment(i, i + 1, gen.uniform(-1, 1, 4)) for i in range(3)]
-        densities.append(PiecewisePolyDensity(f"c{j}", segs, 3))
+        rows = [gen.uniform(-1, 1, 4) for _ in range(3)]
+        densities.append(PiecewisePolyDensity(f"c{j}", [0, 1, 2], [1, 2, 3], rows, 3))
     fam = DensityFamily(Breakpoints(pts), densities, 3)
     oracle = exact_all_pairs(fam).entries
     dm = run_scheme(fam, 0.3, 0.1, "sketch", seed=36)
