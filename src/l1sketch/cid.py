@@ -44,18 +44,25 @@ from .randstream import RandomStream, cauchy_in_place
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
-#: factor 2 included.
+#: factor 2 included: the fit is 2 * 21 * 0.05 / 1 = 2.1, set by degree 1
+#: (per-degree r 21/35/48/54/66/63/71/76 for d = 1..8).
 DEFAULT_C = 2.1
 
 #: Default constant of the midpoint rule ``r = ceil(c d / sqrt(eps))``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809,
 #: nodes="midpoint"), safety factor 2 included: the fit is 2 * 5 * sqrt(0.05)
-#: = 2.236, set by degree 1 (per-degree r 5/7/6/6/9/8/8/9 for d = 1..8),
+#: = 2.236, set by degree 1 (per-degree r 5/8/9/7/8/9/8/11 for d = 1..8),
 #: rounded up.  Recompute with the `calibrate` CLI command to override.
 DEFAULT_C_MIDPOINT = 2.24
 
 #: Node rules of the r-step sampler and their default constants.
 NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
+
+#: Largest step count ``r``, given or derived, that :class:`ApproxConfig`
+#: accepts.  A draw holds ``r`` float64 uniforms per interval, so 10**6 steps
+#: are 8 MB per interval and replicate; the calibrated constants give
+#: r = 11 at degree 2 and eps_int = 0.1.
+MAX_STEPS = 10**6
 
 #: Calibration discards polynomials with |p|-mass below this, to avoid
 #: relative-error blowup on near-null polynomials.
@@ -88,7 +95,8 @@ class ApproxConfig:
     Unless given, ``r = ceil(c d^2 / eps)`` for right endpoints and
     ``r = ceil(c d / sqrt(eps))`` for midpoints, with ``c = c_constant``
     defaulting to the rule's calibrated constant (:data:`DEFAULT_C` or
-    :data:`DEFAULT_C_MIDPOINT`).
+    :data:`DEFAULT_C_MIDPOINT`).  An ``r`` below 1 or above
+    :data:`MAX_STEPS` raises :class:`ParameterError`.
     """
 
     d: int
@@ -107,14 +115,19 @@ class ApproxConfig:
         _check_positive("c_constant", self.c_constant)
         _check_positive("epsilon_integration", self.epsilon_integration)
         c, d, eps = self.c_constant, self.d, self.epsilon_integration
-        if self.r is None and self.nodes == "right":
-            self.r = max(1, math.ceil(c * d**2 / eps))
-        elif self.r is None:
-            self.r = max(1, math.ceil(c * d / math.sqrt(eps)))
+        if self.r is None:
+            steps = c * d**2 / eps if self.nodes == "right" else c * d / math.sqrt(eps)
+            # checked as a float: a huge c_constant can make steps inf
+            if not steps <= MAX_STEPS:
+                raise ParameterError(
+                    f"derived r = {steps:.3g} exceeds the limit of {MAX_STEPS} steps "
+                    f"(d={d}, epsilon_integration={eps}, c_constant={c})"
+                )
+            self.r = max(1, math.ceil(steps))
         else:
             self.r = int(self.r)
-            if self.r < 1:
-                raise ParameterError("r must be >= 1")
+            if not 1 <= self.r <= MAX_STEPS:
+                raise ParameterError(f"r must be in [1, {MAX_STEPS}], got {self.r}")
 
 
 def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
@@ -129,12 +142,13 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
 
 
 def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarray:
-    """r-step vectors from uniforms ``u[..., r]`` (overwritten): Cauchy steps
-    of scale ``1/r`` times the node powers of :func:`_node_powers`.  Stacked,
-    not flattened, so each ``(L, r)`` product has the bits it has alone."""
+    """r-step vectors from uniforms ``u[..., r]`` (overwritten): standard
+    Cauchy steps times the node powers of :func:`_node_powers` over ``r``,
+    which is Cauchy steps of scale ``1/r`` times the powers, without a pass
+    over the steps.  Stacked, not flattened, so each ``(L, r)`` product has
+    the bits it has alone."""
     cauchy_in_place(u)
-    u /= u.shape[-1]
-    return np.matmul(u, node_pow, out=out)
+    return np.matmul(u, node_pow / u.shape[-1], out=out)
 
 
 def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int | None = None):

@@ -37,6 +37,10 @@ EXIT_FORMAT = 2
 EXIT_PARAMETER = 3
 EXIT_INTERNAL = 4
 
+#: Most points a ``--grid`` may expand to.  Beyond it ``np.linspace`` fails
+#: or exhausts memory; at it, ``eval density`` writes about 400 MB of CSV.
+MAX_GRID_POINTS = 10**7
+
 
 def _default_seed() -> int:
     env = os.environ.get("L1SKETCH_SEED")
@@ -67,6 +71,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     if not all(math.isfinite(v) for v in (lo, hi, step, (hi - lo) / step)):
         raise ParameterError(f"bad grid spec {spec!r}: need finite lo, hi, step and (hi - lo)/step")
     count = int(round((hi - lo) / step)) + 1
+    if count > MAX_GRID_POINTS:
+        raise ParameterError(f"grid spec {spec!r} gives {count} points, more than {MAX_GRID_POINTS}")
     return np.linspace(lo, hi, count)
 
 

@@ -21,7 +21,9 @@ meaningful: identical densities cancel exactly, replicate by replicate.
 
 Determinism contract: replicates are processed in blocks of 64 aligned to
 absolute replicate indices, and the block starting at replicate ``b0``
-consumes only the stream ``(seed, b0)``, so no two blocks share a generator.
+consumes only the stream ``(seed, b0)``, the SFC64 generator of child
+``b0`` of ``SeedSequence(seed)`` (see :mod:`l1sketch.randstream`), so no
+two blocks share a generator.
 A block draws its replicates in groups of a fixed size, each group in a few
 whole-array calls on that stream, and its arithmetic is identical no matter
 which worker thread runs it.  Outputs are therefore bit-identical for any
@@ -369,13 +371,19 @@ def run_scheme(
     config rather than rounded to a clean ``1 +/- epsilon``.  It uses midpoint
     nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
     :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.  A non-finite ``epsilon``,
-    ``delta`` or ``c_constant`` raises :class:`ParameterError` for every
-    method, before any work.
+    ``delta`` or ``c_constant``, an ``epsilon <= 0`` or a ``delta`` outside
+    (0, 1) raises :class:`ParameterError` for every method, before any work;
+    the sketch also refuses ``epsilon > 1/2`` and the MC baseline
+    ``epsilon > 2``.
     """
     _check_threads(threads)
     for name, value in (("epsilon", epsilon), ("delta", delta), ("c_constant", c_constant)):
         if value is not None and not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+    if not epsilon > 0.0:
+        raise ParameterError(f"epsilon must be > 0, got {epsilon}")
+    if not 0.0 < delta < 1.0:
+        raise ParameterError(f"delta must be in (0, 1), got {delta}")
     if method == "exact":
         dm = _exact_all_pairs(family)
         dm.config.update({"epsilon": epsilon, "delta": delta, "seed": seed})

@@ -1,12 +1,17 @@
 """Seeded random primitives, the Cauchy step and the scale estimator.
 
-Randomness comes from numpy's Philox counter-based generator keyed directly
-by ``(seed, stream_id)``, so any (seed, stream) pair names the same sequence
-on every platform and under any threading layout.  Substreams are cheap to
-create, which lets callers assign one stream per block of work without
-coordination: the sketch gives each block of 64 replicates the stream
-``(seed, b0)`` of its first replicate ``b0``.  Every Cauchy draw in the
-package is made by :func:`cauchy_in_place`.
+Randomness comes from numpy's SFC64 generator seeded by the child
+``SeedSequence(seed, spawn_key=(stream_id,))``: stream ``k`` of seed ``s``
+is the one numpy's ``SeedSequence(s).spawn(k + 1)[k]`` seeds, its documented
+way to make independent streams.  Any (seed, stream) pair names the same
+sequence on every platform and under any threading layout.  Substreams are
+cheap to create, which lets callers assign one stream per block of work
+without coordination: the sketch gives each block of 64 replicates the
+stream ``(seed, b0)`` of its first replicate ``b0``.  SFC64 is chosen for
+speed, since uniforms are most of the sketch's cost at degree >= 2: on a
+2-vCPU VM one float64 uniform took 2.9-4.4 ns, against 7.6-9.7 ns from
+numpy's counter-based generator.  Every generator in the package is made
+here, and every Cauchy draw by :func:`cauchy_in_place`.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ class RandomStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & _UINT64_MASK
         self.stream_id = int(stream_id) & _UINT64_MASK
-        key = np.array([self.seed, self.stream_id], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
+        seq = np.random.SeedSequence(self.seed, spawn_key=(self.stream_id,))
+        self.generator = np.random.Generator(np.random.SFC64(seq))
 
     def substream(self, stream_id: int) -> "RandomStream":
         """A fresh stream with the same seed and the given stream id."""
@@ -45,8 +50,10 @@ class RandomStream:
 
 
 def cauchy_in_place(u: np.ndarray) -> None:
-    """Map uniforms to standard Cauchy draws ``tan(pi (u - 1/2))``, in place."""
-    u -= 0.5
+    """Map uniforms on [0, 1) to standard Cauchy draws ``tan(pi u)``, in
+    place, in two passes.  tan has period pi, so this has the law of the
+    quantile transform ``tan(pi (u - 1/2))``.  ``u = 1/2`` gives a finite
+    value, about 1.6e16."""
     u *= np.pi
     np.tan(u, out=u)
 

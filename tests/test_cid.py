@@ -215,7 +215,7 @@ def test_calibrate_midpoint_constant_formula():
 
 @pytest.mark.parametrize(
     "nodes,per_degree",
-    [("right", [21, 40, 55, 49, 62, 54, 72, 68]), ("midpoint", [5, 7, 6, 6, 9, 8, 8, 9])],
+    [("right", [21, 35, 48, 54, 66, 63, 71, 76]), ("midpoint", [5, 8, 9, 7, 8, 9, 8, 11])],
 )
 def test_calibrate_reproduces_the_default_constants_provenance(nodes, per_degree):
     # the runs DEFAULT_C and DEFAULT_C_MIDPOINT quote in l1sketch.cid

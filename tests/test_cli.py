@@ -322,6 +322,16 @@ def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, metho
         (["--c-constant", "nan"], "c_constant must be finite"),
         (["--c-constant", "inf"], "c_constant must be finite"),
         (["--c-constant", "-1"], "c_constant must be finite and positive"),
+        (["--method", "exact", "--epsilon", "-5", "--delta", "0.1"], "epsilon must be > 0"),
+        (["--method", "exact", "--epsilon", "0"], "epsilon must be > 0"),
+        (["--method", "exact", "--delta", "7"], "delta must be in (0, 1)"),
+        (["--method", "exact", "--delta", "0"], "delta must be in (0, 1)"),
+        (["--method", "mc", "--epsilon", "-0.1"], "epsilon must be > 0"),
+        (["--method", "mc", "--delta", "1"], "delta must be in (0, 1)"),
+        (["--epsilon", "-0.1"], "epsilon must be > 0"),
+        (["--delta", "-0.5"], "delta must be in (0, 1)"),
+        # r = ceil(c d / sqrt(eps_int)) would be about 6e300 steps
+        (["--c-constant", "1e300"], "exceeds the limit of 1000000 steps"),
     ],
 )
 def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
@@ -336,6 +346,9 @@ def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
         (["--eps-int", "nan"], "epsilon_integration must be finite and positive"),
         (["--eps-int", "inf", "--r", "5"], "epsilon_integration must be finite and positive"),
         (["--c-constant", "inf"], "c_constant must be finite and positive"),
+        (["--r", "100000000000000000000"], "r must be in [1, 1000000]"),
+        (["--r", "1000001"], "r must be in [1, 1000000]"),
+        (["--c-constant", "1e300"], "exceeds the limit of 1000000 steps"),
     ],
 )
 def test_sample_cid_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
@@ -475,6 +488,9 @@ def test_eval_density_points(pair_family_path, tmp_path):
         ["--grid=0:1:nan"],
         ["--grid=0:1:inf"],
         ["--grid=-1e308:1e308:1e-10"],
+        ["--grid=0:1:1e-300"],
+        # 10**7 + 1 points, one past the limit
+        ["--grid=0:1:1e-7"],
     ],
 )
 def test_eval_density_bad_points_or_grid_exit_3(pair_family_path, tmp_path, capsys, args):

@@ -333,4 +333,4 @@ def test_horner_results_match_recorded_bits():
     assert digest == "24335c89b92dec7fc6b298270b8198da214583613fb92b05465eb705f352c67a"
     assert eval_density(dens, bp, 0.3) == -0.4566503842534336
     result = calibrate_c(3, 0.05, 40, RandomStream(7))
-    assert result.per_degree_r == {1: 21, 2: 20, 3: 38} and result.c == 2.1
+    assert result.per_degree_r == {1: 21, 2: 34, 3: 41} and result.c == 2.1

@@ -287,7 +287,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_pr
         for g0 in range(0, b1 - b0, group):
             g = min(group, b1 - b0 - g0)
             if mode is SketchMode.UNIFORM_FASTPATH:
-                z[g0 : g0 + g, :, 0] = np.tan(np.pi * (gen.random((g, n_int)) - 0.5))
+                z[g0 : g0 + g, :, 0] = np.tan(np.pi * gen.random((g, n_int)))
             elif mode is SketchMode.EXACT_CI1:
                 need = g * n_int
                 parts = [accepted(gen, first(need))]
@@ -299,8 +299,8 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_pr
                 for k, p in enumerate(zip(*parts)):
                     z[g0 : g0 + g, :, k] = np.concatenate(p)[:need].reshape(g, n_int)
             else:
-                steps = np.tan(np.pi * (gen.random((g, n_int, r)) - 0.5)) / r
-                z[g0 : g0 + g] = steps @ node_pow
+                steps = np.tan(np.pi * gen.random((g, n_int, r)))
+                z[g0 : g0 + g] = steps @ (node_pow / r)
         x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
     return x, shortfalls
 
@@ -398,12 +398,14 @@ def test_sketch_equal_at_one_two_and_three_threads(t, case):
 
 
 def _state(gen):
-    """The Philox state of ``gen`` as comparable Python values."""
-    st = gen.bit_generator.state
-    return (
-        st["state"]["counter"].tolist(), st["state"]["key"].tolist(),
-        st["buffer"].tolist(), st["buffer_pos"], st["has_uint32"], st["uinteger"],
-    )
+    """The bit generator state of ``gen`` as comparable Python values."""
+
+    def plain(v):
+        if isinstance(v, dict):
+            return {k: plain(x) for k, x in v.items()}
+        return v.tolist() if isinstance(v, np.ndarray) else v
+
+    return plain(gen.bit_generator.state)
 
 
 @pytest.mark.parametrize("k", [64, 735])

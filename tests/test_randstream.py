@@ -1,11 +1,14 @@
 """Random streams, Cauchy draws, scale estimation."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from l1sketch import (
     ParameterError,
@@ -14,6 +17,9 @@ from l1sketch import (
     required_sample_count,
     sample_cauchy,
 )
+from l1sketch.randstream import cauchy_in_place
+
+_SRC = Path(__file__).resolve().parents[1] / "src" / "l1sketch"
 
 
 def test_streams_reproducible():
@@ -32,6 +38,59 @@ def test_substream_matches_direct_construction():
     np.testing.assert_array_equal(
         RandomStream(9).substream(42).random(16), RandomStream(9, 42).random(16)
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 - 1])
+@pytest.mark.parametrize("stream_id", [0, 1, 5, 64, -1])
+def test_stream_is_the_spawned_child_of_its_seed(seed, stream_id):
+    # stream k of seed s is numpy's k-th spawned child of SeedSequence(s);
+    # a negative id is masked to 64 bits, so -1 names child 2**64 - 1, whose
+    # spawn key, (k,), is built directly: spawn counts children in 32 bits
+    k = stream_id % 2**64
+    if k < 64:
+        child = np.random.SeedSequence(seed).spawn(k + 1)[k]
+    else:
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
+    want = np.random.Generator(np.random.SFC64(child)).random(100)
+    np.testing.assert_array_equal(RandomStream(seed, stream_id).random(100), want)
+
+
+def _numpy_random_calls(source: str) -> list[int]:
+    """Lines of ``source`` that call anything in ``numpy.random`` (a bit
+    generator, ``Generator``, ``default_rng``, ``SeedSequence`` or a legacy
+    global draw) or import names from it."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            modules = [ast.unparse(node.func.value)]
+        else:
+            continue
+        if any(m == "np.random" or m.startswith("numpy.random") for m in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_randstream_is_the_only_generator_site():
+    # every draw in the package comes from a RandomStream
+    sites = {p.name: _numpy_random_calls(p.read_text()) for p in sorted(_SRC.glob("*.py"))}
+    assert sites.pop("randstream.py"), "the scan no longer sees RandomStream's own generator"
+    assert {name: lines for name, lines in sites.items() if lines} == {}
+
+
+def test_cauchy_in_place_is_standard_cauchy():
+    u = RandomStream(11).random(50_000)
+    cauchy_in_place(u)
+    assert stats.kstest(u, stats.cauchy.cdf).pvalue > 0.01
+
+
+def test_cauchy_in_place_finite_at_one_half_and_zero():
+    x = np.array([0.5, 0.0])
+    cauchy_in_place(x)
+    assert np.isfinite(x).all() and x[1] == 0.0
 
 
 def test_cauchy_scale_zero_returns_center():
