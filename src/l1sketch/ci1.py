@@ -7,21 +7,26 @@ involving a complex square root and arctangent, and a simpler formula on the
 line ``x0 = 2*x1`` where the generic expression degenerates.  The density is
 dominated by ``(C/pi)`` times a bivariate Student law with one degree of
 freedom, which yields an exact rejection sampler with acceptance rate
-``pi/C``.
+``pi/C`` per proposal.
 
 The ratio of density to envelope never exceeds about ``2 sqrt(2)``, far
 below ``C/pi``, so an upper squeeze (``SQUEEZE_K = 3``) rejects every
 proposal whose uniform has ``u * (C/pi) > 3``, whatever its point.  The
-sampler therefore draws each block's uniforms first and envelope points only
-for the proposals the squeeze lets through, about 38% of them (``3 pi/25``).
-A rejected proposal's point is independent of its uniform and unused, so
-leaving it undrawn changes no law: the acceptance rate stays ``pi/25``.
+uniforms of the proposals the squeeze passes are uniform on ``[0, 3 pi/C)``,
+so the sampler draws only those *candidates*: a uniform ``w`` on ``[0, 1)``
+stands for ``u * (C/pi) = w * K``, and a candidate is accepted when
+``w * K * g <= f``, with probability exactly ``1/K``.  Each candidate takes
+three uniforms: two give its envelope point by conditional inversion (a
+Cauchy ``x0``, then ``2 x1 - x0`` given ``x0`` from the t law with 2
+degrees of freedom; Devroye, *Non-Uniform Random Variate Generation*, 1986,
+ch. XI), which also gives the envelope's value there for free, and one is
+``w``.  No normal draw and no ``hypot`` call is made.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component; the samplers return the tuple ``(x0, x1)`` of
 two arrays, or of two floats for a single draw.  The square root and the
 arctangent are principal-branch, and the generic branch evaluates both in
-real arithmetic (the arctangent through :func:`_atan_parts`).
+real arithmetic, on terms the two share.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ import math
 import numpy as np
 
 from .errors import EnvelopeDominationError, ParameterError
-from .randstream import RandomStream
+from .randstream import _CALL_DRAWS, RandomStream, cauchy_in_place
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
 DOMINATION_C = 25.0
@@ -39,18 +44,25 @@ DOMINATION_C = 25.0
 #: Expected proposals per accepted sample.
 REJECTION_OVERHEAD = DOMINATION_C / np.pi
 
-#: Upper squeeze: the density stays below ``SQUEEZE_K`` times the envelope.
+#: Upper squeeze: the density stays below ``SQUEEZE_K`` times the envelope,
+#: so ``SQUEEZE_K`` candidates are drawn per accepted sample on average.
 SQUEEZE_K = 3.0
 
+#: Uniforms a delivered pair takes on average: ``SQUEEZE_K`` candidates of
+#: three uniforms each.
+UNIFORMS_PER_PAIR = 3 * SQUEEZE_K
+
 #: Proposal cap per requested sample before declaring the envelope broken.
+#: A candidate counts as the ``C / (K pi)`` proposals it stands for.
 REJECTION_ITERATION_CAP = 10_000
 
-_FOUR_OVER_PI2 = 4.0 / np.pi**2
-_TWO_OVER_PI2 = 2.0 / np.pi**2
+_PROPOSALS_PER_CANDIDATE = REJECTION_OVERHEAD / SQUEEZE_K
+_PI2 = np.pi**2
+_FOUR_OVER_PI2 = 4.0 / _PI2
 
 
-def _atan_parts(x, y):
-    """Real and imaginary parts of the principal ``atan(x + i y)``; vectorized.
+def complex_atan(z):
+    """Principal-branch arctangent of a complex argument; vectorized.
 
     From ``atan z = (i/2) (log(1 - i z) - log(1 + i z))``: the real part is
     half the sum of the arguments of ``(1 - y) + i x`` and ``(1 + y) + i x``,
@@ -58,16 +70,11 @@ def _atan_parts(x, y):
     axis; the imaginary part is a quarter of the log of the ratio of their
     squared moduli.
     """
+    z = np.asarray(z, dtype=complex)
+    x, y = z.real, z.imag
     re = 0.5 * (np.arctan2(x, 1.0 - y) + np.arctan2(x, 1.0 + y))
     xx = x * x
     im = 0.25 * np.log(((1.0 + y) ** 2 + xx) / ((1.0 - y) ** 2 + xx))
-    return re, im
-
-
-def complex_atan(z):
-    """Principal-branch arctangent of a complex argument, via :func:`_atan_parts`."""
-    z = np.asarray(z, dtype=complex)
-    re, im = _atan_parts(z.real, z.imag)
     return re + 1j * im
 
 
@@ -81,21 +88,33 @@ def diagonal_tolerance(x0):
     return 1e-8 * (1.0 + np.abs(x0))
 
 
-def _density_generic(x0, x1):
-    # Valid only away from the diagonal band: divides by x0 - 2*x1.  The
+def _density_generic(x0, delta):
+    # The generic branch at delta = |x0 - 2*x1| > 0: valid only away from the
+    # diagonal band, since it divides by delta.  The density is even in delta
+    # and in x0, so the branch is point-symmetric bit for bit.  The
     # closed form flat + (2/pi^2) Re(atan(i sqrt(q) / delta) / q^(3/2)), with
-    # q = s0 - 2i delta, in real parts: sqrt(q) = a + ib with a >= 1 (Re q =
-    # s0 >= 1 keeps it off the cut), q^(3/2) = q sqrt(q) = p + i r, and
-    # i sqrt(q) / delta = 1/a + i a/delta.
-    delta = x0 - 2.0 * x1
+    # q = s0 - 2i delta, in real terms that both parts share:
+    # - |q| = sqrt(q2) with q2 = s0^2 + 4 delta^2, and sqrt(q) = a - i delta/a
+    #   with a^2 = (|q| + s0)/2 >= 1, so q^(3/2) = a (2 s0 - |q|)
+    #   - i delta (2 s0 + |q|)/a, and |q^(3/2)|^2 = |q|^3;
+    # - the arctangent's argument is x + iy = 1/a + i a/delta, x > 0, and
+    #   Re atan(x + iy) = atan2(2x, 1 - x^2 - y^2)/2; scaled by a^2 delta^2
+    #   and with delta^2 = a^2 (|q| - a^2), twice the real part is
+    #   atan2(2 delta^2, a (delta^2 - |q|));
+    # - four times the imaginary part is the log of the ratio of
+    #   (1 +/- y)^2 + x^2, scaled by delta^2: (delta +/- a)^2 + delta^2/a^2,
+    #   which differ by 4 a delta, so it is log1p(4 a delta / the second).
     s0 = 1.0 + x0 * x0
-    a = np.sqrt((np.hypot(s0, 2.0 * delta) + s0) / 2.0)
-    b = -delta / a
-    p = s0 * a + 2.0 * delta * b
-    r = s0 * b - 2.0 * delta * a
-    re, im = _atan_parts(1.0 / a, a / delta)
-    flat = _FOUR_OVER_PI2 / (s0 * s0 + 4.0 * delta * delta)
-    return flat + _TWO_OVER_PI2 * (re * p + im * r) / (p * p + r * r)
+    d2 = delta * delta
+    q2 = s0 * s0 + 4.0 * d2
+    root = np.sqrt(q2)
+    a2 = 0.5 * (root + s0)
+    a = np.sqrt(a2)
+    b2 = d2 / a2
+    re2 = np.arctan2(2.0 * d2, a * (d2 - root))
+    im4 = np.log1p(4.0 * a * delta / ((delta - a) ** 2 + b2))
+    half_minus_im = delta * (s0 + 0.5 * root) / a  # -Im(q^(3/2)) / 2
+    return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * half_minus_im) / root) / (_PI2 * q2)
 
 
 def _density_diagonal(x0):
@@ -107,28 +126,34 @@ def ci1_density(x0, x1):
     """Joint density of the unit-interval pair at ``(x0, x1)``; vectorized.
 
     Points with ``|x0 - 2 x1|`` inside :func:`diagonal_tolerance` use the
-    diagonal closed form; all others use the generic formula.  Nonnegative
-    and below ``SQUEEZE_K`` times the envelope out to radius 1e6 (checked by
-    a polar scan).  Farther out the generic formula cancels near the
-    ``x0 = 0`` axis: it returns values of either sign of about 1e-27 from
-    ``|x1|`` about 1.5e6, and more than 3 times the envelope from about
-    ``|x1| = 2e11``, where the true density stays below ``2 sqrt(2)`` times
-    it.  The sampler evaluates it there only for uniforms the squeeze passes.
+    diagonal closed form; all others use the generic formula.  Both depend
+    on ``x0`` and ``x1`` only through ``x0^2`` and ``|x0 - 2 x1|``, so the
+    result is point-symmetric bit for bit.  Nonnegative and below
+    ``SQUEEZE_K`` times the envelope out to radius 1e6 (checked by a polar
+    scan and by Hypothesis).  Farther out the generic formula cancels near
+    the ``x0 = 0`` axis: it returns values of either sign of about 1e-33
+    from ``|x1|`` about 2e7, and more than 3 times the envelope from about
+    ``|x1| = 1.4e16``, where the true density stays below ``2 sqrt(2)``
+    times it; the envelope puts less than 1e-16 of its mass beyond radius
+    1e16.  From radius about 1e77, ``s0^2 + 4 delta^2`` overflows and the
+    result is NaN or far too small; the true density is below 1e-230
+    there.
     """
     x0a, x1a = np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
     )
     scalar = x0a.ndim == 0
     x0a, x1a = np.atleast_1d(x0a), np.atleast_1d(x1a)
-    on_diag = np.abs(x0a - 2.0 * x1a) <= diagonal_tolerance(x0a)
+    delta = np.abs(x0a - 2.0 * x1a)
+    on_diag = delta <= diagonal_tolerance(x0a)
     if not on_diag.any():
-        out = _density_generic(x0a, x1a)
+        out = _density_generic(x0a, delta)
     else:
         out = np.empty(x0a.shape)
         out[on_diag] = _density_diagonal(x0a[on_diag])
         rest = ~on_diag
         if rest.any():
-            out[rest] = _density_generic(x0a[rest], x1a[rest])
+            out[rest] = _density_generic(x0a[rest], delta[rest])
     return float(out[0]) if scalar else out
 
 
@@ -141,53 +166,63 @@ def student_envelope_density(x0, x1):
     return float(out) if out.ndim == 0 else out
 
 
-def _envelope_draws(gen: np.random.Generator, n: int):
-    """``n`` raw envelope proposals from a numpy generator: standard normals
-    ``y1, y2, y3`` give ``u = y1/sqrt(w)``, ``v = y2/sqrt(w)`` with
-    ``w = y3^2``, mapped to ``(u, (u + v)/2)``; a zero ``w`` is resampled."""
-    y = gen.standard_normal((n, 3))
-    bad = y[:, 2] * y[:, 2] == 0.0
-    while bad.any():
-        y[bad, 2] = gen.standard_normal(int(bad.sum()))
-        bad = y[:, 2] * y[:, 2] == 0.0
-    rw = np.sqrt(y[:, 2] * y[:, 2])
-    u = y[:, 0] / rw
-    v = y[:, 1] / rw
-    return u, 0.5 * (u + v)
+def _envelope_points(gen: np.random.Generator, u: np.ndarray):
+    """Envelope points from rows 0 and 1 of the uniforms ``u``, by
+    conditional inversion, overwriting them: ``(x0, x1, t)`` with ``t = 1 +
+    x0^2 + (2 x1 - x0)^2``, so the envelope is ``1/(pi t^(3/2))`` there.
 
-
-def _squeeze_pass(u01):
-    """Where the upper squeeze lets a uniform through: ``u * (C/pi) <= SQUEEZE_K``."""
-    return u01 * REJECTION_OVERHEAD <= SQUEEZE_K
-
-
-def _proposal_block(gen: np.random.Generator, n: int):
-    """The proposals of a block of ``n`` that the squeeze lets through, as
-    ``(x0, x1, u01)``.
-
-    Draws the ``n`` acceptance uniforms first, then envelope points
-    (:func:`_envelope_draws`) only for the uniforms :func:`_squeeze_pass`
-    keeps, in order.  Every other proposal is rejected whatever its point,
-    and its point is independent of its uniform, so it is not drawn.
+    With ``x0 = u`` and ``v = 2 x1 - x0``, the envelope is the spherical
+    Student(1) law of ``(u, v)``.  Its ``u`` marginal is standard Cauchy,
+    drawn as ``tan(pi U0)``.  Given ``u``, ``v`` has the density
+    proportional to ``(s0 + v^2)^(-3/2)``, ``s0 = 1 + u^2``: ``sqrt(s0/2)``
+    times a t variable with 2 degrees of freedom, whose quantile at ``p``
+    is ``(2p - 1) / sqrt(2 p (1 - p))``.  So ``v = sqrt(s0 / (p (1 - p)))
+    (p - 1/2)`` with ``p = U1``, and ``1 + u^2 + v^2 = s0 / (4 p (1 - p))``.
+    ``p (1 - p)`` is zero only at ``p = 0`` (probability 2**-53 a draw);
+    such a ``p`` is redrawn from ``gen``, in place.
     """
-    u01 = gen.random(n)
-    u01 = u01[_squeeze_pass(u01)]
-    x0, x1 = _envelope_draws(gen, u01.size)
-    return x0, x1, u01
+    x0, p = u[0], u[1]
+    zero = p == 0.0
+    while zero.any():
+        p[zero] = gen.random(int(zero.sum()))
+        zero = p == 0.0
+    cauchy_in_place(x0)
+    spread = (1.0 + x0 * x0) / (p * (1.0 - p))
+    v = np.sqrt(spread) * (p - 0.5)
+    return x0, 0.5 * (x0 + v), 0.25 * spread
+
+
+def sample_student_envelope(rng: RandomStream, size: int | None = None):
+    """Draw ``(x0, x1)`` from :func:`student_envelope_density`: two arrays
+    of ``size``, or two floats when ``size`` is None.
+
+    One ``(2, size)`` uniform draw, mapped by :func:`_envelope_points`: a
+    Cauchy ``x0``, then ``2 x1 - x0`` given ``x0`` by inverting its
+    conditional t law.  The sampler draws its candidates' points the same
+    way.  The change of variables ``u = x0``, ``v = 2 x1 - x0`` (Jacobian
+    1/2) maps the spherical bivariate Student(1) law of ``(u, v)`` exactly
+    onto the envelope.
+    """
+    gen = rng.generator
+    x0, x1, _ = _envelope_points(gen, gen.random((2, 1 if size is None else int(size))))
+    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)
 
 
 def _accept_mask(x0, x1, u01):
-    """Rejection test: accept when ``u * (C/pi) * g <= f``.
+    """Rejection test of proposals with uniforms ``u01`` on ``[0, 1)``:
+    accept when ``u * (C/pi) * g <= f``.
 
     Upper squeeze: the density never exceeds ``2 sqrt(2)`` (about 2.8285)
     times the envelope, approached at large radius towards the direction
     ``(1, 1)``, so ``u * (C/pi) > SQUEEZE_K = 3`` rejects with a 6% margin,
-    and ``f`` and ``g`` are evaluated only where :func:`_squeeze_pass`
-    holds; there the test is the plain one.  Far out near the ``x0 = 0`` axis
-    the computed density cancels and can exceed 3 times the envelope (see
+    and ``f`` and ``g`` are evaluated only where the squeeze passes; there
+    the test is the plain one.  Far out near the ``x0 = 0`` axis the
+    computed density cancels and can exceed 3 times the envelope (see
     :func:`ci1_density`), but only a uniform at or below the cut meets it.
+    The sampler applies the same test to candidates only (see
+    :func:`_candidate_block`).
     """
-    test = np.flatnonzero(_squeeze_pass(u01))
+    test = np.flatnonzero(u01 * REJECTION_OVERHEAD <= SQUEEZE_K)
     x0, x1 = x0.take(test), x1.take(test)
     accept = np.zeros(np.shape(u01), dtype=bool)
     scaled = u01.take(test) * REJECTION_OVERHEAD
@@ -195,62 +230,64 @@ def _accept_mask(x0, x1, u01):
     return accept
 
 
-def sample_student_envelope(rng: RandomStream, size: int | None = None):
-    """Draw ``(x0, x1)`` from the envelope: ``u = y1/sqrt(w)``,
-    ``v = y2/sqrt(w)``, returned as ``(u, (u + v)/2)``; two arrays of
-    ``size``, or two floats when ``size`` is None.
+def _candidate_block(gen: np.random.Generator, k: int):
+    """``k`` candidates, as ``(x0, x1, accept)``.
 
-    ``y1, y2`` are standard normal and ``w`` is chi-squared(1); a zero ``w``
-    (probability zero) is resampled.  The change of variables ``u = x0``,
-    ``v = 2 x1 - x0`` (Jacobian 1/2) maps the spherical bivariate Student(1)
-    law of ``(u, v)`` exactly onto :func:`student_envelope_density`.
+    One ``(3, k)`` uniform draw: rows 0 and 1 give the envelope points
+    (:func:`_envelope_points`), row 2 the acceptance uniforms ``w``.  A
+    candidate is a proposal that passed the squeeze, whose uniform ``u``
+    has ``u * (C/pi) = w * K``, so it is accepted when ``w * K * g <= f``,
+    here ``w * K/pi <= f * t^(3/2)`` with ``g = 1/(pi t^(3/2))``.
     """
-    x0, x1 = _envelope_draws(rng.generator, 1 if size is None else int(size))
-    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)
+    u = gen.random((3, k))
+    x0, x1, t = _envelope_points(gen, u)
+    accept = u[2] * (SQUEEZE_K / np.pi) <= ci1_density(x0, x1) * (t * np.sqrt(t))
+    return x0, x1, accept
 
 
 def first_block(need: int) -> int:
-    """Proposals in the first block for ``need`` accepts: the expected count
-    ``mean = need * C/pi`` plus ``4 sqrt(mean)``, at least 64.
+    """Candidates in the first block for ``need`` accepts: the expected
+    count ``mean = need * K`` plus ``4 sqrt(mean)``, at least 64.
 
-    Each proposal is accepted with probability ``p = pi/C``, so whatever
-    ``need`` is, the margin holds ``4 sqrt(p / (1 - p))``, about 1.5,
-    standard deviations of the accept count: about 6% of first blocks fall
-    short and top up, and the overdraw share ``4 / sqrt(mean)`` falls as
-    ``need`` grows.
+    Each candidate is accepted with probability ``p = 1/K``, so whatever
+    ``need`` is, the margin holds ``4 sqrt(p / (1 - p))``, about 2.8,
+    standard deviations of the accept count: about 0.3% of first blocks
+    fall short and top up, and the overdraw share ``4 / sqrt(mean)`` falls
+    as ``need`` grows.
     """
-    mean = need * REJECTION_OVERHEAD
+    mean = need * SQUEEZE_K
     return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
 
 
 def unit_pairs(gen: np.random.Generator, need: int):
     """``need`` exact unit-interval pairs from ``gen``, as two arrays.
 
-    Accepted proposals are i.i.d. draws of the pair law, so the sketch asks
+    Accepted candidates are i.i.d. draws of the pair law, so the sketch asks
     for a whole group of replicates at once and lays the draws out by
     (replicate, interval) slot.  Draws a first block of :func:`first_block`
-    proposals (so block shapes do not depend on acceptance luck), then tops
-    up while short; each block is :func:`_proposal_block`, uniforms first.
-    A budget of ``REJECTION_ITERATION_CAP`` proposals (uniforms) per
-    requested draw guards against a broken domination bound; exceeding it
+    candidates (so block shapes do not depend on acceptance luck), then
+    tops up with 1.4 times the expected count still missing, at least 64,
+    while short; each block is :func:`_candidate_block`, three uniforms a
+    candidate.  A budget of ``REJECTION_ITERATION_CAP`` proposals per
+    requested draw, a candidate counting as the ``C/(K pi)`` proposals it
+    stands for, guards against a broken domination bound; exceeding it
     raises, it never loops silently.
     """
     parts0, parts1 = [], []
-    got = used = 0
+    got, used = 0, 0.0
     k = first_block(need)
     while got < need:
-        x0, x1, u01 = _proposal_block(gen, k)
-        accept = _accept_mask(x0, x1, u01)
+        x0, x1, accept = _candidate_block(gen, k)
         parts0.append(x0[accept])
         parts1.append(x1[accept])
-        got += int(accept.sum())
-        used += k
+        got += parts0[-1].size
+        used += k * _PROPOSALS_PER_CANDIDATE
         if used > REJECTION_ITERATION_CAP * need:
             raise EnvelopeDominationError(
-                f"rejection sampler used {used} proposals for {need} draws; "
+                f"rejection sampler used {math.ceil(used)} proposals for {need} draws; "
                 "envelope domination appears violated"
             )
-        k = max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)
+        k = max(int((need - got) * SQUEEZE_K * 1.4), 64)
     return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
 
 
@@ -260,15 +297,19 @@ def sample_ci1_unit(rng: RandomStream, size: int | None = None):
 
     Proposals come from the envelope of :func:`sample_student_envelope`; a
     proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
-    ``C = 25``.  Expected proposals per sample: ``25/pi``, about 8, of which
-    about 38% get an envelope point (the squeeze rejects the rest on their
-    uniform alone).  The loop is :func:`unit_pairs`, the one the sketch
-    uses.  A negative ``size`` raises :class:`ParameterError`.
+    ``C = 25``, so ``25/pi``, about 8, proposals are made per sample.  Only
+    the candidates among them, those the squeeze passes, are drawn: ``K = 3``
+    per sample, three uniforms each.  The loop is :func:`unit_pairs`, the
+    one the sketch uses, called in turn for groups of ``_CALL_DRAWS //
+    UNIFORMS_PER_PAIR`` draws (1,333) as the sketch calls it, so memory
+    stays bounded whatever ``size`` is.  A negative ``size`` raises
+    :class:`ParameterError`.
     """
     n = 1 if size is None else int(size)
     if n < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
-    if n == 0:
-        return np.empty(0), np.empty(0)
-    x0, x1 = unit_pairs(rng.generator, n)
+    x0, x1 = np.empty(n), np.empty(n)
+    group = int(_CALL_DRAWS // UNIFORMS_PER_PAIR)
+    for g0 in range(0, n, group):
+        x0[g0 : g0 + group], x1[g0 : g0 + group] = unit_pairs(rng.generator, min(group, n - g0))
     return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)

@@ -40,7 +40,7 @@ from ._poly import (
     to_unit_interval,
 )
 from .errors import ParameterError
-from .randstream import RandomStream, cauchy_in_place
+from .randstream import _CALL_DRAWS, RandomStream, cauchy_in_place
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
@@ -154,12 +154,24 @@ def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarra
 def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int | None = None):
     """Draw the r-step discretized integral vector on the unit interval: an
     ``(size, d+1)`` array, or one ``(d+1,)`` vector when ``size`` is None.
-    A negative ``size`` raises :class:`ParameterError`."""
+
+    Rows are drawn in groups of ``_CALL_DRAWS // r`` (at least one), one
+    ``(rows, r)`` uniform draw each, so memory stays bounded whatever
+    ``size`` is.  The stream fills the groups in sequence, so the draws are
+    those of one ``(size, r)`` call.  In a BLAS product of many rows a
+    row's bits depend on where it sits in the block, so each row is its own
+    ``(1, r)`` product, whose bits depend neither on the group size nor on
+    ``size``.  A negative ``size`` raises :class:`ParameterError`."""
     n = 1 if size is None else int(size)
     if n < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
-    comps = steps_to_vectors(rng.random((n, cfg.r)), _node_powers(cfg.r, cfg.d, cfg.nodes))
-    return comps[0] if size is None else comps
+    node_pow = _node_powers(cfg.r, cfg.d, cfg.nodes)
+    comps = np.empty((n, 1, cfg.d + 1))
+    group = max(_CALL_DRAWS // cfg.r, 1)
+    for g0 in range(0, n, group):
+        rows = comps[g0 : g0 + group]
+        steps_to_vectors(rng.random((rows.shape[0], 1, cfg.r)), node_pow, out=rows)
+    return comps[0, 0] if size is None else comps[:, 0]
 
 
 def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:

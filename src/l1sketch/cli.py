@@ -15,6 +15,7 @@ Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -41,18 +42,42 @@ EXIT_INTERNAL = 4
 #: or exhausts memory; at it, ``eval density`` writes about 400 MB of CSV.
 MAX_GRID_POINTS = 10**7
 
+#: Most grid pairs ``eval ci1-density`` evaluates: it writes one line per
+#: pair of the square of ``--grid``, 40-60 bytes each, so at the cap (a
+#: grid of 3,162 points) up to about 600 MB of CSV.
+MAX_DENSITY_PAIRS = 10**7
+
+#: Most draws ``sample`` makes.  Draws are made in bounded groups and the
+#: CSV is written in chunks, so what grows is the output, about 20 bytes a
+#: value: at the cap about 40 MB for ``ci1`` and 340 MB for ``cid --d 16``.
+MAX_SAMPLE_COUNT = 10**6
+
+#: Lines formatted and written per chunk by ``eval ci1-density`` and
+#: ``sample``, and grid pairs per ``ci1_density`` call (whole grid rows, at
+#: least one).
+_CHUNK_LINES = 1 << 16
+
 
 def _default_seed() -> int:
     env = os.environ.get("L1SKETCH_SEED")
     return int(env) if env else 0
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks, out: str | None) -> None:
+    """Write the text chunks in order to ``out``, or to stdout for None or "-"."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
+
+
+def _text(lines):
+    """``lines`` as text chunks of up to :data:`_CHUNK_LINES` lines, each
+    line ending in a newline."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
+        yield "\n".join(chunk) + "\n"
 
 
 def _manifest_line(command: str, parameters: dict, seed: int, digest: str | None = None) -> str:
@@ -60,7 +85,9 @@ def _manifest_line(command: str, parameters: dict, seed: int, digest: str | None
     return "# manifest: " + json.dumps(manifest, sort_keys=True)
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str, square: bool = False) -> np.ndarray:
+    """The points of ``lo:hi:step``; with ``square``, the axis of a grid of
+    pairs, refused beyond :data:`MAX_DENSITY_PAIRS` pairs."""
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -73,6 +100,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     count = int(round((hi - lo) / step)) + 1
     if count > MAX_GRID_POINTS:
         raise ParameterError(f"grid spec {spec!r} gives {count} points, more than {MAX_GRID_POINTS}")
+    if square and count * count > MAX_DENSITY_PAIRS:
+        raise ParameterError(
+            f"grid spec {spec!r} gives {count}**2 = {count * count} pairs, "
+            f"more than {MAX_DENSITY_PAIRS}"
+        )
     return np.linspace(lo, hi, count)
 
 
@@ -113,12 +145,14 @@ def cmd_dist(args) -> int:
         input_digest=digest,
     )
     text = matrix_to_csv(dm, manifest) if args.format == "csv" else matrix_to_json(dm, manifest)
-    _write(text, args.out)
+    _write((text,), args.out)
     print(f"dist: method={args.method} m={family.m} wall_time_s={elapsed:.3f}", file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_sample(args) -> int:
+    if args.count > MAX_SAMPLE_COUNT:
+        raise ParameterError(f"count must be at most {MAX_SAMPLE_COUNT}, got {args.count}")
     rng = RandomStream(args.seed)
     cfg = None
     if args.kind == "cid":
@@ -129,7 +163,7 @@ def cmd_sample(args) -> int:
             r=args.r,
             nodes="midpoint",
         )
-    lines = [
+    header = [
         _manifest_line(
             "sample",
             # the resolved r: with d, nodes and the seed it fixes the draws
@@ -140,31 +174,44 @@ def cmd_sample(args) -> int:
             args.seed,
         )
     ]
-    lines.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
+    header.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
     if cfg is None:
         z = np.column_stack(sample_ci1_unit(rng, size=args.count))
     else:
         z = sample_cid_approx_unit(cfg, rng, size=args.count)
     if args.a != 0.0 or args.b != 1.0:
         z = rescale_cid(z, args.a, args.b)
-    for row in z:
-        lines.append(",".join(repr(float(v)) for v in row))
-    _write("\n".join(lines) + "\n", args.out)
+    rows = (
+        ",".join(map(repr, row))
+        for g0 in range(0, len(z), _CHUNK_LINES)
+        for row in z[g0 : g0 + _CHUNK_LINES].tolist()
+    )
+    _write(_text(itertools.chain(header, rows)), args.out)
     return EXIT_OK
+
+
+def _ci1_density_lines(axis: np.ndarray):
+    """One ``x0,x1,value`` line per pair of the grid ``axis`` x ``axis``,
+    row by row, with one :func:`ci1_density` call per chunk of whole rows."""
+    text = [repr(x) for x in axis.tolist()]
+    n = len(text)
+    rows = max(_CHUNK_LINES // n, 1)
+    for r0 in range(0, n, rows):
+        block = axis[r0 : r0 + rows]
+        vals = ci1_density(np.repeat(block, n), np.tile(axis, block.size))
+        for k, v in enumerate(vals.tolist()):
+            i, j = divmod(k, n)
+            yield f"{text[r0 + i]},{text[j]},{v!r}"
 
 
 def cmd_eval(args) -> int:
     if args.target == "ci1-density":
-        axis = _parse_grid(args.grid)
-        lines = [
+        axis = _parse_grid(args.grid, square=True)
+        header = [
             _manifest_line("eval", {"target": args.target, "grid": args.grid}, 0),
             "x0,x1,value",
         ]
-        for x0 in axis:
-            vals = ci1_density(np.full_like(axis, x0), axis)
-            for x1, v in zip(axis, vals):
-                lines.append(f"{float(x0)!r},{float(x1)!r},{float(v)!r}")
-        _write("\n".join(lines) + "\n", args.out)
+        _write(_text(itertools.chain(header, _ci1_density_lines(axis))), args.out)
         return EXIT_OK
     family, digest = load_family(args.input, with_digest=True)
     names = {d.name: d for d in family.densities}
@@ -180,7 +227,7 @@ def cmd_eval(args) -> int:
         digest,
     )
     lines = [header, "x,value"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, vals)]
-    _write("\n".join(lines) + "\n", args.out)
+    _write(("\n".join(lines) + "\n",), args.out)
     return EXIT_OK
 
 
@@ -203,7 +250,7 @@ def cmd_calibrate(args) -> int:
         "safety_factor": result.safety_factor,
         "manifest": manifest,
     }
-    _write(json.dumps(doc, indent=2) + "\n", args.out)
+    _write((json.dumps(doc, indent=2) + "\n",), args.out)
     return EXIT_OK
 
 

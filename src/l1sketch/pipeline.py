@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import REJECTION_OVERHEAD, unit_pairs
+from .ci1 import UNIFORMS_PER_PAIR, unit_pairs
 from .cid import ApproxConfig, _node_powers, steps_to_vectors
 from .densities import (
     DensityFamily,
@@ -53,25 +53,12 @@ from .densities import (
 )
 from .errors import NonFiniteResultError, ParameterError
 from .randstream import (
-    RandomStream, cauchy_in_place, geometric_mean_rows, required_sample_count,
+    _CALL_DRAWS, RandomStream, cauchy_in_place, geometric_mean_rows, required_sample_count,
 )
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
 #: independent of threading and chunk scheduling.
 _BLOCK = 64
-
-#: Uniforms per draw call: a block is drawn in groups of ``_CALL_DRAWS // u``
-#: whole replicates (at least one) for ``u`` uniforms a replicate: ``n_int``
-#: at degree 0, ``n_int * r`` in the r-step mode, ``n_int * 25/pi``
-#: proposals at degree 1.  The group's buffers and the degree-1 density's
-#: temporaries grow with it, so peak memory does too.  On the 71-interval
-#: benchmark families, in-process sketch medians on a 2-vCPU VM (three
-#: rounds) at 6,000, 12,000, 24,000 and 48,000 were 0.15-0.20, 0.14-0.21,
-#: 0.14-0.18 and 0.15-0.20 s at degree 1 (t = 2,764), while the sketch
-#: raised peak RSS by 3.3, 3.6, 4.2 and 5.1 MB; and 0.11-0.14, 0.08-0.10,
-#: 0.08-0.09 and 0.07-0.08 s for r = 11 on 2 threads (t = 11,053), by 3.7,
-#: 3.8, 4.1 and 4.9 MB.  12,000 is 15-21 replicates a call there.
-_CALL_DRAWS = 12_000
 
 #: Sketch rows per estimator task, each estimated against one row ``j``.  A
 #: task's difference buffer is ``(_EST_ROWS, t)`` float64, about 1 MB at
@@ -195,9 +182,10 @@ def sketch_family(
     coeffs = unit_coefficients(family.densities, family.breakpoints)
     coeffs = coeffs.reshape(family.m, n_int * (d + 1))
 
+    # uniforms a replicate, for groups of _CALL_DRAWS // per_rep replicates
     per_rep = n_int
     if mode is SketchMode.EXACT_CI1:
-        per_rep = n_int * REJECTION_OVERHEAD
+        per_rep = n_int * UNIFORMS_PER_PAIR
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)

@@ -24,6 +24,22 @@ from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 
+#: Uniforms per draw call.  Every sampler draws in groups of
+#: ``_CALL_DRAWS // u`` whole rows (at least one) for ``u`` uniforms a row,
+#: so a call's buffers and the temporaries made from them stay small
+#: whatever the count: a sketch block's replicates (``u`` is ``n_int`` at
+#: degree 0, ``n_int * r`` in the r-step mode and ``n_int * 9`` at degree
+#: 1, three candidates of three uniforms a pair), the pairs of
+#: ``sample_ci1_unit`` (``u = 9``) and the rows of ``sample_cid_approx_unit``
+#: (``u = r``).  Peak memory grows with it.  On the 71-interval benchmark
+#: families, in-process sketch medians on a 2-vCPU VM (three to five
+#: rounds) at 6,000, 12,000, 24,000 and 48,000 were 0.07-0.09, 0.07-0.10,
+#: 0.07-0.10 and 0.09-0.10 s at degree 1 (t = 2,764), while the sketch
+#: raised peak RSS by 3.1, 3.5, 3.9 and 4.8 MB; and 0.11-0.14, 0.08-0.10,
+#: 0.08-0.09 and 0.07-0.08 s for r = 11 on 2 threads (t = 11,053), by 3.7,
+#: 3.8, 4.1 and 4.9 MB.  12,000 is 18-21 replicates a call there.
+_CALL_DRAWS = 12_000
+
 
 class RandomStream:
     """A reproducible stream addressed by ``(seed, stream_id)``.

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, kstest
 
 from conftest import cf_pair_density, ks_against_cauchy
 import l1sketch.ci1 as ci1_mod
@@ -38,13 +38,16 @@ from l1sketch.ci1 import (
     DOMINATION_C,
     REJECTION_OVERHEAD,
     SQUEEZE_K,
+    UNIFORMS_PER_PAIR,
     _accept_mask,
+    _candidate_block,
     _density_diagonal,
     _density_generic,
-    _proposal_block,
     diagonal_tolerance,
     first_block,
+    unit_pairs,
 )
+from l1sketch.randstream import _CALL_DRAWS
 
 PI = np.pi
 
@@ -145,7 +148,7 @@ def test_density_matches_complex_reference_on_proposals():
     off = ~on_diag
     x0, x1 = z0[off], z1[off]
     ref = _complex_density_generic(x0, x1)
-    got = _density_generic(x0, x1)
+    got = _density_generic(x0, np.abs(x0 - 2.0 * x1))
     near = np.hypot(x0, x1) <= 100.0
     assert near.sum() > 900_000
     np.testing.assert_allclose(got[near], ref[near], rtol=1e-10)
@@ -158,6 +161,46 @@ def test_density_matches_complex_reference_on_proposals():
     u = RandomStream(15).generator.random(z0.size)
     plain = u * REJECTION_OVERHEAD * student_envelope_density(z0, z1) <= f_ref
     np.testing.assert_array_equal(_accept_mask(z0, z1, u), plain)
+
+
+# directions where the generic formula is hardest: the axes, where it
+# cancels far out, and the diagonal x0 = 2 x1, where it switches branch
+DIAGONAL = np.arctan2(1.0, 2.0)  # direction of the line x0 = 2 x1
+_HARD_DIRECTIONS = (0.0, PI / 2, PI, -PI / 2, DIAGONAL, DIAGONAL - PI, PI / 4)
+
+
+def _hypothesis_point(log_radius, centre, offset):
+    r = 10.0**log_radius
+    return r * np.cos(centre + offset), r * np.sin(centre + offset)
+
+
+@settings(DETERMINISTIC, max_examples=1_500)
+@given(
+    log_radius=st.floats(-6.0, 6.0),
+    centre=st.sampled_from(_HARD_DIRECTIONS),
+    offset=st.floats(-PI, PI),
+)
+def test_density_symmetric_nonnegative_and_squeezed_within_radius_1e6(log_radius, centre, offset):
+    x0, x1 = _hypothesis_point(log_radius, centre, offset)
+    with np.errstate(all="raise"):
+        f = ci1_density(x0, x1)
+        g = student_envelope_density(x0, x1)
+    assert ci1_density(-x0, -x1) == f
+    assert f >= 0.0
+    assert f <= SQUEEZE_K * g
+
+
+@settings(DETERMINISTIC, max_examples=1_500)
+@given(
+    log_radius=st.floats(-6.0, 2.0),
+    centre=st.sampled_from(_HARD_DIRECTIONS),
+    offset=st.floats(-PI, PI),
+)
+def test_density_matches_complex_reference_within_radius_100(log_radius, centre, offset):
+    x0, x1 = _hypothesis_point(log_radius, centre, offset)
+    if abs(x0 - 2.0 * x1) <= diagonal_tolerance(x0):
+        return  # the diagonal branch, which the complex form does not cover
+    assert ci1_density(x0, x1) == pytest.approx(_complex_density_generic(x0, x1), rel=1e-10)
 
 
 def test_density_point_symmetry():
@@ -191,7 +234,8 @@ def test_density_selects_branch():
     assert diag > 0.0
     assert ci1_density(1.0, 0.5) == diag
     assert ci1_density(1.0, 0.5 + 0.25 * diagonal_tolerance(1.0)) == diag
-    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 0.0)
+    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0)
+    assert ci1_density(1.0, 1.0) == _density_generic(1.0, 1.0)
 
 
 # ------------------------------------------------------------------- envelope
@@ -222,6 +266,18 @@ def test_envelope_sampler_marginals():
     assert abs(np.median(np.abs(2.0 * z1 - z0)) - 1.0) < 0.03
 
 
+def test_envelope_law_projections_and_radius():
+    # the law of (u, v) = (x0, 2 x1 - x0), whatever the draw: the spherical
+    # Student(1) law, so every projection on a unit direction is standard
+    # Cauchy and the radius R has P(R <= r) = 1 - (1 + r^2)^(-1/2)
+    x0, x1 = sample_student_envelope(RandomStream(17), size=200_000)
+    u, v = x0, 2.0 * x1 - x0
+    for angle in (0.0, 0.7, PI / 2, 2.5):
+        assert ks_against_cauchy(np.cos(angle) * u + np.sin(angle) * v, 1.0) < 0.005
+    radius = np.hypot(u, v)
+    assert kstest(radius, lambda r: 1.0 - (1.0 + r * r) ** -0.5).statistic < 0.005
+
+
 def test_envelope_sampler_deterministic():
     a0, a1 = sample_student_envelope(RandomStream(8, 3), size=100)
     b0, b1 = sample_student_envelope(RandomStream(8, 3), size=100)
@@ -245,12 +301,25 @@ def test_sampler_scalar_and_empty():
         sample_ci1_unit(RandomStream(10), size=-1)
 
 
-def test_rejection_loop_raises_instead_of_looping(monkeypatch):
-    def reject_all(x0, x1, u01):
-        return np.zeros(np.shape(u01), dtype=bool)
+def test_sampler_draws_in_groups_of_the_sketch_size():
+    # sample_ci1_unit calls the rejection loop for groups of
+    # _CALL_DRAWS // 9 draws in turn on one stream, as the sketch does
+    group = int(_CALL_DRAWS // UNIFORMS_PER_PAIR)
+    assert group == 1_333
+    x0, x1 = sample_ci1_unit(RandomStream(19), size=2 * group + 5)
+    gen = RandomStream(19).generator
+    parts = [unit_pairs(gen, k) for k in (group, group, 5)]
+    np.testing.assert_array_equal(x0, np.concatenate([p[0] for p in parts]))
+    np.testing.assert_array_equal(x1, np.concatenate([p[1] for p in parts]))
 
-    # the one rejection loop, which the sketch calls too
-    monkeypatch.setattr(ci1_mod, "_accept_mask", reject_all)
+
+def test_rejection_loop_raises_instead_of_looping(monkeypatch):
+    def reject_all(x0, x1):
+        return np.full(np.shape(x0), -1.0)
+
+    # a density below zero everywhere rejects every candidate, in the one
+    # rejection loop, which the sketch calls too
+    monkeypatch.setattr(ci1_mod, "ci1_density", reject_all)
     with pytest.raises(EnvelopeDominationError):
         sample_ci1_unit(RandomStream(14), size=3)
     fam = DensityFamily(
@@ -265,27 +334,43 @@ def test_rejection_loop_raises_instead_of_looping(monkeypatch):
         sketch_family(fam, 5, SketchMode.EXACT_CI1, RandomStream(16))
 
 
+def test_candidate_test_is_the_proposal_test_past_the_squeeze():
+    # a candidate's uniform w stands for the proposal uniform u with
+    # u * C/pi = w * K, and the candidate decides as _accept_mask does there
+    k = 200_000
+    x0, x1, accept = _candidate_block(RandomStream(18).generator, k)
+    w = RandomStream(18).generator.random((3, k))[2]
+    np.testing.assert_array_equal(accept, _accept_mask(x0, x1, w * (SQUEEZE_K / REJECTION_OVERHEAD)))
+    assert abs(accept.mean() - 1.0 / SQUEEZE_K) < 4.0 * math.sqrt(2.0 / 9.0 / k)
+
+
 def test_first_block_covers_the_expected_count_with_a_shrinking_margin():
     shares = []
-    for need in (1, 3, 10, 71, 1_000, 16 * 71, 64 * 71, 100_000):
+    for need in (1, 3, 10, 71, 1_000, 18 * 71, 64 * 71, 100_000):
         k = first_block(need)
-        assert k >= math.ceil(need * 25 / PI) and k >= 64
-        shares.append(k / (need * REJECTION_OVERHEAD) - 1.0)
+        assert k >= math.ceil(need * SQUEEZE_K) and k >= 64
+        shares.append(k / (need * SQUEEZE_K) - 1.0)
     assert all(a > b for a, b in zip(shares, shares[1:]))
 
 
 def test_first_block_shortfall_share_matches_binomial():
-    # each proposal is accepted with probability pi/C, so the accepts of a
-    # first block of k are Binomial(k, pi/C)
-    need, calls = 1_000, 500
+    # each candidate is accepted with probability exactly 1/K, so the
+    # accepts of a first block of k are Binomial(k, 1/K): their mean and
+    # variance over the calls match it, and so does the share of blocks
+    # that fall short, about 0.3% at this margin of 2.8 standard deviations
+    need, calls = 1_000, 2_000
     k = first_block(need)
-    short = 0
-    for i in range(calls):
-        x0, x1, u01 = _proposal_block(RandomStream(48, i).generator, k)
-        short += int(_accept_mask(x0, x1, u01).sum()) < need
-    p = binom.cdf(need - 1, k, PI / DOMINATION_C)
-    assert 0.03 < p < 0.1
-    assert abs(short - calls * p) <= 4.0 * math.sqrt(calls * p * (1.0 - p))
+    p = 1.0 / SQUEEZE_K
+    counts = np.array(
+        [int(_candidate_block(RandomStream(48, i).generator, k)[2].sum()) for i in range(calls)]
+    )
+    var = k * p * (1.0 - p)
+    assert abs(counts.mean() - k * p) <= 4.0 * math.sqrt(var / calls)
+    assert abs(counts.var() / var - 1.0) <= 4.0 * math.sqrt(2.0 / calls)
+    short_p = binom.cdf(need - 1, k, p)
+    assert 0.001 < short_p < 0.01
+    short = int((counts < need).sum())
+    assert abs(short - calls * short_p) <= 4.0 * math.sqrt(calls * short_p * (1.0 - short_p))
 
 
 def test_linear_functional_law():
@@ -322,9 +407,6 @@ def test_envelope_bound_observed_supremum():
 
 
 # -------------------------------------------------------------- upper squeeze
-DIAGONAL = np.arctan2(1.0, 2.0)  # direction of the line x0 = 2 x1
-
-
 def _polar(radii, angles):
     a, r = np.meshgrid(angles, radii, indexing="ij")
     return (r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()
@@ -379,10 +461,11 @@ def test_squeeze_bound_holds_wherever_it_applies():
 
 
 def test_squeeze_off_where_density_cancels():
-    # near the x1 axis the computed density passes SQUEEZE_K times the
-    # envelope from about |x1| = 2e11 (cancellation: the true density stays
-    # below 2 sqrt(2) times it), so there the squeeze changes decisions
-    x1 = np.array([1e13, -1e13])
+    # near the x1 axis, from about |x1| = 1.4e16, the computed density is
+    # rounding noise of either sign that at some points passes SQUEEZE_K
+    # times the envelope (cancellation: the true density stays below
+    # 2 sqrt(2) times it), so there the squeeze changes decisions
+    x1 = np.array([5e17, -5e17])
     assert np.all(ci1_density(np.zeros(2), x1) > SQUEEZE_K * student_envelope_density(0.0, x1))
 
 
@@ -405,7 +488,7 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
     ]
     near_top = _polar(np.logspace(3, 8, 30), PI / 4 + np.array([0.0, 1e-7, -1e-7, 1e-4]))
     huge = _polar(np.logspace(7, 300, 60), np.linspace(0.0, 2.0 * PI, 13))
-    axis = (np.zeros(8), np.array([1e8, 1e10, 3e11, 1e12, 1e15, -1e11, -1e13, 1e150]))
+    axis = (np.zeros(10), np.array([1e8, 1e10, 3e11, 1e12, 1e15, 5e17, -1e11, -1e13, -5e17, 1e150]))
     x0, x1 = (np.concatenate(c) for c in zip(*diagonal_band, near_top, huge, axis))
     uu, xx0 = np.meshgrid(u, x0, indexing="ij")
     _, xx1 = np.meshgrid(u, x1, indexing="ij")
@@ -417,8 +500,8 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
     np.testing.assert_array_equal(mine, plain & (uu * REJECTION_OVERHEAD <= SQUEEZE_K))
     assert mine.any() and not mine.all()
     # the far-field axis points, where the computed density passes 3 times
-    # the envelope, are rejected above the cut though the plain test accepts
-    # some of them
+    # the envelope from about |x1| = 1.4e16, are rejected above the cut
+    # though the plain test accepts some of them
     far = (xx0 == 0.0) & (np.abs(xx1) >= 3e11)
     above = uu * REJECTION_OVERHEAD > SQUEEZE_K
     assert not mine[far & above].any()

@@ -18,7 +18,10 @@ from l1sketch import (
     merge_breakpoints,
     uniform_density,
 )
-from l1sketch.cli import main
+import l1sketch.cid as cid_mod
+import l1sketch.cli as cli_mod
+from l1sketch.ci1 import ci1_density
+from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
 from l1sketch.io import family_from_json, family_to_json, load_family, save_family
 
 
@@ -463,6 +466,82 @@ def test_eval_ci1_density_grid(tmp_path):
     assert np.all(vals >= 0.0)
     origin = [r for r in rows[1:] if r.startswith("0.0,0.0,")]
     assert abs(float(origin[0].split(",")[2]) - 0.723595) < 1e-5
+
+
+def _per_row_ci1_grid(spec):
+    """``eval ci1-density``'s data lines from one ci1_density call per grid row."""
+    lo, hi, step = (float(v) for v in spec.split(":"))
+    axis = np.linspace(lo, hi, int(round((hi - lo) / step)) + 1)
+    lines = []
+    for x0 in axis:
+        vals = ci1_density(np.full_like(axis, x0), axis)
+        lines += [f"{float(x0)!r},{float(x1)!r},{float(v)!r}" for x1, v in zip(axis, vals)]
+    return lines
+
+
+@pytest.mark.parametrize("chunk", [None, 7, 121 * 3 + 5])
+@pytest.mark.parametrize("grid", ["-3:3:0.05", "-1:1:0.5", "-0.2:0.3:0.1"])
+def test_eval_ci1_density_matches_a_per_row_loop(tmp_path, monkeypatch, grid, chunk):
+    # chunks of whole rows (one row each when a chunk holds fewer pairs than
+    # a row) give the bytes of one density call per row
+    if chunk is not None:
+        monkeypatch.setattr(cli_mod, "_CHUNK_LINES", chunk)
+    out = tmp_path / "grid.csv"
+    assert main(["eval", "ci1-density", "--grid", grid, "--out", str(out)]) == 0
+    lines = out.read_text().split("\n")
+    assert lines[1] == "x0,x1,value" and lines[-1] == ""
+    assert lines[2:-1] == _per_row_ci1_grid(grid)
+
+
+def test_eval_ci1_density_pair_cap_exit_3_before_evaluating(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluated past the pair cap")
+
+    monkeypatch.setattr(cli_mod, "ci1_density", refuse)
+    out = tmp_path / "grid.csv"
+    # 3,163 points, whose 10,004,569 pairs are one grid row past the cap
+    assert MAX_DENSITY_PAIRS == 10**7
+    code = main(["eval", "ci1-density", "--grid=0:3162:1", "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert "3163**2 = 10004569 pairs, more than 10000000" in err
+    # at a lowered cap, a grid of exactly that many pairs is evaluated
+    monkeypatch.setattr(cli_mod, "ci1_density", ci1_density)
+    monkeypatch.setattr(cli_mod, "MAX_DENSITY_PAIRS", 16)
+    assert main(["eval", "ci1-density", "--grid=0:3:1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 2 + 16
+    out.unlink()
+    code = main(["eval", "ci1-density", "--grid=0:4:1", "--out", str(out)])
+    assert "5**2 = 25 pairs, more than 16" in _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize("kind", [["ci1"], ["cid", "--d", "2"]])
+def test_sample_count_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch, kind):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew past the count cap")
+
+    monkeypatch.setattr(cli_mod, "sample_ci1_unit", refuse)
+    monkeypatch.setattr(cli_mod, "sample_cid_approx_unit", refuse)
+    out = tmp_path / "s.csv"
+    assert MAX_SAMPLE_COUNT == 10**6
+    code = main(["sample", *kind, "--count", str(MAX_SAMPLE_COUNT + 1), "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert "count must be at most 1000000, got 1000001" in err
+
+
+@pytest.mark.parametrize(
+    "kind", [["ci1"], ["cid", "--d", "2"], ["cid", "--d", "3", "--r", "40", "--a", "1", "--b", "3"]]
+)
+def test_sample_output_does_not_depend_on_group_or_chunk_sizes(tmp_path, monkeypatch, kind):
+    # the stream fills groups in sequence and each r-step row is its own
+    # product, so one-row groups and three-line chunks give the same bytes
+    args = ["sample", *kind, "--count", "50", "--seed", "9"]
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main([*args, "--out", str(a)]) == 0
+    monkeypatch.setattr(cid_mod, "_CALL_DRAWS", 1)
+    monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 3)
+    assert main([*args, "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 2 + 50
 
 
 def test_eval_density_points(pair_family_path, tmp_path):

@@ -38,11 +38,9 @@ from l1sketch import (
 )
 from l1sketch._poly import poly_eval
 from l1sketch.ci1 import (
-    REJECTION_OVERHEAD,
     SQUEEZE_K,
-    _proposal_block,
+    _candidate_block,
     ci1_density,
-    student_envelope_density,
     unit_pairs,
 )
 from l1sketch.cid import _node_powers
@@ -236,31 +234,33 @@ def test_sketch_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(one.entries, four.entries)
 
 
-def _first_proposals(need):
-    mean = need * 25.0 / math.pi
+def _first_candidates(need):
+    mean = need * 3.0
     return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
 
 
-def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_proposals):
+def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_candidates):
     """The sketch built block by block: the block of replicates ``b0 ..
     b0 + 63`` reads only a fresh stream ``(seed, b0)``, in groups of
     ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate.  A
     group of g replicates draws ``(g, n_int)`` uniforms (degree 0),
     ``(g, n_int, r)`` uniforms (r-step), or its ``g * n_int`` degree-1 pairs
-    from proposal blocks of k: k uniforms, then three normals per uniform
-    with ``u * (C/pi) <= SQUEEZE_K``, then the plain rejection test on
-    those; the accepts fill the group's (replicate, interval) slots in
-    row-major order.  The first k is ``first(g * n_int)``, by default
-    ``mean + 4 sqrt(mean)`` for the expected count ``mean``, at least 64,
+    (9 uniforms a pair) from candidate blocks of k: one ``(3, k)`` uniform
+    draw, rows ``U0, U1, W``, giving ``x0 = tan(pi U0)``, ``v = sqrt((1 +
+    x0^2) / (U1 (1 - U1))) (U1 - 1/2)`` and ``x1 = (x0 + v)/2``, accepted
+    when ``W * 3/pi <= f * t^(3/2)`` for ``t = 1 + x0^2 + v^2``; the
+    accepts fill the group's (replicate, interval) slots in row-major
+    order.  The first k is ``first(g * n_int)``, by default ``mean + 4
+    sqrt(mean)`` for the expected count ``mean = 3 g n_int``, at least 64,
     and each top-up is 1.4 times the expected count still missing, at
-    least 64.  Then comes the projection with
-    the unit-local coefficients.  Returns the values and the number of
-    groups whose first proposal block fell short."""
+    least 64.  Then comes the projection with the unit-local coefficients.
+    Returns the values and the number of groups whose first candidate
+    block fell short."""
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
     per_rep = n_int
     if mode is SketchMode.EXACT_CI1:
-        per_rep = n_int * 25.0 / math.pi
+        per_rep = n_int * 9
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
@@ -268,14 +268,13 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_pr
     group = max(int(_CALL_DRAWS // per_rep), 1)
 
     def accepted(gen, k):
-        u = gen.random(k)
-        u = u[u * REJECTION_OVERHEAD <= SQUEEZE_K]
-        y = gen.standard_normal((u.size, 3))
-        w = y[:, 2] * y[:, 2]
-        assert np.all(w != 0.0)  # the sampler redraws such a normal
-        x0 = y[:, 0] / np.sqrt(w)
-        x1 = 0.5 * (x0 + y[:, 1] / np.sqrt(w))
-        keep = u * REJECTION_OVERHEAD * student_envelope_density(x0, x1) <= ci1_density(x0, x1)
+        u0, p, w = gen.random((3, k))
+        assert np.all(p != 0.0)  # the sampler redraws such a uniform
+        x0 = np.tan(np.pi * u0)
+        spread = (1.0 + x0 * x0) / (p * (1.0 - p))
+        x1 = 0.5 * (x0 + np.sqrt(spread) * (p - 0.5))
+        t = 0.25 * spread
+        keep = w * (3.0 / np.pi) <= ci1_density(x0, x1) * (t * np.sqrt(t))
         return x0[keep], x1[keep]
 
     shortfalls = 0
@@ -294,7 +293,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_pr
                 got = parts[0][0].size
                 shortfalls += got < need
                 while got < need:
-                    parts.append(accepted(gen, max(int((need - got) * REJECTION_OVERHEAD * 1.4), 64)))
+                    parts.append(accepted(gen, max(int((need - got) * 3.0 * 1.4), 64)))
                     got += parts[-1][0].size
                 for k, p in enumerate(zip(*parts)):
                     z[g0 : g0 + g, :, k] = np.concatenate(p)[:need].reshape(g, n_int)
@@ -312,7 +311,7 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_pr
         (SketchMode.UNIFORM_FASTPATH, "uniform", None),
         (SketchMode.EXACT_CI1, "linear-few", None),
         (SketchMode.EXACT_CI1, "linear", None),
-        # 31 intervals: groups of 48 replicates, so every block of 64 holds
+        # 31 intervals: groups of 43 replicates, so every block of 64 holds
         # two groups
         (SketchMode.EXACT_CI1, "linear-wide", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
@@ -345,7 +344,7 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
     sk = sketch_family(fam, t, mode, RandomStream(42), threads=threads, approx_config=config)
     np.testing.assert_array_equal(sk.values, ref)
     if family == "linear-wide":
-        group = int(_CALL_DRAWS // ((len(fam.breakpoints) - 1) * REJECTION_OVERHEAD))
+        group = int(_CALL_DRAWS // ((len(fam.breakpoints) - 1) * 9))
         assert 1 < group < _BLOCK and _BLOCK % group != 0
     if mode is SketchMode.CID_APPROX and config.r > 100:
         group = _CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
@@ -353,10 +352,10 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
 
 
 def test_sketch_tops_up_groups_whose_first_block_falls_short(monkeypatch):
-    # a first block of 90% of the expected proposals falls short in almost
+    # a first block of 90% of the expected candidates falls short in almost
     # every group, so the top-up path runs inside the sketch's draw order
     def short(need):
-        return max(math.ceil(0.9 * need * REJECTION_OVERHEAD), 64)
+        return max(math.ceil(0.9 * need * SQUEEZE_K), 64)
 
     monkeypatch.setattr(ci1_mod, "first_block", short)
     fam = random_piecewise_linear_family(2, 2, RandomStream(40))
@@ -409,53 +408,77 @@ def _state(gen):
 
 
 @pytest.mark.parametrize("k", [64, 735])
-def test_proposal_block_draws_uniforms_then_normals_for_survivors(k):
+def test_candidate_block_draws_three_uniform_rows(k):
+    # one (3, k) uniform draw and nothing else: rows U0, U1 give the points
+    # by conditional inversion, row W the acceptance test
     gen = RandomStream(43, k).generator
-    x0, x1, u = _proposal_block(gen, k)
+    x0, x1, accept = _candidate_block(gen, k)
     ref = RandomStream(43, k).generator
-    uniforms = ref.random(k)
-    passed = uniforms * REJECTION_OVERHEAD <= SQUEEZE_K
-    np.testing.assert_array_equal(u, uniforms[passed])
-    ref.standard_normal(3 * u.size)
+    u0, p, w = ref.random((3, k))
     assert _state(gen) == _state(ref)
-    assert x0.size == x1.size == u.size < k
+    np.testing.assert_array_equal(x0, np.tan(np.pi * u0))
+    spread = (1.0 + x0 * x0) / (p * (1.0 - p))
+    np.testing.assert_array_equal(x1, 0.5 * (x0 + np.sqrt(spread) * (p - 0.5)))
+    t = 0.25 * spread
+    np.testing.assert_array_equal(accept, w * (SQUEEZE_K / np.pi) <= ci1_density(x0, x1) * (t * np.sqrt(t)))
+    assert x0.size == x1.size == accept.size == k
+    assert 0 < accept.sum() < k
 
 
-class _ZeroSquareStub:
-    """A generator that zeroes the third normal of row 5 of every ``(n, 3)``
-    normal draw; all draws are the wrapped generator's.  It keeps the
-    ``(n, 3)`` arrays it returns and copies of the 1-D draws, the
-    resampling ones."""
+class _ZeroUniformStub:
+    """A generator that zeroes entry 5 of row 1, the ``p`` row, of every
+    ``(3, n)`` uniform draw; all draws are the wrapped generator's.  It
+    keeps the ``(3, n)`` arrays it returns and copies of the 1-D draws, the
+    redrawing ones."""
 
     def __init__(self, gen):
         self._gen = gen
         self.blocks, self.redraws = [], []
 
     def random(self, size=None, out=None):
-        return self._gen.random(size, out=out)
-
-    def standard_normal(self, size=None, out=None):
-        y = self._gen.standard_normal(size, out=out)
-        if y.ndim == 2 and y.shape[0] > 5:
-            y[5, 2] = 0.0
-            self.blocks.append(y)
-        elif y.ndim == 1:
-            self.redraws.append(y.copy())
-        return y
+        u = self._gen.random(size, out=out)
+        if u.ndim == 2:
+            u[1, 5] = 0.0
+            self.blocks.append(u)
+        else:
+            self.redraws.append(u.copy())
+        return u
 
 
-def test_unit_pairs_redraws_a_zero_square_in_a_block_call():
-    # one call for a 16-replicate group of 71 intervals, as the sketch makes;
-    # the sampler resamples the zeroed normal in place in the stub's array
-    need = 16 * 71
-    stub = _ZeroSquareStub(RandomStream(44, 0).generator)
+def test_unit_pairs_redraws_a_zero_p_in_a_block_call():
+    # one call for an 18-replicate group of 71 intervals, as the sketch
+    # makes; p = 0 would give p (1 - p) = 0, so the sampler redraws it in
+    # place in the stub's array, before the points are made
+    need = 18 * 71
+    stub = _ZeroUniformStub(RandomStream(44, 0).generator)
     x0, x1 = unit_pairs(stub, need)
     assert len(stub.blocks) == len(stub.redraws) >= 1
-    for y, redraw in zip(stub.blocks, stub.redraws):
-        assert y[5, 2] == redraw[0] != 0.0
-        assert np.all(y[:, 2] * y[:, 2] != 0.0)
+    for u, redraw in zip(stub.blocks, stub.redraws):
+        assert u[1, 5] == redraw[0] != 0.0
+        assert np.all(u[1] != 0.0)
     assert x0.size == x1.size == need
     assert np.isfinite(x0).all() and np.isfinite(x1).all()
+
+
+def test_degree_one_sketch_evaluates_about_three_density_points_per_pair(monkeypatch):
+    # the sampler reaches the density through the module's ci1_density, the
+    # name a tracing wrapper replaces, at about K = 3 candidates per pair
+    calls, points = [], []
+    real = ci1_mod.ci1_density
+
+    def counting(x0, x1):
+        calls.append(1)
+        points.append(np.size(x0))
+        return real(x0, x1)
+
+    monkeypatch.setattr(ci1_mod, "ci1_density", counting)
+    fam = random_piecewise_linear_family(3, 40, RandomStream(49))
+    n_int = len(fam.breakpoints) - 1
+    t = 2 * _BLOCK
+    sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(50))
+    per_pair = sum(points) / (t * n_int)
+    assert len(calls) >= 2 * math.ceil(_BLOCK / (_CALL_DRAWS // (n_int * 9)))
+    assert SQUEEZE_K < per_pair < 1.1 * SQUEEZE_K
 
 
 def _with_unit_densities(family):
