@@ -9,16 +9,13 @@ __version__ = "0.1.0"
 
 from .ci1 import (
     ci1_density,
-    complex_atan,
     sample_ci1_unit,
     sample_student_envelope,
     student_envelope_density,
 )
 from .cid import (
-    DEFAULT_C,
     DEFAULT_C_MIDPOINT,
     ApproxConfig,
-    CalibrationResult,
     calibrate_c,
     random_polynomial,
     rescale_cid,
@@ -30,19 +27,16 @@ from .densities import (
     DensityFamily,
     PiecewisePolyDensity,
     density_from_pieces,
-    eval_density,
     exact_all_pairs,
     exact_l1_distance,
     merge_breakpoints,
     random_piecewise_linear_family,
-    sample_from_density,
     uniform_density,
     validate_family,
 )
 from .errors import EnvelopeDominationError, FamilyFormatError, ParameterError
 from .pipeline import (
     DistanceMatrix,
-    SketchMatrix,
     SketchMode,
     estimate_all_pairs,
     mc_all_pairs,
@@ -60,8 +54,6 @@ __all__ = [
     "__version__",
     "ApproxConfig",
     "Breakpoints",
-    "CalibrationResult",
-    "DEFAULT_C",
     "DEFAULT_C_MIDPOINT",
     "DensityFamily",
     "DistanceMatrix",
@@ -70,14 +62,11 @@ __all__ = [
     "ParameterError",
     "PiecewisePolyDensity",
     "RandomStream",
-    "SketchMatrix",
     "SketchMode",
     "calibrate_c",
     "ci1_density",
-    "complex_atan",
     "density_from_pieces",
     "estimate_all_pairs",
-    "eval_density",
     "exact_all_pairs",
     "exact_l1_distance",
     "geometric_mean_estimate",
@@ -92,7 +81,6 @@ __all__ = [
     "sample_cauchy",
     "sample_ci1_unit",
     "sample_cid_approx_unit",
-    "sample_from_density",
     "sample_student_envelope",
     "sketch_family",
     "student_envelope_density",

@@ -56,26 +56,14 @@ UNIFORMS_PER_PAIR = 3 * SQUEEZE_K
 #: A candidate counts as the ``C / (K pi)`` proposals it stands for.
 REJECTION_ITERATION_CAP = 10_000
 
+#: Radius out to which :func:`ci1_density` is checked to be nonnegative and
+#: below ``SQUEEZE_K`` times the envelope; ``eval ci1-density`` refuses
+#: grids that reach beyond it.
+CHECKED_RADIUS = 1e6
+
 _PROPOSALS_PER_CANDIDATE = REJECTION_OVERHEAD / SQUEEZE_K
 _PI2 = np.pi**2
 _FOUR_OVER_PI2 = 4.0 / _PI2
-
-
-def complex_atan(z):
-    """Principal-branch arctangent of a complex argument; vectorized.
-
-    From ``atan z = (i/2) (log(1 - i z) - log(1 + i z))``: the real part is
-    half the sum of the arguments of ``(1 - y) + i x`` and ``(1 + y) + i x``,
-    so it stays in ``(-pi/2, pi/2)`` off the branch cuts on the imaginary
-    axis; the imaginary part is a quarter of the log of the ratio of their
-    squared moduli.
-    """
-    z = np.asarray(z, dtype=complex)
-    x, y = z.real, z.imag
-    re = 0.5 * (np.arctan2(x, 1.0 - y) + np.arctan2(x, 1.0 + y))
-    xx = x * x
-    im = 0.25 * np.log(((1.0 + y) ** 2 + xx) / ((1.0 - y) ** 2 + xx))
-    return re + 1j * im
 
 
 def diagonal_tolerance(x0):
@@ -129,15 +117,15 @@ def ci1_density(x0, x1):
     diagonal closed form; all others use the generic formula.  Both depend
     on ``x0`` and ``x1`` only through ``x0^2`` and ``|x0 - 2 x1|``, so the
     result is point-symmetric bit for bit.  Nonnegative and below
-    ``SQUEEZE_K`` times the envelope out to radius 1e6 (checked by a polar
-    scan and by Hypothesis).  Farther out the generic formula cancels near
-    the ``x0 = 0`` axis: it returns values of either sign of about 1e-33
-    from ``|x1|`` about 2e7, and more than 3 times the envelope from about
-    ``|x1| = 1.4e16``, where the true density stays below ``2 sqrt(2)``
-    times it; the envelope puts less than 1e-16 of its mass beyond radius
-    1e16.  From radius about 1e77, ``s0^2 + 4 delta^2`` overflows and the
-    result is NaN or far too small; the true density is below 1e-230
-    there.
+    ``SQUEEZE_K`` times the envelope out to radius :data:`CHECKED_RADIUS`
+    (checked by a polar scan and by Hypothesis).  Farther out the generic
+    formula cancels near the ``x0 = 0`` axis: it returns values of either
+    sign of about 1e-33 from ``|x1|`` about 2e7, and more than 3 times the
+    envelope from about ``|x1| = 1.4e16``, where the true density stays
+    below ``2 sqrt(2)`` times it; the envelope puts less than 1e-16 of its
+    mass beyond radius 1e16.  From radius about 1e77, ``s0^2 + 4 delta^2``
+    overflows and the result is NaN or far too small; the true density is
+    below 1e-230 there.
     """
     x0a, x1a = np.broadcast_arrays(
         np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)

@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .ci1 import ci1_density, sample_ci1_unit
+from .ci1 import CHECKED_RADIUS, ci1_density, sample_ci1_unit
 from .cid import ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
@@ -87,7 +87,8 @@ def _manifest_line(command: str, parameters: dict, seed: int, digest: str | None
 
 def _parse_grid(spec: str, square: bool = False) -> np.ndarray:
     """The points of ``lo:hi:step``; with ``square``, the axis of a grid of
-    pairs, refused beyond :data:`MAX_DENSITY_PAIRS` pairs."""
+    pairs, refused beyond :data:`MAX_DENSITY_PAIRS` pairs or when its
+    farthest pair lies beyond :data:`l1sketch.ci1.CHECKED_RADIUS`."""
     try:
         lo_s, hi_s, step_s = spec.split(":")
         lo, hi, step = float(lo_s), float(hi_s), float(step_s)
@@ -97,6 +98,12 @@ def _parse_grid(spec: str, square: bool = False) -> np.ndarray:
         raise ParameterError(f"bad grid spec {spec!r}: need lo < hi and step > 0")
     if not all(math.isfinite(v) for v in (lo, hi, step, (hi - lo) / step)):
         raise ParameterError(f"bad grid spec {spec!r}: need finite lo, hi, step and (hi - lo)/step")
+    radius = math.sqrt(2.0) * max(abs(lo), abs(hi))  # the farthest pair's
+    if square and radius > CHECKED_RADIUS:
+        raise ParameterError(
+            f"grid spec {spec!r} reaches radius {radius:.9g}, beyond "
+            f"{CHECKED_RADIUS:g}, the radius ci1_density is checked to"
+        )
     count = int(round((hi - lo) / step)) + 1
     if count > MAX_GRID_POINTS:
         raise ParameterError(f"grid spec {spec!r} gives {count} points, more than {MAX_GRID_POINTS}")

@@ -9,8 +9,11 @@ coefficients ``coeffs[i]``, so evaluation at shared endpoints is
 unambiguous.  A piece may span several grid intervals; pieces do not
 overlap.  The table is the only representation of a density: there is no
 per-segment object, and every invariant is checked with array operations.
+:func:`merge_breakpoints` re-indexes each row onto the union grid and keeps
+it whole, so a merged density has as many rows as its input.
 
-:func:`interval_coefficients` expands the tables into one tensor
+:func:`interval_coefficients`, the one place where rows meet grid
+intervals, expands the tables into one tensor
 ``C[m, L, d+1]``: density ``j``'s coefficients on grid interval ``l``, zero
 where it has no support.  The oracle and the sketch share one map of it to
 interval-local coordinates, a Taylor shift to ``u = x - a_l``; the sketch
@@ -239,10 +242,11 @@ def eval_density(dens: PiecewisePolyDensity, bp: Breakpoints, x):
 def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
     """Merge densities from several families onto one shared union grid.
 
-    The output grid is the sorted, deduplicated union of all input grids.
-    Every original segment is re-split along grid points interior to it, so
-    each output segment spans exactly one elementary interval; coefficient
-    vectors are carried over unchanged, which preserves evaluation pointwise.
+    Every merged density evaluates bit for bit as its input did, at every
+    point, and has one table row per input row.  The grid is the sorted,
+    deduplicated union of all input grids; each row's ends ``(b, c)`` are
+    located on it and its coefficient row is carried over unchanged, so a
+    row may span several grid intervals.
     """
     if not families:
         raise ParameterError("merge_breakpoints needs at least one family")
@@ -257,10 +261,8 @@ def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
     for fam in families:
         old = fam.breakpoints.points
         for dens in fam.densities:
-            seg, ell = _runs(np.searchsorted(grid, old[dens.b]), np.searchsorted(grid, old[dens.c]))
-            densities.append(
-                PiecewisePolyDensity(dens.name, ell, ell + 1, dens.coeffs[seg], degree)
-            )
+            b, c = np.searchsorted(grid, old[dens.b]), np.searchsorted(grid, old[dens.c])
+            densities.append(PiecewisePolyDensity(dens.name, b, c, dens.coeffs, degree))
     return DensityFamily(Breakpoints(grid), densities, degree)
 
 

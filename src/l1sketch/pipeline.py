@@ -66,6 +66,13 @@ _BLOCK = 64
 #: the row sums, and the estimator's scratch is that one buffer per thread.
 _EST_ROWS = 16
 
+#: Most bytes one replicate's float64 uniforms may take, since a block draws
+#: at least one whole replicate a call: ``n_int * r`` uniforms in the r-step
+#: mode, about 570 MB per worker thread at r near
+#: :data:`l1sketch.cid.MAX_STEPS` on 71 intervals.  The cap admits r up to
+#: about 118,000 there.
+MAX_REPLICATE_BYTES = 1 << 26
+
 
 class SketchMode(enum.Enum):
     EXACT_CI1 = "exact_ci1"
@@ -159,7 +166,9 @@ def sketch_family(
     Modes: ``uniform_fastpath`` (degree 0, scalar Cauchy per interval),
     ``exact_ci1`` (degree 1, exact rejection-sampled pairs),
     and ``cid_approx`` (degree >= 1, r-step discretized vectors; needs
-    ``approx_config``).
+    ``approx_config``).  A replicate whose uniforms would take more than
+    :data:`MAX_REPLICATE_BYTES` raises :class:`ParameterError` before any
+    draw.
     """
     mode = SketchMode(mode)
     d = family.degree
@@ -190,6 +199,11 @@ def sketch_family(
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
         per_rep = n_int * r
+    if per_rep * 8 > MAX_REPLICATE_BYTES:
+        raise ParameterError(
+            f"one replicate draws {per_rep:.0f} uniforms ({per_rep * 8:.0f} bytes), "
+            f"more than {MAX_REPLICATE_BYTES} bytes; use fewer grid intervals or steps"
+        )
     group = max(int(_CALL_DRAWS // per_rep), 1)
     x = np.empty((family.m, t))
 

@@ -2,12 +2,9 @@
 
 The closed-form density is cross-checked against an independent
 characteristic-function oracle (see conftest) and against the generic branch
-written in complex arithmetic.  The complex arctangent is checked against
-``cmath`` and against the classical addition identities it must satisfy on
-the principal branch.
+written in complex arithmetic.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -27,7 +24,6 @@ from l1sketch import (
     RandomStream,
     SketchMode,
     ci1_density,
-    complex_atan,
     rescale_cid,
     sample_ci1_unit,
     sample_student_envelope,
@@ -53,62 +49,6 @@ PI = np.pi
 
 #: Fixed example sequence, like the fixed seeds of the rest of the suite.
 DETERMINISTIC = settings(deadline=None, derandomize=True)
-
-
-# ---------------------------------------------------------------- complex atan
-def test_complex_atan_matches_cmath():
-    gen = np.random.default_rng(1)
-    for _ in range(200):
-        z = complex(gen.uniform(-4, 4), gen.uniform(-4, 4))
-        if abs(z.real) < 1e-3 and abs(z.imag) > 1:
-            continue  # stay off the branch cuts
-        assert complex(complex_atan(z)) == pytest.approx(cmath.atan(z), rel=1e-12)
-
-
-@settings(DETERMINISTIC, max_examples=500)
-@given(log_radius=st.floats(-3.0, 150.0), angle=st.floats(-PI, PI))
-def test_complex_atan_matches_cmath_over_magnitudes(log_radius, angle):
-    z = 10.0**log_radius * complex(np.cos(angle), np.sin(angle))
-    if abs(z.real) <= 1e-12 * abs(z) and abs(z.imag) >= 1.0:
-        return  # on the branch cuts, where the side taken is a convention
-    assert complex(complex_atan(z)) == pytest.approx(cmath.atan(z), rel=1e-12)
-
-
-def test_atan_addition_rule_inside_unit_disk():
-    # atan(x) + atan(y) = atan((x+y)/(1-xy)) whenever |x| < 1 and |y| < 1
-    gen = np.random.default_rng(2)
-    for _ in range(200):
-        x = complex(gen.uniform(-0.7, 0.7), gen.uniform(-0.7, 0.7))
-        y = complex(gen.uniform(-0.7, 0.7), gen.uniform(-0.7, 0.7))
-        lhs = complex(complex_atan(x) + complex_atan(y))
-        rhs = complex(complex_atan((x + y) / (1.0 - x * y)))
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_atan_conjugate_sum_outside_unit_disk():
-    # a >= 0, a^2 + b^2 > 1: atan(a+bi) + atan(a-bi) = pi + atan(2a/(1-a^2-b^2))
-    gen = np.random.default_rng(3)
-    count = 0
-    while count < 200:
-        a = gen.uniform(0.0, 3.0)
-        b = gen.uniform(-3.0, 3.0)
-        if a * a + b * b <= 1.0 + 1e-9:
-            continue
-        count += 1
-        lhs = complex(complex_atan(a + 1j * b) + complex_atan(a - 1j * b))
-        rhs = PI + complex(complex_atan(2.0 * a / (1.0 - a * a - b * b)))
-        assert lhs == pytest.approx(rhs, abs=1e-11)
-
-
-def test_atan_conjugate_difference():
-    # atan(a+bi) - atan(a-bi) = atan(2bi/(1+a^2+b^2)) for any a, b
-    gen = np.random.default_rng(4)
-    for _ in range(200):
-        a = gen.uniform(-3.0, 3.0)
-        b = gen.uniform(-3.0, 3.0)
-        lhs = complex(complex_atan(a + 1j * b) - complex_atan(a - 1j * b))
-        rhs = complex(complex_atan(2j * b / (1.0 + a * a + b * b)))
-        assert lhs == pytest.approx(rhs, abs=1e-11)
 
 
 # -------------------------------------------------------------------- density

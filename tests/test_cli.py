@@ -20,7 +20,8 @@ from l1sketch import (
 )
 import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
-from l1sketch.ci1 import ci1_density
+import l1sketch.pipeline as pipeline_mod
+from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
 from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
 from l1sketch.io import family_from_json, family_to_json, load_family, save_family
 
@@ -343,6 +344,19 @@ def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
     assert message in _assert_refused(code, 3, out, capsys)
 
 
+def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew past the replicate byte cap")
+
+    # 2 intervals times r = 15 midpoint steps: 240 bytes of uniforms a replicate
+    monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 239)
+    monkeypatch.setattr(pipeline_mod, "steps_to_vectors", refuse)
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(_quadratic_family_path(tmp_path)), "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert "one replicate draws 30 uniforms (240 bytes), more than 239 bytes" in err
+
+
 @pytest.mark.parametrize(
     "args,message",
     [
@@ -512,6 +526,26 @@ def test_eval_ci1_density_pair_cap_exit_3_before_evaluating(tmp_path, capsys, mo
     out.unlink()
     code = main(["eval", "ci1-density", "--grid=0:4:1", "--out", str(out)])
     assert "5**2 = 25 pairs, more than 16" in _assert_refused(code, 3, out, capsys)
+
+
+def test_eval_ci1_density_radius_exit_3_before_evaluating(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("evaluated beyond the checked radius")
+
+    monkeypatch.setattr(cli_mod, "ci1_density", refuse)
+    out = tmp_path / "grid.csv"
+    assert CHECKED_RADIUS == 1e6
+    # at radius about 1e77 and beyond the density's terms overflow to NaN
+    for grid, radius in (("-1e80:1e80:1e80", "1.41421356e+80"),
+                         ("-707107:707107:707107", "1000000.31")):
+        code = main(["eval", "ci1-density", f"--grid={grid}", "--out", str(out)])
+        err = _assert_refused(code, 3, out, capsys)
+        assert f"reaches radius {radius}, beyond 1e+06" in err
+    # the corner pairs of this grid lie just inside the radius, at 999,999.4
+    monkeypatch.setattr(cli_mod, "ci1_density", ci1_density)
+    assert main(["eval", "ci1-density", "--grid=-707106:707106:707106", "--out", str(out)]) == 0
+    vals = [float(line.split(",")[2]) for line in out.read_text().splitlines()[2:]]
+    assert len(vals) == 9 and min(vals) >= 0.0
 
 
 @pytest.mark.parametrize("kind", [["ci1"], ["cid", "--d", "2"]])

@@ -114,6 +114,32 @@ def test_mode_degree_compatibility():
         sketch_family(_linear_pair(), 10, SketchMode.CID_APPROX, RandomStream(7), approx_config=cfg)
 
 
+class _NoDraws:
+    seed = 0
+
+    def substream(self, stream_id):
+        raise AssertionError("drew past the replicate byte cap")
+
+
+@pytest.mark.parametrize(
+    "family,mode,uniforms",
+    [
+        (_uniform_pair, SketchMode.UNIFORM_FASTPATH, 2),  # one per interval
+        (_linear_pair, SketchMode.EXACT_CI1, 9),  # three candidates of three
+        (_quadratic_pair, SketchMode.CID_APPROX, 10),  # r = 10 steps
+    ],
+)
+def test_replicate_byte_cap_refuses_before_any_draw(monkeypatch, family, mode, uniforms):
+    assert pipeline_mod.MAX_REPLICATE_BYTES == 1 << 26
+    cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=10)
+    cfg = cfg if mode is SketchMode.CID_APPROX else None
+    monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 8 * uniforms - 1)
+    with pytest.raises(ParameterError, match=f"one replicate draws {uniforms} uniforms"):
+        sketch_family(family(), 3, mode, _NoDraws(), approx_config=cfg)
+    monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 8 * uniforms)
+    assert sketch_family(family(), 3, mode, RandomStream(7), approx_config=cfg).t == 3
+
+
 def test_estimate_requires_enough_replicates():
     sk = sketch_family(_uniform_pair(), 500, SketchMode.UNIFORM_FASTPATH, RandomStream(8))
     with pytest.raises(ParameterError) as err:
