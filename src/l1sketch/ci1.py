@@ -2,9 +2,9 @@
 
 ``L`` is Cauchy motion on ``[0, 1]`` (the symmetric 1-stable process).  The
 pair of stochastic integrals of the functions ``1`` and ``x`` has an explicit
-two-dimensional density with two analytic branches: a generic closed form
-involving a complex square root and arctangent, and a simpler formula on the
-line ``x0 = 2*x1`` where the generic expression degenerates.  The density is
+two-dimensional density: one closed form involving a complex square root and
+arctangent, evaluated in real arithmetic, regular on the line ``x0 = 2*x1``
+as everywhere else.  The density is
 dominated by ``(C/pi)`` times a bivariate Student law with one degree of
 freedom, which yields an exact rejection sampler with acceptance rate
 ``pi/C`` per proposal.
@@ -25,8 +25,8 @@ ch. XI), which also gives the envelope's value there for free, and one is
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component; the samplers return the tuple ``(x0, x1)`` of
 two arrays, or of two floats for a single draw.  The square root and the
-arctangent are principal-branch, and the generic branch evaluates both in
-real arithmetic, on terms the two share.
+arctangent are principal-branch, and the density evaluates both in real
+arithmetic, on terms the two share.
 """
 
 from __future__ import annotations
@@ -63,25 +63,14 @@ CHECKED_RADIUS = 1e6
 
 _PROPOSALS_PER_CANDIDATE = REJECTION_OVERHEAD / SQUEEZE_K
 _PI2 = np.pi**2
-_FOUR_OVER_PI2 = 4.0 / _PI2
-
-
-def diagonal_tolerance(x0):
-    """Half-width of the band around ``x0 = 2 x1`` that uses the diagonal branch.
-
-    Inside the band the generic formula divides by ``x0 - 2 x1`` and suffers
-    cancellation; the diagonal formula is its analytic limit, and switching
-    at ``1e-8 * (1 + |x0|)`` keeps the branch-selection error below 1e-6.
-    """
-    return 1e-8 * (1.0 + np.abs(x0))
 
 
 def _density_generic(x0, delta):
-    # The generic branch at delta = |x0 - 2*x1| > 0: valid only away from the
-    # diagonal band, since it divides by delta.  The density is even in delta
-    # and in x0, so the branch is point-symmetric bit for bit.  The
-    # closed form flat + (2/pi^2) Re(atan(i sqrt(q) / delta) / q^(3/2)), with
-    # q = s0 - 2i delta, in real terms that both parts share:
+    # The density at delta = |x0 - 2*x1| >= 0.  Nothing divides by delta, so
+    # it is regular on the line x0 = 2*x1, where it is 4/(pi^2 s0^2) +
+    # 1/(pi s0^(3/2)).  It is even in delta and in x0, so point-symmetric bit
+    # for bit.  The closed form flat + (2/pi^2) Re(atan(i sqrt(q) / delta) /
+    # q^(3/2)), with q = s0 - 2i delta, in real terms that both parts share:
     # - |q| = sqrt(q2) with q2 = s0^2 + 4 delta^2, and sqrt(q) = a - i delta/a
     #   with a^2 = (|q| + s0)/2 >= 1, so q^(3/2) = a (2 s0 - |q|)
     #   - i delta (2 s0 + |q|)/a, and |q^(3/2)|^2 = |q|^3;
@@ -105,21 +94,15 @@ def _density_generic(x0, delta):
     return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * half_minus_im) / root) / (_PI2 * q2)
 
 
-def _density_diagonal(x0):
-    s0 = 1.0 + x0 * x0
-    return _FOUR_OVER_PI2 / (s0 * s0) + 1.0 / (np.pi * s0 * np.sqrt(s0))
-
-
 def ci1_density(x0, x1):
     """Joint density of the unit-interval pair at ``(x0, x1)``; vectorized.
 
-    Points with ``|x0 - 2 x1|`` inside :func:`diagonal_tolerance` use the
-    diagonal closed form; all others use the generic formula.  Both depend
-    on ``x0`` and ``x1`` only through ``x0^2`` and ``|x0 - 2 x1|``, so the
-    result is point-symmetric bit for bit.  Nonnegative and below
+    One closed form for every point, regular on the line ``x0 = 2 x1``.  It
+    depends on ``x0`` and ``x1`` only through ``x0^2`` and ``|x0 - 2 x1|``,
+    so the result is point-symmetric bit for bit.  Nonnegative and below
     ``SQUEEZE_K`` times the envelope out to radius :data:`CHECKED_RADIUS`
-    (checked by a polar scan and by Hypothesis).  Farther out the generic
-    formula cancels near the ``x0 = 0`` axis: it returns values of either
+    (checked by a polar scan and by Hypothesis).  Farther out the formula
+    cancels near the ``x0 = 0`` axis: it returns values of either
     sign of about 1e-33 from ``|x1|`` about 2e7, and more than 3 times the
     envelope from about ``|x1| = 1.4e16``, where the true density stays
     below ``2 sqrt(2)`` times it; the envelope puts less than 1e-16 of its
@@ -127,22 +110,12 @@ def ci1_density(x0, x1):
     overflows and the result is NaN or far too small; the true density is
     below 1e-230 there.
     """
-    x0a, x1a = np.broadcast_arrays(
-        np.asarray(x0, dtype=float), np.asarray(x1, dtype=float)
-    )
-    scalar = x0a.ndim == 0
-    x0a, x1a = np.atleast_1d(x0a), np.atleast_1d(x1a)
-    delta = np.abs(x0a - 2.0 * x1a)
-    on_diag = delta <= diagonal_tolerance(x0a)
-    if not on_diag.any():
-        out = _density_generic(x0a, delta)
-    else:
-        out = np.empty(x0a.shape)
-        out[on_diag] = _density_diagonal(x0a[on_diag])
-        rest = ~on_diag
-        if rest.any():
-            out[rest] = _density_generic(x0a[rest], delta[rest])
-    return float(out[0]) if scalar else out
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    # a delta whose square underflows is exact enough at 0
+    with np.errstate(under="ignore"):
+        out = _density_generic(x0, np.abs(x0 - 2.0 * x1))
+    return float(out) if out.ndim == 0 else out
 
 
 def student_envelope_density(x0, x1):

@@ -59,10 +59,15 @@ DEFAULT_C_MIDPOINT = 2.24
 NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
 
 #: Largest step count ``r``, given or derived, that :class:`ApproxConfig`
-#: accepts.  A draw holds ``r`` float64 uniforms per interval, so 10**6 steps
-#: are 8 MB per interval and replicate; the calibrated constants give
-#: r = 11 at degree 2 and eps_int = 0.1.
+#: accepts and :func:`calibrate_c` searches.  A draw holds ``r`` float64
+#: uniforms per interval, so 10**6 steps are 8 MB per interval and
+#: replicate; the calibrated constants give r = 11 at degree 2 and
+#: eps_int = 0.1.
 MAX_STEPS = 10**6
+
+#: Riemann-sum values :func:`calibrate_c` evaluates at a time: rows of its
+#: ``(trials, r)`` node table, 8 MB of float64.
+_CALIBRATION_CHUNK = 1 << 20
 
 #: Calibration discards polynomials with |p|-mass below this, to avoid
 #: relative-error blowup on near-null polynomials.
@@ -248,7 +253,9 @@ def calibrate_c(
     of 2.
 
     Degree 0 needs no calibration: the Riemann sum of a constant is exact
-    for every ``r``.
+    for every ``r``.  A degree that needs more than :data:`MAX_STEPS` steps
+    raises :class:`ParameterError`; the trials are checked in chunks of rows,
+    so memory stays bounded whatever ``r`` and ``trials`` are.
     """
     _check_nodes(nodes)
     _check_positive("target_eps", target_eps)
@@ -264,15 +271,22 @@ def calibrate_c(
         exact_arr = integrate_abs_local(coeff_mat, 1.0)
 
         def all_within(r: int) -> bool:
-            scales = riemann_abs_scale(coeff_mat, r, nodes)
-            return bool(np.all(np.abs(scales - exact_arr) <= target_eps * exact_arr))
+            rows = max(_CALIBRATION_CHUNK // r, 1)
+            for i in range(0, trials, rows):
+                scales = riemann_abs_scale(coeff_mat[i : i + rows], r, nodes)
+                exact = exact_arr[i : i + rows]
+                if not np.all(np.abs(scales - exact) <= target_eps * exact):
+                    return False
+            return True
 
-        r = 1
-        while not all_within(r):
-            r *= 2
-            if r > 10**8:
-                raise ParameterError("calibration failed to converge")
-        lo, hi = r // 2, r
+        lo, hi = 0, 1
+        while not all_within(hi):
+            if hi >= MAX_STEPS:
+                raise ParameterError(
+                    f"calibration at degree {d} needs more than {MAX_STEPS} steps "
+                    f"for target_eps={target_eps}"
+                )
+            lo, hi = hi, min(2 * hi, MAX_STEPS)
         while hi - lo > 1:
             mid = (lo + hi) // 2
             if all_within(mid):

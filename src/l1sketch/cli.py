@@ -52,9 +52,8 @@ MAX_DENSITY_PAIRS = 10**7
 #: value: at the cap about 40 MB for ``ci1`` and 340 MB for ``cid --d 16``.
 MAX_SAMPLE_COUNT = 10**6
 
-#: Lines formatted and written per chunk by ``eval ci1-density`` and
-#: ``sample``, and grid pairs per ``ci1_density`` call (whole grid rows, at
-#: least one).
+#: Lines formatted and written per chunk by ``eval`` and ``sample``, and
+#: grid pairs per ``ci1_density`` call (whole grid rows, at least one).
 _CHUNK_LINES = 1 << 16
 
 
@@ -233,8 +232,12 @@ def cmd_eval(args) -> int:
         0,
         digest,
     )
-    lines = [header, "x,value"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, vals)]
-    _write(("\n".join(lines) + "\n",), args.out)
+    rows = (
+        f"{x!r},{v!r}"
+        for g0 in range(0, len(xs), _CHUNK_LINES)
+        for x, v in zip(xs[g0 : g0 + _CHUNK_LINES].tolist(), vals[g0 : g0 + _CHUNK_LINES].tolist())
+    )
+    _write(_text(itertools.chain([header, "x,value"], rows)), args.out)
     return EXIT_OK
 
 

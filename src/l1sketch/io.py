@@ -21,13 +21,14 @@ stderr instead so that reruns with identical parameters are byte-identical.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from typing import Any
 
 import numpy as np
 
 from . import __version__
-from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity, coeff_rows
+from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity
 from .errors import FamilyFormatError
 from .pipeline import DistanceMatrix
 
@@ -49,39 +50,48 @@ def family_to_dict(family: DensityFamily) -> dict:
     }
 
 
-def _integers(name: str, segs, key: str) -> np.ndarray:
-    """The segments' ``key`` indices as one int64 array.  Every one must be
-    a JSON integer: a float, string or boolean is refused, not truncated or
-    cast.  The type check is one pass over the list, not one per segment."""
-    values = [sd[key] for sd in segs]
-    if not set(map(type, values)) <= {int}:
-        bad = next(v for v in values if type(v) is not int)
-        raise FamilyFormatError(
-            f"density {name!r}: segment index {key!r} must be an integer, got {bad!r}"
-        )
-    return np.array(values, dtype=np.int64)
+#: Python types of JSON numbers; a boolean, though an int in Python, is not one.
+_NUMBER = {int, float}
+
+
+def _typed(values, types: set, what: str):
+    """``values``, a list, if every one's type is in ``types``; otherwise
+    :class:`FamilyFormatError` names ``what`` and the first bad value.  A
+    value of another JSON type is refused, never truncated or cast, and the
+    check is one pass over the list, not one per value."""
+    if not set(map(type, values)) <= types:
+        bad = next(v for v in values if type(v) not in types)
+        raise FamilyFormatError(f"{what}, got {bad!r}")
+    return values
 
 
 def family_from_dict(doc: Any) -> DensityFamily:
     """Parse a family document: each density's segments go straight into
     its table, and every check runs on the arrays.  ``degree``, ``b`` and
-    ``c`` must be JSON integers, as :func:`family_to_dict` writes them."""
+    ``c`` must be JSON integers, and breakpoints and coefficients JSON
+    numbers, as :func:`family_to_dict` writes them."""
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
     try:
-        degree = doc["degree"]
-        if type(degree) is not int:
-            raise FamilyFormatError(f"degree must be an integer, got {degree!r}")
-        bp = Breakpoints(np.asarray(doc["breakpoints"], dtype=float))
+        (degree,) = _typed([doc["degree"]], {int}, "degree must be an integer")
+        points = _typed(doc["breakpoints"], _NUMBER, "breakpoints must be numbers")
+        bp = Breakpoints(np.asarray(points, dtype=float))
         densities = []
         for dd in doc["densities"]:
             name, segs = str(dd["name"]), dd["segments"]
-            coeffs = coeff_rows(name, [sd["coeffs"] for sd in segs], degree)
+            seg = f"density {name!r}: segment"
+            rows = _typed([sd["coeffs"] for sd in segs], {list}, f"{seg} coeffs must be lists")
+            entries = list(itertools.chain.from_iterable(rows))
+            _typed(entries, _NUMBER, f"{seg} coeffs must be numbers")
+            b, c = (
+                _typed([sd[key] for sd in segs], {int}, f"{seg} index {key!r} must be an integer")
+                for key in ("b", "c")
+            )
+            dens = PiecewisePolyDensity(name, b, c, rows, degree)
             # JSON admits NaN and Infinity
-            if not np.isfinite(coeffs).all():
-                raise FamilyFormatError(f"density {name!r}: segment coefficients must be finite")
-            b, c = _integers(name, segs, "b"), _integers(name, segs, "c")
-            densities.append(PiecewisePolyDensity(name, b, c, coeffs, degree))
+            if not np.isfinite(dens.coeffs).all():
+                raise FamilyFormatError(f"{seg} coefficients must be finite")
+            densities.append(dens)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FamilyFormatError):
             raise

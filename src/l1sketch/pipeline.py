@@ -73,6 +73,19 @@ _EST_ROWS = 16
 #: about 118,000 there.
 MAX_REPLICATE_BYTES = 1 << 26
 
+#: Most bytes the float64 ``(m, t)`` sketch matrix may take: 1 GiB, so t up
+#: to about 67 million for two densities or 134,000 for a thousand.  An
+#: estimator task's difference buffer is never larger than the matrix.
+MAX_SKETCH_BYTES = 1 << 30
+
+#: Most draws :func:`mc_all_pairs` makes per density.  At the cap one
+#: density's draws take about 125 MB and 1.5 s to make (2-vCPU VM), and each
+#: other density is evaluated at all of them.
+MAX_MC_DRAWS = 10**6
+
+#: Most worker threads a fan-out may start.
+MAX_THREADS = 256
+
 
 class SketchMode(enum.Enum):
     EXACT_CI1 = "exact_ci1"
@@ -129,6 +142,8 @@ class DistanceMatrix:
 def _check_threads(threads: int) -> None:
     if threads < 1:
         raise ParameterError(f"threads must be >= 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ParameterError(f"threads must be at most {MAX_THREADS}, got {threads}")
 
 
 def _fan_out(fn, tasks, threads: int) -> None:
@@ -166,9 +181,10 @@ def sketch_family(
     Modes: ``uniform_fastpath`` (degree 0, scalar Cauchy per interval),
     ``exact_ci1`` (degree 1, exact rejection-sampled pairs),
     and ``cid_approx`` (degree >= 1, r-step discretized vectors; needs
-    ``approx_config``).  A replicate whose uniforms would take more than
-    :data:`MAX_REPLICATE_BYTES` raises :class:`ParameterError` before any
-    draw.
+    ``approx_config``).  A sketch matrix of more than
+    :data:`MAX_SKETCH_BYTES`, or a replicate whose uniforms would take more
+    than :data:`MAX_REPLICATE_BYTES`, raises :class:`ParameterError` before
+    any allocation or draw.
     """
     mode = SketchMode(mode)
     d = family.degree
@@ -185,6 +201,12 @@ def sketch_family(
             raise ParameterError("approx_config degree does not match the family")
     if t < 1:
         raise ParameterError("t must be >= 1")
+    if family.m * t * 8 > MAX_SKETCH_BYTES:
+        raise ParameterError(
+            f"the sketch of m={family.m} densities by t={t} replicates takes "
+            f"{family.m * t * 8} bytes, more than {MAX_SKETCH_BYTES}; "
+            "use a larger epsilon or delta"
+        )
     _check_threads(threads)
 
     n_int = len(family.breakpoints) - 1
@@ -310,19 +332,28 @@ def mc_all_pairs(
     the two one-sided means, clamped to the feasible range [0, 2].  The
     batch size makes each estimate ``epsilon_abs``-accurate with probability
     ``1 - delta`` jointly over all pairs (Hoeffding plus a union bound).
+    More than :data:`MAX_MC_DRAWS` draws per density raise
+    :class:`ParameterError` before any draw.
     """
     if not (0.0 < epsilon_abs <= 2.0):
         raise ParameterError(f"epsilon_abs must be in (0, 2], got {epsilon_abs}")
     if not (0.0 < delta < 1.0):
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    m = family.m
+    # a square that underflows to 0 gives no finite count
+    draws = 8.0 / epsilon_abs**2 * math.log(2.0 * m * m / delta) if epsilon_abs**2 else math.inf
+    if not draws <= MAX_MC_DRAWS:
+        raise ParameterError(
+            f"epsilon={epsilon_abs}, delta={delta} and m={m} need {draws:.4g} draws "
+            f"per density, more than {MAX_MC_DRAWS}; use a larger epsilon or delta"
+        )
+    n_draws = math.ceil(draws)
     problems = validate_family(family, strict=True)
     if problems:
         raise ParameterError(
             "Monte Carlo baseline needs nonnegative unit-mass densities: "
             + "; ".join(problems)
         )
-    m = family.m
-    n_draws = int(math.ceil(8.0 / epsilon_abs**2 * math.log(2.0 * m * m / delta)))
     bp = family.breakpoints
     mean_sign = np.zeros((m, m))
     for j, dens in enumerate(family.densities):

@@ -1,8 +1,9 @@
 """The exact pair sampler: density formulas, envelope, rejection, rescaling.
 
 The closed-form density is cross-checked against an independent
-characteristic-function oracle (see conftest) and against the generic branch
-written in complex arithmetic.
+characteristic-function oracle (see conftest), against the closed form
+written in complex arithmetic, and on the line ``x0 = 2 x1`` against that
+form's limit there.
 """
 
 import math
@@ -37,9 +38,7 @@ from l1sketch.ci1 import (
     UNIFORMS_PER_PAIR,
     _accept_mask,
     _candidate_block,
-    _density_diagonal,
     _density_generic,
-    diagonal_tolerance,
     first_block,
     unit_pairs,
 )
@@ -69,9 +68,10 @@ def test_density_matches_characteristic_function_oracle(x0, x1):
     assert ci1_density(x0, x1) == pytest.approx(cf_pair_density(x0, x1), abs=1e-6)
 
 
-def _complex_density_generic(x0, x1):
-    """The generic branch in complex arithmetic: principal square root, two
-    principal logarithms and a complex division."""
+def _complex_density(x0, x1):
+    """The closed form in complex arithmetic: principal square root, two
+    principal logarithms and a complex division.  It divides by
+    ``x0 - 2 x1``, so it is used only outside :func:`_band`."""
     delta = x0 - 2.0 * x1
     s0 = 1.0 + x0 * x0
     q = s0 - 2j * delta
@@ -82,12 +82,24 @@ def _complex_density_generic(x0, x1):
     return flat + 2.0 / PI**2 * np.real(atan_w / (q * root_q))
 
 
+def _band(x0):
+    """Half-width of a band around ``x0 = 2 x1`` where the complex form
+    cancels: there the density is checked against :func:`_diagonal_density`."""
+    return 1e-8 * (1.0 + np.abs(x0))
+
+
+def _diagonal_density(x0):
+    """The closed form's limit on the line ``x0 = 2 x1``."""
+    s0 = 1.0 + x0 * x0
+    return 4.0 / PI**2 / (s0 * s0) + 1.0 / (PI * s0 * np.sqrt(s0))
+
+
 def test_density_matches_complex_reference_on_proposals():
     z0, z1 = sample_student_envelope(RandomStream(16), size=1_000_000)
-    on_diag = np.abs(z0 - 2.0 * z1) <= diagonal_tolerance(z0)
+    on_diag = np.abs(z0 - 2.0 * z1) <= _band(z0)
     off = ~on_diag
     x0, x1 = z0[off], z1[off]
-    ref = _complex_density_generic(x0, x1)
+    ref = _complex_density(x0, x1)
     got = _density_generic(x0, np.abs(x0 - 2.0 * x1))
     near = np.hypot(x0, x1) <= 100.0
     assert near.sum() > 900_000
@@ -97,14 +109,15 @@ def test_density_matches_complex_reference_on_proposals():
     # complex form
     f_ref = np.empty(z0.size)
     f_ref[off] = ref
-    f_ref[on_diag] = _density_diagonal(z0[on_diag])
+    f_ref[on_diag] = _diagonal_density(z0[on_diag])
     u = RandomStream(15).generator.random(z0.size)
     plain = u * REJECTION_OVERHEAD * student_envelope_density(z0, z1) <= f_ref
     np.testing.assert_array_equal(_accept_mask(z0, z1, u), plain)
 
 
 # directions where the generic formula is hardest: the axes, where it
-# cancels far out, and the diagonal x0 = 2 x1, where it switches branch
+# cancels far out, and the diagonal x0 = 2 x1, where the complex form divides
+# by zero
 DIAGONAL = np.arctan2(1.0, 2.0)  # direction of the line x0 = 2 x1
 _HARD_DIRECTIONS = (0.0, PI / 2, PI, -PI / 2, DIAGONAL, DIAGONAL - PI, PI / 4)
 
@@ -138,9 +151,9 @@ def test_density_symmetric_nonnegative_and_squeezed_within_radius_1e6(log_radius
 )
 def test_density_matches_complex_reference_within_radius_100(log_radius, centre, offset):
     x0, x1 = _hypothesis_point(log_radius, centre, offset)
-    if abs(x0 - 2.0 * x1) <= diagonal_tolerance(x0):
-        return  # the diagonal branch, which the complex form does not cover
-    assert ci1_density(x0, x1) == pytest.approx(_complex_density_generic(x0, x1), rel=1e-10)
+    if abs(x0 - 2.0 * x1) <= _band(x0):
+        return  # the complex form cancels there; see the test on the band
+    assert ci1_density(x0, x1) == pytest.approx(_complex_density(x0, x1), rel=1e-10)
 
 
 def test_density_point_symmetry():
@@ -167,15 +180,21 @@ def test_branch_continuity_probes():
             assert abs(ci1_density(x0, x0 / 2.0 + off) - diag) <= 1e-4
 
 
-def test_density_selects_branch():
-    # on and inside the diagonal band the diagonal closed form is used,
-    # elsewhere the generic one, bit for bit
-    diag = _density_diagonal(1.0)
-    assert diag > 0.0
-    assert ci1_density(1.0, 0.5) == diag
-    assert ci1_density(1.0, 0.5 + 0.25 * diagonal_tolerance(1.0)) == diag
+def test_density_on_the_diagonal_band_matches_the_diagonal_form():
+    # the one kernel, without a branch, on and near the line x0 = 2 x1: at
+    # delta = 0, across the band where the complex form cancels, and at
+    # delta = 1e-200, whose square underflows, with no floating-point error
+    x0 = np.concatenate([[0.0, 1.0, -3.0, 1e3], np.logspace(-3, 5, 40)])
+    tiny = np.array([0.0, 0.0, 1e-200, -1e-200])
+    cases = [(x0, x0 / 2.0), (x0, (x0 - _band(x0)) / 2.0), (x0, (x0 + 0.5 * _band(x0)) / 2.0)]
+    cases.append((tiny, np.array([5e-201, -5e-201, 0.0, 0.0])))
+    for a, b in cases:
+        with np.errstate(all="raise"):
+            got = ci1_density(a, b)
+        np.testing.assert_allclose(got, _diagonal_density(a), rtol=2e-15, atol=0.0)
+    assert np.all(np.abs(tiny - 2.0 * cases[-1][1]) == 1e-200)
+    assert ci1_density(1.0, 0.5) == _density_generic(1.0, 0.0) > 0.0
     assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0)
-    assert ci1_density(1.0, 1.0) == _density_generic(1.0, 1.0)
 
 
 # ------------------------------------------------------------------- envelope
@@ -424,7 +443,7 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
     u = np.array([0.0, 5e-324, *ulps, 0.5, np.nextafter(1.0, 0.0)])
     band = np.array([-1e3, -1.0, 0.0, 1.0, 1e3])
     diagonal_band = [
-        (band, band / 2.0 + k * diagonal_tolerance(band)) for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
+        (band, band / 2.0 + k * _band(band)) for k in (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
     ]
     near_top = _polar(np.logspace(3, 8, 30), PI / 4 + np.array([0.0, 1e-7, -1e-7, 1e-4]))
     huge = _polar(np.logspace(7, 300, 60), np.linspace(0.0, 2.0 * PI, 13))

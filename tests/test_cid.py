@@ -234,8 +234,8 @@ def test_calibrate_rejects_bad_args(monkeypatch):
         calibrate_c(0, 0.05, 10, RandomStream(10))
     with pytest.raises(ParameterError):
         calibrate_c(3, 0.05, 0, RandomStream(10))
-    # no r passes eps <= 0 or NaN, so the search would double r towards 1e8
-    # over a (trials, r) array: it must not start
+    # no r passes eps <= 0 or NaN, so the search would double r up to
+    # MAX_STEPS: it must not start
     import l1sketch.cid as cid_mod
 
     def no_trials(*args, **kwargs):
@@ -268,3 +268,33 @@ def test_calibrate_deterministic():
     a = calibrate_c(3, 0.05, 80, RandomStream(13))
     b = calibrate_c(3, 0.05, 80, RandomStream(13))
     assert a.c == b.c and a.per_degree_r == b.per_degree_r
+
+
+def test_calibrate_refuses_past_max_steps(monkeypatch):
+    import l1sketch.cid as cid_mod
+
+    # degree 1 needs r = 21 right-endpoint steps on these trials: the search
+    # doubles to 16, then tries the cap itself, and refuses below 21
+    want = calibrate_c(1, 0.05, 100, RandomStream(8)).per_degree_r
+    assert want == {1: 21}
+    for cap in (16, 20):
+        monkeypatch.setattr(cid_mod, "MAX_STEPS", cap)
+        with pytest.raises(ParameterError, match=f"degree 1 needs more than {cap} steps"):
+            calibrate_c(1, 0.05, 100, RandomStream(8))
+    monkeypatch.setattr(cid_mod, "MAX_STEPS", 21)
+    assert calibrate_c(1, 0.05, 100, RandomStream(8)).per_degree_r == want
+    # unpatched: 1e-13 is out of reach of 10**6 midpoint steps
+    monkeypatch.setattr(cid_mod, "MAX_STEPS", 10**6)
+    with pytest.raises(ParameterError, match="needs more than 1000000 steps"):
+        calibrate_c(1, 1e-13, 400, RandomStream(0), nodes="midpoint")
+
+
+@pytest.mark.parametrize("nodes", ["right", "midpoint"])
+def test_calibrate_does_not_depend_on_the_chunk_size(monkeypatch, nodes):
+    # rows reduce on their own, so one-row chunks decide as whole tables do
+    import l1sketch.cid as cid_mod
+
+    whole = calibrate_c(4, 0.05, 60, RandomStream(14), nodes=nodes)
+    monkeypatch.setattr(cid_mod, "_CALIBRATION_CHUNK", 1)
+    rows = calibrate_c(4, 0.05, 60, RandomStream(14), nodes=nodes)
+    assert rows.per_degree_r == whole.per_degree_r and rows.c == whole.c

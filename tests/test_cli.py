@@ -22,6 +22,7 @@ import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
 import l1sketch.pipeline as pipeline_mod
 from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
+from l1sketch.densities import eval_density
 from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
 from l1sketch.io import family_from_json, family_to_json, load_family, save_family
 
@@ -255,6 +256,30 @@ def test_dist_bad_segments_exit_2_naming_density(tmp_path, capsys, densities):
     assert "'bad'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "breakpoints,coeffs,message",
+    [
+        (["0", "1"], ["1.0"], "breakpoints must be numbers, got '0'"),
+        ([False, True], [True], "breakpoints must be numbers, got False"),
+        ([0, 1], ["1.0"], "density 'bad': segment coeffs must be numbers, got '1.0'"),
+        ([0.0, 1.0], [True], "density 'bad': segment coeffs must be numbers, got True"),
+        ([0.0, 1.0], [None], "density 'bad': segment coeffs must be numbers, got None"),
+        ([0.0, 1.0], 1.0, "density 'bad': segment coeffs must be lists, got 1.0"),
+    ],
+)
+def test_dist_non_number_breakpoints_or_coeffs_exit_2(
+    tmp_path, capsys, breakpoints, coeffs, message
+):
+    # numpy would cast each of these to a number without a word
+    path = tmp_path / "bad.json"
+    segment = {"b": 0, "c": 1, "coeffs": coeffs}
+    path.write_text(json.dumps({"degree": 0, "breakpoints": breakpoints,
+                                "densities": [{"name": "bad", "segments": [segment]}]}))
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(path), "--method", "exact", "--out", str(out)])
+    assert message in _assert_refused(code, 2, out, capsys)
+
+
 def _assert_refused(code, want, out, capsys):
     """Exit code ``want``, no output file and no traceback."""
     assert code == want
@@ -355,6 +380,40 @@ def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeyp
     code = main(["dist", str(_quadratic_family_path(tmp_path)), "--out", str(out)])
     err = _assert_refused(code, 3, out, capsys)
     assert "one replicate draws 30 uniforms (240 bytes), more than 239 bytes" in err
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        # t = 236,088,286 replicates of 2 densities: 3.5 GiB
+        (["--epsilon", "0.001"], "takes 3777412576 bytes, more than 1073741824"),
+        # 3.5e13 draws per density: 510 TiB of uniforms
+        (["--method", "mc", "--epsilon", "1e-6"], "need 3.506e+13 draws per density"),
+        (["--threads", "257"], "threads must be at most 256, got 257"),
+        (["--threads", "100000"], "threads must be at most 256, got 100000"),
+    ],
+)
+def test_dist_parameter_sized_allocations_exit_3_before_any(
+    pair_family_path, tmp_path, capsys, monkeypatch, args, message
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated, drew or started a pool past a cap")
+
+    for name in ("unit_coefficients", "sample_from_density", "ThreadPoolExecutor"):
+        monkeypatch.setattr(pipeline_mod, name, refuse)
+    out = tmp_path / "dist.csv"
+    code = main(["dist", pair_family_path, *args, "--out", str(out)])
+    assert message in _assert_refused(code, 3, out, capsys)
+
+
+def test_calibrate_past_max_steps_exit_3(tmp_path, capsys):
+    # 1e-13 is out of reach of 10**6 midpoint steps
+    out = tmp_path / "cal.json"
+    code = main(
+        ["calibrate", "--d-max", "1", "--eps", "1e-13", "--trials", "400", "--out", str(out)]
+    )
+    err = _assert_refused(code, 3, out, capsys)
+    assert "calibration at degree 1 needs more than 1000000 steps" in err
 
 
 @pytest.mark.parametrize(
@@ -588,6 +647,29 @@ def test_eval_density_points(pair_family_path, tmp_path):
     rows = [r for r in out.read_text().splitlines() if not r.startswith("#")]
     assert float(rows[1].split(",")[1]) == 1.0
     assert float(rows[2].split(",")[1]) == 0.0
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+@pytest.mark.parametrize("where", [["--points", "0.5,1.5"], ["--points", "-0.0,1e-300,2"], []])
+def test_eval_density_bytes_match_one_joined_list(
+    pair_family_path, tmp_path, monkeypatch, where, chunk
+):
+    # written in chunks through the shared write path, the bytes are those of
+    # one list of every line, joined; [] is the default grid, 121 points
+    if chunk is not None:
+        monkeypatch.setattr(cli_mod, "_CHUNK_LINES", chunk)
+    out = tmp_path / "vals.csv"
+    args = ["eval", "density", "--input", pair_family_path, "--name", "a", *where]
+    assert main([*args, "--out", str(out)]) == 0
+    fam, digest = load_family(pair_family_path, with_digest=True)
+    xs = cli_mod._parse_grid("-3:3:0.05") if not where else np.array(where[1].split(","), float)
+    vals = eval_density(fam.densities[0], fam.breakpoints, xs)
+    header = cli_mod._manifest_line(
+        "eval", {"target": "density", "name": "a", "grid": "-3:3:0.05",
+                 "points": where[1] if where else None}, 0, digest)
+    lines = [header, "x,value"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, vals)]
+    assert out.read_text() == "\n".join(lines) + "\n"
+    assert len(xs) == (len(where[1].split(",")) if where else 121)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Sketch construction, estimation, the MC baseline, and scheme dispatch."""
 
 import math
+import re
 import sys
 import time
 from unittest import mock
@@ -44,7 +45,7 @@ from l1sketch.ci1 import (
     unit_pairs,
 )
 from l1sketch.cid import _node_powers
-from l1sketch.densities import interval_coefficients, unit_coefficients
+from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
 from l1sketch.pipeline import _BLOCK, _CALL_DRAWS, _EST_ROWS, SketchMatrix
 
@@ -138,6 +139,67 @@ def test_replicate_byte_cap_refuses_before_any_draw(monkeypatch, family, mode, u
         sketch_family(family(), 3, mode, _NoDraws(), approx_config=cfg)
     monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 8 * uniforms)
     assert sketch_family(family(), 3, mode, RandomStream(7), approx_config=cfg).t == 3
+
+
+def test_sketch_byte_cap_refuses_before_any_allocation(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("allocated past the sketch byte cap")
+
+    assert pipeline_mod.MAX_SKETCH_BYTES == 1 << 30
+    # 2 densities by 5 replicates: an (2, 5) float64 matrix of 80 bytes
+    monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 79)
+    monkeypatch.setattr(pipeline_mod, "unit_coefficients", refuse)
+    with pytest.raises(ParameterError, match="m=2 densities by t=5 replicates takes 80 bytes"):
+        sketch_family(_uniform_pair(), 5, SketchMode.UNIFORM_FASTPATH, _NoDraws())
+    monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 80)
+    monkeypatch.setattr(pipeline_mod, "unit_coefficients", unit_coefficients)
+    assert sketch_family(_uniform_pair(), 5, SketchMode.UNIFORM_FASTPATH, RandomStream(7)).t == 5
+    # unpatched: epsilon = 0.001 gives t = 236,088,286, a 3.5 GiB matrix
+    monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 1 << 30)
+    monkeypatch.setattr(pipeline_mod, "unit_coefficients", refuse)
+    with pytest.raises(ParameterError, match="t=236088286 replicates takes 3777412576 bytes"):
+        run_scheme(_uniform_pair(), 0.001, 0.1, "sketch", seed=1)
+
+
+def test_mc_draw_cap_refuses_before_any_draw(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew past the Monte Carlo draw cap")
+
+    assert pipeline_mod.MAX_MC_DRAWS == 10**6
+    # ceil(8 / 0.5**2 * ln(2 * 2**2 / 0.5)) = ceil(88.7) = 89 draws a density
+    monkeypatch.setattr(pipeline_mod, "MAX_MC_DRAWS", 88)
+    monkeypatch.setattr(pipeline_mod, "sample_from_density", refuse)
+    with pytest.raises(ParameterError, match="need 88.72 draws per density, more than 88"):
+        mc_all_pairs(_uniform_pair(), 0.5, 0.5, RandomStream(1))
+    monkeypatch.setattr(pipeline_mod, "MAX_MC_DRAWS", 10**6)
+    # 3.5e13 draws (510 TiB of uniforms), and a square that underflows
+    for epsilon, count in ((1e-6, "3.506e+13"), (1e-200, "inf")):
+        with pytest.raises(ParameterError, match=re.escape(f"need {count} draws per density")):
+            run_scheme(_uniform_pair(), epsilon, 0.1, "mc", seed=1)
+    monkeypatch.setattr(pipeline_mod, "MAX_MC_DRAWS", 89)
+    monkeypatch.setattr(pipeline_mod, "sample_from_density", sample_from_density)
+    dm = mc_all_pairs(_uniform_pair(), 0.5, 0.5, RandomStream(1))
+    assert dm.config["samples_per_density"] == 89
+
+
+def test_threads_above_cap_refused_before_any_pool(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("started a pool past the thread cap")
+
+    assert pipeline_mod.MAX_THREADS == 256
+    monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", refuse)
+    fam = _uniform_pair()
+    sk = sketch_family(fam, required_sample_count(0.5, 0.5, 2), SketchMode.UNIFORM_FASTPATH,
+                       RandomStream(1))
+    message = "threads must be at most 256, got"
+    for threads in (257, 100_000):
+        for method in ("sketch", "exact", "mc"):
+            with pytest.raises(ParameterError, match=message):
+                run_scheme(fam, 0.5, 0.5, method, seed=1, threads=threads)
+        with pytest.raises(ParameterError, match=message):
+            sketch_family(fam, 5, SketchMode.UNIFORM_FASTPATH, _NoDraws(), threads=threads)
+        with pytest.raises(ParameterError, match=message):
+            estimate_all_pairs(sk, 0.5, 0.5, threads=threads)
 
 
 def test_estimate_requires_enough_replicates():
