@@ -24,9 +24,8 @@ ch. XI), which also gives the envelope's value there for free, and one is
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component; the samplers return the tuple ``(x0, x1)`` of
-two arrays, or of two floats for a single draw.  The square root and the
-arctangent are principal-branch, and the density evaluates both in real
-arithmetic, on terms the two share.
+two arrays.  The square root and the arctangent are principal-branch, and
+the density evaluates both in real arithmetic, on terms the two share.
 """
 
 from __future__ import annotations
@@ -95,7 +94,8 @@ def _density_generic(x0, delta):
 
 
 def ci1_density(x0, x1):
-    """Joint density of the unit-interval pair at ``(x0, x1)``; vectorized.
+    """Joint density of the unit-interval pair at ``(x0, x1)``, in the
+    broadcast shape of the two (a numpy float for 0-d inputs).
 
     One closed form for every point, regular on the line ``x0 = 2 x1``.  It
     depends on ``x0`` and ``x1`` only through ``x0^2`` and ``|x0 - 2 x1|``,
@@ -114,8 +114,7 @@ def ci1_density(x0, x1):
     x1 = np.asarray(x1, dtype=float)
     # a delta whose square underflows is exact enough at 0
     with np.errstate(under="ignore"):
-        out = _density_generic(x0, np.abs(x0 - 2.0 * x1))
-    return float(out) if out.ndim == 0 else out
+        return _density_generic(x0, np.abs(x0 - 2.0 * x1))
 
 
 def student_envelope_density(x0, x1):
@@ -123,8 +122,7 @@ def student_envelope_density(x0, x1):
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     t = 1.0 + x0 * x0 + (2.0 * x1 - x0) ** 2
-    out = 1.0 / (np.pi * t * np.sqrt(t))
-    return float(out) if out.ndim == 0 else out
+    return 1.0 / (np.pi * t * np.sqrt(t))
 
 
 def _envelope_points(gen: np.random.Generator, u: np.ndarray):
@@ -153,9 +151,9 @@ def _envelope_points(gen: np.random.Generator, u: np.ndarray):
     return x0, 0.5 * (x0 + v), 0.25 * spread
 
 
-def sample_student_envelope(rng: RandomStream, size: int | None = None):
+def sample_student_envelope(rng: RandomStream, size: int):
     """Draw ``(x0, x1)`` from :func:`student_envelope_density`: two arrays
-    of ``size``, or two floats when ``size`` is None.
+    of ``size``.
 
     One ``(2, size)`` uniform draw, mapped by :func:`_envelope_points`: a
     Cauchy ``x0``, then ``2 x1 - x0`` given ``x0`` by inverting its
@@ -165,8 +163,8 @@ def sample_student_envelope(rng: RandomStream, size: int | None = None):
     onto the envelope.
     """
     gen = rng.generator
-    x0, x1, _ = _envelope_points(gen, gen.random((2, 1 if size is None else int(size))))
-    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)
+    x0, x1, _ = _envelope_points(gen, gen.random((2, size)))
+    return x0, x1
 
 
 def _accept_mask(x0, x1, u01):
@@ -252,9 +250,9 @@ def unit_pairs(gen: np.random.Generator, need: int):
     return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
 
 
-def sample_ci1_unit(rng: RandomStream, size: int | None = None):
+def sample_ci1_unit(rng: RandomStream, size: int):
     """Exact draws ``(x0, x1)`` of the unit-interval pair by rejection under
-    the envelope: two arrays of ``size``, or two floats when ``size`` is None.
+    the envelope: two arrays of ``size``.
 
     Proposals come from the envelope of :func:`sample_student_envelope`; a
     proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
@@ -266,11 +264,11 @@ def sample_ci1_unit(rng: RandomStream, size: int | None = None):
     stays bounded whatever ``size`` is.  A negative ``size`` raises
     :class:`ParameterError`.
     """
-    n = 1 if size is None else int(size)
-    if n < 0:
+    if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
-    x0, x1 = np.empty(n), np.empty(n)
+    x0, x1 = np.empty(size), np.empty(size)
     group = int(_CALL_DRAWS // UNIFORMS_PER_PAIR)
-    for g0 in range(0, n, group):
-        x0[g0 : g0 + group], x1[g0 : g0 + group] = unit_pairs(rng.generator, min(group, n - g0))
-    return (float(x0[0]), float(x1[0])) if size is None else (x0, x1)
+    for g0 in range(0, size, group):
+        part = slice(g0, g0 + group)
+        x0[part], x1[part] = unit_pairs(rng.generator, min(group, size - g0))
+    return x0, x1

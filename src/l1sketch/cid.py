@@ -156,9 +156,9 @@ def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarra
     return np.matmul(u, node_pow / u.shape[-1], out=out)
 
 
-def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int | None = None):
+def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int):
     """Draw the r-step discretized integral vector on the unit interval: an
-    ``(size, d+1)`` array, or one ``(d+1,)`` vector when ``size`` is None.
+    ``(size, d+1)`` array.
 
     Rows are drawn in groups of ``_CALL_DRAWS // r`` (at least one), one
     ``(rows, r)`` uniform draw each, so memory stays bounded whatever
@@ -167,16 +167,15 @@ def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int | Non
     row's bits depend on where it sits in the block, so each row is its own
     ``(1, r)`` product, whose bits depend neither on the group size nor on
     ``size``.  A negative ``size`` raises :class:`ParameterError`."""
-    n = 1 if size is None else int(size)
-    if n < 0:
+    if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     node_pow = _node_powers(cfg.r, cfg.d, cfg.nodes)
-    comps = np.empty((n, 1, cfg.d + 1))
+    comps = np.empty((size, 1, cfg.d + 1))
     group = max(_CALL_DRAWS // cfg.r, 1)
-    for g0 in range(0, n, group):
+    for g0 in range(0, size, group):
         rows = comps[g0 : g0 + group]
         steps_to_vectors(rng.random((rows.shape[0], 1, cfg.r)), node_pow, out=rows)
-    return comps[0, 0] if size is None else comps[:, 0]
+    return comps[:, 0]
 
 
 def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:
@@ -205,22 +204,21 @@ def riemann_abs_scale(coeffs, r: int, nodes: str = "right"):
 
     This is the exact Cauchy scale of ``a . X`` when ``X`` is the r-step
     discretized vector with those nodes and ``p`` has coefficients ``a``.
-    An ``(n, d+1)`` table gives its rows' sums, bit for bit.
+    An ``(n, d+1)`` table gives its rows' sums, bit for bit, and one
+    coefficient vector a numpy float.
     """
     if r < 1:
         raise ParameterError("r must be >= 1")
     c = np.asarray(coeffs, dtype=float)
-    scale = np.abs(poly_eval(c[..., None, :], unit_nodes(r, nodes))).mean(axis=-1)
-    return float(scale) if c.ndim == 1 else scale
+    return np.abs(poly_eval(c[..., None, :], unit_nodes(r, nodes))).mean(axis=-1)
 
 
-def random_polynomial(
-    degree: int, rng: RandomStream, min_mass: float = MIN_CALIBRATION_MASS
-) -> np.ndarray:
-    """Coefficients uniform on [-1, 1], rejecting near-null polynomials."""
+def random_polynomial(degree: int, rng: RandomStream) -> np.ndarray:
+    """Coefficients uniform on [-1, 1], rejecting polynomials whose
+    |p|-mass on [0, 1] is below :data:`MIN_CALIBRATION_MASS`."""
     while True:
         coeffs = 2.0 * rng.random(degree + 1) - 1.0
-        if integrate_abs_poly(coeffs, 0.0, 1.0) >= min_mass:
+        if integrate_abs_poly(coeffs, 0.0, 1.0) >= MIN_CALIBRATION_MASS:
             return coeffs
 
 

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -29,7 +28,7 @@ from .ci1 import CHECKED_RADIUS, ci1_density, sample_ci1_unit
 from .cid import ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density, validate_family
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
-from .io import build_manifest, load_family, matrix_to_csv, matrix_to_json
+from .io import build_manifest, load_family, manifest_line, matrix_to_csv, matrix_to_json
 from .pipeline import run_scheme
 from .randstream import RandomStream
 
@@ -52,7 +51,7 @@ MAX_DENSITY_PAIRS = 10**7
 #: value: at the cap about 40 MB for ``ci1`` and 340 MB for ``cid --d 16``.
 MAX_SAMPLE_COUNT = 10**6
 
-#: Lines formatted and written per chunk by ``eval`` and ``sample``, and
+#: Rows formatted and written per block by ``eval`` and ``sample``, and
 #: grid pairs per ``ci1_density`` call (whole grid rows, at least one).
 _CHUNK_LINES = 1 << 16
 
@@ -71,17 +70,17 @@ def _write(chunks, out: str | None) -> None:
             handle.writelines(chunks)
 
 
-def _text(lines):
-    """``lines`` as text chunks of up to :data:`_CHUNK_LINES` lines, each
-    line ending in a newline."""
-    lines = iter(lines)
-    while chunk := list(itertools.islice(lines, _CHUNK_LINES)):
-        yield "\n".join(chunk) + "\n"
+def _csv(header: list[str], blocks):
+    """CSV text chunks: the ``header`` lines, then one line per row of each
+    2-D array in ``blocks``, its values' ``repr`` joined by commas."""
+    yield "".join(line + "\n" for line in header)
+    for block in blocks:
+        yield "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
 
 
-def _manifest_line(command: str, parameters: dict, seed: int, digest: str | None = None) -> str:
-    manifest = build_manifest(command, parameters, seed, digest)
-    return "# manifest: " + json.dumps(manifest, sort_keys=True)
+def _blocks(table: np.ndarray):
+    """The rows of ``table`` in blocks of at most :data:`_CHUNK_LINES`."""
+    return (table[g0 : g0 + _CHUNK_LINES] for g0 in range(0, len(table), _CHUNK_LINES))
 
 
 def _parse_grid(spec: str, square: bool = False) -> np.ndarray:
@@ -169,55 +168,46 @@ def cmd_sample(args) -> int:
             r=args.r,
             nodes="midpoint",
         )
-    header = [
-        _manifest_line(
-            "sample",
-            # the resolved r: with d, nodes and the seed it fixes the draws
-            {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
-             "d": None if cfg is None else cfg.d,
-             "r": None if cfg is None else cfg.r,
-             "nodes": None if cfg is None else cfg.nodes},
-            args.seed,
-        )
-    ]
-    header.append(",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1)))
+    manifest = build_manifest(
+        "sample",
+        # the resolved r: with d, nodes and the seed it fixes the draws
+        {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
+         "d": None if cfg is None else cfg.d,
+         "r": None if cfg is None else cfg.r,
+         "nodes": None if cfg is None else cfg.nodes},
+        args.seed,
+        None,
+    )
+    columns = ",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1))
+    header = [manifest_line(manifest), columns]
     if cfg is None:
         z = np.column_stack(sample_ci1_unit(rng, size=args.count))
     else:
         z = sample_cid_approx_unit(cfg, rng, size=args.count)
     if args.a != 0.0 or args.b != 1.0:
         z = rescale_cid(z, args.a, args.b)
-    rows = (
-        ",".join(map(repr, row))
-        for g0 in range(0, len(z), _CHUNK_LINES)
-        for row in z[g0 : g0 + _CHUNK_LINES].tolist()
-    )
-    _write(_text(itertools.chain(header, rows)), args.out)
+    _write(_csv(header, _blocks(z)), args.out)
     return EXIT_OK
 
 
-def _ci1_density_lines(axis: np.ndarray):
-    """One ``x0,x1,value`` line per pair of the grid ``axis`` x ``axis``,
-    row by row, with one :func:`ci1_density` call per chunk of whole rows."""
-    text = [repr(x) for x in axis.tolist()]
-    n = len(text)
+def _ci1_density_blocks(axis: np.ndarray):
+    """``(x0, x1, value)`` rows for the pairs of the grid ``axis`` x
+    ``axis``, row by row, one :func:`ci1_density` call per block of whole
+    grid rows."""
+    n = axis.size
     rows = max(_CHUNK_LINES // n, 1)
     for r0 in range(0, n, rows):
         block = axis[r0 : r0 + rows]
-        vals = ci1_density(np.repeat(block, n), np.tile(axis, block.size))
-        for k, v in enumerate(vals.tolist()):
-            i, j = divmod(k, n)
-            yield f"{text[r0 + i]},{text[j]},{v!r}"
+        x0, x1 = np.repeat(block, n), np.tile(axis, block.size)
+        yield np.column_stack([x0, x1, ci1_density(x0, x1)])
 
 
 def cmd_eval(args) -> int:
     if args.target == "ci1-density":
         axis = _parse_grid(args.grid, square=True)
-        header = [
-            _manifest_line("eval", {"target": args.target, "grid": args.grid}, 0),
-            "x0,x1,value",
-        ]
-        _write(_text(itertools.chain(header, _ci1_density_lines(axis))), args.out)
+        manifest = build_manifest("eval", {"target": args.target, "grid": args.grid}, 0, None)
+        header = [manifest_line(manifest), "x0,x1,value"]
+        _write(_csv(header, _ci1_density_blocks(axis)), args.out)
         return EXIT_OK
     family, digest = load_family(args.input, with_digest=True)
     names = {d.name: d for d in family.densities}
@@ -226,18 +216,14 @@ def cmd_eval(args) -> int:
     dens = names[args.name]
     xs = _parse_grid(args.grid) if args.points is None else _parse_points(args.points)
     vals = eval_density(dens, family.breakpoints, xs)
-    header = _manifest_line(
+    manifest = build_manifest(
         "eval",
         {"target": args.target, "name": args.name, "grid": args.grid, "points": args.points},
         0,
         digest,
     )
-    rows = (
-        f"{x!r},{v!r}"
-        for g0 in range(0, len(xs), _CHUNK_LINES)
-        for x, v in zip(xs[g0 : g0 + _CHUNK_LINES].tolist(), vals[g0 : g0 + _CHUNK_LINES].tolist())
-    )
-    _write(_text(itertools.chain([header, "x,value"], rows)), args.out)
+    header = [manifest_line(manifest), "x,value"]
+    _write(_csv(header, _blocks(np.column_stack([xs, vals]))), args.out)
     return EXIT_OK
 
 
@@ -348,7 +334,7 @@ def main(argv=None) -> int:
     except FamilyFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FORMAT
     except ParameterError as exc:

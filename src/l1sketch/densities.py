@@ -176,10 +176,19 @@ def _runs(b: np.ndarray, c: np.ndarray):
     return seg, np.arange(seg.size) + np.repeat(b - np.cumsum(lengths) + lengths, lengths)
 
 
+def _local_rows(dens: PiecewisePolyDensity, bp: Breakpoints):
+    """Each row's start ``lo``, its width ``w`` and its coefficients in
+    ``u = x - lo`` on ``[0, w)``.  Masses, draws and probes work in this
+    frame, as the oracle does, so they keep their accuracy far from the
+    origin."""
+    lo = bp.points[dens.b]
+    return lo, bp.points[dens.c] - lo, taylor_shift(dens.coeffs, lo)
+
+
 def segment_masses(dens: PiecewisePolyDensity, bp: Breakpoints) -> np.ndarray:
     """Signed integral of each segment's polynomial over its interval."""
-    anti = poly_antideriv(dens.coeffs)
-    return poly_eval(anti, bp.points[dens.c]) - poly_eval(anti, bp.points[dens.b])
+    _, width, local = _local_rows(dens, bp)
+    return poly_eval(poly_antideriv(local), width)
 
 
 def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
@@ -190,7 +199,8 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     nonnegativity is probed at segment endpoints plus ``2*degree + 1``
     Chebyshev-spaced interior points per segment, and the total mass is
     checked against 1; both produce warnings, not errors, because the
-    sketching math only needs integrable functions.  A probe value that
+    sketching math only needs integrable functions.  Probes and masses use
+    each row's local frame (:func:`_local_rows`).  A probe value that
     overflows float64 gets its own warning instead of a ``RuntimeWarning``.
     """
     Breakpoints(family.breakpoints.points)
@@ -201,15 +211,15 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     warnings: list[str] = []
     if not strict:
         return warnings
-    pts = family.breakpoints.points
     k = 2 * family.degree + 1
     nodes = np.cos((2 * np.arange(k) + 1) * np.pi / (2 * k))
+    # probes as fractions of a row's width: both ends, then the nodes
+    fractions = np.concatenate([[0.0, 1.0], 0.5 * (1.0 + nodes)])
     for dens in family.densities:
-        lo, hi = pts[dens.b][:, None], pts[dens.c][:, None]
-        probes = np.concatenate([lo, hi, 0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes], axis=1)
         # finite coefficients can still overflow; that is reported, not warned
         with np.errstate(over="ignore", invalid="ignore"):
-            values = poly_eval(dens.coeffs[:, None, :], probes)
+            _, width, local = _local_rows(dens, family.breakpoints)
+            values = poly_eval(local[:, None, :], width[:, None] * fractions)
             mass = float(segment_masses(dens, family.breakpoints).sum())
         if not np.isfinite(values).all():
             warnings.append(f"density {dens.name!r} is not finite at probe points")
@@ -221,22 +231,22 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
 
 
 def eval_density(dens: PiecewisePolyDensity, bp: Breakpoints, x):
-    """Evaluate the density at ``x`` (scalar or array); 0 outside its support.
+    """The density at the points ``x``, an array of their shape; 0 outside
+    its support.
 
     Each point is located on the half-open grid by binary search, and its
     interval in the table by a second one (the ends ``c`` increase with
-    ``b``); the owning segment's polynomial is evaluated by Horner's rule.
+    ``b``); the owning segment's polynomial, in global coefficients, is
+    evaluated by Horner's rule.
     """
-    xa = np.asarray(x, dtype=float)
-    scalar = xa.ndim == 0
-    xa = np.atleast_1d(xa)
+    xa = np.asarray(x, dtype=float).reshape(-1)
     idx = np.searchsorted(bp.points, xa, side="right") - 1
     seg = np.searchsorted(dens.c, idx, side="right")
     has = seg < dens.c.size
     has[has] = dens.b[seg[has]] <= idx[has]
     out = np.zeros(xa.shape)
     out[has] = poly_eval(dens.coeffs[seg[has]], xa[has])
-    return float(out[0]) if scalar else out
+    return out.reshape(np.shape(x))
 
 
 def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
@@ -255,8 +265,6 @@ def merge_breakpoints(families: list[DensityFamily]) -> DensityFamily:
         if fam.degree != degree:
             raise FamilyFormatError("all families must share one degree")
     grid = np.unique(np.concatenate([fam.breakpoints.points for fam in families]))
-    if not np.all(np.isfinite(grid)):
-        raise FamilyFormatError("breakpoints must be finite")
     densities = []
     for fam in families:
         old = fam.breakpoints.points
@@ -339,29 +347,29 @@ def exact_all_pairs(family: DensityFamily):
 
 
 def sample_from_density(
-    dens: PiecewisePolyDensity, bp: Breakpoints, rng: RandomStream, size: int | None = None
-):
-    """Draw from a nonnegative density: pick a segment by mass, invert its CDF.
+    dens: PiecewisePolyDensity, bp: Breakpoints, rng: RandomStream, size: int
+) -> np.ndarray:
+    """``size`` draws from a nonnegative density: pick a segment by mass,
+    invert its CDF.
 
-    The segment CDF is inverted by monotone bisection until the CDF value is
-    matched to ``CDF_BISECTION_TOL``.  Requires a valid (nonnegative) density;
-    run ``validate_family(..., strict=True)`` first.
+    The segment CDF, in the row's local frame ``u = x - lo`` on ``[0, w]``
+    (:func:`_local_rows`), is inverted by monotone bisection until the CDF
+    value is matched to ``CDF_BISECTION_TOL``; the draw is ``lo + u``.
+    Requires a valid (nonnegative) density; run
+    ``validate_family(..., strict=True)`` first.
     """
     masses = segment_masses(dens, bp)
     total = masses.sum()
     if total <= 0.0 or np.any(masses < 0.0):
         raise ParameterError(f"density {dens.name!r} has nonpositive segment mass")
-    n = 1 if size is None else int(size)
-    u = rng.random((n, 2))
+    u = rng.random((size, 2))
     cum = np.cumsum(masses) / total
     seg_idx = np.minimum(np.searchsorted(cum, u[:, 0], side="right"), len(masses) - 1)
 
-    lo = bp.points[dens.b[seg_idx]]
-    hi = bp.points[dens.c[seg_idx]]
-    rows = poly_antideriv(dens.coeffs)[seg_idx]
-    base = poly_eval(rows, lo)
-    target = base + u[:, 1] * masses[seg_idx]
-    a, b = lo.copy(), hi.copy()
+    lo, width, local = _local_rows(dens, bp)
+    rows = poly_antideriv(local)[seg_idx]
+    target = u[:, 1] * masses[seg_idx]
+    a, b = np.zeros(size), width[seg_idx]
     for _ in range(100):
         mid = 0.5 * (a + b)
         err = poly_eval(rows, mid) - target
@@ -370,8 +378,7 @@ def sample_from_density(
         go_right = err < 0.0
         a = np.where(go_right, mid, a)
         b = np.where(go_right, b, mid)
-    out = 0.5 * (a + b)
-    return float(out[0]) if size is None else out
+    return lo[seg_idx] + 0.5 * (a + b)
 
 
 def density_from_pieces(
@@ -392,23 +399,17 @@ def uniform_density(name: str, lo: float, hi: float) -> DensityFamily:
     return density_from_pieces(name, [(lo, hi, np.array([1.0 / (hi - lo)]))], degree=0)
 
 
-def random_piecewise_linear_family(
-    m: int,
-    n: int,
-    rng: RandomStream,
-    lo: float = 0.0,
-    hi: float = 1.0,
-) -> DensityFamily:
+def random_piecewise_linear_family(m: int, n: int, rng: RandomStream) -> DensityFamily:
     """Random family of ``m`` continuous piecewise-linear densities, ``n`` pieces each.
 
-    Each density gets its own interior breakpoints on ``[lo, hi]`` and random
+    Each density gets its own interior breakpoints on ``[0, 1]`` and random
     positive node values, then is normalized to unit mass.  Useful for tests
     and benchmarks.
     """
     fams = []
     for j in range(m):
-        cuts = np.sort(rng.random(n - 1)) * (hi - lo) + lo if n > 1 else np.empty(0)
-        edges = np.concatenate([[lo], cuts, [hi]])
+        cuts = np.sort(rng.random(n - 1)) if n > 1 else np.empty(0)
+        edges = np.concatenate([[0.0], cuts, [1.0]])
         vals = 0.1 + 0.9 * rng.random(n + 1)
         mass = float(np.sum(0.5 * (vals[:-1] + vals[1:]) * np.diff(edges)))
         vals /= mass

@@ -156,6 +156,11 @@ def build_manifest(command: str, parameters: dict, seed: int, input_digest: str 
     }
 
 
+def manifest_line(manifest: dict) -> str:
+    """The ``# manifest: `` comment line that heads every CSV output."""
+    return "# manifest: " + json.dumps(manifest, sort_keys=True)
+
+
 def matrix_to_json(dm: DistanceMatrix, manifest: dict) -> str:
     doc = {
         "names": dm.names,
@@ -168,7 +173,7 @@ def matrix_to_json(dm: DistanceMatrix, manifest: dict) -> str:
 
 
 def matrix_to_csv(dm: DistanceMatrix, manifest: dict) -> str:
-    lines = [f"# manifest: {json.dumps(manifest, sort_keys=True)}"]
+    lines = [manifest_line(manifest)]
     lines.append(f"# method: {dm.method}")
     lines.append(f"# config: {json.dumps(_jsonable(dm.config), sort_keys=True)}")
     lines.append(",".join(["name"] + dm.names))

@@ -74,8 +74,9 @@ _EST_ROWS = 16
 MAX_REPLICATE_BYTES = 1 << 26
 
 #: Most bytes the float64 ``(m, t)`` sketch matrix may take: 1 GiB, so t up
-#: to about 67 million for two densities or 134,000 for a thousand.  An
-#: estimator task's difference buffer is never larger than the matrix.
+#: to about 67 million for two densities or 134,000 for a thousand.  The
+#: scratch of all the workers of a fan-out together is held to the same
+#: bound (:func:`_fan_out`).
 MAX_SKETCH_BYTES = 1 << 30
 
 #: Most draws :func:`mc_all_pairs` makes per density.  At the cap one
@@ -146,15 +147,19 @@ def _check_threads(threads: int) -> None:
         raise ParameterError(f"threads must be at most {MAX_THREADS}, got {threads}")
 
 
-def _fan_out(fn, tasks, threads: int) -> None:
-    """Call ``fn`` on every task: in order on the calling thread when
-    ``threads`` is 1, else on up to ``threads`` workers, worker ``i`` taking
-    tasks ``i, i + threads, ...`` in order.  One share per worker rather than
-    one future per task: on a 2-vCPU VM at m = 400 and t = 2,000, the
-    estimator's 5,000 short tasks took 0.77 s as futures on 2 threads, 0.67 s
-    in one loop and 0.48 s in shares (medians of 5).  Each task must write
-    only its own outputs, so the result does not depend on the count."""
-    tasks, threads = list(tasks), int(threads)
+def _fan_out(fn, tasks, threads: int, task_bytes: int) -> None:
+    """Call ``fn`` on every task: in order on the calling thread when one
+    worker runs, else on ``workers`` threads, worker ``i`` taking tasks
+    ``i, i + workers, ...`` in order.  ``workers`` is ``threads``, cut so
+    that the workers' scratch, ``task_bytes`` each, stays within
+    :data:`MAX_SKETCH_BYTES` (at least one worker).  One share per worker
+    rather than one future per task: on a 2-vCPU VM at m = 400 and
+    t = 2,000, the estimator's 5,000 short tasks took 0.77 s as futures on 2
+    threads, 0.67 s in one loop and 0.48 s in shares (medians of 5).  Each
+    task must write only its own outputs, so the result does not depend on
+    the count."""
+    tasks = list(tasks)
+    threads = min(int(threads), max(MAX_SKETCH_BYTES // max(task_bytes, 1), 1))
     if threads == 1:
         for task in tasks:
             fn(task)
@@ -250,7 +255,9 @@ def sketch_family(
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
 
-    _fan_out(run_block, range(0, t, _BLOCK), threads)
+    # a block's draws and products, and one group of uniforms
+    block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + group * per_rep))
+    _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 
 
@@ -277,7 +284,7 @@ def _pair_estimates(values: np.ndarray, threads: int) -> np.ndarray:
         entries[j, k0:k1] = geometric_mean_rows(diffs)
 
     tasks = [(j, k0) for j in range(m - 1) for k0 in range(j + 1, m, _EST_ROWS)]
-    _fan_out(run_task, tasks, threads)
+    _fan_out(run_task, tasks, threads, 8 * min(_EST_ROWS, m - 1) * values.shape[1])
     lower = np.tril_indices(m, -1)
     entries[lower] = entries.T[lower]
     return entries

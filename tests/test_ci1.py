@@ -173,7 +173,7 @@ def test_density_nonnegative_on_wide_grid():
     assert np.all(ci1_density(pts[:, 0], pts[:, 1]) >= 0.0)
 
 
-def test_branch_continuity_probes():
+def test_density_continuity_across_the_line_x0_eq_2x1():
     for x0 in (-2.0, 0.0, 1.0, 5.0):
         diag = ci1_density(x0, x0 / 2.0)
         for off in (1e-6, -1e-6):
@@ -252,8 +252,6 @@ def test_sampler_marginals_ks():
 
 
 def test_sampler_scalar_and_empty():
-    x0, x1 = sample_ci1_unit(RandomStream(10))
-    assert isinstance(x0, float) and isinstance(x1, float)
     x0, x1 = sample_ci1_unit(RandomStream(10), size=0)
     assert x0.size == 0 and x1.size == 0
     with pytest.raises(ParameterError, match="size must be >= 0"):

@@ -69,8 +69,6 @@ def test_degree_zero_sum_is_standard_cauchy():
 
 def test_component_shapes():
     cfg = ApproxConfig(d=3, epsilon_integration=0.1, r=10)
-    one = sample_cid_approx_unit(cfg, RandomStream(2))
-    assert one.shape == (4,)
     batch = sample_cid_approx_unit(cfg, RandomStream(2), size=7)
     assert batch.shape == (7, 4)
     with pytest.raises(ParameterError, match="size must be >= 0"):

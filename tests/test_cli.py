@@ -15,6 +15,7 @@ from l1sketch import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
+    density_from_pieces,
     merge_breakpoints,
     uniform_density,
 )
@@ -24,7 +25,14 @@ import l1sketch.pipeline as pipeline_mod
 from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
 from l1sketch.densities import eval_density
 from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
-from l1sketch.io import family_from_json, family_to_json, load_family, save_family
+from l1sketch.io import (
+    build_manifest,
+    family_from_json,
+    family_to_json,
+    load_family,
+    manifest_line,
+    save_family,
+)
 
 
 @pytest.fixture
@@ -664,9 +672,9 @@ def test_eval_density_bytes_match_one_joined_list(
     fam, digest = load_family(pair_family_path, with_digest=True)
     xs = cli_mod._parse_grid("-3:3:0.05") if not where else np.array(where[1].split(","), float)
     vals = eval_density(fam.densities[0], fam.breakpoints, xs)
-    header = cli_mod._manifest_line(
+    header = manifest_line(build_manifest(
         "eval", {"target": "density", "name": "a", "grid": "-3:3:0.05",
-                 "points": where[1] if where else None}, 0, digest)
+                 "points": where[1] if where else None}, 0, digest))
     lines = [header, "x,value"] + [f"{float(x)!r},{float(v)!r}" for x, v in zip(xs, vals)]
     assert out.read_text() == "\n".join(lines) + "\n"
     assert len(xs) == (len(where[1].split(",")) if where else 121)
@@ -686,6 +694,9 @@ def test_eval_density_bytes_match_one_joined_list(
         ["--grid=0:1:1e-300"],
         # 10**7 + 1 points, one past the limit
         ["--grid=0:1:1e-7"],
+        ["--grid=1:2"],
+        ["--grid=2:1:0.1"],
+        ["--grid=0:1:0"],
     ],
 )
 def test_eval_density_bad_points_or_grid_exit_3(pair_family_path, tmp_path, capsys, args):
@@ -759,3 +770,30 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "l1sketch" in proc.stdout
+
+
+@pytest.mark.parametrize("where", ["missing/out.csv", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [["dist", "{family}", "--method", "exact"], ["sample", "ci1", "--count", "3"],
+     ["eval", "ci1-density", "--grid", "0:1:0.5"]],
+)
+def test_unwritable_out_exit_2(pair_family_path, tmp_path, capsys, where, argv):
+    # an output path in a missing directory, or at a directory
+    out = tmp_path / where
+    code = main([a.format(family=pair_family_path) for a in argv] + ["--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_dist_mc_accepts_an_exact_family_far_from_the_origin(tmp_path):
+    # its masses are taken in local coordinates, so they are 1, not 0.0
+    off = 1e8
+    ramp = density_from_pieces("ramp", [(off, off + 1.0, np.array([-2.0 * off, 2.0]))], 1)
+    flat = density_from_pieces("flat", [(off, off + 1.0, np.array([1.0, 0.0]))], 1)
+    path, out = tmp_path / "far.json", tmp_path / "d.csv"
+    save_family(merge_breakpoints([ramp, flat]), str(path))
+    assert main(["dist", str(path), "--method", "mc", "--epsilon", "0.1", "--out", str(out)]) == 0
+    assert abs(float(out.read_text().splitlines()[-1].split(",")[1]) - 0.5) <= 0.1

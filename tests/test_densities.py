@@ -74,6 +74,20 @@ def test_eval_density_basic():
     assert eval_density(dens, bp, 7.0) == 0.0
 
 
+def test_eval_density_keeps_the_shape_of_its_points():
+    fam = merge_breakpoints([TWO_X])
+    dens, bp = fam.densities[0], fam.breakpoints
+    assert eval_density(dens, bp, 0.25).shape == ()
+    assert eval_density(dens, bp, np.empty(0)).shape == (0,)
+    grid = np.array([[0.25, -1.0], [0.5, 2.0]])
+    np.testing.assert_array_equal(eval_density(dens, bp, grid), [[0.5, 0.0], [1.0, 0.0]])
+
+
+def test_merge_needs_a_family():
+    with pytest.raises(ParameterError, match="at least one family"):
+        merge_breakpoints([])
+
+
 def test_eval_density_half_open():
     fam = uniform_density("u", 0.0, 1.0)
     dens, bp = fam.densities[0], fam.breakpoints

@@ -18,6 +18,10 @@ bit for bit.
 
 Quadrature: on grids away from the origin and for degrees 0-4, the oracle
 agrees with adaptive Simpson on the polynomials the family was drawn from.
+
+Local frames: segment masses, strict validation, density draws and the Monte
+Carlo baseline work in each row's local coordinates, so an exact family
+shifted as far as 1e9 gets the same masses, draws and estimates.
 """
 
 import numpy as np
@@ -36,11 +40,14 @@ from l1sketch import (
     density_from_pieces,
     estimate_all_pairs,
     exact_all_pairs,
+    mc_all_pairs,
     merge_breakpoints,
     required_sample_count,
     sketch_family,
+    validate_family,
 )
 from l1sketch._poly import poly_eval
+from l1sketch.densities import sample_from_density, segment_masses
 
 GRID = 64
 
@@ -212,3 +219,29 @@ def test_merging_family_with_itself_changes_nothing(drawn):
     )
     merged = exact_all_pairs(merge_breakpoints([family, copy])).entries
     np.testing.assert_array_equal(merged, np.block([[base, base], [base, base]]))
+
+
+def _ramp_and_flat(offset: float) -> DensityFamily:
+    """``2 (x - offset)`` and ``1`` on ``[offset, offset + 1)``: exact global
+    coefficients and breakpoints at every offset used here."""
+    bp = Breakpoints(np.array([offset, offset + 1.0]))
+    ramp = PiecewisePolyDensity("ramp", [0], [1], [[-2.0 * offset, 2.0]], 1)
+    flat = PiecewisePolyDensity("flat", [0], [1], [[1.0, 0.0]], 1)
+    return DensityFamily(bp, [ramp, flat], 1)
+
+
+def test_masses_draws_and_mc_translation_invariant():
+    base = _ramp_and_flat(0.0)
+    want_draws = sample_from_density(base.densities[0], base.breakpoints, RandomStream(5), 1000)
+    want_mc = mc_all_pairs(base, 0.05, 0.1, RandomStream(7)).entries
+    assert abs(want_mc[0, 1] - 0.5) <= 0.05
+    for offset in (1e6, 1e7, 1e8, 1e9):
+        fam = _ramp_and_flat(offset)
+        dens, bp = fam.densities[0], fam.breakpoints
+        assert segment_masses(dens, bp).tolist() == [1.0]
+        assert validate_family(fam, strict=True) == []
+        # the same local draws, each rounded once when the offset is added
+        draws = sample_from_density(dens, bp, RandomStream(5), 1000)
+        np.testing.assert_allclose(draws - offset, want_draws, rtol=0, atol=np.spacing(offset))
+        got = mc_all_pairs(fam, 0.05, 0.1, RandomStream(7)).entries
+        np.testing.assert_array_equal(got, want_mc)

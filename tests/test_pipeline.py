@@ -639,6 +639,70 @@ def test_unit_coefficients_evaluate_each_piece_on_the_unit_interval():
         assert not np.allclose(np.diff(pts), 1.0)
 
 
+def test_sketch_refuses_no_replicates():
+    with pytest.raises(ParameterError, match="t must be >= 1"):
+        sketch_family(_uniform_pair(), 0, SketchMode.UNIFORM_FASTPATH, _NoDraws())
+
+
+class _RecordingPool:
+    """A stand-in for ThreadPoolExecutor that runs the shares in turn and
+    records the worker count it was asked for."""
+
+    asked: list[int] = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return [fn(item) for item in items]
+
+
+def test_fan_out_workers_bounded_by_their_scratch(monkeypatch):
+    monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 1000)
+    for task_bytes, workers in ((100, 8), (300, 3), (999, 1), (10**9, 1), (0, 8)):
+        done = []
+        pipeline_mod._fan_out(done.append, range(20), 8, task_bytes)
+        assert sorted(done) == list(range(20))
+        if workers > 1:
+            assert _RecordingPool.asked.pop() == workers
+    # one worker runs in turn on the calling thread, with no pool
+    assert _RecordingPool.asked == []
+
+
+def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch):
+    fam = _linear_pair()
+    t = required_sample_count(0.5, 0.5, fam.m)
+    one = run_scheme(fam, 0.5, 0.5, "sketch", seed=3, threads=1)
+    asked = []
+    real = pipeline_mod._fan_out
+
+    def record(fn, tasks, threads, task_bytes):
+        asked.append(task_bytes)
+        return real(fn, tasks, threads, task_bytes)
+
+    monkeypatch.setattr(pipeline_mod, "_fan_out", record)
+    monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "asked", [])
+    # a cap of two blocks' scratch: 8 threads are cut to 2 workers
+    n_int = len(fam.breakpoints) - 1
+    group = int(_CALL_DRAWS // (n_int * ci1_mod.UNIFORMS_PER_PAIR))
+    block = 8 * (_BLOCK * (2 * n_int + fam.m) + group * n_int * ci1_mod.UNIFORMS_PER_PAIR)
+    monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 2 * int(block))
+    eight = run_scheme(fam, 0.5, 0.5, "sketch", seed=3, threads=8)
+    np.testing.assert_array_equal(eight.entries, one.entries)
+    # the estimator's task holds one (min(16, m - 1), t) difference buffer
+    assert asked == [int(block), 8 * 1 * t]
+    assert _RecordingPool.asked == [2, 8]
+
+
 def test_cid_sketch_matches_exact_mode_distribution():
     fam = _linear_pair()
     exact = exact_l1_distance(fam.densities[0], fam.densities[1], fam.breakpoints)
@@ -666,6 +730,20 @@ def test_mc_overlapping_uniforms():
     fam = merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.5, 1.5)])
     dm = mc_all_pairs(fam, 0.05, 0.1, RandomStream(20))
     assert abs(dm.entries[0, 1] - 1.0) <= 0.05
+
+
+@pytest.mark.parametrize(
+    "epsilon_abs,delta,message",
+    [(3.0, 0.1, "epsilon_abs must be in"), (0.0, 0.1, "epsilon_abs must be in"),
+     (0.2, 1.0, "delta must be in"), (0.2, 0.0, "delta must be in")],
+)
+def test_mc_refuses_out_of_range_parameters(monkeypatch, epsilon_abs, delta, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew with parameters out of range")
+
+    monkeypatch.setattr(pipeline_mod, "sample_from_density", refuse)
+    with pytest.raises(ParameterError, match=message):
+        mc_all_pairs(_uniform_pair(), epsilon_abs, delta, RandomStream(1))
 
 
 def test_mc_rejects_invalid_density():

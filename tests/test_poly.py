@@ -36,6 +36,10 @@ def test_integrate_abs_frozen_values():
     assert abs(integrate_abs_poly([0.25, -1.0, 1.0], 0.0, 1.0) - 1.0 / 12.0) < 1e-14
     assert integrate_abs_poly([0.0], 0.0, 1.0) == 0.0
     assert integrate_abs_poly([3.0], -1.0, 1.0) == 6.0
+    # an empty or reversed interval integrates to 0.0, whatever the degree
+    for coeffs in ([3.0], [0.25, -1.0, 1.0], [1.0, -2.0, 0.5, 3.0]):
+        assert integrate_abs_poly(coeffs, 1.0, 1.0) == 0.0
+        assert integrate_abs_poly(coeffs, 2.0, -1.0) == 0.0
 
 
 def test_integrate_abs_local_degree_two_edge_cases():
