@@ -35,7 +35,7 @@ import math
 import numpy as np
 
 from .errors import EnvelopeDominationError, ParameterError
-from .randstream import _CALL_DRAWS, RandomStream, cauchy_in_place
+from .randstream import RandomStream, cauchy_in_place, fill_groups
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
 DOMINATION_C = 25.0
@@ -221,16 +221,15 @@ def first_block(need: int) -> int:
 def unit_pairs(gen: np.random.Generator, need: int):
     """``need`` exact unit-interval pairs from ``gen``, as two arrays.
 
-    Accepted candidates are i.i.d. draws of the pair law, so the sketch asks
-    for a whole group of replicates at once and lays the draws out by
-    (replicate, interval) slot.  Draws a first block of :func:`first_block`
-    candidates (so block shapes do not depend on acceptance luck), then
-    tops up with 1.4 times the expected count still missing, at least 64,
-    while short; each block is :func:`_candidate_block`, three uniforms a
-    candidate.  A budget of ``REJECTION_ITERATION_CAP`` proposals per
-    requested draw, a candidate counting as the ``C/(K pi)`` proposals it
-    stands for, guards against a broken domination bound; exceeding it
-    raises, it never loops silently.
+    Accepted candidates are i.i.d. draws of the pair law, so
+    :func:`fill_pairs` asks for a whole group's slots at once.  Draws a
+    first block of :func:`first_block` candidates (so block shapes do not
+    depend on acceptance luck), then tops up with 1.4 times the expected
+    count still missing, at least 64, while short; each block is
+    :func:`_candidate_block`, three uniforms a candidate.  A budget of
+    ``REJECTION_ITERATION_CAP`` proposals per requested draw, a candidate
+    counting as the ``C/(K pi)`` proposals it stands for, guards against a
+    broken domination bound; exceeding it raises, it never loops silently.
     """
     parts0, parts1 = [], []
     got, used = 0, 0.0
@@ -250,25 +249,21 @@ def unit_pairs(gen: np.random.Generator, need: int):
     return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
 
 
-def sample_ci1_unit(rng: RandomStream, size: int):
-    """Exact draws ``(x0, x1)`` of the unit-interval pair by rejection under
-    the envelope: two arrays of ``size``.
+def fill_pairs(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Exact unit-interval pairs into ``out[..., 0]`` and ``out[..., 1]``,
+    in row-major order, from one :func:`unit_pairs` call."""
+    for k, x in enumerate(unit_pairs(gen, out[..., 0].size)):
+        out[..., k] = x.reshape(out.shape[:-1])
 
-    Proposals come from the envelope of :func:`sample_student_envelope`; a
-    proposal ``z`` is accepted when ``u * (C/pi) * g(z) <= f(z)`` with
-    ``C = 25``, so ``25/pi``, about 8, proposals are made per sample.  Only
-    the candidates among them, those the squeeze passes, are drawn: ``K = 3``
-    per sample, three uniforms each.  The loop is :func:`unit_pairs`, the
-    one the sketch uses, called in turn for groups of ``_CALL_DRAWS //
-    UNIFORMS_PER_PAIR`` draws (1,333) as the sketch calls it, so memory
-    stays bounded whatever ``size`` is.  A negative ``size`` raises
+
+def sample_ci1_unit(rng: RandomStream, size: int):
+    """Exact draws ``(x0, x1)`` of the unit-interval pair, two arrays of
+    ``size``: the sketch's :func:`fill_pairs`, in the groups of
+    :func:`l1sketch.randstream.fill_groups`.  A negative ``size`` raises
     :class:`ParameterError`.
     """
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
-    x0, x1 = np.empty(size), np.empty(size)
-    group = int(_CALL_DRAWS // UNIFORMS_PER_PAIR)
-    for g0 in range(0, size, group):
-        part = slice(g0, g0 + group)
-        x0[part], x1[part] = unit_pairs(rng.generator, min(group, size - g0))
-    return x0, x1
+    pairs = np.empty((size, 2))
+    fill_groups(rng.generator, fill_pairs, pairs, UNIFORMS_PER_PAIR)
+    return pairs[:, 0], pairs[:, 1]

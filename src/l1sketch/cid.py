@@ -20,8 +20,8 @@ is that of the Riemann sum.  Two node rules are offered:
 The constants are not constructive, so calibrated empirical defaults are
 shipped for both rules; see :func:`calibrate_c`.  The distance pipeline and
 the CLI use midpoints; right endpoints remain the library default, as the
-reference the acceptance suite pins.  :func:`steps_to_vectors` makes every
-r-step draw, of :func:`sample_cid_approx_unit` and of the sketch alike.
+reference the acceptance suite pins.  The fill of :func:`step_fill` makes
+every r-step draw, of :func:`sample_cid_approx_unit` and of the sketch alike.
 Draws are plain arrays whose last axis holds ``(X_0, ..., X_d)``.
 """
 
@@ -40,7 +40,7 @@ from ._poly import (
     to_unit_interval,
 )
 from .errors import ParameterError
-from .randstream import _CALL_DRAWS, RandomStream, cauchy_in_place
+from .randstream import RandomStream, cauchy_in_place, fill_groups
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
@@ -68,6 +68,9 @@ MAX_STEPS = 10**6
 #: Riemann-sum values :func:`calibrate_c` evaluates at a time: rows of its
 #: ``(trials, r)`` node table, 8 MB of float64.
 _CALIBRATION_CHUNK = 1 << 20
+
+#: Factor by which :func:`calibrate_c` inflates the fitted constant.
+_SAFETY_FACTOR = 2.0
 
 #: Calibration discards polynomials with |p|-mass below this, to avoid
 #: relative-error blowup on near-null polynomials.
@@ -146,35 +149,34 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
     return v
 
 
-def steps_to_vectors(u: np.ndarray, node_pow: np.ndarray, out=None) -> np.ndarray:
-    """r-step vectors from uniforms ``u[..., r]`` (overwritten): standard
-    Cauchy steps times the node powers of :func:`_node_powers` over ``r``,
-    which is Cauchy steps of scale ``1/r`` times the powers, without a pass
-    over the steps.  Stacked, not flattened, so each ``(L, r)`` product has
-    the bits it has alone."""
-    cauchy_in_place(u)
-    return np.matmul(u, node_pow / u.shape[-1], out=out)
+def step_fill(cfg: ApproxConfig):
+    """The r-step sampler's fill ``fill(gen, out)``: vectors into
+    ``out[..., :d+1]`` from one ``(..., r)`` uniform draw, as standard Cauchy
+    steps times the node powers of :func:`_node_powers` over ``r``, which is
+    Cauchy steps of scale ``1/r`` times the powers, without a pass over the
+    steps.  Stacked, not flattened, so each ``(L, r)`` product has the bits
+    it has alone."""
+    weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
+
+    def fill(gen: np.random.Generator, out: np.ndarray) -> None:
+        u = gen.random((*out.shape[:-1], cfg.r))
+        cauchy_in_place(u)
+        np.matmul(u, weights, out=out)
+
+    return fill
 
 
 def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int):
-    """Draw the r-step discretized integral vector on the unit interval: an
-    ``(size, d+1)`` array.
-
-    Rows are drawn in groups of ``_CALL_DRAWS // r`` (at least one), one
-    ``(rows, r)`` uniform draw each, so memory stays bounded whatever
-    ``size`` is.  The stream fills the groups in sequence, so the draws are
-    those of one ``(size, r)`` call.  In a BLAS product of many rows a
-    row's bits depend on where it sits in the block, so each row is its own
-    ``(1, r)`` product, whose bits depend neither on the group size nor on
-    ``size``.  A negative ``size`` raises :class:`ParameterError`."""
+    """``size`` r-step integral vectors on the unit interval, an ``(size,
+    d+1)`` array: the sketch's :func:`step_fill` in the groups of
+    :func:`l1sketch.randstream.fill_groups`.  In a BLAS product of many rows
+    a row's bits depend on where it sits, so each row is its own ``(1, r)``
+    product, whose bits depend neither on the group size nor on ``size``.
+    A negative ``size`` raises :class:`ParameterError`."""
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
-    node_pow = _node_powers(cfg.r, cfg.d, cfg.nodes)
     comps = np.empty((size, 1, cfg.d + 1))
-    group = max(_CALL_DRAWS // cfg.r, 1)
-    for g0 in range(0, size, group):
-        rows = comps[g0 : g0 + group]
-        steps_to_vectors(rng.random((rows.shape[0], 1, cfg.r)), node_pow, out=rows)
+    fill_groups(rng.generator, step_fill(cfg), comps, cfg.r)
     return comps[:, 0]
 
 
@@ -231,7 +233,7 @@ class CalibrationResult:
     target_eps: float
     trials: int
     nodes: str = "right"
-    safety_factor: float = 2.0
+    safety_factor: float = _SAFETY_FACTOR
 
 
 def calibrate_c(
@@ -247,8 +249,8 @@ def calibrate_c(
     at which every trial's Riemann scale at the rule's nodes sits within
     ``target_eps`` relative error of the exact integral.  The returned ``c``
     is the max over degrees of ``r * target_eps / d^2`` (right) or
-    ``r * sqrt(target_eps) / d`` (midpoint), inflated by a safety factor
-    of 2.
+    ``r * sqrt(target_eps) / d`` (midpoint), inflated by the safety factor
+    :data:`_SAFETY_FACTOR`.
 
     Degree 0 needs no calibration: the Riemann sum of a constant is exact
     for every ``r``.  A degree that needs more than :data:`MAX_STEPS` steps
@@ -297,7 +299,7 @@ def calibrate_c(
     else:
         c = max(r * math.sqrt(target_eps) / d for d, r in per_degree.items())
     return CalibrationResult(
-        c=2.0 * c,
+        c=_SAFETY_FACTOR * c,
         per_degree_r=per_degree,
         target_eps=target_eps,
         trials=trials,

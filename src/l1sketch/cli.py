@@ -61,6 +61,17 @@ def _default_seed() -> int:
     return int(env) if env else 0
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse, before any work, an ``out`` that is a directory or whose
+    directory is missing; :func:`_write` opens it once the output is ready."""
+    if out in (None, "-"):
+        return
+    if os.path.isdir(out):
+        raise OSError(f"--out {out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise OSError(f"--out {out!r}: its directory does not exist")
+
+
 def _write(chunks, out: str | None) -> None:
     """Write the text chunks in order to ``out``, or to stdout for None or "-"."""
     if out is None or out == "-":
@@ -159,8 +170,11 @@ def cmd_sample(args) -> int:
     if args.count > MAX_SAMPLE_COUNT:
         raise ParameterError(f"count must be at most {MAX_SAMPLE_COUNT}, got {args.count}")
     rng = RandomStream(args.seed)
-    cfg = None
-    if args.kind == "cid":
+    params = {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
+              "d": None, "r": None, "nodes": None}
+    if args.kind == "ci1":
+        z = np.column_stack(sample_ci1_unit(rng, size=args.count))
+    else:
         cfg = ApproxConfig(
             d=args.d,
             epsilon_integration=args.eps_int,
@@ -168,24 +182,13 @@ def cmd_sample(args) -> int:
             r=args.r,
             nodes="midpoint",
         )
-    manifest = build_manifest(
-        "sample",
         # the resolved r: with d, nodes and the seed it fixes the draws
-        {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
-         "d": None if cfg is None else cfg.d,
-         "r": None if cfg is None else cfg.r,
-         "nodes": None if cfg is None else cfg.nodes},
-        args.seed,
-        None,
-    )
-    columns = ",".join(f"x{k}" for k in range(2 if cfg is None else cfg.d + 1))
-    header = [manifest_line(manifest), columns]
-    if cfg is None:
-        z = np.column_stack(sample_ci1_unit(rng, size=args.count))
-    else:
+        params.update(d=cfg.d, r=cfg.r, nodes=cfg.nodes)
         z = sample_cid_approx_unit(cfg, rng, size=args.count)
     if args.a != 0.0 or args.b != 1.0:
         z = rescale_cid(z, args.a, args.b)
+    manifest = build_manifest("sample", params, args.seed, None)
+    header = [manifest_line(manifest), ",".join(f"x{k}" for k in range(z.shape[1]))]
     _write(_csv(header, _blocks(z)), args.out)
     return EXIT_OK
 
@@ -330,6 +333,7 @@ def main(argv=None) -> int:
         if missing:
             parser.error(f"eval density needs {' and '.join(missing)}")
     try:
+        _check_out(args.out)
         return args.func(args)
     except FamilyFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)

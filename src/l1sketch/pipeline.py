@@ -6,10 +6,10 @@ interval ``l``, shared by all densities.  Each density's projection value
 is ``X_j = sum_l Cu[j, l] . z_l``, with ``Cu`` the unit-local coefficient
 tensor of :func:`l1sketch.densities.unit_coefficients` (the coefficients of
 ``w_l p_{j,l}(a_l + w_l u)``), so no draw is mapped to its interval and one
-matrix product projects a whole block of replicates.  The draws of a
-group of replicates are made and turned into integral vectors by a few
-whole-array operations, which release the GIL, so blocks run in parallel on
-threads.
+matrix product projects a whole block of replicates.  A block fills its
+vectors with its mode's fill in the groups of
+:func:`l1sketch.randstream.fill_groups`, a few whole-array operations a
+group, which release the GIL, so blocks run in parallel on threads.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
@@ -24,10 +24,9 @@ absolute replicate indices, and the block starting at replicate ``b0``
 consumes only the stream ``(seed, b0)``, the SFC64 generator of child
 ``b0`` of ``SeedSequence(seed)`` (see :mod:`l1sketch.randstream`), so no
 two blocks share a generator.
-A block draws its replicates in groups of a fixed size, each group in a few
-whole-array calls on that stream, and its arithmetic is identical no matter
-which worker thread runs it.  Outputs are therefore bit-identical for any
-thread count, and a full block's columns do not depend on ``t``.
+A block's arithmetic is identical no matter which worker thread runs it, so
+outputs are bit-identical for any thread count, and a full block's columns
+do not depend on ``t``.
 The estimator fans out the same way: each task reduces its own block of
 pair differences along the replicate axis and writes only its own entries.
 """
@@ -41,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import UNIFORMS_PER_PAIR, unit_pairs
-from .cid import ApproxConfig, _node_powers, steps_to_vectors
+from .ci1 import UNIFORMS_PER_PAIR, fill_pairs
+from .cid import ApproxConfig, step_fill
 from .densities import (
     DensityFamily,
     eval_density,
@@ -53,7 +52,7 @@ from .densities import (
 )
 from .errors import NonFiniteResultError, ParameterError
 from .randstream import (
-    _CALL_DRAWS, RandomStream, cauchy_in_place, geometric_mean_rows, required_sample_count,
+    RandomStream, fill_cauchy, fill_groups, geometric_mean_rows, group_rows, required_sample_count,
 )
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
@@ -193,17 +192,23 @@ def sketch_family(
     """
     mode = SketchMode(mode)
     d = family.degree
-    if mode is SketchMode.UNIFORM_FASTPATH and d != 0:
-        raise ParameterError("uniform_fastpath requires a degree-0 family")
-    if mode is SketchMode.EXACT_CI1 and d != 1:
-        raise ParameterError("exact_ci1 requires a degree-1 family")
-    if mode is SketchMode.CID_APPROX:
+    # each mode's fill and the uniforms one of its vectors takes
+    if mode is SketchMode.UNIFORM_FASTPATH:
+        if d != 0:
+            raise ParameterError("uniform_fastpath requires a degree-0 family")
+        fill, per_vector = fill_cauchy, 1
+    elif mode is SketchMode.EXACT_CI1:
+        if d != 1:
+            raise ParameterError("exact_ci1 requires a degree-1 family")
+        fill, per_vector = fill_pairs, UNIFORMS_PER_PAIR
+    else:  # CID_APPROX
         if d < 1:
             raise ParameterError(f"{mode.value} requires degree >= 1")
         if approx_config is None:
             raise ParameterError(f"{mode.value} requires an ApproxConfig")
         if approx_config.d != d:
             raise ParameterError("approx_config degree does not match the family")
+        fill, per_vector = step_fill(approx_config), approx_config.r
     if t < 1:
         raise ParameterError("t must be >= 1")
     if family.m * t * 8 > MAX_SKETCH_BYTES:
@@ -218,45 +223,24 @@ def sketch_family(
     coeffs = unit_coefficients(family.densities, family.breakpoints)
     coeffs = coeffs.reshape(family.m, n_int * (d + 1))
 
-    # uniforms a replicate, for groups of _CALL_DRAWS // per_rep replicates
-    per_rep = n_int
-    if mode is SketchMode.EXACT_CI1:
-        per_rep = n_int * UNIFORMS_PER_PAIR
-    elif mode is SketchMode.CID_APPROX:
-        r = approx_config.r
-        node_pow = _node_powers(r, d, approx_config.nodes)
-        per_rep = n_int * r
+    per_rep = n_int * per_vector
     if per_rep * 8 > MAX_REPLICATE_BYTES:
         raise ParameterError(
             f"one replicate draws {per_rep:.0f} uniforms ({per_rep * 8:.0f} bytes), "
             f"more than {MAX_REPLICATE_BYTES} bytes; use fewer grid intervals or steps"
         )
-    group = max(int(_CALL_DRAWS // per_rep), 1)
     x = np.empty((family.m, t))
 
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
-        nb = b1 - b0
-        z = np.empty((nb, n_int, d + 1))
-        gen = rng.substream(b0).generator
-        for g0 in range(0, nb, group):
-            zg = z[g0 : g0 + group]
-            if mode is SketchMode.UNIFORM_FASTPATH:
-                gen.random(out=zg[..., 0])
-            elif mode is SketchMode.EXACT_CI1:
-                u0, u1 = unit_pairs(gen, zg.shape[0] * n_int)
-                zg[..., 0] = u0.reshape(-1, n_int)
-                zg[..., 1] = u1.reshape(-1, n_int)
-            else:  # CID_APPROX
-                steps_to_vectors(gen.random((zg.shape[0], n_int, r)), node_pow, out=zg)
-        if mode is SketchMode.UNIFORM_FASTPATH:
-            cauchy_in_place(z)
+        z = np.empty((b1 - b0, n_int, d + 1))
+        fill_groups(rng.substream(b0).generator, fill, z, per_rep)
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
-            x[:, b0:b1] = (z.reshape(nb, -1) @ coeffs.T).T
+            x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
 
     # a block's draws and products, and one group of uniforms
-    block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + group * per_rep))
+    block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + group_rows(per_rep) * per_rep))
     _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 

@@ -24,20 +24,13 @@ from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 
-#: Uniforms per draw call.  Every sampler draws in groups of
-#: ``_CALL_DRAWS // u`` whole rows (at least one) for ``u`` uniforms a row,
-#: so a call's buffers and the temporaries made from them stay small
-#: whatever the count: a sketch block's replicates (``u`` is ``n_int`` at
-#: degree 0, ``n_int * r`` in the r-step mode and ``n_int * 9`` at degree
-#: 1, three candidates of three uniforms a pair), the pairs of
-#: ``sample_ci1_unit`` (``u = 9``) and the rows of ``sample_cid_approx_unit``
-#: (``u = r``).  Peak memory grows with it.  On the 71-interval benchmark
-#: families, in-process sketch medians on a 2-vCPU VM (three to five
-#: rounds) at 6,000, 12,000, 24,000 and 48,000 were 0.07-0.09, 0.07-0.10,
-#: 0.07-0.10 and 0.09-0.10 s at degree 1 (t = 2,764), while the sketch
-#: raised peak RSS by 3.1, 3.5, 3.9 and 4.8 MB; and 0.11-0.14, 0.08-0.10,
-#: 0.08-0.09 and 0.07-0.08 s for r = 11 on 2 threads (t = 11,053), by 3.7,
-#: 3.8, 4.1 and 4.9 MB.  12,000 is 18-21 replicates a call there.
+#: Uniforms per draw call of :func:`fill_groups`; peak memory grows with it.
+#: In-process sketch medians on the 71-interval benchmark families (2-vCPU
+#: VM, three to five rounds) at 6,000 / 12,000 / 24,000 / 48,000: at degree
+#: 1 (t = 2,764) 0.07-0.09 / 0.07-0.10 / 0.07-0.10 / 0.09-0.10 s, the sketch
+#: raising peak RSS by 3.1 / 3.5 / 3.9 / 4.8 MB; for r = 11 on 2 threads
+#: (t = 11,053) 0.11-0.14 / 0.08-0.10 / 0.08-0.09 / 0.07-0.08 s, by 3.7 /
+#: 3.8 / 4.1 / 4.9 MB.  12,000 is 18-21 replicates a call there.
 _CALL_DRAWS = 12_000
 
 
@@ -74,11 +67,32 @@ def cauchy_in_place(u: np.ndarray) -> None:
     np.tan(u, out=u)
 
 
-def sample_cauchy(center: float, scale: float, rng: RandomStream, size=None):
-    """Centered-and-scaled Cauchy draws via the tangent quantile transform."""
+def group_rows(per_row: float) -> int:
+    """Rows :func:`fill_groups` fills a call for ``per_row`` uniforms a row."""
+    return max(int(_CALL_DRAWS // per_row), 1)
+
+
+def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float) -> None:
+    """The samplers' one draw loop: ``fill(gen, part)`` on the consecutive
+    parts of :func:`group_rows` rows (first-axis entries) of ``out``, for
+    ``per_row`` uniforms a row, so a call's buffers and the temporaries made
+    from them stay small whatever the row count."""
+    group = group_rows(per_row)
+    for g0 in range(0, len(out), group):
+        fill(gen, out[g0 : g0 + group])
+
+
+def fill_cauchy(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Standard Cauchy draws into ``out[..., 0]``, by :func:`cauchy_in_place`."""
+    gen.random(out=out[..., 0])
+    cauchy_in_place(out[..., 0])
+
+
+def sample_cauchy(center: float, scale: float, rng: RandomStream, size: int):
+    """``size`` centered-and-scaled Cauchy draws, by :func:`cauchy_in_place`."""
     if scale < 0:
         raise ParameterError(f"Cauchy scale must be >= 0, got {scale}")
-    x = np.asarray(rng.random(size))
+    x = rng.random(size)
     cauchy_in_place(x)
     return center + scale * x
 

@@ -19,9 +19,9 @@ from l1sketch import (
     merge_breakpoints,
     uniform_density,
 )
-import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
 import l1sketch.pipeline as pipeline_mod
+import l1sketch.randstream as randstream_mod
 from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
 from l1sketch.densities import eval_density
 from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
@@ -383,7 +383,7 @@ def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeyp
 
     # 2 intervals times r = 15 midpoint steps: 240 bytes of uniforms a replicate
     monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 239)
-    monkeypatch.setattr(pipeline_mod, "steps_to_vectors", refuse)
+    monkeypatch.setattr(pipeline_mod, "fill_groups", refuse)
     out = tmp_path / "dist.csv"
     code = main(["dist", str(_quadratic_family_path(tmp_path)), "--out", str(out)])
     err = _assert_refused(code, 3, out, capsys)
@@ -634,11 +634,14 @@ def test_sample_count_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch, k
 )
 def test_sample_output_does_not_depend_on_group_or_chunk_sizes(tmp_path, monkeypatch, kind):
     # the stream fills groups in sequence and each r-step row is its own
-    # product, so one-row groups and three-line chunks give the same bytes
+    # product, so one-row r-step groups and three-line chunks give the same
+    # bytes; a ci1 group sizes its first candidate block, so only its chunks
+    # change
     args = ["sample", *kind, "--count", "50", "--seed", "9"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main([*args, "--out", str(a)]) == 0
-    monkeypatch.setattr(cid_mod, "_CALL_DRAWS", 1)
+    if kind[0] == "cid":
+        monkeypatch.setattr(randstream_mod, "_CALL_DRAWS", 1)
     monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 3)
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
@@ -776,10 +779,19 @@ def test_console_entry_point():
 @pytest.mark.parametrize(
     "argv",
     [["dist", "{family}", "--method", "exact"], ["sample", "ci1", "--count", "3"],
-     ["eval", "ci1-density", "--grid", "0:1:0.5"]],
+     ["sample", "cid", "--count", "3"], ["eval", "ci1-density", "--grid", "0:1:0.5"],
+     ["eval", "density", "--input", "{family}", "--name", "a"],
+     ["calibrate", "--d-max", "1", "--trials", "3"]],
 )
-def test_unwritable_out_exit_2(pair_family_path, tmp_path, capsys, where, argv):
-    # an output path in a missing directory, or at a directory
+def test_unwritable_out_exit_2(pair_family_path, tmp_path, capsys, monkeypatch, where, argv):
+    # an output path in a missing directory, or at a directory, is refused
+    # before any command loads, draws or computes
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked before checking --out")
+
+    for name in ("run_scheme", "sample_ci1_unit", "sample_cid_approx_unit", "load_family",
+                 "calibrate_c", "ci1_density"):
+        monkeypatch.setattr(cli_mod, name, refuse)
     out = tmp_path / where
     code = main([a.format(family=pair_family_path) for a in argv] + ["--out", str(out)])
     assert code == 2

@@ -111,3 +111,19 @@ def test_every_module_level_name_is_used():
         and not any(name in used for other, used in zip(statements, uses) if other is not statement)
     )
     assert dead == []
+
+
+def test_package_imports_only_itself_numpy_and_the_standard_library():
+    # src/ depends on numpy alone; scipy and hypothesis stay in the tests
+    outside = sorted(
+        f"{path.name}: {name}"
+        for path in sorted((ROOT / "src" / "l1sketch").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for name in (
+            [alias.name for alias in node.names] if isinstance(node, ast.Import)
+            else [node.module] if isinstance(node, ast.ImportFrom) and node.level == 0
+            else []
+        )
+        if name.split(".")[0] not in {"l1sketch", "numpy"} | sys.stdlib_module_names
+    )
+    assert outside == []

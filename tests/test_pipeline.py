@@ -47,7 +47,8 @@ from l1sketch.ci1 import (
 from l1sketch.cid import _node_powers
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _CALL_DRAWS, _EST_ROWS, SketchMatrix
+from l1sketch.pipeline import _BLOCK, _EST_ROWS, SketchMatrix
+from l1sketch.randstream import _CALL_DRAWS
 
 
 def _uniform_pair():
@@ -852,6 +853,23 @@ def test_cubic_family_sketch_vs_exact():
     mask = np.triu(np.ones((3, 3), dtype=bool), k=1)
     rel = np.abs(dm.entries[mask] - oracle[mask]) / oracle[mask]
     assert rel.max() <= dm.config["relative_error_upper"]
+
+
+@pytest.mark.parametrize("degree", [2, 3])
+def test_run_scheme_meets_its_stated_bounds_at_degree_two_and_three(degree):
+    # c06's rule at degree >= 2: at least 16 of 20 seeded repetitions have
+    # every pair within the relative bounds that the run's config states
+    mask = np.triu(np.ones((5, 5), dtype=bool), k=1)
+    successes = 0
+    for seed in range(5000, 5020):
+        fam = random_segment_family(np.random.default_rng(seed), 5, degree)
+        oracle = exact_all_pairs(fam).entries[mask]
+        dm = run_scheme(fam, 0.4, 0.1, "sketch", seed=seed)
+        err = dm.entries[mask] - oracle
+        upper, lower = dm.config["relative_error_upper"], dm.config["relative_error_lower"]
+        successes += bool(np.all((err <= upper * oracle) & (-err <= lower * oracle)))
+    assert dm.config["r"] == {2: 11, 3: 16}[degree] and dm.config["epsilon"] == 0.2
+    assert successes >= 16
 
 
 def test_signed_functions_are_sketchable():

@@ -100,7 +100,7 @@ def test_cauchy_scale_zero_returns_center():
 
 def test_cauchy_negative_scale_rejected():
     with pytest.raises(ParameterError):
-        sample_cauchy(0.0, -1.0, RandomStream(1))
+        sample_cauchy(0.0, -1.0, RandomStream(1), size=1)
 
 
 def test_cauchy_median_and_quantile():
