@@ -23,9 +23,9 @@ ch. XI), which also gives the envelope's value there for free, and one is
 ``w``.  No normal draw and no ``hypot`` call is made.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
-coefficient-of-x component; the samplers return the tuple ``(x0, x1)`` of
-two arrays.  The square root and the arctangent are principal-branch, and
-the density evaluates both in real arithmetic, on terms the two share.
+coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
+``(2, size)`` array.  The square root and the arctangent are principal-branch,
+and the density evaluates both in real arithmetic, on terms the two share.
 """
 
 from __future__ import annotations
@@ -257,13 +257,13 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray) -> None:
 
 
 def sample_ci1_unit(rng: RandomStream, size: int):
-    """Exact draws ``(x0, x1)`` of the unit-interval pair, two arrays of
-    ``size``: the sketch's :func:`fill_pairs`, in the groups of
-    :func:`l1sketch.randstream.fill_groups`.  A negative ``size`` raises
-    :class:`ParameterError`.
+    """Exact draws of the unit-interval pair, a ``(2, size)`` array whose
+    rows are ``x0`` and ``x1``: the sketch's :func:`fill_pairs`, in the
+    groups of :func:`l1sketch.randstream.fill_groups`.  A negative ``size``
+    raises :class:`ParameterError`.
     """
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     pairs = np.empty((size, 2))
     fill_groups(rng.generator, fill_pairs, pairs, UNIFORMS_PER_PAIR)
-    return pairs[:, 0], pairs[:, 1]
+    return pairs.T

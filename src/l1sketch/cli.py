@@ -173,7 +173,7 @@ def cmd_sample(args) -> int:
     params = {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
               "d": None, "r": None, "nodes": None}
     if args.kind == "ci1":
-        z = np.column_stack(sample_ci1_unit(rng, size=args.count))
+        z = sample_ci1_unit(rng, size=args.count).T
     else:
         cfg = ApproxConfig(
             d=args.d,

@@ -9,6 +9,9 @@ coefficients ``coeffs[i]``, so evaluation at shared endpoints is
 unambiguous.  A piece may span several grid intervals; pieces do not
 overlap.  The table is the only representation of a density: there is no
 per-segment object, and every invariant is checked with array operations.
+Coefficients are stored as global monomials; every evaluation at points
+reads a row in its local frame ``u = x - a_{b_i}`` (:func:`_local_rows`),
+as the oracle reads an interval, so it stays accurate far from the origin.
 :func:`merge_breakpoints` re-indexes each row onto the union grid and keeps
 it whole, so a merged density has as many rows as its input.
 
@@ -19,13 +22,11 @@ where it has no support.  The oracle and the sketch share one map of it to
 interval-local coordinates, a Taylor shift to ``u = x - a_l``; the sketch
 then rescales to ``u`` on ``[0, 1]`` (:func:`unit_coefficients`).
 
-Distances are computed exactly and in batch.  The oracle Taylor-shifts ``C``
-to the interval-local variable ``u = x - a_l``.  On every interval the
-difference of two densities is then a polynomial in ``u`` on ``[0, w_l]``,
+Distances are computed exactly and in batch.  On every interval the
+difference of two densities is a polynomial in ``u`` on ``[0, w_l]``,
 whose absolute value integrates in closed form once its sign changes are
 found: closed-form roots for degree <= 2, companion-matrix eigenvalues for
-degree >= 3 (see :mod:`l1sketch._poly`).  Local coordinates keep the result
-accurate on grids far from the origin.
+degree >= 3 (see :mod:`l1sketch._poly`).
 """
 
 from __future__ import annotations
@@ -178,9 +179,8 @@ def _runs(b: np.ndarray, c: np.ndarray):
 
 def _local_rows(dens: PiecewisePolyDensity, bp: Breakpoints):
     """Each row's start ``lo``, its width ``w`` and its coefficients in
-    ``u = x - lo`` on ``[0, w)``.  Masses, draws and probes work in this
-    frame, as the oracle does, so they keep their accuracy far from the
-    origin."""
+    ``u = x - lo`` on ``[0, w)``: the one frame in which a row is read at
+    points."""
     lo = bp.points[dens.b]
     return lo, bp.points[dens.c] - lo, taylor_shift(dens.coeffs, lo)
 
@@ -199,8 +199,7 @@ def validate_family(family: DensityFamily, strict: bool = False) -> list[str]:
     nonnegativity is probed at segment endpoints plus ``2*degree + 1``
     Chebyshev-spaced interior points per segment, and the total mass is
     checked against 1; both produce warnings, not errors, because the
-    sketching math only needs integrable functions.  Probes and masses use
-    each row's local frame (:func:`_local_rows`).  A probe value that
+    sketching math only needs integrable functions.  A probe value that
     overflows float64 gets its own warning instead of a ``RuntimeWarning``.
     """
     Breakpoints(family.breakpoints.points)
@@ -234,18 +233,18 @@ def eval_density(dens: PiecewisePolyDensity, bp: Breakpoints, x):
     """The density at the points ``x``, an array of their shape; 0 outside
     its support.
 
-    Each point is located on the half-open grid by binary search, and its
-    interval in the table by a second one (the ends ``c`` increase with
-    ``b``); the owning segment's polynomial, in global coefficients, is
-    evaluated by Horner's rule.
+    One binary search on the row starts ``lo`` picks each point's row; it
+    holds the point if ``x < a_c``, compared exactly, and its coefficients
+    in the local frame (:func:`_local_rows`) are evaluated at ``x - lo``.
     """
     xa = np.asarray(x, dtype=float).reshape(-1)
-    idx = np.searchsorted(bp.points, xa, side="right") - 1
-    seg = np.searchsorted(dens.c, idx, side="right")
-    has = seg < dens.c.size
-    has[has] = dens.b[seg[has]] <= idx[has]
+    lo, _, local = _local_rows(dens, bp)
+    seg = np.searchsorted(lo, xa, side="right") - 1
+    has = seg >= 0
+    has[has] = xa[has] < bp.points[dens.c[seg[has]]]
+    seg = seg[has]
     out = np.zeros(xa.shape)
-    out[has] = poly_eval(dens.coeffs[seg[has]], xa[has])
+    out[has] = poly_eval(local[seg], xa[has] - lo[seg])
     return out.reshape(np.shape(x))
 
 

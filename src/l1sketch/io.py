@@ -78,7 +78,8 @@ def family_from_dict(doc: Any) -> DensityFamily:
         bp = Breakpoints(np.asarray(points, dtype=float))
         densities = []
         for dd in doc["densities"]:
-            name, segs = str(dd["name"]), dd["segments"]
+            (name,) = _typed([dd["name"]], {str}, "density name must be a string")
+            segs = dd["segments"]
             seg = f"density {name!r}: segment"
             rows = _typed([sd["coeffs"] for sd in segs], {list}, f"{seg} coeffs must be lists")
             entries = list(itertools.chain.from_iterable(rows))

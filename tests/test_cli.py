@@ -306,6 +306,22 @@ def test_dist_non_integer_degree_exit_2(tmp_path, capsys, degree):
     assert "degree must be an integer" in _assert_refused(code, 2, out, capsys)
 
 
+@pytest.mark.parametrize(
+    "name,shown",
+    [("7", "7"), ("null", "None"), ('["a"]', "['a']"), ("true", "True")],
+    ids=["non-string-name-int", "non-string-name-null", "non-string-name-list",
+         "non-string-name-bool"],
+)
+def test_dist_non_string_name_exit_2(tmp_path, capsys, name, shown):
+    # the string "7" beside it was once reported as a duplicate of the number 7
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"degree": 0, "breakpoints": [0.0, 1.0], "densities": '
+                    f'[{{"name": "7", "segments": []}}, {{"name": {name}, "segments": []}}]}}')
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(path), "--method", "exact", "--out", str(out)])
+    assert f"density name must be a string, got {shown}" in _assert_refused(code, 2, out, capsys)
+
+
 def test_multi_interval_family_round_trips_byte_for_byte(tmp_path):
     fam = DensityFamily(
         Breakpoints(np.array([0.0, 0.25, 0.5, 1.0, 2.0])),

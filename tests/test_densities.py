@@ -1,9 +1,12 @@
 """Density families: validation, evaluation, merging, exact distances, sampling."""
 
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import adaptive_simpson, random_segment_family
 from l1sketch import (
@@ -93,6 +96,54 @@ def test_eval_density_half_open():
     dens, bp = fam.densities[0], fam.breakpoints
     assert eval_density(dens, bp, 0.0) == 1.0
     assert eval_density(dens, bp, 1.0) == 0.0  # right endpoint excluded
+
+
+@st.composite
+def gapped_tables(draw):
+    """A grid of multiples of 1/8 and a table of rows that span one or more
+    grid intervals, with gaps where candidate rows are dropped; the table
+    may be empty.  Coefficients are multiples of 1/4."""
+    points = sorted(draw(st.sets(st.integers(-64, 64), min_size=2, max_size=9)))
+    degree = draw(st.integers(0, 3))
+    ends = sorted(draw(st.sets(st.integers(0, len(points) - 1), max_size=len(points))))
+    rows = [(b, c) for b, c in zip(ends, ends[1:]) if draw(st.booleans())]
+    coeffs = [draw(st.lists(st.integers(-8, 8), min_size=degree + 1, max_size=degree + 1))
+              for _ in rows]
+    dens = PiecewisePolyDensity(
+        "p", [r[0] for r in rows], [r[1] for r in rows],
+        np.reshape(coeffs, (-1, degree + 1)) / 4.0, degree,
+    )
+    return Breakpoints(np.array(points) / 8.0), dens
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(drawn=gapped_tables())
+def test_eval_density_matches_a_per_row_loop(drawn):
+    bp, dens = drawn
+    a = bp.points
+    xs = np.concatenate([
+        a, np.nextafter(a, -np.inf), np.nextafter(a, np.inf), 0.5 * (a[:-1] + a[1:]),
+        [a[0] - 1.0, a[-1] + 1.0, -np.inf, np.inf, np.nan],
+    ])
+    # the per-row loop: row i holds x when a_b <= x < a_c; p(x) is computed
+    # exactly and rounded once, and `scale` bounds the terms of p in the
+    # row's frame, |p_k| (|a_b| + |x - a_b|)^k, which sets the rounding
+    on = np.zeros(xs.shape, dtype=bool)
+    want, scale = np.zeros(xs.shape), np.zeros(xs.shape)
+    for b, c, row in zip(dens.b, dens.c, dens.coeffs):
+        inside = (a[b] <= xs) & (xs < a[c])
+        on |= inside
+        for i in np.flatnonzero(inside):
+            x = Fraction(xs[i])
+            want[i] = float(sum(Fraction(p) * x**k for k, p in enumerate(row)))
+            reach = abs(a[b]) + abs(xs[i] - a[b])
+            scale[i] = sum(abs(p) * reach**k for k, p in enumerate(row))
+    got = eval_density(dens, bp, xs)
+    ones = PiecewisePolyDensity("1", dens.b, dens.c, np.ones((dens.b.size, 1)), 0)
+    np.testing.assert_array_equal(eval_density(ones, bp, xs), on.astype(float))
+    np.testing.assert_array_equal(got[~on], 0.0)
+    tol = 4 * (dens.degree + 1) * np.finfo(float).eps * scale[on]
+    assert np.all(np.abs(got[on] - want[on]) <= tol)
 
 
 def test_merge_grids_and_split():
@@ -336,20 +387,27 @@ def test_merge_matches_segment_by_segment_construction():
             assert mine.name == theirs.name
             assert mine.b.size == orig.b.size  # one row per input row
             values = eval_density(mine, merged.breakpoints, xs)
-            np.testing.assert_array_equal(values, eval_density(theirs, ref.breakpoints, xs))
+            # the reference's rows start at every grid interval, so it reads
+            # each point in another local frame and rounds differently; a
+            # merged row keeps its input's start, so it matches bit for bit
+            np.testing.assert_allclose(
+                values, eval_density(theirs, ref.breakpoints, xs),
+                rtol=0, atol=8 * np.finfo(float).eps * np.abs(values).max(initial=0.0),
+            )
             np.testing.assert_array_equal(values, eval_density(orig, fam.breakpoints, xs))
 
 
 def test_horner_results_match_recorded_bits():
     # digests recorded before eval_density, sample_from_density and
-    # calibrate_c shared one Horner evaluator
+    # calibrate_c shared one Horner evaluator; eval_density's digest was
+    # re-recorded when it moved to each row's local frame
     gen = np.random.default_rng(2024)
     bp = Breakpoints(np.array([-1.5, -0.25, 0.0, 0.5, 1.25, 3.0]))
     rows = [gen.uniform(-1, 1, 4) for _ in range(3)]
     dens = PiecewisePolyDensity("p", [0, 3, 2], [2, 5, 3], rows, 3)
     values = eval_density(dens, bp, np.linspace(-2.0, 3.5, 1001))
     digest = hashlib.sha256(values.tobytes()).hexdigest()
-    assert digest == "24335c89b92dec7fc6b298270b8198da214583613fb92b05465eb705f352c67a"
+    assert digest == "36b71d8d8e15311b77865ced7fe9a2ca162b8fbec4668d6065005d98f4fba4d3"
     assert eval_density(dens, bp, 0.3) == -0.4566503842534336
     result = calibrate_c(3, 0.05, 40, RandomStream(7))
     assert result.per_degree_r == {1: 21, 2: 34, 3: 41} and result.c == 2.1

@@ -19,9 +19,10 @@ bit for bit.
 Quadrature: on grids away from the origin and for degrees 0-4, the oracle
 agrees with adaptive Simpson on the polynomials the family was drawn from.
 
-Local frames: segment masses, strict validation, density draws and the Monte
-Carlo baseline work in each row's local coordinates, so an exact family
-shifted as far as 1e9 gets the same masses, draws and estimates.
+Local frames: evaluation, segment masses, strict validation, density draws
+and the Monte Carlo baseline work in each row's local coordinates, so an
+exact family shifted as far as 1e9 gets the same values, masses, draws and
+estimates.
 """
 
 import numpy as np
@@ -47,7 +48,7 @@ from l1sketch import (
     validate_family,
 )
 from l1sketch._poly import poly_eval
-from l1sketch.densities import sample_from_density, segment_masses
+from l1sketch.densities import eval_density, sample_from_density, segment_masses
 
 GRID = 64
 
@@ -245,3 +246,19 @@ def test_masses_draws_and_mc_translation_invariant():
         np.testing.assert_allclose(draws - offset, want_draws, rtol=0, atol=np.spacing(offset))
         got = mc_all_pairs(fam, 0.05, 0.1, RandomStream(7)).entries
         np.testing.assert_array_equal(got, want_mc)
+
+
+def test_eval_density_exact_far_from_origin():
+    # 3 (x - off)^2 on [off, off + 1) has exact global coefficients at these
+    # offsets, but evaluating them at x itself cancels: 2.4e-4 off at 2^20
+    k = np.arange(-1, 66) / 64
+
+    def values(offset):
+        bp = Breakpoints(np.array([offset, offset + 1.0]))
+        coeffs = [[3.0 * offset * offset, -6.0 * offset, 3.0]]
+        return eval_density(PiecewisePolyDensity("q", [0], [1], coeffs, 2), bp, offset + k)
+
+    want = values(0.0)
+    assert want[0] == want[-2] == want[-1] == 0.0 and want[-3] == 3.0 * (63 / 64) ** 2
+    for offset in (2.0**20, 2.0**26, 2.0**30, 1e9):
+        np.testing.assert_array_equal(values(offset), want)
