@@ -61,8 +61,8 @@ NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
 #: Largest step count ``r``, given or derived, that :class:`ApproxConfig`
 #: accepts and :func:`calibrate_c` searches.  A draw holds ``r`` float64
 #: uniforms per interval, so 10**6 steps are 8 MB per interval and
-#: replicate; the calibrated constants give r = 11 at degree 2 and
-#: eps_int = 0.1.
+#: replicate; ``dist``'s default degree-2 call (epsilon = 0.2, so
+#: eps_int = 0.038) takes r = 23 with the calibrated midpoint constant.
 MAX_STEPS = 10**6
 
 #: Riemann-sum values :func:`calibrate_c` evaluates at a time: rows of its

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ci1 import UNIFORMS_PER_PAIR, fill_pairs
-from .cid import ApproxConfig, step_fill
+from .cid import DEFAULT_C_MIDPOINT, MAX_STEPS, ApproxConfig, step_fill
 from .densities import (
     DensityFamily,
     eval_density,
@@ -377,6 +377,25 @@ def _auto_mode(degree: int) -> SketchMode:
     return SketchMode.CID_APPROX
 
 
+def _error_split(epsilon: float, d: int, c: float) -> tuple[float, float]:
+    """The r-step mode's ``(eps_int, eps_est)``: of ``eps_int = epsilon k /
+    1000``, ``k = 1..999``, the first to minimise the draw cost
+    ``r(eps_int) / eps_est^2`` (t times r up to t's ceiling), with ``r`` as
+    :class:`l1sketch.cid.ApproxConfig` derives it for midpoints and ``eps_est``
+    from ``(1 + eps_int)(1 + eps_est) = 1 + epsilon``, stepped down an ulp
+    at a time until the stated upper bound is at most ``epsilon`` as a float.
+    """
+    eps_int = epsilon * np.arange(1, 1000) / 1000
+    eps_est = (epsilon - eps_int) / (1 + eps_int)
+    # a c past MAX_STEPS is refused for every split, by the one ApproxConfig built
+    r = np.ceil(min(c, MAX_STEPS) * d / np.sqrt(eps_int))
+    best = int(np.argmin(r / eps_est**2))
+    eps_int, eps_est = float(eps_int[best]), float(eps_est[best])
+    while (1 + eps_int) * (1 + eps_est) - 1.0 > epsilon:
+        eps_est = math.nextafter(eps_est, 0.0)
+    return eps_int, eps_est
+
+
 def run_scheme(
     family: DensityFamily,
     epsilon: float,
@@ -389,11 +408,14 @@ def run_scheme(
     """Dispatch to the exact oracle, the sketch scheme, or the MC baseline.
 
     The degree picks the sampler: fast path at 0, exact pairs at 1, r-step
-    vectors from 2.  The r-step mode has discretization error, so the error
-    budget is split evenly, ``eps_int = eps_est = epsilon / 2``, and the
-    combined guarantee ``(1 +/- eps_int)(1 +/- eps_est)`` is echoed in the
-    config rather than rounded to a clean ``1 +/- epsilon``.  It uses midpoint
-    nodes, with ``r = ceil(c d / sqrt(eps_int))`` and ``c`` defaulting to
+    vectors from 2.  The r-step mode has discretization error, so it splits
+    ``epsilon`` into ``eps_int`` and ``eps_est`` with
+    ``(1 + eps_int)(1 + eps_est) <= 1 + epsilon``, at the split of
+    :func:`_error_split` that costs the fewest draws (``eps_int`` near
+    ``epsilon / 5``), and echoes both stated bounds, ``(1 + eps_int)(1 +
+    eps_est) - 1`` and ``1 - (1 - eps_int)(1 - eps_est)``, which are at most
+    ``epsilon``.  It uses midpoint nodes, with ``r = ceil(c d /
+    sqrt(eps_int))`` and ``c`` defaulting to
     :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.  A non-finite ``epsilon``,
     ``delta`` or ``c_constant``, an ``epsilon <= 0`` or a ``delta`` outside
     (0, 1) raises :class:`ParameterError` for every method, before any work;
@@ -421,10 +443,10 @@ def run_scheme(
         raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
     mode = _auto_mode(family.degree)
     split = mode is SketchMode.CID_APPROX
-    eps_est = epsilon / 2.0 if split else epsilon
-    eps_int = epsilon / 2.0 if split else None
-    approx_config = None
+    eps_est, approx_config = epsilon, None
     if split:
+        c = DEFAULT_C_MIDPOINT if c_constant is None else c_constant
+        eps_int, eps_est = _error_split(epsilon, family.degree, c)
         approx_config = ApproxConfig(
             d=family.degree,
             epsilon_integration=eps_int,

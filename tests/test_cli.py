@@ -108,13 +108,12 @@ def _quadratic_family_path(tmp_path):
 
 def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
     path = _quadratic_family_path(tmp_path)
-    eps_int = 0.2
-    args = ["dist", str(path), "--epsilon", str(2 * eps_int), "--seed", "3", "--format", "json"]
+    args = ["dist", str(path), "--epsilon", "0.4", "--seed", "3", "--format", "json"]
     out = tmp_path / "d.json"
     assert main(args + ["--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
     assert config["nodes"] == "midpoint"
-    assert config["r"] == math.ceil(DEFAULT_C_MIDPOINT * 2 / math.sqrt(eps_int))
+    assert config["r"] == math.ceil(DEFAULT_C_MIDPOINT * 2 / math.sqrt(config["epsilon_integration"]))
     # the constant calibrate emits is the one --c-constant takes
     cal = tmp_path / "c.json"
     assert main(["calibrate", "--d-max", "2", "--trials", "50", "--seed", "5", "--out", str(cal)]) == 0
@@ -122,7 +121,7 @@ def test_dist_degree_two_uses_midpoint_nodes(tmp_path):
     assert main(args + ["--c-constant", repr(c), "--out", str(out)]) == 0
     config = json.loads(out.read_text())["config"]
     assert config["c_constant"] == c
-    assert config["r"] == math.ceil(c * 2 / math.sqrt(eps_int))
+    assert config["r"] == math.ceil(c * 2 / math.sqrt(config["epsilon_integration"]))
 
 
 def test_dist_manifest_records_c_constant(tmp_path):
@@ -397,13 +396,16 @@ def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeyp
     def refuse(*args, **kwargs):
         raise AssertionError("drew past the replicate byte cap")
 
-    # 2 intervals times r = 15 midpoint steps: 240 bytes of uniforms a replicate
-    monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 239)
+    # 2 intervals times the r midpoint steps of dist's default split: 16 r
+    # bytes of uniforms a replicate
+    eps_int, _ = pipeline_mod._error_split(0.2, 2, DEFAULT_C_MIDPOINT)
+    r = math.ceil(DEFAULT_C_MIDPOINT * 2 / math.sqrt(eps_int))
+    monkeypatch.setattr(pipeline_mod, "MAX_REPLICATE_BYTES", 16 * r - 1)
     monkeypatch.setattr(pipeline_mod, "fill_groups", refuse)
     out = tmp_path / "dist.csv"
     code = main(["dist", str(_quadratic_family_path(tmp_path)), "--out", str(out)])
     err = _assert_refused(code, 3, out, capsys)
-    assert "one replicate draws 30 uniforms (240 bytes), more than 239 bytes" in err
+    assert f"one replicate draws {2 * r} uniforms ({16 * r} bytes), more than {16 * r - 1} bytes" in err
 
 
 @pytest.mark.parametrize(

@@ -37,17 +37,17 @@ from l1sketch import (
     uniform_density,
     validate_family,
 )
-from l1sketch._poly import poly_eval
+from l1sketch._poly import integrate_abs_local, poly_eval
 from l1sketch.ci1 import (
     SQUEEZE_K,
     _candidate_block,
     ci1_density,
     unit_pairs,
 )
-from l1sketch.cid import _node_powers
+from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _EST_ROWS, SketchMatrix
+from l1sketch.pipeline import _BLOCK, _EST_ROWS, SketchMatrix, _error_split
 from l1sketch.randstream import _CALL_DRAWS
 
 
@@ -781,11 +781,47 @@ def test_run_scheme_epsilon_domain():
 def test_run_scheme_splits_epsilon_for_approx_modes():
     fam = _quadratic_pair()
     dm = run_scheme(fam, 0.4, 0.2, "sketch", seed=23)
-    assert dm.config["epsilon_integration"] == 0.2
-    assert dm.config["epsilon"] == 0.2  # estimator share
-    assert dm.config["r"] >= 1
-    up = dm.config["relative_error_upper"]
-    assert up == pytest.approx((1.2 * 1.2) - 1.0)
+    eps_int, eps_est = _error_split(0.4, 2, DEFAULT_C_MIDPOINT)
+    assert dm.config["epsilon_integration"] == eps_int
+    assert dm.config["epsilon"] == eps_est  # estimator share
+    assert dm.config["r"] == math.ceil(DEFAULT_C_MIDPOINT * 2 / math.sqrt(eps_int))
+    assert dm.config["relative_error_upper"] == (1 + eps_int) * (1 + eps_est) - 1.0 <= 0.4
+    assert dm.config["relative_error_lower"] == 1.0 - (1 - eps_int) * (1 - eps_est) <= 0.4
+
+
+@pytest.mark.parametrize("epsilon", [0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5])
+def test_error_split_meets_epsilon_at_no_more_draws_than_the_even_split(epsilon):
+    # the stated bounds, as run_scheme states them, are within epsilon as
+    # floats, and t and t * r are at most those of eps_int = eps_est = eps/2
+    for d in range(1, 17):
+        eps_int, eps_est = _error_split(epsilon, d, DEFAULT_C_MIDPOINT)
+        assert _error_split(epsilon, d, DEFAULT_C_MIDPOINT) == (eps_int, eps_est)
+        assert (1 + eps_int) * (1 + eps_est) - 1.0 <= epsilon
+        assert 1.0 - (1 - eps_int) * (1 - eps_est) <= epsilon
+        r = ApproxConfig(d, eps_int, nodes="midpoint").r
+        r_even = ApproxConfig(d, epsilon / 2, nodes="midpoint").r
+        for m in (2, 10, 1000):
+            t = required_sample_count(eps_est, 0.1, m)
+            t_even = required_sample_count(epsilon / 2, 0.1, m)
+            assert t <= t_even and t * r <= t_even * r_even, (d, m)
+
+
+def test_error_split_steps_meet_eps_int_on_root_rich_polynomials():
+    # eps_int falls near epsilon / 5, where the calibrated midpoint constant
+    # has less margin: at the r the split picks, the Riemann scale of the
+    # shifted Chebyshev T_d(2x - 1) and of 50 seeded polynomials with d roots
+    # uniform on [0, 1] lies within eps_int of the exact integral
+    for d in (2, 3, 4, 8, 16):
+        cheb = np.polynomial.Chebyshev.basis(d, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
+        gen = np.random.default_rng(7000 + d)
+        roots = [np.polynomial.polynomial.polyfromroots(gen.uniform(0.0, 1.0, d)) for _ in range(50)]
+        coeffs = np.array([cheb.coef, *roots])
+        exact = integrate_abs_local(coeffs, 1.0)
+        for epsilon in (0.1, 0.2, 0.4):
+            eps_int, _ = _error_split(epsilon, d, DEFAULT_C_MIDPOINT)
+            r = ApproxConfig(d, eps_int, nodes="midpoint").r
+            rel = np.abs(riemann_abs_scale(coeffs, r, "midpoint") - exact) / exact
+            assert rel.max() <= eps_int, (d, epsilon, r, rel.max())
 
 
 @pytest.mark.parametrize("family", [_uniform_pair, _linear_pair, _quadratic_pair])
@@ -868,7 +904,8 @@ def test_run_scheme_meets_its_stated_bounds_at_degree_two_and_three(degree):
         err = dm.entries[mask] - oracle
         upper, lower = dm.config["relative_error_upper"], dm.config["relative_error_lower"]
         successes += bool(np.all((err <= upper * oracle) & (-err <= lower * oracle)))
-    assert dm.config["r"] == {2: 11, 3: 16}[degree] and dm.config["epsilon"] == 0.2
+    assert dm.config["r"] == math.ceil(DEFAULT_C_MIDPOINT * degree / math.sqrt(dm.config["epsilon_integration"]))
+    assert dm.config["relative_error_upper"] <= 0.4 and dm.config["relative_error_lower"] <= 0.4
     assert successes >= 16
 
 
