@@ -307,42 +307,45 @@ def unit_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints) ->
         )
 
 
-def exact_l1_distance(
-    f: PiecewisePolyDensity, g: PiecewisePolyDensity, bp: Breakpoints
-) -> float:
-    """Exact L1 distance between two densities on a shared grid.
+def _l1_reduce(densities: list[PiecewisePolyDensity], bp: Breakpoints):
+    """The oracle's ``reduce(j, k0, k1)``: the L1 distances of densities
+    ``k0 .. k1 - 1`` to density ``j``, one batched kernel call over all
+    grid intervals."""
+    coeffs, widths = _local_coefficients(densities, bp), np.diff(bp.points)
 
-    Same kernel as :func:`exact_all_pairs`, for one pair.
-    """
-    coeffs = _local_coefficients([f, g], bp)
-    return float(integrate_abs_local(coeffs[0] - coeffs[1], np.diff(bp.points)).sum())
+    def reduce(j: int, k0: int, k1: int) -> np.ndarray:
+        # a difference that overflows gives inf, which DistanceMatrix refuses
+        with np.errstate(over="ignore"):
+            return integrate_abs_local(coeffs[j] - coeffs[k0:k1], widths).sum(axis=1)
+
+    return reduce
+
+
+def exact_l1_distance(f: PiecewisePolyDensity, g: PiecewisePolyDensity, bp: Breakpoints) -> float:
+    """Exact L1 distance between two densities on a shared grid: the reduce
+    of :func:`exact_all_pairs`, for one pair."""
+    return float(_l1_reduce([f, g], bp)(0, 1, 2)[0])
 
 
 def exact_all_pairs(family: DensityFamily):
     """Symmetric matrix of exact pairwise L1 distances (zero diagonal).
 
-    One batched kernel call per row ``j`` covers all pairs ``(j, k > j)``
-    and all intervals.  Intervals where both densities carry identical
-    coefficients contribute an exact 0.  Accurate to rounding for degree
-    <= 2; above, a root found with error ``delta`` changes the integral
-    only at order ``delta**(k+1)``, ``k`` the root's multiplicity.
+    The estimator's pair loop, :func:`l1sketch.pipeline._all_pairs`, runs
+    it on one thread: a kernel call takes at most ``_PAIR_ROWS`` densities
+    against one, over all intervals.  Intervals where both densities carry
+    identical coefficients contribute an exact 0.  Accurate to rounding for
+    degree <= 2; above, a root found with error ``delta`` changes the
+    integral only at order ``delta**(k+1)``, ``k`` the root's multiplicity.
     """
-    from .pipeline import DistanceMatrix  # local import to avoid a cycle
+    from .pipeline import DistanceMatrix, _all_pairs  # local import to avoid a cycle
 
-    m = family.m
-    coeffs = _local_coefficients(family.densities, family.breakpoints)
-    widths = np.diff(family.breakpoints.points)
-    entries = np.zeros((m, m))
-    for j in range(m - 1):
-        # a difference that overflows gives inf, which DistanceMatrix refuses
-        with np.errstate(over="ignore"):
-            diff = coeffs[j] - coeffs[j + 1 :]
-        row = integrate_abs_local(diff, widths).sum(axis=1)
-        entries[j, j + 1 :] = row
-        entries[j + 1 :, j] = row
-    return DistanceMatrix(
-        names=family.names, entries=entries, method="exact", config={"degree": family.degree}
-    )
+    d = family.degree
+    # float64 scratch a row and interval, difference and kernel temporaries, by
+    # tracemalloc: 17.2 at degree <= 2, d^2 + 9d + 17.5 with companion matrices
+    cell = 18 if d <= 2 else d * d + 9 * d + 18
+    row_bytes = 8 * cell * (len(family.breakpoints) - 1)
+    entries = _all_pairs(family.m, _l1_reduce(family.densities, family.breakpoints), 1, row_bytes)
+    return DistanceMatrix(names=family.names, entries=entries, method="exact", config={"degree": d})
 
 
 def sample_from_density(

@@ -27,8 +27,9 @@ two blocks share a generator.
 A block's arithmetic is identical no matter which worker thread runs it, so
 outputs are bit-identical for any thread count, and a full block's columns
 do not depend on ``t``.
-The estimator fans out the same way: each task reduces its own block of
-pair differences along the replicate axis and writes only its own entries.
+The estimator fans out the same way, on the one loop over pairs that the
+exact oracle also runs on (:func:`_all_pairs`): each task reduces its own
+block of pairs and writes only its own entries.
 """
 
 from __future__ import annotations
@@ -59,11 +60,11 @@ from .randstream import (
 #: independent of threading and chunk scheduling.
 _BLOCK = 64
 
-#: Sketch rows per estimator task, each estimated against one row ``j``.  A
-#: task's difference buffer is ``(_EST_ROWS, t)`` float64, about 1 MB at
-#: t = 8,187, so it stays in cache from the subtraction through the log to
-#: the row sums, and the estimator's scratch is that one buffer per thread.
-_EST_ROWS = 16
+#: Rows per task of the pair loop (:func:`_all_pairs`), each reduced against
+#: one row ``j``: the estimator's ``(_PAIR_ROWS, t)`` float64 differences,
+#: about 1 MB at t = 8,187, stay in cache from the subtraction through the
+#: log to the row sums, and the oracle's kernel takes as many rows at a time.
+_PAIR_ROWS = 16
 
 #: Most bytes one replicate's float64 uniforms may take, since a block draws
 #: at least one whole replicate a call: ``n_int * r`` uniforms in the r-step
@@ -147,7 +148,8 @@ def _check_threads(threads: int) -> None:
 
 
 def _fan_out(fn, tasks, threads: int, task_bytes: int) -> None:
-    """Call ``fn`` on every task: in order on the calling thread when one
+    """Call ``fn`` on every task, a sketch block or a pair task of
+    :func:`_all_pairs`: in order on the calling thread when one
     worker runs, else on ``workers`` threads, worker ``i`` taking tasks
     ``i, i + workers, ...`` in order.  ``workers`` is ``threads``, cut so
     that the workers' scratch, ``task_bytes`` each, stays within
@@ -245,33 +247,38 @@ def sketch_family(
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 
 
-def _pair_estimates(values: np.ndarray, threads: int) -> np.ndarray:
-    """The symmetric ``(m, m)`` matrix of geometric-mean estimates of every
-    pair of rows of ``values``, zero on the diagonal, possibly not finite.
-
-    Task ``(j, k0)`` estimates rows ``k0 .. k0 + _EST_ROWS - 1`` (fewer at
-    the end) against row ``j < k0`` with one
-    :func:`l1sketch.randstream.geometric_mean_rows` call on their
-    differences, and writes only its own upper-triangle entries; the lower
-    triangle is mirrored once at the end.
-    """
-    m = values.shape[0]
+def _all_pairs(m: int, reduce, threads: int, row_bytes: int) -> np.ndarray:
+    """The one loop over pairs, of the estimator and the exact oracle: the
+    symmetric ``(m, m)`` matrix, zero on the diagonal, whose task ``(j, k0)``
+    writes ``reduce(j, k0, k1)``, rows ``k0 .. k1 - 1 < k0 + _PAIR_ROWS``
+    against row ``j < k0``, to its own upper-triangle entries with
+    ``row_bytes`` of scratch a row (:func:`_fan_out`); the lower triangle is
+    mirrored once at the end."""
     entries = np.zeros((m, m))
 
     def run_task(task: tuple[int, int]) -> None:
         j, k0 = task
-        k1 = min(k0 + _EST_ROWS, m)
-        # a difference that overflows gives inf (inf - inf gives NaN), and a
-        # non-finite distance, which DistanceMatrix refuses
-        with np.errstate(over="ignore", invalid="ignore"):
-            diffs = np.subtract(values[j], values[k0:k1])
-        entries[j, k0:k1] = geometric_mean_rows(diffs)
+        k1 = min(k0 + _PAIR_ROWS, m)
+        entries[j, k0:k1] = reduce(j, k0, k1)
 
-    tasks = [(j, k0) for j in range(m - 1) for k0 in range(j + 1, m, _EST_ROWS)]
-    _fan_out(run_task, tasks, threads, 8 * min(_EST_ROWS, m - 1) * values.shape[1])
+    tasks = [(j, k0) for j in range(m - 1) for k0 in range(j + 1, m, _PAIR_ROWS)]
+    _fan_out(run_task, tasks, threads, row_bytes * min(_PAIR_ROWS, m - 1))
     lower = np.tril_indices(m, -1)
     entries[lower] = entries.T[lower]
     return entries
+
+
+def _pair_estimates(values: np.ndarray, threads: int) -> np.ndarray:
+    """The :func:`_all_pairs` matrix of geometric-mean estimates of the rows
+    of ``values``, possibly not finite, one ``geometric_mean_rows`` a task."""
+
+    def reduce(j: int, k0: int, k1: int) -> np.ndarray:
+        # a difference that overflows gives inf (inf - inf gives NaN), and a
+        # non-finite distance, which DistanceMatrix refuses
+        with np.errstate(over="ignore", invalid="ignore"):
+            return geometric_mean_rows(np.subtract(values[j], values[k0:k1]))
+
+    return _all_pairs(values.shape[0], reduce, threads, 8 * values.shape[1])
 
 
 def estimate_all_pairs(
@@ -283,7 +290,7 @@ def estimate_all_pairs(
     guarantee.  Pair ``(j, k)`` gets ``exp(mean(log|x_j - x_k|))`` over the
     replicates, or 0.0 if any replicate's difference is exactly zero, even
     when another is inf or NaN.  Pairs are estimated in blocks of at most
-    ``_EST_ROWS`` rows against one row, with ``threads`` workers; each entry
+    ``_PAIR_ROWS`` rows against one row, with ``threads`` workers; each entry
     is bit-identical to a one-pair
     :func:`l1sketch.randstream.geometric_mean_estimate` call, for
     any thread count.  An inf or NaN estimate is refused by

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l1sketch.ci1 as ci1_mod
+import l1sketch.densities as densities_mod
 import l1sketch.pipeline as pipeline_mod
 from conftest import ks_against_cauchy, random_segment_family
 from l1sketch import (
@@ -47,7 +48,7 @@ from l1sketch.ci1 import (
 from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _EST_ROWS, SketchMatrix, _error_split
+from l1sketch.pipeline import _BLOCK, _PAIR_ROWS, SketchMatrix, _error_split
 from l1sketch.randstream import _CALL_DRAWS
 
 
@@ -295,7 +296,7 @@ def test_block_estimator_many_threads_short_switch_interval():
     # more workers than cores, switching threads as often as the interpreter
     # allows: a lost or misplaced entry write would break the equality
     gen = np.random.default_rng(5)
-    values = np.tan(np.pi * (gen.random((3 * _EST_ROWS + 5, 64)) - 0.5))
+    values = np.tan(np.pi * (gen.random((3 * _PAIR_ROWS + 5, 64)) - 0.5))
     ref = _per_pair_reference(values)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -304,6 +305,46 @@ def test_block_estimator_many_threads_short_switch_interval():
             np.testing.assert_array_equal(pipeline_mod._pair_estimates(values, 8), ref)
     finally:
         sys.setswitchinterval(interval)
+
+
+
+def _oracle_families():
+    # merged degree-1 densities, more than a row of three tasks, and a signed
+    # degree-3 family, whose kernel goes through the companion matrices
+    m = 2 * _PAIR_ROWS + 4
+    return [
+        random_piecewise_linear_family(m, 8, RandomStream(5)),
+        random_segment_family(np.random.default_rng(6), m, 3, n_intervals=12),
+    ]
+
+
+def test_block_oracle_equals_per_pair_loop():
+    # the oracle on the estimator's pair loop: each entry is bit for bit the
+    # one-pair exact_l1_distance
+    for fam in _oracle_families():
+        got = exact_all_pairs(fam).entries
+        bp = fam.breakpoints
+        for j, f in enumerate(fam.densities):
+            for k, g in enumerate(fam.densities[j + 1 :], j + 1):
+                assert got[j, k] == got[k, j] == exact_l1_distance(f, g, bp), (j, k)
+
+
+def test_oracle_kernel_calls_take_at_most_pair_rows(monkeypatch):
+    # the oracle's scratch is one block of at most _PAIR_ROWS densities, not
+    # all m - 1 - j of them at row j
+    kernel = densities_mod.integrate_abs_local
+    rows = []
+
+    def record(coeffs, width):
+        rows.append(np.shape(coeffs)[0])
+        return kernel(coeffs, width)
+
+    monkeypatch.setattr(densities_mod, "integrate_abs_local", record)
+    for fam in _oracle_families():
+        rows.clear()
+        exact_all_pairs(fam)
+        assert max(rows) <= _PAIR_ROWS
+        assert sum(rows) == fam.m * (fam.m - 1) // 2
 
 
 # ------------------------------------------------------------------- sketches
@@ -316,7 +357,7 @@ def test_sketch_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(a.values, c.values)
     # degree 0 with more rows than one estimator task holds: row 0 is
     # estimated by three tasks, which go to three different workers
-    wide = random_segment_family(np.random.default_rng(12), 2 * _EST_ROWS + 3, 0)
+    wide = random_segment_family(np.random.default_rng(12), 2 * _PAIR_ROWS + 3, 0)
     one = run_scheme(wide, 0.5, 0.5, "sketch", seed=13)
     four = run_scheme(wide, 0.5, 0.5, "sketch", seed=13, threads=4)
     assert one.config["mode"] == "uniform_fastpath"
@@ -808,34 +849,45 @@ def test_error_split_meets_epsilon_at_no_more_draws_than_the_even_split(epsilon)
 
 def test_error_split_steps_meet_eps_int_on_root_rich_polynomials():
     # eps_int falls near epsilon / 5, where the calibrated midpoint constant
-    # has less margin: at the r the split picks, the Riemann scale of the
-    # shifted Chebyshev T_d(2x - 1) and of 50 seeded polynomials with d roots
-    # uniform on [0, 1] lies within eps_int of the exact integral
-    for d in (2, 3, 4, 8, 16):
+    # has less margin: at the r the split picks, and at the r that
+    # ApproxConfig derives for an eps_int of 0.025, 0.1 or 0.2, the Riemann
+    # scale of the shifted Chebyshev T_d(2x - 1) and of 50 seeded polynomials
+    # with d roots uniform on [0, 1] lies within eps_int of the exact integral
+    for d in range(1, 17):
         cheb = np.polynomial.Chebyshev.basis(d, domain=[0.0, 1.0]).convert(kind=np.polynomial.Polynomial)
         gen = np.random.default_rng(7000 + d)
         roots = [np.polynomial.polynomial.polyfromroots(gen.uniform(0.0, 1.0, d)) for _ in range(50)]
         coeffs = np.array([cheb.coef, *roots])
         exact = integrate_abs_local(coeffs, 1.0)
-        for epsilon in (0.1, 0.2, 0.4):
-            eps_int, _ = _error_split(epsilon, d, DEFAULT_C_MIDPOINT)
+        split = [_error_split(epsilon, d, DEFAULT_C_MIDPOINT)[0] for epsilon in (0.1, 0.2, 0.4)]
+        # and held out from the calibration: ApproxConfig's own midpoint r
+        for eps_int in (*split, 0.025, 0.1, 0.2):
             r = ApproxConfig(d, eps_int, nodes="midpoint").r
             rel = np.abs(riemann_abs_scale(coeffs, r, "midpoint") - exact) / exact
-            assert rel.max() <= eps_int, (d, epsilon, r, rel.max())
+            assert rel.max() <= eps_int, (d, eps_int, r, rel.max())
 
 
 @pytest.mark.parametrize("family", [_uniform_pair, _linear_pair, _quadratic_pair])
 def test_sketch_family_rebuilds_from_a_run_config(family):
     # the call a traced benchmark run makes to time one replicate's set-up:
     # mode, seed and r-step settings read back from run_scheme's config
+    # and the whole run, entries bit for bit
     fam = family()
-    config = run_scheme(fam, 0.5, 0.5, "sketch", seed=26).config
+    dm = run_scheme(fam, 0.5, 0.5, "sketch", seed=26)
+    config = dm.config
     approx = None
     if "epsilon_integration" in config:
-        approx = ApproxConfig(fam.degree, config["epsilon_integration"], r=config["r"])
+        approx = ApproxConfig(
+            fam.degree, config["epsilon_integration"], r=config["r"], nodes=config["nodes"]
+        )
     sk = sketch_family(fam, 1, config["mode"], RandomStream(config["seed"]), approx_config=approx)
     assert sk.values.shape == (fam.m, 1)
     assert sk.mode.value == config["mode"]
+    sk = sketch_family(
+        fam, config["t"], config["mode"], RandomStream(config["seed"]), approx_config=approx
+    )
+    rebuilt = estimate_all_pairs(sk, config["epsilon"], config["delta"])
+    np.testing.assert_array_equal(rebuilt.entries, dm.entries)
 
 
 def test_sketch_cost_scales_linearly_in_t():
