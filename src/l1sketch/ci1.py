@@ -22,6 +22,15 @@ degrees of freedom; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 ch. XI), which also gives the envelope's value there for free, and one is
 ``w``.  No normal draw and no ``hypot`` call is made.
 
+A block of candidates runs in place, from the uniform draw through the
+envelope points and the density to the accept test, in the
+:class:`~l1sketch.randstream.Workspace` that
+:func:`~l1sketch.randstream.fill_groups` lends to every group of a call.
+Whole-array temporaries (20 rows of a block, freed together after each
+group) let the allocator hand the memory back and fault it in again: about
+12,500 minor page faults a sketch of the 71-interval degree-1 benchmark
+family, against under 50 in the workspace.
+
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
 ``(2, size)`` array.  The square root and the arctangent are principal-branch,
@@ -35,7 +44,7 @@ import math
 import numpy as np
 
 from .errors import EnvelopeDominationError, ParameterError
-from .randstream import RandomStream, cauchy_in_place, fill_groups
+from .randstream import RandomStream, Workspace, cauchy_in_place, fill_groups
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
 DOMINATION_C = 25.0
@@ -64,7 +73,22 @@ _PROPOSALS_PER_CANDIDATE = REJECTION_OVERHEAD / SQUEEZE_K
 _PI2 = np.pi**2
 
 
-def _density_generic(x0, delta):
+#: Rows of scratch :func:`ci1_density` works in: ``delta`` and the eight of
+#: :func:`_density_generic`.
+_DENSITY_ROWS = 9
+
+
+def _rows(buf, count: int, shape) -> list[np.ndarray]:
+    """``count`` C-contiguous float64 arrays of ``shape``, in order from the
+    front of the flat ``buf``, or of a new buffer when ``buf`` is None."""
+    size = math.prod(shape)
+    if buf is None:
+        buf = np.empty(count * size)
+    rows = buf[: count * size].reshape(count, *shape)
+    return [rows[i, ...] for i in range(count)]
+
+
+def _density_generic(x0, delta, scratch=None):
     # The density at delta = |x0 - 2*x1| >= 0.  Nothing divides by delta, so
     # it is regular on the line x0 = 2*x1, where it is 4/(pi^2 s0^2) +
     # 1/(pi s0^(3/2)).  It is even in delta and in x0, so point-symmetric bit
@@ -80,20 +104,54 @@ def _density_generic(x0, delta):
     # - four times the imaginary part is the log of the ratio of
     #   (1 +/- y)^2 + x^2, scaled by delta^2: (delta +/- a)^2 + delta^2/a^2,
     #   which differ by 4 a delta, so it is log1p(4 a delta / the second).
-    s0 = 1.0 + x0 * x0
-    d2 = delta * delta
-    q2 = s0 * s0 + 4.0 * d2
-    root = np.sqrt(q2)
-    a2 = 0.5 * (root + s0)
-    a = np.sqrt(a2)
-    b2 = d2 / a2
-    re2 = np.arctan2(2.0 * d2, a * (d2 - root))
-    im4 = np.log1p(4.0 * a * delta / ((delta - a) ** 2 + b2))
-    half_minus_im = delta * (s0 + 0.5 * root) / a  # -Im(q^(3/2)) / 2
-    return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * half_minus_im) / root) / (_PI2 * q2)
+    # So, with b2 = delta^2 / a^2 and h = delta (s0 + |q|/2) / a = -Im(q^(3/2))/2,
+    # the density is (4 + (re2 a (2 s0 - |q|) - im4 h) / |q|) / (pi^2 q2).
+    # Every step writes into one of eight rows of the flat ``scratch`` (a new
+    # one when None), in the order and association of that expression; the
+    # result is returned in one of them.  x0 and delta are only read.
+    s0, d2, q2, root, b2, a, num, den = _rows(scratch, 8, np.broadcast(x0, delta).shape)
+    np.multiply(x0, x0, out=s0)
+    np.add(1.0, s0, out=s0)
+    np.multiply(delta, delta, out=d2)
+    np.multiply(s0, s0, out=q2)
+    np.multiply(4.0, d2, out=num)
+    np.add(q2, num, out=q2)
+    np.sqrt(q2, out=root)
+    np.add(root, s0, out=b2)
+    np.multiply(0.5, b2, out=b2)  # a^2
+    np.sqrt(b2, out=a)
+    np.divide(d2, b2, out=b2)
+    np.subtract(d2, root, out=num)
+    np.multiply(a, num, out=num)
+    np.multiply(2.0, d2, out=d2)
+    re2 = np.arctan2(d2, num, out=d2)
+    np.multiply(4.0, a, out=num)
+    np.multiply(num, delta, out=num)
+    np.subtract(delta, a, out=den)
+    if den.ndim:
+        np.square(den, out=den)
+    else:  # a numpy float squares by pow(), whose last bit can differ
+        den[()] = den[()] ** 2
+    np.add(den, b2, out=den)
+    np.divide(num, den, out=num)
+    im4 = np.log1p(num, out=num)
+    np.multiply(0.5, root, out=den)
+    np.add(s0, den, out=den)
+    np.multiply(delta, den, out=den)
+    h = np.divide(den, a, out=den)
+    np.multiply(re2, a, out=re2)
+    np.multiply(2.0, s0, out=s0)
+    np.subtract(s0, root, out=s0)
+    np.multiply(re2, s0, out=re2)
+    np.multiply(im4, h, out=im4)
+    np.subtract(re2, im4, out=re2)
+    np.divide(re2, root, out=re2)
+    np.add(4.0, re2, out=re2)
+    np.multiply(_PI2, q2, out=q2)
+    return np.divide(re2, q2, out=re2)
 
 
-def ci1_density(x0, x1):
+def ci1_density(x0, x1, scratch=None):
     """Joint density of the unit-interval pair at ``(x0, x1)``, in the
     broadcast shape of the two (a numpy float for 0-d inputs).
 
@@ -109,12 +167,25 @@ def ci1_density(x0, x1):
     mass beyond radius 1e16.  From radius about 1e77, ``s0^2 + 4 delta^2``
     overflows and the result is NaN or far too small; the true density is
     below 1e-230 there.
+
+    With ``scratch``, a flat float64 array of at least nine times the
+    broadcast size, the evaluation makes no temporaries and an array result
+    is a view into ``scratch``, valid until it is next written; without,
+    the result is a new array.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
+    shape = np.broadcast(x0, x1).shape
+    size = math.prod(shape)
+    buf = np.empty(_DENSITY_ROWS * size) if scratch is None else scratch
+    delta = buf[:size].reshape(shape)
     # a delta whose square underflows is exact enough at 0
     with np.errstate(under="ignore"):
-        return _density_generic(x0, np.abs(x0 - 2.0 * x1))
+        np.multiply(2.0, x1, out=delta)
+        np.subtract(x0, delta, out=delta)
+        np.absolute(delta, out=delta)
+        f = _density_generic(x0, delta, buf[size:])
+    return (f if scratch is not None else f.copy())[()]
 
 
 def student_envelope_density(x0, x1):
@@ -125,10 +196,12 @@ def student_envelope_density(x0, x1):
     return 1.0 / (np.pi * t * np.sqrt(t))
 
 
-def _envelope_points(gen: np.random.Generator, u: np.ndarray):
+def _envelope_points(gen: np.random.Generator, u: np.ndarray, x1, t, tmp):
     """Envelope points from rows 0 and 1 of the uniforms ``u``, by
-    conditional inversion, overwriting them: ``(x0, x1, t)`` with ``t = 1 +
-    x0^2 + (2 x1 - x0)^2``, so the envelope is ``1/(pi t^(3/2))`` there.
+    conditional inversion, in place: ``(x0, x1, t)``, with ``x0`` written
+    over row 0, and ``x1`` and ``t = 1 + x0^2 + (2 x1 - x0)^2``, so the
+    envelope is ``1/(pi t^(3/2))`` there, into the arrays ``x1`` and ``t``
+    of a row's length; ``tmp`` is scratch of that length, and row 1 is kept.
 
     With ``x0 = u`` and ``v = 2 x1 - x0``, the envelope is the spherical
     Student(1) law of ``(u, v)``.  Its ``u`` marginal is standard Cauchy,
@@ -146,9 +219,17 @@ def _envelope_points(gen: np.random.Generator, u: np.ndarray):
         p[zero] = gen.random(int(zero.sum()))
         zero = p == 0.0
     cauchy_in_place(x0)
-    spread = (1.0 + x0 * x0) / (p * (1.0 - p))
-    v = np.sqrt(spread) * (p - 0.5)
-    return x0, 0.5 * (x0 + v), 0.25 * spread
+    np.multiply(x0, x0, out=t)
+    np.add(1.0, t, out=t)
+    np.subtract(1.0, p, out=tmp)
+    np.multiply(p, tmp, out=tmp)
+    spread = np.divide(t, tmp, out=t)  # (1 + x0^2) / (p (1 - p))
+    np.sqrt(spread, out=x1)
+    np.subtract(p, 0.5, out=tmp)
+    np.multiply(x1, tmp, out=x1)  # v
+    np.add(x0, x1, out=x1)
+    np.multiply(0.5, x1, out=x1)
+    return x0, x1, np.multiply(0.25, spread, out=t)
 
 
 def sample_student_envelope(rng: RandomStream, size: int):
@@ -163,7 +244,7 @@ def sample_student_envelope(rng: RandomStream, size: int):
     onto the envelope.
     """
     gen = rng.generator
-    x0, x1, _ = _envelope_points(gen, gen.random((2, size)))
+    x0, x1, _ = _envelope_points(gen, gen.random((2, size)), *np.empty((3, size)))
     return x0, x1
 
 
@@ -189,19 +270,33 @@ def _accept_mask(x0, x1, u01):
     return accept
 
 
-def _candidate_block(gen: np.random.Generator, k: int):
+#: Rows of ``k`` float64s that a block of ``k`` candidates works in: its
+#: uniforms ``U0``, ``U1`` and ``w``, ``x1``, ``t`` and the density's rows.
+_BLOCK_ROWS = 5 + _DENSITY_ROWS
+
+
+def _candidate_block(gen: np.random.Generator, k: int, work: Workspace | None = None):
     """``k`` candidates, as ``(x0, x1, accept)``.
 
     One ``(3, k)`` uniform draw: rows 0 and 1 give the envelope points
     (:func:`_envelope_points`), row 2 the acceptance uniforms ``w``.  A
     candidate is a proposal that passed the squeeze, whose uniform ``u``
     has ``u * (C/pi) = w * K``, so it is accepted when ``w * K * g <= f``,
-    here ``w * K/pi <= f * t^(3/2)`` with ``g = 1/(pi t^(3/2))``.
+    here ``w * K/pi <= f * t^(3/2)`` with ``g = 1/(pi t^(3/2))``.  Every
+    step from the draw to the test writes into :data:`_BLOCK_ROWS` rows of
+    ``work`` (a new :class:`~l1sketch.randstream.Workspace` when None), so
+    ``x0`` and ``x1`` are views into it, valid until it is next written.
     """
-    u = gen.random((3, k))
-    x0, x1, t = _envelope_points(gen, u)
-    accept = u[2] * (SQUEEZE_K / np.pi) <= ci1_density(x0, x1) * (t * np.sqrt(t))
-    return x0, x1, accept
+    buf = (Workspace() if work is None else work).floats(_BLOCK_ROWS * k)
+    u = buf[: 3 * k].reshape(3, k)
+    gen.random(out=u)
+    x1, t, tmp = _rows(buf[3 * k :], 3, (k,))
+    x0, x1, t = _envelope_points(gen, u, x1, t, tmp)
+    np.sqrt(t, out=tmp)
+    np.multiply(t, tmp, out=t)  # t^(3/2)
+    np.multiply(ci1_density(x0, x1, scratch=buf[5 * k :]), t, out=t)
+    w = np.multiply(u[2], SQUEEZE_K / np.pi, out=u[2])
+    return x0, x1, w <= t
 
 
 def first_block(need: int) -> int:
@@ -218,7 +313,16 @@ def first_block(need: int) -> int:
     return max(math.ceil(mean + 4.0 * math.sqrt(mean)), 64)
 
 
-def unit_pairs(gen: np.random.Generator, need: int):
+def pairs_scratch(need: int) -> int:
+    """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
+    holds at its peak in a new workspace: the :data:`_BLOCK_ROWS` rows of
+    its first block, and two rows more for the pairs, the accept mask and
+    the accepted candidates' indices.  tracemalloc measured 15.4 rows for a
+    group of 1,278 pairs (first block 4,082)."""
+    return (_BLOCK_ROWS + 2) * first_block(need)
+
+
+def unit_pairs(gen: np.random.Generator, need: int, work: Workspace | None = None):
     """``need`` exact unit-interval pairs from ``gen``, as two arrays.
 
     Accepted candidates are i.i.d. draws of the pair law, so
@@ -230,15 +334,18 @@ def unit_pairs(gen: np.random.Generator, need: int):
     ``REJECTION_ITERATION_CAP`` proposals per requested draw, a candidate
     counting as the ``C/(K pi)`` proposals it stands for, guards against a
     broken domination bound; exceeding it raises, it never loops silently.
+    Every block works in the one ``work`` (a new one when None).
     """
-    parts0, parts1 = [], []
+    work = Workspace() if work is None else work
+    pairs = np.empty((2, need))
     got, used = 0, 0.0
     k = first_block(need)
     while got < need:
-        x0, x1, accept = _candidate_block(gen, k)
-        parts0.append(x0[accept])
-        parts1.append(x1[accept])
-        got += parts0[-1].size
+        x0, x1, accept = _candidate_block(gen, k, work)
+        keep = np.flatnonzero(accept)[: need - got]
+        pairs[0, got : got + keep.size] = x0[keep]
+        pairs[1, got : got + keep.size] = x1[keep]
+        got += keep.size
         used += k * _PROPOSALS_PER_CANDIDATE
         if used > REJECTION_ITERATION_CAP * need:
             raise EnvelopeDominationError(
@@ -246,13 +353,13 @@ def unit_pairs(gen: np.random.Generator, need: int):
                 "envelope domination appears violated"
             )
         k = max(int((need - got) * SQUEEZE_K * 1.4), 64)
-    return np.concatenate(parts0)[:need], np.concatenate(parts1)[:need]
+    return pairs[0], pairs[1]
 
 
-def fill_pairs(gen: np.random.Generator, out: np.ndarray) -> None:
+def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
     """Exact unit-interval pairs into ``out[..., 0]`` and ``out[..., 1]``,
-    in row-major order, from one :func:`unit_pairs` call."""
-    for k, x in enumerate(unit_pairs(gen, out[..., 0].size)):
+    in row-major order, from one :func:`unit_pairs` call in ``work``."""
+    for k, x in enumerate(unit_pairs(gen, out[..., 0].size, work)):
         out[..., k] = x.reshape(out.shape[:-1])
 
 

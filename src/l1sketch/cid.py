@@ -40,7 +40,7 @@ from ._poly import (
     to_unit_interval,
 )
 from .errors import ParameterError
-from .randstream import RandomStream, cauchy_in_place, fill_groups
+from .randstream import RandomStream, Workspace, cauchy_in_place, fill_groups
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
@@ -150,7 +150,8 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
 
 
 def step_fill(cfg: ApproxConfig):
-    """The r-step sampler's fill ``fill(gen, out)``: vectors into
+    """The r-step sampler's fill ``fill(gen, out, work)``, which needs no
+    ``work``: vectors into
     ``out[..., :d+1]`` from one ``(..., r)`` uniform draw, as standard Cauchy
     steps times the node powers of :func:`_node_powers` over ``r``, which is
     Cauchy steps of scale ``1/r`` times the powers, without a pass over the
@@ -158,7 +159,7 @@ def step_fill(cfg: ApproxConfig):
     it has alone."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
-    def fill(gen: np.random.Generator, out: np.ndarray) -> None:
+    def fill(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
         u = gen.random((*out.shape[:-1], cfg.r))
         cauchy_in_place(u)
         np.matmul(u, weights, out=out)

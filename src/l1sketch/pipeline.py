@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ci1 import UNIFORMS_PER_PAIR, fill_pairs
+from .ci1 import UNIFORMS_PER_PAIR, fill_pairs, pairs_scratch
 from .cid import DEFAULT_C_MIDPOINT, MAX_STEPS, ApproxConfig, step_fill
 from .densities import (
     DensityFamily,
@@ -241,8 +241,11 @@ def sketch_family(
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
 
-    # a block's draws and products, and one group of uniforms
-    block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + group_rows(per_rep) * per_rep))
+    # a block's draws and products, and one group's scratch: its uniforms,
+    # or the degree-1 sampler's workspace and accepted pairs
+    group = min(group_rows(per_rep), _BLOCK)
+    scratch = pairs_scratch(group * n_int) if mode is SketchMode.EXACT_CI1 else group * per_rep
+    block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + scratch))
     _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 

@@ -72,18 +72,36 @@ def group_rows(per_row: float) -> int:
     return max(int(_CALL_DRAWS // per_row), 1)
 
 
+class Workspace:
+    """Flat float64 scratch that one :func:`fill_groups` call lends to each
+    of its fills, grown when a fill asks for more than it holds.  One per
+    call, so never shared between threads."""
+
+    def __init__(self):
+        self._buf = np.empty(0)
+
+    def floats(self, n: int) -> np.ndarray:
+        """The first ``n`` float64s, in a buffer grown to ``n`` if shorter."""
+        if self._buf.size < n:
+            self._buf = np.empty(n)
+        return self._buf[:n]
+
+
 def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float) -> None:
-    """The samplers' one draw loop: ``fill(gen, part)`` on the consecutive
-    parts of :func:`group_rows` rows (first-axis entries) of ``out``, for
-    ``per_row`` uniforms a row, so a call's buffers and the temporaries made
-    from them stay small whatever the row count."""
+    """The samplers' one draw loop: ``fill(gen, part, work)`` on the
+    consecutive parts of :func:`group_rows` rows (first-axis entries) of
+    ``out``, for ``per_row`` uniforms a row, so a call's buffers and the
+    temporaries made from them stay small whatever the row count.  Every
+    fill of the call gets the same :class:`Workspace` ``work``."""
     group = group_rows(per_row)
+    work = Workspace()
     for g0 in range(0, len(out), group):
-        fill(gen, out[g0 : g0 + group])
+        fill(gen, out[g0 : g0 + group], work)
 
 
-def fill_cauchy(gen: np.random.Generator, out: np.ndarray) -> None:
-    """Standard Cauchy draws into ``out[..., 0]``, by :func:`cauchy_in_place`."""
+def fill_cauchy(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
+    """Standard Cauchy draws into ``out[..., 0]``, by :func:`cauchy_in_place`;
+    they need no ``work``."""
     gen.random(out=out[..., 0])
     cauchy_in_place(out[..., 0])
 

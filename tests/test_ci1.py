@@ -7,6 +7,7 @@ form's limit there.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from l1sketch import (
     student_envelope_density,
 )
 from l1sketch.ci1 import (
+    CHECKED_RADIUS,
     DOMINATION_C,
     REJECTION_OVERHEAD,
     SQUEEZE_K,
@@ -39,10 +41,12 @@ from l1sketch.ci1 import (
     _accept_mask,
     _candidate_block,
     _density_generic,
+    fill_pairs,
     first_block,
+    pairs_scratch,
     unit_pairs,
 )
-from l1sketch.randstream import _CALL_DRAWS
+from l1sketch.randstream import _CALL_DRAWS, Workspace, fill_groups, group_rows
 
 PI = np.pi
 
@@ -197,6 +201,156 @@ def test_density_on_the_diagonal_band_matches_the_diagonal_form():
     assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0)
 
 
+# ------------------------------------------------------------ in-place kernel
+def _allocating_density(x0, x1):
+    """:func:`ci1_density` as whole-array expressions, each step a new
+    temporary: the form the in-place kernel must reproduce bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    x1 = np.asarray(x1, dtype=float)
+    with np.errstate(under="ignore"):
+        delta = np.abs(x0 - 2.0 * x1)
+        s0 = 1.0 + x0 * x0
+        d2 = delta * delta
+        q2 = s0 * s0 + 4.0 * d2
+        root = np.sqrt(q2)
+        a2 = 0.5 * (root + s0)
+        a = np.sqrt(a2)
+        b2 = d2 / a2
+        re2 = np.arctan2(2.0 * d2, a * (d2 - root))
+        im4 = np.log1p(4.0 * a * delta / ((delta - a) ** 2 + b2))
+        half_minus_im = delta * (s0 + 0.5 * root) / a
+        return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * half_minus_im) / root) / (PI**2 * q2)
+
+
+def _assert_in_place_bits(x0, x1):
+    """ci1_density with and without scratch (filled with NaN first, so that
+    nothing reads it before writing) equals the allocating form, NaN for
+    NaN; so does _density_generic given its delta and scratch."""
+    with np.errstate(all="ignore"):
+        ref = _allocating_density(x0, x1)
+        size = np.size(ref)
+        np.testing.assert_array_equal(ci1_density(x0, x1), ref)
+        got = ci1_density(x0, x1, scratch=np.full(9 * size + 3, np.nan))
+        np.testing.assert_array_equal(got, ref)
+        delta = np.abs(np.asarray(x0, dtype=float) - 2.0 * np.asarray(x1, dtype=float))
+        np.testing.assert_array_equal(_density_generic(x0, delta, np.full(8 * size, np.nan)), ref)
+
+
+def test_in_place_density_bits_on_the_polar_scan_out_to_the_checked_radius():
+    offsets = np.concatenate([[0.0], np.logspace(-12, -1, 45), -np.logspace(-12, -1, 45)])
+    centres = (0.0, PI / 2, PI, 3 * PI / 2, DIAGONAL, DIAGONAL + PI)
+    angles = np.concatenate(
+        [np.linspace(0.0, 2.0 * PI, 720, endpoint=False)] + [c + offsets for c in centres]
+    )
+    _assert_in_place_bits(*_polar(np.logspace(-6, math.log10(CHECKED_RADIUS), 400), angles))
+
+
+def test_in_place_density_bits_on_the_band_around_x0_eq_2x1():
+    x0 = np.concatenate([[0.0, 1.0, -3.0, 1e3, 1e-200], np.logspace(-3, 8, 200)])
+    x0 = np.concatenate([x0, -x0])
+    for x1 in (x0 / 2.0, (x0 - _band(x0)) / 2.0, (x0 + 0.5 * _band(x0)) / 2.0, x0 / 2.0 + 1e-200):
+        _assert_in_place_bits(x0, x1)
+
+
+def test_in_place_density_bits_in_the_far_field_out_to_radius_1e80():
+    # the formula cancels there and, past radius about 1e77, gives NaN
+    angles = np.concatenate([np.linspace(0.0, 2.0 * PI, 360, endpoint=False), [PI / 2, DIAGONAL]])
+    x0, x1 = _polar(np.logspace(6, 80, 300), angles)
+    with np.errstate(all="ignore"):
+        assert np.isnan(_allocating_density(x0, x1)).any()
+    _assert_in_place_bits(x0, x1)
+    gen = RandomStream(51).generator
+    z = np.tan(PI * gen.random((2, 20_000)))
+    for scale in (1e-3, 1.0, 1e3, 1e6, 1e12, 1e20, 1e80):
+        _assert_in_place_bits(scale * z[0], scale * z[1])
+
+
+def test_in_place_density_bits_on_0d_and_broadcast_inputs():
+    # a 0-d input gives a numpy float, squared as numpy squares a scalar
+    gen = RandomStream(52).generator
+    for a, b in np.tan(PI * gen.random((2000, 2))) * np.exp(gen.uniform(-5.0, 5.0, (2000, 1))):
+        f = ci1_density(a, b)
+        assert type(f) is np.float64
+        assert f == _allocating_density(a, b)
+        assert ci1_density(float(a), float(b), scratch=np.empty(9)) == f
+    assert type(ci1_density(0.0, 0.0, scratch=np.empty(9))) is np.float64
+    axis = np.linspace(-3.0, 3.0, 41)
+    for x0, x1 in ((axis[:, None], axis[None, :]), (1.5, axis), (axis, -0.25), (axis[:0], 1.0)):
+        _assert_in_place_bits(x0, x1)
+        assert ci1_density(x0, x1).shape == np.broadcast_shapes(np.shape(x0), np.shape(x1))
+
+
+def _peak_bytes(fn) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs, above
+    what was allocated before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+#: Candidates in the first block of a sketch group of 18 replicates on 71
+#: grid intervals, the degree-1 benchmark family's.
+_GROUP_K = first_block(18 * 71)
+
+
+def test_density_given_its_scratch_allocates_less_than_one_row():
+    assert _GROUP_K == 4_082
+    x0, x1 = np.tan(PI * RandomStream(53).generator.random((2, _GROUP_K)))
+    delta = np.abs(x0 - 2.0 * x1)
+    scratch = np.empty(8 * _GROUP_K)
+    assert _peak_bytes(lambda: _density_generic(x0, delta, scratch)) < 8 * _GROUP_K
+    scratch = np.empty(9 * _GROUP_K)
+    assert _peak_bytes(lambda: ci1_density(x0, x1, scratch=scratch)) < 8 * _GROUP_K
+
+
+def test_candidate_block_given_its_workspace_peaks_below_four_rows():
+    # draw, envelope points, density and test all run in the workspace; the
+    # block returns views of it and the accept mask
+    gen = RandomStream(54).generator
+    work = Workspace()
+    _candidate_block(gen, _GROUP_K, work)
+    assert _peak_bytes(lambda: _candidate_block(gen, _GROUP_K, work)) <= 4 * 8 * _GROUP_K
+
+
+@pytest.mark.parametrize("replicates", [18, 10])
+def test_pairs_scratch_is_the_measured_peak_of_a_group(replicates):
+    # the count sketch_family gives _fan_out for a group's degree-1 scratch
+    # is what a fill_pairs call in a new workspace holds at its peak
+    out = np.empty((replicates, 71, 2))
+    gen = RandomStream(55).generator
+    counted = 8 * pairs_scratch(out[..., 0].size)
+    for _ in range(5):
+        peak = _peak_bytes(lambda: fill_pairs(gen, out, Workspace()))
+        assert 0.9 * counted <= peak <= counted
+
+
+def test_fill_groups_lends_one_workspace_that_every_block_reuses():
+    # a block of 64 replicates on 71 intervals: groups of 18, 18, 18 and 10
+    # replicates in one workspace, sized by the first group's first block,
+    # with the bits of a new workspace for every group
+    per_rep = 71 * UNIFORMS_PER_PAIR
+    seen = []
+
+    def recording(gen, out, work):
+        fill_pairs(gen, out, work)
+        seen.append((work, work.floats(1).ctypes.data))
+
+    z = np.empty((64, 71, 2))
+    fill_groups(RandomStream(56).generator, recording, z, per_rep)
+    assert len(seen) == 4 and len(set(seen)) == 1
+    assert seen[0][0].floats(0).base.size == 14 * _GROUP_K
+    ref = np.empty_like(z)
+    gen = RandomStream(56).generator
+    group = group_rows(per_rep)
+    for g0 in range(0, 64, group):
+        fill_pairs(gen, ref[g0 : g0 + group], Workspace())
+    np.testing.assert_array_equal(z, ref)
+
+
 # ------------------------------------------------------------------- envelope
 def test_envelope_frozen_values():
     assert student_envelope_density(0.0, 0.0) == pytest.approx(1.0 / PI, rel=1e-14)
@@ -271,7 +425,7 @@ def test_sampler_draws_in_groups_of_the_sketch_size():
 
 
 def test_rejection_loop_raises_instead_of_looping(monkeypatch):
-    def reject_all(x0, x1):
+    def reject_all(x0, x1, **kwargs):
         return np.full(np.shape(x0), -1.0)
 
     # a density below zero everywhere rejects every candidate, in the one

@@ -596,10 +596,10 @@ def test_degree_one_sketch_evaluates_about_three_density_points_per_pair(monkeyp
     calls, points = [], []
     real = ci1_mod.ci1_density
 
-    def counting(x0, x1):
+    def counting(x0, x1, **kwargs):
         calls.append(1)
         points.append(np.size(x0))
-        return real(x0, x1)
+        return real(x0, x1, **kwargs)
 
     monkeypatch.setattr(ci1_mod, "ci1_density", counting)
     fam = random_piecewise_linear_family(3, 40, RandomStream(49))
@@ -733,10 +733,11 @@ def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch
     monkeypatch.setattr(pipeline_mod, "_fan_out", record)
     monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "asked", [])
-    # a cap of two blocks' scratch: 8 threads are cut to 2 workers
+    # a cap of two blocks' scratch: 8 threads are cut to 2 workers; a block
+    # counts the degree-1 workspace of its largest group, at most _BLOCK rows
     n_int = len(fam.breakpoints) - 1
-    group = int(_CALL_DRAWS // (n_int * ci1_mod.UNIFORMS_PER_PAIR))
-    block = 8 * (_BLOCK * (2 * n_int + fam.m) + group * n_int * ci1_mod.UNIFORMS_PER_PAIR)
+    group = min(int(_CALL_DRAWS // (n_int * ci1_mod.UNIFORMS_PER_PAIR)), _BLOCK)
+    block = 8 * (_BLOCK * (2 * n_int + fam.m) + ci1_mod.pairs_scratch(group * n_int))
     monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 2 * int(block))
     eight = run_scheme(fam, 0.5, 0.5, "sketch", seed=3, threads=8)
     np.testing.assert_array_equal(eight.entries, one.entries)
