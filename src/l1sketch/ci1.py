@@ -27,9 +27,9 @@ envelope points and the density to the accept test, in the
 :class:`~l1sketch.randstream.Workspace` that
 :func:`~l1sketch.randstream.fill_groups` lends to every group of a call.
 Whole-array temporaries (20 rows of a block, freed together after each
-group) let the allocator hand the memory back and fault it in again: about
-12,500 minor page faults a sketch of the 71-interval degree-1 benchmark
-family, against under 50 in the workspace.
+group) let glibc hand the memory back and fault it in again: 14,279 minor
+page faults a sketch of the 71-interval degree-1 benchmark family, and none
+in the workspace.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s

@@ -151,12 +151,11 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
 
 def step_fill(cfg: ApproxConfig):
     """The r-step sampler's fill ``fill(gen, out, work)``, which needs no
-    ``work``: vectors into
-    ``out[..., :d+1]`` from one ``(..., r)`` uniform draw, as standard Cauchy
-    steps times the node powers of :func:`_node_powers` over ``r``, which is
-    Cauchy steps of scale ``1/r`` times the powers, without a pass over the
-    steps.  Stacked, not flattened, so each ``(L, r)`` product has the bits
-    it has alone."""
+    ``work``: vectors into ``out[..., :d+1]`` from one ``(..., r)`` uniform
+    draw, as standard Cauchy steps times the node powers of
+    :func:`_node_powers` over ``r``, which is Cauchy steps of scale ``1/r``
+    times the powers, without a pass over the steps.  Stacked, not
+    flattened, so each ``(L, r)`` product has the bits it has alone."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
     def fill(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:

@@ -342,7 +342,7 @@ def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     z = np.empty((64, 71, 2))
     fill_groups(RandomStream(56).generator, recording, z, per_rep)
     assert len(seen) == 4 and len(set(seen)) == 1
-    assert seen[0][0].floats(0).base.size == 14 * _GROUP_K
+    assert seen[0][0].floats(0).base.size == ci1_mod._BLOCK_ROWS * _GROUP_K
     ref = np.empty_like(z)
     gen = RandomStream(56).generator
     group = group_rows(per_rep)
