@@ -128,10 +128,7 @@ def _density_generic(x0, delta, scratch=None):
     np.multiply(4.0, a, out=num)
     np.multiply(num, delta, out=num)
     np.subtract(delta, a, out=den)
-    if den.ndim:
-        np.square(den, out=den)
-    else:  # a numpy float squares by pow(), whose last bit can differ
-        den[()] = den[()] ** 2
+    np.square(den, out=den)
     np.add(den, b2, out=den)
     np.divide(num, den, out=num)
     im4 = np.log1p(num, out=num)

@@ -19,10 +19,10 @@ is that of the Riemann sum.  Two node rules are offered:
 
 The constants are not constructive, so calibrated empirical defaults are
 shipped for both rules; see :func:`calibrate_c`.  The distance pipeline and
-the CLI use midpoints; right endpoints remain the library default, as the
-reference the acceptance suite pins.  The fill of :func:`step_fill` makes
-every r-step draw, of :func:`sample_cid_approx_unit` and of the sketch alike.
-Draws are plain arrays whose last axis holds ``(X_0, ..., X_d)``.
+the CLI use midpoints, :data:`SKETCH_NODES`; right endpoints remain the
+library default, the reference the acceptance suite pins.  :func:`step_fill`
+makes every r-step draw, of :func:`sample_cid_approx_unit` and of the sketch
+alike.  Draws are plain arrays whose last axis holds ``(X_0, ..., X_d)``.
 """
 
 from __future__ import annotations
@@ -58,6 +58,9 @@ DEFAULT_C_MIDPOINT = 2.24
 #: Node rules of the r-step sampler and their default constants.
 NODE_RULES = {"right": DEFAULT_C, "midpoint": DEFAULT_C_MIDPOINT}
 
+#: Node rule of the sketch's r-step sampler, which ``sample cid`` and ``calibrate`` share.
+SKETCH_NODES = "midpoint"
+
 #: Largest step count ``r``, given or derived, that :class:`ApproxConfig`
 #: accepts and :func:`calibrate_c` searches.  A draw holds ``r`` float64
 #: uniforms per interval, so 10**6 steps are 8 MB per interval and
@@ -87,6 +90,22 @@ def _check_nodes(nodes: str) -> None:
         raise ParameterError(f"nodes must be one of {sorted(NODE_RULES)}, got {nodes!r}")
 
 
+def rule_constant(nodes: str, c: float | None) -> float:
+    """``c``, or rule ``nodes``'s calibrated constant for None; refused unless finite and > 0."""
+    _check_nodes(nodes)
+    c = NODE_RULES[nodes] if c is None else c
+    _check_positive("c_constant", c)
+    return c
+
+
+def step_count(nodes: str, c: float, d: int, eps):
+    """Rule ``nodes``'s step count for error ``eps`` (a float or an array), a
+    float of at least 1, unchecked against :data:`MAX_STEPS` (inf for a huge ``c``)."""
+    with np.errstate(over="ignore"):
+        steps = c * d**2 / eps if nodes == "right" else c * d / np.sqrt(eps)
+    return np.maximum(np.ceil(steps), 1.0)
+
+
 def unit_nodes(r: int, nodes: str) -> np.ndarray:
     """The ``r`` nodes of a rule on the unit interval: ``j/r`` (right) or
     ``(j - 1/2)/r`` (midpoint) for ``j = 1..r``."""
@@ -100,10 +119,8 @@ def unit_nodes(r: int, nodes: str) -> np.ndarray:
 class ApproxConfig:
     """Discretization settings: ``r`` steps at the nodes of rule ``nodes``.
 
-    Unless given, ``r = ceil(c d^2 / eps)`` for right endpoints and
-    ``r = ceil(c d / sqrt(eps))`` for midpoints, with ``c = c_constant``
-    defaulting to the rule's calibrated constant (:data:`DEFAULT_C` or
-    :data:`DEFAULT_C_MIDPOINT`).  An ``r`` below 1 or above
+    Unless given, ``r`` is the rule's :func:`step_count`, with ``c`` the
+    :func:`rule_constant` of ``c_constant``.  An ``r`` below 1 or above
     :data:`MAX_STEPS` raises :class:`ParameterError`.
     """
 
@@ -117,21 +134,18 @@ class ApproxConfig:
         self.d = int(self.d)
         if self.d < 0 or self.d > MAX_DEGREE:
             raise ParameterError(f"degree must be in [0, {MAX_DEGREE}], got {self.d}")
-        _check_nodes(self.nodes)
-        if self.c_constant is None:
-            self.c_constant = NODE_RULES[self.nodes]
-        _check_positive("c_constant", self.c_constant)
+        self.c_constant = rule_constant(self.nodes, self.c_constant)
         _check_positive("epsilon_integration", self.epsilon_integration)
         c, d, eps = self.c_constant, self.d, self.epsilon_integration
         if self.r is None:
-            steps = c * d**2 / eps if self.nodes == "right" else c * d / math.sqrt(eps)
+            steps = step_count(self.nodes, c, d, eps)
             # checked as a float: a huge c_constant can make steps inf
             if not steps <= MAX_STEPS:
                 raise ParameterError(
                     f"derived r = {steps:.3g} exceeds the limit of {MAX_STEPS} steps "
                     f"(d={d}, epsilon_integration={eps}, c_constant={c})"
                 )
-            self.r = max(1, math.ceil(steps))
+            self.r = int(steps)
         else:
             self.r = int(self.r)
             if not 1 <= self.r <= MAX_STEPS:

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .ci1 import CHECKED_RADIUS, ci1_density, sample_ci1_unit
-from .cid import ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
+from .cid import SKETCH_NODES, ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
 from .densities import eval_density
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, manifest_line, matrix_to_csv, matrix_to_json
@@ -179,7 +179,7 @@ def cmd_sample(args) -> int:
             epsilon_integration=args.eps_int,
             c_constant=args.c_constant,
             r=args.r,
-            nodes="midpoint",
+            nodes=SKETCH_NODES,
         )
         # the resolved r: with d, nodes and the seed it fixes the draws
         params.update(d=cfg.d, r=cfg.r, nodes=cfg.nodes)
@@ -231,7 +231,7 @@ def cmd_eval(args) -> int:
 
 def cmd_calibrate(args) -> int:
     result = calibrate_c(
-        args.d_max, args.eps, args.trials, RandomStream(args.seed), nodes="midpoint"
+        args.d_max, args.eps, args.trials, RandomStream(args.seed), nodes=SKETCH_NODES
     )
     manifest = build_manifest(
         "calibrate",

@@ -13,7 +13,7 @@ group, which release the GIL, so blocks run in parallel on threads.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
-one m-by-t matrix.  In :func:`run_scheme` the degree alone picks the sampler;
+one m-by-t matrix.  In :func:`plan_run` the degree alone picks the sampler;
 :func:`sketch_family` also runs the r-step mode on degree 1.
 
 Sharing the per-interval draws within a replicate is what makes differences
@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ci1 import UNIFORMS_PER_PAIR, fill_pairs, pairs_scratch
-from .cid import DEFAULT_C_MIDPOINT, MAX_STEPS, ApproxConfig, step_fill
+from .cid import MAX_STEPS, SKETCH_NODES, ApproxConfig, rule_constant, step_count, step_fill
 from .densities import (
     DensityFamily,
     eval_density,
@@ -379,31 +379,55 @@ def mc_all_pairs(
     )
 
 
-def _auto_mode(degree: int) -> SketchMode:
-    if degree == 0:
-        return SketchMode.UNIFORM_FASTPATH
-    if degree == 1:
-        return SketchMode.EXACT_CI1
-    return SketchMode.CID_APPROX
+def _stated_bounds(eps_int: float, eps_est: float) -> tuple[float, float]:
+    """The r-step mode's bounds on the relative error, above and below."""
+    return (1 + eps_int) * (1 + eps_est) - 1.0, 1.0 - (1 - eps_int) * (1 - eps_est)
 
 
 def _error_split(epsilon: float, d: int, c: float) -> tuple[float, float]:
     """The r-step mode's ``(eps_int, eps_est)``: of ``eps_int = epsilon k /
     1000``, ``k = 1..999``, the first to minimise the draw cost
-    ``r(eps_int) / eps_est^2`` (t times r up to t's ceiling), with ``r`` as
-    :class:`l1sketch.cid.ApproxConfig` derives it for midpoints and ``eps_est``
+    ``r(eps_int) / eps_est^2`` (t times r up to t's ceiling), with ``r`` the
+    :func:`l1sketch.cid.step_count` of the sketch's nodes and ``eps_est``
     from ``(1 + eps_int)(1 + eps_est) = 1 + epsilon``, stepped down an ulp
     at a time until the stated upper bound is at most ``epsilon`` as a float.
     """
     eps_int = epsilon * np.arange(1, 1000) / 1000
     eps_est = (epsilon - eps_int) / (1 + eps_int)
     # a c past MAX_STEPS is refused for every split, by the one ApproxConfig built
-    r = np.ceil(min(c, MAX_STEPS) * d / np.sqrt(eps_int))
+    r = step_count(SKETCH_NODES, min(c, MAX_STEPS), d, eps_int)
     best = int(np.argmin(r / eps_est**2))
     eps_int, eps_est = float(eps_int[best]), float(eps_est[best])
-    while (1 + eps_int) * (1 + eps_est) - 1.0 > epsilon:
+    while _stated_bounds(eps_int, eps_est)[0] > epsilon:
         eps_est = math.nextafter(eps_est, 0.0)
     return eps_int, eps_est
+
+
+def plan_run(
+    epsilon: float, delta: float, m: int, degree: int, c_constant: float | None = None
+) -> tuple[dict, ApproxConfig | None]:
+    """Every parameter of a sketch run of ``m`` densities of ``degree``: the
+    run's config but its seed, and the r-step mode's ``ApproxConfig`` or
+    None.  The degree picks the sampler: fast path at 0, exact pairs at 1,
+    r-step vectors from 2, which take the :func:`_error_split` of
+    ``epsilon``; ``t`` is :func:`required_sample_count` at the estimator's
+    epsilon.  A bad ``epsilon`` or ``c_constant`` raises ParameterError."""
+    if not (0.0 < epsilon <= 0.5):
+        raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
+    c = rule_constant(SKETCH_NODES, c_constant)
+    modes = SketchMode.UNIFORM_FASTPATH, SketchMode.EXACT_CI1, SketchMode.CID_APPROX
+    mode = modes[min(degree, 2)]
+    eps_est, approx, r_step = epsilon, None, {}
+    if mode is SketchMode.CID_APPROX:
+        eps_int, eps_est = _error_split(epsilon, degree, c)
+        approx = ApproxConfig(degree, eps_int, c, nodes=SKETCH_NODES)
+        upper, lower = _stated_bounds(eps_int, eps_est)
+        r_step = dict(epsilon_integration=eps_int, r=approx.r, nodes=approx.nodes, c_constant=c)
+        r_step.update(relative_error_upper=upper, relative_error_lower=lower)
+    t = required_sample_count(eps_est, delta, m)
+    config = {"epsilon": eps_est, "delta": delta, "t": t, "mode": mode.value}
+    config.update(epsilon_requested=epsilon, **r_step)
+    return config, approx
 
 
 def run_scheme(
@@ -415,27 +439,16 @@ def run_scheme(
     threads: int = 1,
     c_constant: float | None = None,
 ) -> DistanceMatrix:
-    """Dispatch to the exact oracle, the sketch scheme, or the MC baseline.
-
-    The degree picks the sampler: fast path at 0, exact pairs at 1, r-step
-    vectors from 2.  The r-step mode has discretization error, so it splits
-    ``epsilon`` into ``eps_int`` and ``eps_est`` with
-    ``(1 + eps_int)(1 + eps_est) <= 1 + epsilon``, at the split of
-    :func:`_error_split` that costs the fewest draws (``eps_int`` near
-    ``epsilon / 5``), and echoes both stated bounds, ``(1 + eps_int)(1 +
-    eps_est) - 1`` and ``1 - (1 - eps_int)(1 - eps_est)``, which are at most
-    ``epsilon``.  It uses midpoint nodes, with ``r = ceil(c d /
-    sqrt(eps_int))`` and ``c`` defaulting to
-    :data:`l1sketch.cid.DEFAULT_C_MIDPOINT`.  A non-finite ``epsilon``,
-    ``delta`` or ``c_constant``, an ``epsilon <= 0`` or a ``delta`` outside
-    (0, 1) raises :class:`ParameterError` for every method, before any work;
-    the sketch also refuses ``epsilon > 1/2`` and the MC baseline
-    ``epsilon > 2``.
-    """
+    """Dispatch to the exact oracle, the sketch of :func:`plan_run`'s plan or
+    the MC baseline.  A non-finite or non-positive ``epsilon``, a ``delta``
+    outside (0, 1) or a bad ``c_constant`` raises :class:`ParameterError`
+    for every method, before any work; the sketch also refuses ``epsilon >
+    1/2`` and the MC baseline ``epsilon > 2``."""
     _check_threads(threads)
-    for name, value in (("epsilon", epsilon), ("delta", delta), ("c_constant", c_constant)):
-        if value is not None and not math.isfinite(value):
+    for name, value in (("epsilon", epsilon), ("delta", delta)):
+        if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")
+    rule_constant(SKETCH_NODES, c_constant)
     if not epsilon > 0.0:
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
@@ -449,35 +462,10 @@ def run_scheme(
     if method != "sketch":
         raise ParameterError(f"unknown method {method!r}")
 
-    if not (0.0 < epsilon <= 0.5):
-        raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
-    mode = _auto_mode(family.degree)
-    split = mode is SketchMode.CID_APPROX
-    eps_est, approx_config = epsilon, None
-    if split:
-        c = DEFAULT_C_MIDPOINT if c_constant is None else c_constant
-        eps_int, eps_est = _error_split(epsilon, family.degree, c)
-        approx_config = ApproxConfig(
-            d=family.degree,
-            epsilon_integration=eps_int,
-            c_constant=c_constant,
-            nodes="midpoint",
-        )
-    t = required_sample_count(eps_est, delta, family.m)
+    plan, approx = plan_run(epsilon, delta, family.m, family.degree, c_constant)
     sketch = sketch_family(
-        family, t, mode, RandomStream(seed), threads=threads, approx_config=approx_config
+        family, plan["t"], plan["mode"], RandomStream(seed), threads=threads, approx_config=approx
     )
-    dm = estimate_all_pairs(sketch, eps_est, delta, threads=threads)
-    dm.config.update({"epsilon_requested": epsilon, "seed": seed})
-    if split:
-        dm.config.update(
-            {
-                "epsilon_integration": eps_int,
-                "r": approx_config.r,
-                "nodes": approx_config.nodes,
-                "c_constant": approx_config.c_constant,
-                "relative_error_upper": (1 + eps_int) * (1 + eps_est) - 1.0,
-                "relative_error_lower": 1.0 - (1 - eps_int) * (1 - eps_est),
-            }
-        )
+    dm = estimate_all_pairs(sketch, plan["epsilon"], delta, threads=threads)
+    dm.config.update(plan, seed=seed)
     return dm

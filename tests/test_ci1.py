@@ -266,18 +266,26 @@ def test_in_place_density_bits_in_the_far_field_out_to_radius_1e80():
 
 
 def test_in_place_density_bits_on_0d_and_broadcast_inputs():
-    # a 0-d input gives a numpy float, squared as numpy squares a scalar
+    # a 0-d input gives a numpy float, with the bits of a one-element array
     gen = RandomStream(52).generator
     for a, b in np.tan(PI * gen.random((2000, 2))) * np.exp(gen.uniform(-5.0, 5.0, (2000, 1))):
         f = ci1_density(a, b)
         assert type(f) is np.float64
-        assert f == _allocating_density(a, b)
+        assert f == _allocating_density([a], [b])[0]
         assert ci1_density(float(a), float(b), scratch=np.empty(9)) == f
     assert type(ci1_density(0.0, 0.0, scratch=np.empty(9))) is np.float64
     axis = np.linspace(-3.0, 3.0, 41)
     for x0, x1 in ((axis[:, None], axis[None, :]), (1.5, axis), (axis, -0.25), (axis[:0], 1.0)):
         _assert_in_place_bits(x0, x1)
         assert ci1_density(x0, x1).shape == np.broadcast_shapes(np.shape(x0), np.shape(x1))
+
+
+def test_density_of_0d_inputs_has_the_bits_of_the_same_points_in_an_array():
+    # numpy squares a numpy float by C pow(), whose last bit can differ from
+    # the x * x it uses for arrays: squared so, 3 of these points differ
+    x0, x1 = np.tan(PI * RandomStream(53).generator.random((2, 20_000)))
+    whole = ci1_density(x0, x1)
+    np.testing.assert_array_equal([ci1_density(a, b) for a, b in zip(x0, x1)], whole)
 
 
 def _peak_bytes(fn) -> int:

@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -19,6 +21,7 @@ from l1sketch import (
     merge_breakpoints,
     uniform_density,
 )
+from conftest import random_segment_family
 import l1sketch.cli as cli_mod
 import l1sketch.pipeline as pipeline_mod
 import l1sketch.randstream as randstream_mod
@@ -102,6 +105,17 @@ def _quadratic_family_path(tmp_path):
         2,
     )
     path = tmp_path / "quad.json"
+    save_family(fam, str(path))
+    return path
+
+
+def _linear_family_path(tmp_path):
+    fam = DensityFamily(
+        Breakpoints(np.array([0.0, 1.0])),
+        [PiecewisePolyDensity(f"l{j}", [0], [1], [[1.0 - 0.5 * j, float(j)]], 1) for j in range(3)],
+        1,
+    )
+    path = tmp_path / "lin.json"
     save_family(fam, str(path))
     return path
 
@@ -384,12 +398,45 @@ def test_dist_threads_below_one_exit_3(pair_family_path, tmp_path, capsys, metho
         (["--delta", "-0.5"], "delta must be in (0, 1)"),
         # r = ceil(c d / sqrt(eps_int)) would be about 6e300 steps
         (["--c-constant", "1e300"], "exceeds the limit of 1000000 steps"),
+        # a constant that is not positive, for every method and at degree 1
+        (["lin.json", "--c-constant", "-1"], "c_constant must be finite and positive"),
+        (["lin.json", "--c-constant", "0"], "c_constant must be finite and positive"),
+        (["lin.json", "--c-constant", "-1", "--method", "exact"], "c_constant must be finite and positive"),
+        (["--c-constant", "0", "--method", "exact"], "c_constant must be finite and positive"),
+        (["--c-constant", "-1", "--method", "mc"], "c_constant must be finite and positive"),
     ],
 )
-def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, args, message):
+def test_dist_non_finite_parameter_exit_3(tmp_path, capsys, monkeypatch, args, message):
+    # rows that name lin.json run on a degree-1 family, the rest on a quadratic one
+    monkeypatch.chdir(tmp_path)
+    _linear_family_path(tmp_path)
+    if "lin.json" not in args:
+        args = [str(_quadratic_family_path(tmp_path)), *args]
     out = tmp_path / "dist.csv"
-    code = main(["dist", str(_quadratic_family_path(tmp_path)), *args, "--out", str(out)])
+    code = main(["dist", *args, "--out", str(out)])
     assert message in _assert_refused(code, 3, out, capsys)
+
+
+#: Keys of a sketch run's config line that the benchmark in perfbench/ reads:
+#: at every degree, and, from degree 2, those of the r-step mode
+_BENCH_KEYS = {"epsilon", "mode", "seed", "t"}
+_BENCH_R_STEP_KEYS = {"epsilon_integration", "r", "relative_error_upper", "relative_error_lower"}
+
+
+def test_dist_config_line_carries_every_key_the_benchmark_reads(tmp_path):
+    # perfbench/worker.py rebuilds a run's set-up call from the config line
+    # and perfbench/check.py reads its bounds; the sources are only read here
+    bench = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+    sources = "".join(path.read_text(encoding="utf-8") for path in sorted(bench.glob("*.py")))
+    assert set(re.findall(r'config\["(\w+)"\]', sources)) == _BENCH_KEYS | _BENCH_R_STEP_KEYS
+    for degree in range(4):
+        path = tmp_path / f"d{degree}.json"
+        save_family(random_segment_family(np.random.default_rng(degree), 3, degree), str(path))
+        out = tmp_path / f"d{degree}.csv"
+        assert main(["dist", str(path), "--epsilon", "0.5", "--delta", "0.5", "--out", str(out)]) == 0
+        config = json.loads(out.read_text().splitlines()[2].removeprefix("# config: "))
+        wanted = _BENCH_KEYS | (_BENCH_R_STEP_KEYS if degree >= 2 else set())
+        assert wanted <= config.keys(), (degree, wanted - config.keys())
 
 
 def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch):

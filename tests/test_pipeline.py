@@ -1,5 +1,6 @@
 """Sketch construction, estimation, the MC baseline, and scheme dispatch."""
 
+import json
 import math
 import re
 import sys
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l1sketch.ci1 as ci1_mod
+import l1sketch.cli as cli_mod
 import l1sketch.densities as densities_mod
 import l1sketch.pipeline as pipeline_mod
 from conftest import ks_against_cauchy, random_segment_family
@@ -48,7 +50,8 @@ from l1sketch.ci1 import (
 from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
-from l1sketch.pipeline import _BLOCK, _PAIR_ROWS, SketchMatrix, _error_split
+from l1sketch.io import load_family, save_family
+from l1sketch.pipeline import _BLOCK, _PAIR_ROWS, SketchMatrix, _error_split, plan_run
 from l1sketch.randstream import _CALL_DRAWS
 
 
@@ -66,6 +69,12 @@ def _quadratic_pair():
     flat = density_from_pieces("one", [(0.0, 1.0, np.array([1.0, 0.0, 0.0]))], degree=2)
     bowl = density_from_pieces("3x2", [(0.0, 1.0, np.array([0.0, 0.0, 3.0]))], degree=2)
     return merge_breakpoints([flat, bowl])
+
+
+def _cubic_pair():
+    flat = density_from_pieces("one", [(0.0, 1.0, np.array([1.0, 0.0, 0.0, 0.0]))], degree=3)
+    cup = density_from_pieces("4x3", [(0.0, 1.0, np.array([0.0, 0.0, 0.0, 4.0]))], degree=3)
+    return merge_breakpoints([flat, cup])
 
 
 def test_single_uniform_projection_is_standard_cauchy():
@@ -868,27 +877,37 @@ def test_error_split_steps_meet_eps_int_on_root_rich_polynomials():
             assert rel.max() <= eps_int, (d, eps_int, r, rel.max())
 
 
-@pytest.mark.parametrize("family", [_uniform_pair, _linear_pair, _quadratic_pair])
-def test_sketch_family_rebuilds_from_a_run_config(family):
-    # the call a traced benchmark run makes to time one replicate's set-up:
-    # mode, seed and r-step settings read back from run_scheme's config
-    # and the whole run, entries bit for bit
-    fam = family()
-    dm = run_scheme(fam, 0.5, 0.5, "sketch", seed=26)
-    config = dm.config
-    approx = None
+@pytest.mark.parametrize("family", [_uniform_pair, _linear_pair, _quadratic_pair, _cubic_pair])
+def test_sketch_family_rebuilds_from_a_run_config(family, tmp_path):
+    # a dist run rebuilt from its config line alone: the plan from the
+    # requested epsilon, delta and c and the family's m and degree, and from
+    # the plan the whole run, entries bit for bit; and the call a traced
+    # benchmark run makes to time one replicate's set-up, from the mode,
+    # seed and r-step settings read back
+    path = tmp_path / "family.json"
+    save_family(family(), str(path))
+    out = tmp_path / "dist.csv"
+    argv = ["dist", str(path), "--epsilon", "0.5", "--delta", "0.5", "--seed", "26", "--out", str(out)]
+    assert cli_mod.main(argv) == 0
+    lines = out.read_text().splitlines()
+    config = json.loads(lines[2].removeprefix("# config: "))
+    entries = np.array([[float(v) for v in line.split(",")[1:]] for line in lines[4:]])
+    fam = load_family(str(path))
+    plan, approx = plan_run(
+        config["epsilon_requested"], config["delta"], fam.m, fam.degree, config.get("c_constant")
+    )
+    assert (plan, approx) == plan_run(0.5, 0.5, fam.m, fam.degree)
+    assert plan == {key: value for key, value in config.items() if key != "seed"}
+    sk = sketch_family(fam, plan["t"], plan["mode"], RandomStream(config["seed"]), approx_config=approx)
+    np.testing.assert_array_equal(estimate_all_pairs(sk, plan["epsilon"], plan["delta"]).entries, entries)
+    bench_approx = None
     if "epsilon_integration" in config:
-        approx = ApproxConfig(
+        bench_approx = ApproxConfig(
             fam.degree, config["epsilon_integration"], r=config["r"], nodes=config["nodes"]
         )
-    sk = sketch_family(fam, 1, config["mode"], RandomStream(config["seed"]), approx_config=approx)
+    sk = sketch_family(fam, 1, config["mode"], RandomStream(config["seed"]), approx_config=bench_approx)
     assert sk.values.shape == (fam.m, 1)
     assert sk.mode.value == config["mode"]
-    sk = sketch_family(
-        fam, config["t"], config["mode"], RandomStream(config["seed"]), approx_config=approx
-    )
-    rebuilt = estimate_all_pairs(sk, config["epsilon"], config["delta"])
-    np.testing.assert_array_equal(rebuilt.entries, dm.entries)
 
 
 def test_sketch_cost_scales_linearly_in_t():
