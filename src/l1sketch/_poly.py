@@ -140,6 +140,7 @@ def integrate_abs_local(coeffs, width):
     c2 = c[..., 2] if c.shape[-1] > 2 else np.zeros_like(c0)
     half, third = 0.5 * c1, c2 / 3.0
 
+    # inline, not poly_eval(poly_antideriv(c), u): same bits, the oracle 1.6x slower
     def anti(u):
         return u * (c0 + u * (half + u * third))
 

@@ -25,11 +25,13 @@ ch. XI), which also gives the envelope's value there for free, and one is
 A block of candidates runs in place, from the uniform draw through the
 envelope points and the density to the accept test, in the
 :class:`~l1sketch.randstream.Workspace` that
-:func:`~l1sketch.randstream.fill_groups` lends to every group of a call.
-Whole-array temporaries (20 rows of a block, freed together after each
-group) let glibc hand the memory back and fault it in again: 14,279 minor
-page faults a sketch of the 71-interval degree-1 benchmark family, and none
-in the workspace.
+:func:`~l1sketch.randstream.fill_groups` lends to every group of a call,
+and :func:`fill_pairs`, the one rejection loop, writes each block's
+accepted candidates straight into the group's slots.  Whole-array
+temporaries (20 rows of a block, freed together after each group) let
+glibc hand the memory back and fault it in again: 14,279 minor page faults
+a sketch of the 71-interval degree-1 benchmark family, and none in the
+workspace.
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
@@ -78,17 +80,15 @@ _PI2 = np.pi**2
 _DENSITY_ROWS = 9
 
 
-def _rows(buf, count: int, shape) -> list[np.ndarray]:
+def _rows(buf: np.ndarray, count: int, shape) -> list[np.ndarray]:
     """``count`` C-contiguous float64 arrays of ``shape``, in order from the
-    front of the flat ``buf``, or of a new buffer when ``buf`` is None."""
+    front of the flat ``buf``."""
     size = math.prod(shape)
-    if buf is None:
-        buf = np.empty(count * size)
     rows = buf[: count * size].reshape(count, *shape)
     return [rows[i, ...] for i in range(count)]
 
 
-def _density_generic(x0, delta, scratch=None):
+def _density_generic(x0, delta, scratch: np.ndarray):
     # The density at delta = |x0 - 2*x1| >= 0.  Nothing divides by delta, so
     # it is regular on the line x0 = 2*x1, where it is 4/(pi^2 s0^2) +
     # 1/(pi s0^(3/2)).  It is even in delta and in x0, so point-symmetric bit
@@ -106,9 +106,9 @@ def _density_generic(x0, delta, scratch=None):
     #   which differ by 4 a delta, so it is log1p(4 a delta / the second).
     # So, with b2 = delta^2 / a^2 and h = delta (s0 + |q|/2) / a = -Im(q^(3/2))/2,
     # the density is (4 + (re2 a (2 s0 - |q|) - im4 h) / |q|) / (pi^2 q2).
-    # Every step writes into one of eight rows of the flat ``scratch`` (a new
-    # one when None), in the order and association of that expression; the
-    # result is returned in one of them.  x0 and delta are only read.
+    # Every step writes into one of eight rows of the flat ``scratch``, in the
+    # order and association of that expression; the result is returned in one
+    # of them.  x0 and delta are only read.
     s0, d2, q2, root, b2, a, num, den = _rows(scratch, 8, np.broadcast(x0, delta).shape)
     np.multiply(x0, x0, out=s0)
     np.add(1.0, s0, out=s0)
@@ -272,7 +272,7 @@ def _accept_mask(x0, x1, u01):
 _BLOCK_ROWS = 5 + _DENSITY_ROWS
 
 
-def _candidate_block(gen: np.random.Generator, k: int, work: Workspace | None = None):
+def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
     """``k`` candidates, as ``(x0, x1, accept)``.
 
     One ``(3, k)`` uniform draw: rows 0 and 1 give the envelope points
@@ -281,10 +281,10 @@ def _candidate_block(gen: np.random.Generator, k: int, work: Workspace | None = 
     has ``u * (C/pi) = w * K``, so it is accepted when ``w * K * g <= f``,
     here ``w * K/pi <= f * t^(3/2)`` with ``g = 1/(pi t^(3/2))``.  Every
     step from the draw to the test writes into :data:`_BLOCK_ROWS` rows of
-    ``work`` (a new :class:`~l1sketch.randstream.Workspace` when None), so
-    ``x0`` and ``x1`` are views into it, valid until it is next written.
+    the :class:`~l1sketch.randstream.Workspace` ``work``, so ``x0`` and
+    ``x1`` are views into it, valid until it is next written.
     """
-    buf = (Workspace() if work is None else work).floats(_BLOCK_ROWS * k)
+    buf = work.floats(_BLOCK_ROWS * k)
     u = buf[: 3 * k].reshape(3, k)
     gen.random(out=u)
     x1, t, tmp = _rows(buf[3 * k :], 3, (k,))
@@ -313,35 +313,43 @@ def first_block(need: int) -> int:
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
     holds at its peak in a new workspace: the :data:`_BLOCK_ROWS` rows of
-    its first block, and two rows more for the pairs, the accept mask and
-    the accepted candidates' indices.  tracemalloc measured 15.4 rows for a
-    group of 1,278 pairs (first block 4,082)."""
-    return (_BLOCK_ROWS + 2) * first_block(need)
+    its first block, and one row more for the accept mask, the accepted
+    candidates' indices and their values on the way into the output.
+    tracemalloc measured 14.8 rows for a group of 1,278 pairs (first block
+    4,082)."""
+    return (_BLOCK_ROWS + 1) * first_block(need)
 
 
-def unit_pairs(gen: np.random.Generator, need: int, work: Workspace | None = None):
-    """``need`` exact unit-interval pairs from ``gen``, as two arrays.
+def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
+    """Exact unit-interval pairs into ``out[..., 0]`` (``x0``) and
+    ``out[..., 1]`` (``x1``), in row-major order: the sampler's one
+    rejection loop.
 
-    Accepted candidates are i.i.d. draws of the pair law, so
-    :func:`fill_pairs` asks for a whole group's slots at once.  Draws a
-    first block of :func:`first_block` candidates (so block shapes do not
-    depend on acceptance luck), then tops up with 1.4 times the expected
-    count still missing, at least 64, while short; each block is
-    :func:`_candidate_block`, three uniforms a candidate.  A budget of
+    Accepted candidates are i.i.d. draws of the pair law, and which slot
+    each fills does not depend on its value, so one call fills all the
+    slots of ``out``, a group of :func:`~l1sketch.randstream.fill_groups`.
+    Draws a first block of :func:`first_block` candidates (so block shapes
+    do not depend on acceptance luck), then tops up with 1.4 times the
+    expected count still missing, at least 64, while short; each block is
+    :func:`_candidate_block`, three uniforms a candidate, in ``work``, and
+    its accepted candidates are written straight into ``out``.  A budget of
     ``REJECTION_ITERATION_CAP`` proposals per requested draw, a candidate
     counting as the ``C/(K pi)`` proposals it stands for, guards against a
     broken domination bound; exceeding it raises, it never loops silently.
-    Every block works in the one ``work`` (a new one when None).
+    An ``out`` that cannot be viewed as ``(n, 2)`` raises
+    :class:`ParameterError` rather than filling a copy.
     """
-    work = Workspace() if work is None else work
-    pairs = np.empty((2, need))
+    pairs = out.reshape(-1, 2)
+    if not np.shares_memory(pairs, out):
+        raise ParameterError("fill_pairs needs an out that reshapes to (n, 2) as a view")
+    need = len(pairs)
     got, used = 0, 0.0
     k = first_block(need)
     while got < need:
         x0, x1, accept = _candidate_block(gen, k, work)
         keep = np.flatnonzero(accept)[: need - got]
-        pairs[0, got : got + keep.size] = x0[keep]
-        pairs[1, got : got + keep.size] = x1[keep]
+        pairs[got : got + keep.size, 0] = x0[keep]
+        pairs[got : got + keep.size, 1] = x1[keep]
         got += keep.size
         used += k * _PROPOSALS_PER_CANDIDATE
         if used > REJECTION_ITERATION_CAP * need:
@@ -350,14 +358,6 @@ def unit_pairs(gen: np.random.Generator, need: int, work: Workspace | None = Non
                 "envelope domination appears violated"
             )
         k = max(int((need - got) * SQUEEZE_K * 1.4), 64)
-    return pairs[0], pairs[1]
-
-
-def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
-    """Exact unit-interval pairs into ``out[..., 0]`` and ``out[..., 1]``,
-    in row-major order, from one :func:`unit_pairs` call in ``work``."""
-    for k, x in enumerate(unit_pairs(gen, out[..., 0].size, work)):
-        out[..., k] = x.reshape(out.shape[:-1])
 
 
 def sample_ci1_unit(rng: RandomStream, size: int):

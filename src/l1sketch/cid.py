@@ -35,7 +35,6 @@ import numpy as np
 from ._poly import (
     MAX_DEGREE,
     integrate_abs_local,
-    integrate_abs_poly,
     poly_eval,
     to_unit_interval,
 )
@@ -234,7 +233,7 @@ def random_polynomial(degree: int, rng: RandomStream) -> np.ndarray:
     |p|-mass on [0, 1] is below :data:`MIN_CALIBRATION_MASS`."""
     while True:
         coeffs = 2.0 * rng.random(degree + 1) - 1.0
-        if integrate_abs_poly(coeffs, 0.0, 1.0) >= MIN_CALIBRATION_MASS:
+        if integrate_abs_local(coeffs, 1.0) >= MIN_CALIBRATION_MASS:
             return coeffs
 
 

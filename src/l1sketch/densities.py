@@ -340,11 +340,8 @@ def exact_all_pairs(family: DensityFamily):
     from .pipeline import DistanceMatrix, _all_pairs  # local import to avoid a cycle
 
     d = family.degree
-    # float64 scratch a row and interval, difference and kernel temporaries, by
-    # tracemalloc: 17.2 at degree <= 2, d^2 + 9d + 17.5 with companion matrices
-    cell = 18 if d <= 2 else d * d + 9 * d + 18
-    row_bytes = 8 * cell * (len(family.breakpoints) - 1)
-    entries = _all_pairs(family.m, _l1_reduce(family.densities, family.breakpoints), 1, row_bytes)
+    # one thread runs every task, so _fan_out sizes no workers by their scratch
+    entries = _all_pairs(family.m, _l1_reduce(family.densities, family.breakpoints), 1, 0)
     return DistanceMatrix(names=family.names, entries=entries, method="exact", config={"degree": d})
 
 

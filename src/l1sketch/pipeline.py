@@ -242,7 +242,7 @@ def sketch_family(
             x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
 
     # a block's draws and products, and one group's scratch: its uniforms,
-    # or the degree-1 sampler's workspace and accepted pairs
+    # or the degree-1 sampler's workspace
     group = min(group_rows(per_rep), _BLOCK)
     scratch = pairs_scratch(group * n_int) if mode is SketchMode.EXACT_CI1 else group * per_rep
     block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + scratch))

@@ -44,7 +44,6 @@ from l1sketch.ci1 import (
     fill_pairs,
     first_block,
     pairs_scratch,
-    unit_pairs,
 )
 from l1sketch.randstream import _CALL_DRAWS, Workspace, fill_groups, group_rows
 
@@ -104,7 +103,7 @@ def test_density_matches_complex_reference_on_proposals():
     off = ~on_diag
     x0, x1 = z0[off], z1[off]
     ref = _complex_density(x0, x1)
-    got = _density_generic(x0, np.abs(x0 - 2.0 * x1))
+    got = _density_generic(x0, np.abs(x0 - 2.0 * x1), np.empty(8 * x0.size))
     near = np.hypot(x0, x1) <= 100.0
     assert near.sum() > 900_000
     np.testing.assert_allclose(got[near], ref[near], rtol=1e-10)
@@ -197,8 +196,8 @@ def test_density_on_the_diagonal_band_matches_the_diagonal_form():
             got = ci1_density(a, b)
         np.testing.assert_allclose(got, _diagonal_density(a), rtol=2e-15, atol=0.0)
     assert np.all(np.abs(tiny - 2.0 * cases[-1][1]) == 1e-200)
-    assert ci1_density(1.0, 0.5) == _density_generic(1.0, 0.0) > 0.0
-    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0)
+    assert ci1_density(1.0, 0.5) == _density_generic(1.0, 0.0, np.empty(8)) > 0.0
+    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0, np.empty(8))
 
 
 # ------------------------------------------------------------ in-place kernel
@@ -336,6 +335,16 @@ def test_pairs_scratch_is_the_measured_peak_of_a_group(replicates):
         assert 0.9 * counted <= peak <= counted
 
 
+def test_fill_pairs_writes_into_out_and_refuses_a_copy():
+    # the rejection loop writes its accepted pairs through a view of out;
+    # an out that reshapes to (n, 2) only as a copy would lose them
+    z = np.full((6, 3, 2), np.nan)
+    fill_pairs(RandomStream(57).generator, z[2:4], Workspace())
+    assert np.isfinite(z[2:4]).all() and np.isnan(z[:2]).all() and np.isnan(z[4:]).all()
+    with pytest.raises(ParameterError, match="as a view"):
+        fill_pairs(RandomStream(57).generator, z[:, :2], Workspace())
+
+
 def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     # a block of 64 replicates on 71 intervals: groups of 18, 18, 18 and 10
     # replicates in one workspace, sized by the first group's first block,
@@ -420,6 +429,13 @@ def test_sampler_scalar_and_empty():
         sample_ci1_unit(RandomStream(10), size=-1)
 
 
+def _unit_pairs(gen, need):
+    """``need`` pairs from one fill_pairs call in a new workspace, as ``(x0, x1)``."""
+    out = np.empty((need, 2))
+    fill_pairs(gen, out, Workspace())
+    return out[:, 0], out[:, 1]
+
+
 def test_sampler_draws_in_groups_of_the_sketch_size():
     # sample_ci1_unit calls the rejection loop for groups of
     # _CALL_DRAWS // 9 draws in turn on one stream, as the sketch does
@@ -427,7 +443,7 @@ def test_sampler_draws_in_groups_of_the_sketch_size():
     assert group == 1_333
     x0, x1 = sample_ci1_unit(RandomStream(19), size=2 * group + 5)
     gen = RandomStream(19).generator
-    parts = [unit_pairs(gen, k) for k in (group, group, 5)]
+    parts = [_unit_pairs(gen, k) for k in (group, group, 5)]
     np.testing.assert_array_equal(x0, np.concatenate([p[0] for p in parts]))
     np.testing.assert_array_equal(x1, np.concatenate([p[1] for p in parts]))
 
@@ -457,7 +473,7 @@ def test_candidate_test_is_the_proposal_test_past_the_squeeze():
     # a candidate's uniform w stands for the proposal uniform u with
     # u * C/pi = w * K, and the candidate decides as _accept_mask does there
     k = 200_000
-    x0, x1, accept = _candidate_block(RandomStream(18).generator, k)
+    x0, x1, accept = _candidate_block(RandomStream(18).generator, k, Workspace())
     w = RandomStream(18).generator.random((3, k))[2]
     np.testing.assert_array_equal(accept, _accept_mask(x0, x1, w * (SQUEEZE_K / REJECTION_OVERHEAD)))
     assert abs(accept.mean() - 1.0 / SQUEEZE_K) < 4.0 * math.sqrt(2.0 / 9.0 / k)
@@ -480,9 +496,8 @@ def test_first_block_shortfall_share_matches_binomial():
     need, calls = 1_000, 2_000
     k = first_block(need)
     p = 1.0 / SQUEEZE_K
-    counts = np.array(
-        [int(_candidate_block(RandomStream(48, i).generator, k)[2].sum()) for i in range(calls)]
-    )
+    gens = [RandomStream(48, i).generator for i in range(calls)]
+    counts = np.array([int(_candidate_block(gen, k, Workspace())[2].sum()) for gen in gens])
     var = k * p * (1.0 - p)
     assert abs(counts.mean() - k * p) <= 4.0 * math.sqrt(var / calls)
     assert abs(counts.var() / var - 1.0) <= 4.0 * math.sqrt(2.0 / calls)

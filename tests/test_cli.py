@@ -1,6 +1,8 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
+import ast
 import hashlib
+import importlib
 import json
 import math
 import pathlib
@@ -437,6 +439,28 @@ def test_dist_config_line_carries_every_key_the_benchmark_reads(tmp_path):
         config = json.loads(out.read_text().splitlines()[2].removeprefix("# config: "))
         wanted = _BENCH_KEYS | (_BENCH_R_STEP_KEYS if degree >= 2 else set())
         assert wanted <= config.keys(), (degree, wanted - config.keys())
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/tracing.py times each layer by patching the (module,
+    # attribute) pairs of its TARGETS, and a pair that no longer resolves
+    # only gives an empty metric; the source is only read here
+    source = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text(
+        encoding="utf-8"
+    )
+    (targets,) = [
+        node.value
+        for node in ast.parse(source).body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
+    ]
+    targets = ast.literal_eval(targets)
+    assert len(targets) >= 10
+    for module_name, attr, _, _ in targets:
+        owner = importlib.import_module(module_name)
+        for name in attr.split("."):
+            assert hasattr(owner, name), f"{module_name}.{attr}"
+            owner = getattr(owner, name)
+        assert callable(owner), f"{module_name}.{attr}"
 
 
 def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch):

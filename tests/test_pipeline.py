@@ -45,14 +45,14 @@ from l1sketch.ci1 import (
     SQUEEZE_K,
     _candidate_block,
     ci1_density,
-    unit_pairs,
+    fill_pairs,
 )
 from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
 from l1sketch.io import load_family, save_family
 from l1sketch.pipeline import _BLOCK, _PAIR_ROWS, SketchMatrix, _error_split, plan_run
-from l1sketch.randstream import _CALL_DRAWS
+from l1sketch.randstream import _CALL_DRAWS, Workspace
 
 
 def _uniform_pair():
@@ -551,7 +551,7 @@ def test_candidate_block_draws_three_uniform_rows(k):
     # one (3, k) uniform draw and nothing else: rows U0, U1 give the points
     # by conditional inversion, row W the acceptance test
     gen = RandomStream(43, k).generator
-    x0, x1, accept = _candidate_block(gen, k)
+    x0, x1, accept = _candidate_block(gen, k, Workspace())
     ref = RandomStream(43, k).generator
     u0, p, w = ref.random((3, k))
     assert _state(gen) == _state(ref)
@@ -584,13 +584,20 @@ class _ZeroUniformStub:
         return u
 
 
+def _unit_pairs(gen, need):
+    """``need`` pairs from one fill_pairs call in a new workspace, as ``(x0, x1)``."""
+    out = np.empty((need, 2))
+    fill_pairs(gen, out, Workspace())
+    return out[:, 0], out[:, 1]
+
+
 def test_unit_pairs_redraws_a_zero_p_in_a_block_call():
     # one call for an 18-replicate group of 71 intervals, as the sketch
     # makes; p = 0 would give p (1 - p) = 0, so the sampler redraws it in
     # place in the stub's array, before the points are made
     need = 18 * 71
     stub = _ZeroUniformStub(RandomStream(44, 0).generator)
-    x0, x1 = unit_pairs(stub, need)
+    x0, x1 = _unit_pairs(stub, need)
     assert len(stub.blocks) == len(stub.redraws) >= 1
     for u, redraw in zip(stub.blocks, stub.redraws):
         assert u[1, 5] == redraw[0] != 0.0
@@ -913,10 +920,12 @@ def test_sketch_family_rebuilds_from_a_run_config(family, tmp_path):
 def test_sketch_cost_scales_linearly_in_t():
     fam = random_piecewise_linear_family(4, 4, RandomStream(24))
 
+    # CPU time of this process, so another process sharing the CPU does not
+    # count in either size's figure
     def run(t):
-        start = time.perf_counter()
+        start = time.process_time()
         sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(25))
-        return time.perf_counter() - start
+        return time.process_time() - start
 
     run(2000)  # warm caches
     # each round times both sizes, so a change of host speed during the test
