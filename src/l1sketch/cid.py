@@ -67,6 +67,18 @@ SKETCH_NODES = "midpoint"
 #: eps_int = 0.038) takes r = 23 with the calibrated midpoint constant.
 MAX_STEPS = 10**6
 
+#: Uniforms per draw call of the r-step sampler's groups in
+#: :func:`l1sketch.randstream.fill_groups`, four times the degree-0 and
+#: degree-1 budget: each group is four numpy calls that release the GIL, so
+#: fewer, longer groups let two workers' draws overlap.  Each worker holds
+#: one group's uniforms, 384 KB.  On the 71-interval degree-2 benchmark
+#: family (r = 18) a block of 64 replicates is groups of 37 and 27 rather
+#: than seven of 9 and one of 1; its 2-thread sketch (t = 4,365) took 35.0 /
+#: 30.3 / 28.0 / 26.1 ms at 12,000 / 24,000 / 48,000 / 96,000 (medians of
+#: 40 in-process calls, 2-vCPU VM).  The bits do not depend on it, since
+#: each row is its own ``(L, r)`` product.
+STEP_CALL_DRAWS = 48_000
+
 #: Riemann-sum values :func:`calibrate_c` evaluates at a time: rows of its
 #: ``(trials, r)`` node table, 8 MB of float64.
 _CALIBRATION_CHUNK = 1 << 20
@@ -163,16 +175,19 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
 
 
 def step_fill(cfg: ApproxConfig):
-    """The r-step sampler's fill ``fill(gen, out, work)``, which needs no
-    ``work``: vectors into ``out[..., :d+1]`` from one ``(..., r)`` uniform
-    draw, as standard Cauchy steps times the node powers of
+    """The r-step sampler's fill ``fill(gen, out, work)``: vectors into
+    ``out[..., :d+1]`` from one ``(..., r)`` uniform draw into the
+    workspace ``work``, as standard Cauchy steps times the node powers of
     :func:`_node_powers` over ``r``, which is Cauchy steps of scale ``1/r``
     times the powers, without a pass over the steps.  Stacked, not
-    flattened, so each ``(L, r)`` product has the bits it has alone."""
+    flattened, so each ``(L, r)`` product has the bits it has alone.  Its
+    groups take :data:`STEP_CALL_DRAWS` uniforms a call."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
     def fill(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
-        u = gen.random((*out.shape[:-1], cfg.r))
+        shape = (*out.shape[:-1], cfg.r)
+        u = work.floats(math.prod(shape)).reshape(shape)
+        gen.random(out=u)
         cauchy_in_place(u)
         np.matmul(u, weights, out=out)
 
@@ -182,14 +197,15 @@ def step_fill(cfg: ApproxConfig):
 def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int):
     """``size`` r-step integral vectors on the unit interval, an ``(size,
     d+1)`` array: the sketch's :func:`step_fill` in the groups of
-    :func:`l1sketch.randstream.fill_groups`.  In a BLAS product of many rows
-    a row's bits depend on where it sits, so each row is its own ``(1, r)``
-    product, whose bits depend neither on the group size nor on ``size``.
-    A negative ``size`` raises :class:`ParameterError`."""
+    :func:`l1sketch.randstream.fill_groups`, at :data:`STEP_CALL_DRAWS`.
+    In a BLAS product of many rows a row's bits depend on where it sits, so
+    each row is its own ``(1, r)`` product, whose bits depend neither on
+    the group size nor on ``size``.  A negative ``size`` raises
+    :class:`ParameterError`."""
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     comps = np.empty((size, 1, cfg.d + 1))
-    fill_groups(rng.generator, step_fill(cfg), comps, cfg.r)
+    fill_groups(rng.generator, step_fill(cfg), comps, cfg.r, STEP_CALL_DRAWS)
     return comps[:, 0]
 
 

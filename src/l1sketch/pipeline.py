@@ -9,7 +9,12 @@ tensor of :func:`l1sketch.densities.unit_coefficients` (the coefficients of
 matrix product projects a whole block of replicates.  A block fills its
 vectors with its mode's fill in the groups of
 :func:`l1sketch.randstream.fill_groups`, a few whole-array operations a
-group, which release the GIL, so blocks run in parallel on threads.
+group, which release the GIL, so blocks can run in parallel on threads.
+The r-step mode's groups are the longest
+(:data:`l1sketch.cid.STEP_CALL_DRAWS`), a block of the degree-2 benchmark
+family being two groups of four such calls, so two workers hold the GIL
+seldom and their draws overlap; the degree-1 sampler's groups are about
+thirty short calls each, which queue on the GIL.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
@@ -42,7 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .ci1 import UNIFORMS_PER_PAIR, fill_pairs, pairs_scratch
-from .cid import MAX_STEPS, SKETCH_NODES, ApproxConfig, rule_constant, step_count, step_fill
+from .cid import (
+    MAX_STEPS, SKETCH_NODES, STEP_CALL_DRAWS, ApproxConfig, rule_constant, step_count, step_fill,
+)
 from .densities import (
     DensityFamily,
     eval_density,
@@ -53,7 +60,8 @@ from .densities import (
 )
 from .errors import NonFiniteResultError, ParameterError
 from .randstream import (
-    RandomStream, fill_cauchy, fill_groups, geometric_mean_rows, group_rows, required_sample_count,
+    _CALL_DRAWS, RandomStream, fill_cauchy, fill_groups, geometric_mean_rows, group_rows,
+    required_sample_count,
 )
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
@@ -194,7 +202,8 @@ def sketch_family(
     """
     mode = SketchMode(mode)
     d = family.degree
-    # each mode's fill and the uniforms one of its vectors takes
+    # each mode's fill, the uniforms one of its vectors takes and its group budget
+    draws = _CALL_DRAWS
     if mode is SketchMode.UNIFORM_FASTPATH:
         if d != 0:
             raise ParameterError("uniform_fastpath requires a degree-0 family")
@@ -210,7 +219,7 @@ def sketch_family(
             raise ParameterError(f"{mode.value} requires an ApproxConfig")
         if approx_config.d != d:
             raise ParameterError("approx_config degree does not match the family")
-        fill, per_vector = step_fill(approx_config), approx_config.r
+        fill, per_vector, draws = step_fill(approx_config), approx_config.r, STEP_CALL_DRAWS
     if t < 1:
         raise ParameterError("t must be >= 1")
     if family.m * t * 8 > MAX_SKETCH_BYTES:
@@ -236,14 +245,14 @@ def sketch_family(
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         z = np.empty((b1 - b0, n_int, d + 1))
-        fill_groups(rng.substream(b0).generator, fill, z, per_rep)
+        fill_groups(rng.substream(b0).generator, fill, z, per_rep, draws)
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T
 
     # a block's draws and products, and one group's scratch: its uniforms,
     # or the degree-1 sampler's workspace
-    group = min(group_rows(per_rep), _BLOCK)
+    group = min(group_rows(per_rep, draws), _BLOCK)
     scratch = pairs_scratch(group * n_int) if mode is SketchMode.EXACT_CI1 else group * per_rep
     block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + scratch))
     _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)

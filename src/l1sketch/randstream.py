@@ -24,13 +24,14 @@ from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 
-#: Uniforms per draw call of :func:`fill_groups`; peak memory grows with it.
-#: In-process sketch medians on the 71-interval benchmark families (2-vCPU
-#: VM, three to five rounds) at 6,000 / 12,000 / 24,000 / 48,000: at degree
-#: 1 (t = 2,764) 0.07-0.09 / 0.07-0.10 / 0.07-0.10 / 0.09-0.10 s, the sketch
-#: raising peak RSS by 3.1 / 3.5 / 3.9 / 4.8 MB; for r = 11 on 2 threads
-#: (t = 11,053) 0.11-0.14 / 0.08-0.10 / 0.08-0.09 / 0.07-0.08 s, by 3.7 /
-#: 3.8 / 4.1 / 4.9 MB.  12,000 is 18-21 replicates a call there.
+#: Default uniforms per draw call of :func:`fill_groups`, the budget of the
+#: degree-0 and degree-1 samplers; peak memory grows with it.  In-process
+#: sketch medians on the 71-interval benchmark families (2-vCPU VM, three to
+#: five rounds) at 6,000 / 12,000 / 24,000 / 48,000, at degree 1 (t = 2,764):
+#: 0.07-0.09 / 0.07-0.10 / 0.07-0.10 / 0.09-0.10 s, the sketch raising peak
+#: RSS by 3.1 / 3.5 / 3.9 / 4.8 MB.  Degree 1's group size also sizes each
+#: group's first candidate block, so its bits depend on this value.  The
+#: r-step sampler takes its own budget, :data:`l1sketch.cid.STEP_CALL_DRAWS`.
 _CALL_DRAWS = 12_000
 
 
@@ -67,9 +68,10 @@ def cauchy_in_place(u: np.ndarray) -> None:
     np.tan(u, out=u)
 
 
-def group_rows(per_row: float) -> int:
-    """Rows :func:`fill_groups` fills a call for ``per_row`` uniforms a row."""
-    return max(int(_CALL_DRAWS // per_row), 1)
+def group_rows(per_row: float, draws: int = _CALL_DRAWS) -> int:
+    """Rows :func:`fill_groups` fills a call for ``per_row`` uniforms a row
+    and a budget of ``draws`` uniforms a call."""
+    return max(int(draws // per_row), 1)
 
 
 class Workspace:
@@ -87,13 +89,16 @@ class Workspace:
         return self._buf[:n]
 
 
-def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float) -> None:
+def fill_groups(
+    gen: np.random.Generator, fill, out: np.ndarray, per_row: float, draws: int = _CALL_DRAWS
+) -> None:
     """The samplers' one draw loop: ``fill(gen, part, work)`` on the
     consecutive parts of :func:`group_rows` rows (first-axis entries) of
-    ``out``, for ``per_row`` uniforms a row, so a call's buffers and the
-    temporaries made from them stay small whatever the row count.  Every
-    fill of the call gets the same :class:`Workspace` ``work``."""
-    group = group_rows(per_row)
+    ``out``, for ``per_row`` uniforms a row and about ``draws`` a call, so a
+    call's buffers and the temporaries made from them stay small whatever
+    the row count.  Every fill of the call gets the same :class:`Workspace`
+    ``work``."""
+    group = group_rows(per_row, draws)
     work = Workspace()
     for g0 in range(0, len(out), group):
         fill(gen, out[g0 : g0 + group], work)

@@ -1,6 +1,7 @@
 """Command-line interface: formats, exit codes, manifests, determinism."""
 
 import ast
+import gc
 import hashlib
 import importlib
 import json
@@ -24,11 +25,13 @@ from l1sketch import (
     uniform_density,
 )
 from conftest import random_segment_family
+import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
+import l1sketch.io as io_mod
 import l1sketch.pipeline as pipeline_mod
-import l1sketch.randstream as randstream_mod
 from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
 from l1sketch.densities import eval_density
+from l1sketch.errors import FamilyFormatError
 from l1sketch.cli import MAX_DENSITY_PAIRS, MAX_SAMPLE_COUNT, main
 from l1sketch.io import (
     build_manifest,
@@ -59,6 +62,38 @@ def test_family_round_trip(tmp_path):
         np.testing.assert_array_equal(d1.coeffs, d2.coeffs)
     # canonical form is a fixed point
     assert family_to_json(back) == text
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "text,error",
+    [(None, None), ('{"degree": 0', "invalid JSON"), ('{"degree": true}', "must be an integer")],
+)
+def test_family_parse_pauses_the_collector_and_restores_its_state(monkeypatch, enabled, text, error):
+    # the collector is off while the document is read, and the caller's
+    # state comes back, also when the parse raises; a disabled collector is
+    # never turned on
+    fam = merge_breakpoints([uniform_density("a", 0.0, 1.0), uniform_density("b", 0.25, 1.25)])
+    during = []
+    real = io_mod.family_from_dict
+
+    def recording(doc):
+        during.append(gc.isenabled())
+        return real(doc)
+
+    monkeypatch.setattr(io_mod, "family_from_dict", recording)
+    was = gc.isenabled()
+    try:
+        gc.enable() if enabled else gc.disable()
+        if error is None:
+            assert family_from_json(family_to_json(fam)).names == ["a", "b"]
+        else:
+            with pytest.raises(FamilyFormatError, match=error):
+                family_from_json(text)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable() if was else gc.disable()
+    assert during == ([] if error == "invalid JSON" else [False])
 
 
 def test_dist_exact_csv(pair_family_path, tmp_path, capsys):
@@ -533,8 +568,6 @@ def test_sample_cid_non_finite_parameter_exit_3(tmp_path, capsys, args, message)
 @pytest.mark.parametrize("eps", ["0", "-0.05", "nan", "inf"])
 def test_calibrate_bad_eps_exit_3_before_any_trial(tmp_path, capsys, monkeypatch, eps):
     # no r passes eps <= 0 or NaN: the search would double r towards 1e8
-    import l1sketch.cid as cid_mod
-
     def no_trials(*args, **kwargs):
         raise AssertionError("calibration started")
 
@@ -730,7 +763,7 @@ def test_sample_output_does_not_depend_on_group_or_chunk_sizes(tmp_path, monkeyp
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main([*args, "--out", str(a)]) == 0
     if kind[0] == "cid":
-        monkeypatch.setattr(randstream_mod, "_CALL_DRAWS", 1)
+        monkeypatch.setattr(cid_mod, "STEP_CALL_DRAWS", 1)
     monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 3)
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

@@ -47,7 +47,7 @@ from l1sketch.ci1 import (
     ci1_density,
     fill_pairs,
 )
-from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
+from l1sketch.cid import DEFAULT_C_MIDPOINT, STEP_CALL_DRAWS, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
 from l1sketch.io import load_family, save_family
@@ -381,7 +381,8 @@ def _first_candidates(need):
 def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_candidates):
     """The sketch built block by block: the block of replicates ``b0 ..
     b0 + 63`` reads only a fresh stream ``(seed, b0)``, in groups of
-    ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate.  A
+    ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate, or
+    ``STEP_CALL_DRAWS // u`` in the r-step mode.  A
     group of g replicates draws ``(g, n_int)`` uniforms (degree 0),
     ``(g, n_int, r)`` uniforms (r-step), or its ``g * n_int`` degree-1 pairs
     (9 uniforms a pair) from candidate blocks of k: one ``(3, k)`` uniform
@@ -397,14 +398,14 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_ca
     block fell short."""
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
-    per_rep = n_int
+    per_rep, draws = n_int, _CALL_DRAWS
     if mode is SketchMode.EXACT_CI1:
         per_rep = n_int * 9
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
-        per_rep = n_int * r
-    group = max(int(_CALL_DRAWS // per_rep), 1)
+        per_rep, draws = n_int * r, STEP_CALL_DRAWS
+    group = max(int(draws // per_rep), 1)
 
     def accepted(gen, k):
         u0, p, w = gen.random((3, k))
@@ -456,9 +457,9 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_ca
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10)),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=STEP_CALL_DRAWS // 10)),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10, nodes="midpoint")),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=STEP_CALL_DRAWS // 10, nodes="midpoint")),
     ],
 )
 def test_sketch_bit_identical_to_reference(mode, family, config, threads):
@@ -486,7 +487,7 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
         group = int(_CALL_DRAWS // ((len(fam.breakpoints) - 1) * 9))
         assert 1 < group < _BLOCK and _BLOCK % group != 0
     if mode is SketchMode.CID_APPROX and config.r > 100:
-        group = _CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
+        group = STEP_CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
         assert 1 < group < _BLOCK and _BLOCK % group != 0
 
 
@@ -511,7 +512,7 @@ _MODE_CASES = [
     (SketchMode.EXACT_CI1, 1, None),
     (SketchMode.CID_APPROX, 1, ApproxConfig(d=1, epsilon_integration=0.2)),
     (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
-    # 8 intervals of 200 steps: groups of 7 replicates, the last one partial
+    # 8 intervals of 200 steps: groups of 30 replicates, the last one partial
     (SketchMode.CID_APPROX, 2, ApproxConfig(d=2, epsilon_integration=0.2, r=200)),
 ]
 
@@ -735,9 +736,19 @@ def test_fan_out_workers_bounded_by_their_scratch(monkeypatch):
     assert _RecordingPool.asked == []
 
 
-def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch):
-    fam = _linear_pair()
-    t = required_sample_count(0.5, 0.5, fam.m)
+def _quadratic_pair_on(n_int):
+    """The flat and ``3x^2`` densities of :func:`_quadratic_pair` on a grid
+    of ``n_int`` equal intervals."""
+    bp = Breakpoints(np.linspace(0.0, 1.0, n_int + 1))
+    rows = ("one", [1.0, 0.0, 0.0]), ("3x2", [0.0, 0.0, 3.0])
+    return DensityFamily(bp, [PiecewisePolyDensity(n, [0], [n_int], [c], 2) for n, c in rows], 2)
+
+
+def _assert_fan_outs_keep_bits(monkeypatch, fam, scratch):
+    """``run_scheme`` of ``fam`` at 8 threads, under a cap of two sketch
+    blocks' bytes, a block counting ``scratch`` float64s for its largest
+    group: the sketch is cut to 2 workers, the estimator keeps 8, and the
+    matrix keeps the bits of one thread."""
     one = run_scheme(fam, 0.5, 0.5, "sketch", seed=3, threads=1)
     asked = []
     real = pipeline_mod._fan_out
@@ -749,17 +760,44 @@ def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch
     monkeypatch.setattr(pipeline_mod, "_fan_out", record)
     monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "asked", [])
-    # a cap of two blocks' scratch: 8 threads are cut to 2 workers; a block
-    # counts the degree-1 workspace of its largest group, at most _BLOCK rows
     n_int = len(fam.breakpoints) - 1
-    group = min(int(_CALL_DRAWS // (n_int * ci1_mod.UNIFORMS_PER_PAIR)), _BLOCK)
-    block = 8 * (_BLOCK * (2 * n_int + fam.m) + ci1_mod.pairs_scratch(group * n_int))
+    block = 8 * (_BLOCK * ((fam.degree + 1) * n_int + fam.m) + scratch(one.config))
     monkeypatch.setattr(pipeline_mod, "MAX_SKETCH_BYTES", 2 * int(block))
     eight = run_scheme(fam, 0.5, 0.5, "sketch", seed=3, threads=8)
     np.testing.assert_array_equal(eight.entries, one.entries)
     # the estimator's task holds one (min(16, m - 1), t) difference buffer
-    assert asked == [int(block), 8 * 1 * t]
+    assert asked == [int(block), 8 * 1 * one.config["t"]]
     assert _RecordingPool.asked == [2, 8]
+
+
+def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch):
+    # a block counts the degree-1 workspace of its largest group, at most
+    # _BLOCK rows
+    fam = _linear_pair()
+    n_int = len(fam.breakpoints) - 1
+    group = min(int(_CALL_DRAWS // (n_int * ci1_mod.UNIFORMS_PER_PAIR)), _BLOCK)
+    _assert_fan_outs_keep_bits(monkeypatch, fam, lambda _: ci1_mod.pairs_scratch(group * n_int))
+
+
+def _quadratic_pair_on(n_int):
+    """The flat and ``3x^2`` densities of :func:`_quadratic_pair` on a grid
+    of ``n_int`` equal intervals."""
+    bp = Breakpoints(np.linspace(0.0, 1.0, n_int + 1))
+    rows = ("one", [1.0, 0.0, 0.0]), ("3x2", [0.0, 0.0, 3.0])
+    return DensityFamily(bp, [PiecewisePolyDensity(n, [0], [n_int], [c], 2) for n, c in rows], 2)
+
+
+def test_r_step_sketch_passes_the_uniforms_of_its_larger_group(monkeypatch):
+    # a block counts the uniforms of its largest group at the r-step budget:
+    # on 71 intervals of r = 16 steps, 42 replicates, against 10 at the
+    # degree-1 budget
+    def scratch(config):
+        per_rep = 71 * config["r"]
+        group = min(STEP_CALL_DRAWS // per_rep, _BLOCK)
+        assert (config["r"], group, _CALL_DRAWS // per_rep) == (16, 42, 10)
+        return group * per_rep
+
+    _assert_fan_outs_keep_bits(monkeypatch, _quadratic_pair_on(71), scratch)
 
 
 def test_cid_sketch_matches_exact_mode_distribution():
