@@ -13,8 +13,8 @@ group, which release the GIL, so blocks can run in parallel on threads.
 The r-step mode's groups are the longest
 (:data:`l1sketch.cid.STEP_CALL_DRAWS`), a block of the degree-2 benchmark
 family being two groups of four such calls, so two workers hold the GIL
-seldom and their draws overlap; the degree-1 sampler's groups are about
-thirty short calls each, which queue on the GIL.
+seldom and their draws overlap; the degree-1 sampler's candidate blocks
+are dozens of short calls each, which queue on the GIL.
 Differences of projection values are exactly Cauchy with scale equal to the
 pair's L1 distance (up to discretization error for the approximate modes),
 so a scale estimator over replicates recovers every pairwise distance from
