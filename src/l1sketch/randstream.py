@@ -25,13 +25,14 @@ from .errors import ParameterError
 _UINT64_MASK = (1 << 64) - 1
 
 #: Default uniforms per draw call of :func:`fill_groups`, the budget of the
-#: degree-0 and degree-1 samplers; peak memory grows with it.  In-process
-#: sketch medians on the 71-interval benchmark families (2-vCPU VM, three to
-#: five rounds) at 6,000 / 12,000 / 24,000 / 48,000, at degree 1 (t = 2,764):
-#: 0.07-0.09 / 0.07-0.10 / 0.07-0.10 / 0.09-0.10 s, the sketch raising peak
-#: RSS by 3.1 / 3.5 / 3.9 / 4.8 MB.  Degree 1's group size also sizes each
-#: group's first candidate block, so its bits depend on this value.  The
-#: r-step sampler takes its own budget, :data:`l1sketch.cid.STEP_CALL_DRAWS`.
+#: degree-0 and degree-1 samplers; peak memory grows with it.  The degree-1
+#: sketch of the 71-interval benchmark family (t = 2,764, one thread; a
+#: fresh process per value, 4 rounds of medians of 5 calls, 2-vCPU VM) at
+#: 6,000 / 12,000 / 24,000 / 48,000 took 0.049-0.083 / 0.034-0.056 /
+#: 0.029-0.036 / 0.026-0.033 s, raising peak RSS by 3.0-3.1 / 3.2-3.3 /
+#: 3.6-3.7 / 4.3 MB.  Degree 1's group size also sizes each group's first
+#: candidate block, so its bits depend on this value.  The r-step sampler
+#: takes its own budget, :data:`l1sketch.cid.STEP_CALL_DRAWS`.
 _CALL_DRAWS = 12_000
 
 
