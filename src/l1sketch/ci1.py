@@ -27,11 +27,10 @@ envelope points and the density to the accept test, in the
 :class:`~l1sketch.randstream.Workspace` that
 :func:`~l1sketch.randstream.fill_groups` lends to every group of a call,
 and :func:`fill_pairs`, the one rejection loop, writes each block's
-accepted candidates straight into the group's slots.  Whole-array
-temporaries (20 rows of a block, freed together after each group) let
-glibc hand the memory back and fault it in again: 14,279 minor page faults
-a sketch of the 71-interval degree-1 benchmark family, and none in the
-workspace.
+accepted candidates straight into the group's slots.  Temporaries freed
+after each group would let glibc hand the memory back and fault it in
+again; a one-thread sketch of the 71-interval degree-1 benchmark family
+makes no minor page fault after a warm call (``ru_minflt``).
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
@@ -315,8 +314,8 @@ def pairs_scratch(need: int) -> int:
     holds at its peak in a new workspace: the :data:`_BLOCK_ROWS` rows of
     its first block, and one row more for the accept mask, the accepted
     candidates' indices and their values on the way into the output.
-    tracemalloc measured 14.8 rows for a group of 1,278 pairs (first block
-    4,082)."""
+    tracemalloc measured 14.8 rows for a degree-1 benchmark block, 4,544
+    pairs (first block 14,100), and for 1,278 and 710 pairs."""
     return (_BLOCK_ROWS + 1) * first_block(need)
 
 

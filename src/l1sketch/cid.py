@@ -67,18 +67,6 @@ SKETCH_NODES = "midpoint"
 #: eps_int = 0.038) takes r = 23 with the calibrated midpoint constant.
 MAX_STEPS = 10**6
 
-#: Uniforms per draw call of the r-step sampler's groups in
-#: :func:`l1sketch.randstream.fill_groups`, four times the degree-0 and
-#: degree-1 budget: each group is four numpy calls that release the GIL, so
-#: fewer, longer groups let two workers' draws overlap.  Each worker holds
-#: one group's uniforms, 384 KB.  On the 71-interval degree-2 benchmark
-#: family (r = 18) a block of 64 replicates is groups of 37 and 27 rather
-#: than seven of 9 and one of 1; its 2-thread sketch (t = 4,365) took 35.0 /
-#: 30.3 / 28.0 / 26.1 ms at 12,000 / 24,000 / 48,000 / 96,000 (medians of
-#: 40 in-process calls, 2-vCPU VM).  The bits do not depend on it, since
-#: each row is its own ``(L, r)`` product.
-STEP_CALL_DRAWS = 48_000
-
 #: Riemann-sum values :func:`calibrate_c` evaluates at a time: rows of its
 #: ``(trials, r)`` node table, 8 MB of float64.
 _CALIBRATION_CHUNK = 1 << 20
@@ -180,8 +168,9 @@ def step_fill(cfg: ApproxConfig):
     workspace ``work``, as standard Cauchy steps times the node powers of
     :func:`_node_powers` over ``r``, which is Cauchy steps of scale ``1/r``
     times the powers, without a pass over the steps.  Stacked, not
-    flattened, so each ``(L, r)`` product has the bits it has alone.  Its
-    groups take :data:`STEP_CALL_DRAWS` uniforms a call."""
+    flattened, so each ``(L, r)`` product has the bits it has alone.  A
+    degree-2 benchmark block peaks at its first group's 378 KB of uniforms
+    and 2 KB more (tracemalloc)."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
     def fill(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
@@ -197,15 +186,15 @@ def step_fill(cfg: ApproxConfig):
 def sample_cid_approx_unit(cfg: ApproxConfig, rng: RandomStream, size: int):
     """``size`` r-step integral vectors on the unit interval, an ``(size,
     d+1)`` array: the sketch's :func:`step_fill` in the groups of
-    :func:`l1sketch.randstream.fill_groups`, at :data:`STEP_CALL_DRAWS`.
-    In a BLAS product of many rows a row's bits depend on where it sits, so
-    each row is its own ``(1, r)`` product, whose bits depend neither on
-    the group size nor on ``size``.  A negative ``size`` raises
-    :class:`ParameterError`."""
+    :func:`l1sketch.randstream.fill_groups`, one group's uniforms above the
+    result at their peak (384 KB at r = 18, tracemalloc).  In a BLAS product
+    of many rows a row's bits depend on where it sits, so each row is its
+    own ``(1, r)`` product, whose bits depend neither on the group size nor
+    on ``size``.  A negative ``size`` raises :class:`ParameterError`."""
     if size < 0:
         raise ParameterError(f"size must be >= 0, got {size}")
     comps = np.empty((size, 1, cfg.d + 1))
-    fill_groups(rng.generator, step_fill(cfg), comps, cfg.r, STEP_CALL_DRAWS)
+    fill_groups(rng.generator, step_fill(cfg), comps, cfg.r)
     return comps[:, 0]
 
 
@@ -215,11 +204,14 @@ def rescale_matrix(d: int, a: float, b: float) -> np.ndarray:
     Row ``k`` holds the coefficients in ``u`` of ``(b-a) x^k`` at
     ``x = a + (b-a) u``: the interval map
     :func:`l1sketch._poly.to_unit_interval` applied to the monomials, so
-    ``T[k, j] = C(k, j) a^(k-j) (b-a)^(j+1)`` for ``j <= k``.
+    ``T[k, j] = C(k, j) a^(k-j) (b-a)^(j+1)`` for ``j <= k``; refused
+    unless ``b > a`` and every entry is finite.
     """
-    if not b > a:
-        raise ParameterError(f"need b > a, got a={a}, b={b}")
-    return to_unit_interval(np.eye(d + 1), a, b - a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = to_unit_interval(np.eye(d + 1), a, b - a)
+    if not (b > a and np.isfinite(t).all()):
+        raise ParameterError(f"need b > a and a finite map of degree {d}, got a={a}, b={b}")
+    return t
 
 
 def rescale_cid(z, a: float, b: float) -> np.ndarray:

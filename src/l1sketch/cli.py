@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .ci1 import CHECKED_RADIUS, ci1_density, sample_ci1_unit
-from .cid import SKETCH_NODES, ApproxConfig, calibrate_c, rescale_cid, sample_cid_approx_unit
+from .cid import SKETCH_NODES, ApproxConfig, calibrate_c, rescale_matrix, sample_cid_approx_unit
 from .densities import eval_density
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, manifest_line, matrix_to_csv, matrix_to_json
@@ -171,7 +171,9 @@ def cmd_sample(args) -> int:
     rng = RandomStream(args.seed)
     params = {"kind": args.kind, "count": args.count, "a": args.a, "b": args.b,
               "d": None, "r": None, "nodes": None}
+    # each kind's map to [a, b], refused before any draw unless finite
     if args.kind == "ci1":
+        rescale = rescale_matrix(1, args.a, args.b)
         z = sample_ci1_unit(rng, size=args.count).T
     else:
         cfg = ApproxConfig(
@@ -183,9 +185,13 @@ def cmd_sample(args) -> int:
         )
         # the resolved r: with d, nodes and the seed it fixes the draws
         params.update(d=cfg.d, r=cfg.r, nodes=cfg.nodes)
+        rescale = rescale_matrix(cfg.d, args.a, args.b)
         z = sample_cid_approx_unit(cfg, rng, size=args.count)
     if args.a != 0.0 or args.b != 1.0:
-        z = rescale_cid(z, args.a, args.b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            z = z @ rescale.T
+        if not np.isfinite(z).all():
+            raise NonFiniteResultError("rescaled draws are not finite")
     manifest = build_manifest("sample", params, args.seed, None)
     header = [manifest_line(manifest), ",".join(f"x{k}" for k in range(z.shape[1]))]
     _write(_csv(header, _blocks(z)), args.out)

@@ -24,16 +24,20 @@ from .errors import ParameterError
 
 _UINT64_MASK = (1 << 64) - 1
 
-#: Default uniforms per draw call of :func:`fill_groups`, the budget of the
-#: degree-0 and degree-1 samplers; peak memory grows with it.  The degree-1
-#: sketch of the 71-interval benchmark family (t = 2,764, one thread; a
-#: fresh process per value, 4 rounds of medians of 5 calls, 2-vCPU VM) at
-#: 6,000 / 12,000 / 24,000 / 48,000 took 0.049-0.083 / 0.034-0.056 /
-#: 0.029-0.036 / 0.026-0.033 s, raising peak RSS by 3.0-3.1 / 3.2-3.3 /
-#: 3.6-3.7 / 4.3 MB.  Degree 1's group size also sizes each group's first
-#: candidate block, so its bits depend on this value.  The r-step sampler
-#: takes its own budget, :data:`l1sketch.cid.STEP_CALL_DRAWS`.
-_CALL_DRAWS = 12_000
+#: Uniforms per draw call of :func:`fill_groups`, the one group budget of
+#: every sampler; peak memory grows with it.  Sketch ms of the 71-interval
+#: benchmark families on 1 / 2 threads, and peak RSS over the load on the
+#: benchmark's threads (degree 1: t = 2,764, 1; degree 2: r = 18, t = 4,365,
+#: 2), medians of 8 fresh-process rounds of medians of 5 calls, 2-vCPU VM:
+#:   uniforms a call   degree 1             degree 2
+#:   12,000            48 / 67 ms, 1.3 MB   51 / 40 ms, 1.3 MB
+#:   24,000            41 / 46 ms, 1.8 MB   44 / 32 ms, 1.5 MB
+#:   48,000            36 / 31 ms, 2.5 MB   46 / 29 ms, 1.8 MB
+#:   96,000            39 / 32 ms, 2.5 MB   37 / 28 ms, 2.4 MB
+#: From 45,440 a degree-1 benchmark block is one group, so 48,000 and
+#: 96,000 make the same degree-1 draws.  Degree 1's group size also sizes
+#: its first candidate block, so its bits depend on this value.
+_CALL_DRAWS = 48_000
 
 
 class RandomStream:
@@ -69,10 +73,10 @@ def cauchy_in_place(u: np.ndarray) -> None:
     np.tan(u, out=u)
 
 
-def group_rows(per_row: float, draws: int = _CALL_DRAWS) -> int:
-    """Rows :func:`fill_groups` fills a call for ``per_row`` uniforms a row
-    and a budget of ``draws`` uniforms a call."""
-    return max(int(draws // per_row), 1)
+def group_rows(per_row: float) -> int:
+    """Rows :func:`fill_groups` fills a call for ``per_row`` uniforms a row,
+    at :data:`_CALL_DRAWS` uniforms a call."""
+    return max(int(_CALL_DRAWS // per_row), 1)
 
 
 class Workspace:
@@ -90,16 +94,14 @@ class Workspace:
         return self._buf[:n]
 
 
-def fill_groups(
-    gen: np.random.Generator, fill, out: np.ndarray, per_row: float, draws: int = _CALL_DRAWS
-) -> None:
+def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float) -> None:
     """The samplers' one draw loop: ``fill(gen, part, work)`` on the
     consecutive parts of :func:`group_rows` rows (first-axis entries) of
-    ``out``, for ``per_row`` uniforms a row and about ``draws`` a call, so a
-    call's buffers and the temporaries made from them stay small whatever
-    the row count.  Every fill of the call gets the same :class:`Workspace`
-    ``work``."""
-    group = group_rows(per_row, draws)
+    ``out``, for ``per_row`` uniforms a row and about :data:`_CALL_DRAWS` a
+    call, so a call's buffers and the temporaries made from them stay small
+    whatever the row count.  Every fill of the call gets the same
+    :class:`Workspace` ``work``."""
+    group = group_rows(per_row)
     work = Workspace()
     for g0 in range(0, len(out), group):
         fill(gen, out[g0 : g0 + group], work)
@@ -113,9 +115,10 @@ def fill_cauchy(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> N
 
 
 def sample_cauchy(center: float, scale: float, rng: RandomStream, size: int):
-    """``size`` centered-and-scaled Cauchy draws, by :func:`cauchy_in_place`."""
-    if scale < 0:
-        raise ParameterError(f"Cauchy scale must be >= 0, got {scale}")
+    """``size`` centered-and-scaled Cauchy draws, by :func:`cauchy_in_place`,
+    for a finite ``center`` and a finite ``scale >= 0``."""
+    if not (math.isfinite(center) and math.isfinite(scale) and scale >= 0):
+        raise ParameterError(f"need a finite center and scale >= 0, got {center}, {scale}")
     x = rng.random(size)
     cauchy_in_place(x)
     return center + scale * x

@@ -299,8 +299,8 @@ def _peak_bytes(fn) -> int:
         tracemalloc.stop()
 
 
-#: Candidates in the first block of a sketch group of 18 replicates on 71
-#: grid intervals, the degree-1 benchmark family's.
+#: Candidates in the first block of a group of 18 replicates on the 71 grid
+#: intervals of the degree-1 benchmark family.
 _GROUP_K = first_block(18 * 71)
 
 
@@ -323,7 +323,7 @@ def test_candidate_block_given_its_workspace_peaks_below_four_rows():
     assert _peak_bytes(lambda: _candidate_block(gen, _GROUP_K, work)) <= 4 * 8 * _GROUP_K
 
 
-@pytest.mark.parametrize("replicates", [18, 10])
+@pytest.mark.parametrize("replicates", [18, 10, 64])
 def test_pairs_scratch_is_the_measured_peak_of_a_group(replicates):
     # the count sketch_family gives _fan_out for a group's degree-1 scratch
     # is what a fill_pairs call in a new workspace holds at its peak
@@ -346,20 +346,20 @@ def test_fill_pairs_writes_into_out_and_refuses_a_copy():
 
 
 def test_fill_groups_lends_one_workspace_that_every_block_reuses():
-    # a block of 64 replicates on 71 intervals: groups of 18, 18, 18 and 10
+    # a block of 64 replicates on 284 intervals: groups of 18, 18, 18 and 10
     # replicates in one workspace, sized by the first group's first block,
     # with the bits of a new workspace for every group
-    per_rep = 71 * UNIFORMS_PER_PAIR
+    per_rep = 284 * UNIFORMS_PER_PAIR
     seen = []
 
     def recording(gen, out, work):
         fill_pairs(gen, out, work)
         seen.append((work, work.floats(1).ctypes.data))
 
-    z = np.empty((64, 71, 2))
+    z = np.empty((64, 284, 2))
     fill_groups(RandomStream(56).generator, recording, z, per_rep)
     assert len(seen) == 4 and len(set(seen)) == 1
-    assert seen[0][0].floats(0).base.size == ci1_mod._BLOCK_ROWS * _GROUP_K
+    assert seen[0][0].floats(0).base.size == ci1_mod._BLOCK_ROWS * first_block(18 * 284)
     ref = np.empty_like(z)
     gen = RandomStream(56).generator
     group = group_rows(per_rep)
@@ -440,7 +440,7 @@ def test_sampler_draws_in_groups_of_the_sketch_size():
     # sample_ci1_unit calls the rejection loop for groups of
     # _CALL_DRAWS // 9 draws in turn on one stream, as the sketch does
     group = int(_CALL_DRAWS // UNIFORMS_PER_PAIR)
-    assert group == 1_333
+    assert group == 5_333
     x0, x1 = sample_ci1_unit(RandomStream(19), size=2 * group + 5)
     gen = RandomStream(19).generator
     parts = [_unit_pairs(gen, k) for k in (group, group, 5)]

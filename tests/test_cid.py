@@ -21,7 +21,7 @@ from l1sketch import (
     sketch_family,
 )
 from l1sketch._poly import integrate_abs_poly
-from l1sketch.cid import STEP_CALL_DRAWS, _node_powers, rescale_matrix, step_fill, unit_nodes
+from l1sketch.cid import _node_powers, rescale_matrix, step_fill, unit_nodes
 from l1sketch.densities import Breakpoints, unit_coefficients
 from l1sketch.pipeline import _BLOCK
 from l1sketch.randstream import Workspace, fill_groups
@@ -173,7 +173,7 @@ def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
 
 def test_fill_groups_lends_the_step_fill_one_workspace_that_every_group_reuses():
     # a block of 64 replicates on the degree-2 benchmark shape, 71 intervals
-    # of r = 18 steps: groups of 37 and 27 replicates at STEP_CALL_DRAWS,
+    # of r = 18 steps: groups of 37 and 27 replicates at _CALL_DRAWS,
     # each drawing its Cauchy steps into the one workspace of the call, with
     # the bits of a fresh array for every group
     cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=18, nodes="midpoint")
@@ -185,7 +185,7 @@ def test_fill_groups_lends_the_step_fill_one_workspace_that_every_group_reuses()
         seen.append((len(out), work, work.floats(1).ctypes.data))
 
     z = np.empty((_BLOCK, 71, 3))
-    fill_groups(RandomStream(62).generator, recording, z, per_rep, STEP_CALL_DRAWS)
+    fill_groups(RandomStream(62).generator, recording, z, per_rep)
     assert [rows for rows, _, _ in seen] == [37, 27]
     assert len({(work, addr) for _, work, addr in seen}) == 1
     work = seen[0][1]

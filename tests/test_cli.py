@@ -29,6 +29,7 @@ import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
 import l1sketch.io as io_mod
 import l1sketch.pipeline as pipeline_mod
+import l1sketch.randstream as randstream_mod
 from l1sketch.ci1 import CHECKED_RADIUS, ci1_density
 from l1sketch.densities import eval_density
 from l1sketch.errors import FamilyFormatError
@@ -538,6 +539,20 @@ def test_dist_parameter_sized_allocations_exit_3_before_any(
     assert message in _assert_refused(code, 3, out, capsys)
 
 
+def test_dist_mc_family_of_no_densities_exit_3_before_drawing(tmp_path, capsys, monkeypatch):
+    # m = 0 once reached math.log(0) in the draw count, a traceback
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew for a family of no densities")
+
+    monkeypatch.setattr(pipeline_mod, "sample_from_density", refuse)
+    path = tmp_path / "empty.json"
+    path.write_text('{"degree": 0, "breakpoints": [0, 1], "densities": []}')
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(path), "--method", "mc", "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert "the Monte Carlo baseline needs m >= 1 densities, got 0" in err
+
+
 def test_calibrate_past_max_steps_exit_3(tmp_path, capsys):
     # 1e-13 is out of reach of 10**6 midpoint steps
     out = tmp_path / "cal.json"
@@ -563,6 +578,41 @@ def test_sample_cid_non_finite_parameter_exit_3(tmp_path, capsys, args, message)
     out = tmp_path / "s.csv"
     code = main(["sample", "cid", "--count", "3", *args, "--out", str(out)])
     assert message in _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize(
+    "args,message",
+    [
+        (["cid", "--a=-inf", "--b", "0"], "map of degree 2, got a=-inf, b=0.0"),
+        (["cid", "--d", "3", "--a", "0", "--b", "nan"], "map of degree 3, got a=0.0, b=nan"),
+        (["ci1", "--a", "0", "--b=1e308"], "map of degree 1, got a=0.0, b=1e+308"),
+        (["ci1", "--a", "1", "--b", "inf"], "map of degree 1, got a=1.0, b=inf"),
+        (["ci1", "--a", "1", "--b", "1"], "need b > a and a finite map of degree 1, got a=1.0, b=1.0"),
+    ],
+)
+def test_sample_non_finite_interval_exit_3_before_drawing(tmp_path, capsys, monkeypatch, args, message):
+    # these once wrote nan or inf rows and exited 0
+    def refuse(*args, **kwargs):
+        raise AssertionError("drew for an interval that is refused")
+
+    monkeypatch.setattr(cli_mod, "sample_ci1_unit", refuse)
+    monkeypatch.setattr(cli_mod, "sample_cid_approx_unit", refuse)
+    out = tmp_path / "s.csv"
+    code = main(["sample", *args, "--count", "3", "--out", str(out)])
+    assert message in _assert_refused(code, 3, out, capsys)
+
+
+@pytest.mark.parametrize(
+    "kind", [["ci1", "--b", "1e154"], ["cid", "--d", "2", "--a", "1", "--b", "5e102"]]
+)
+def test_sample_rescaled_draws_that_overflow_exit_4(tmp_path, capsys, kind):
+    # the map to [a, b] is finite, but some draws times it overflow float64
+    out = tmp_path / "s.csv"
+    code = main(["sample", *kind, "--count", "1000", "--seed", "4", "--out", str(out)])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "error: rescaled draws are not finite; nothing written" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.05", "nan", "inf"])
@@ -763,7 +813,7 @@ def test_sample_output_does_not_depend_on_group_or_chunk_sizes(tmp_path, monkeyp
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main([*args, "--out", str(a)]) == 0
     if kind[0] == "cid":
-        monkeypatch.setattr(cid_mod, "STEP_CALL_DRAWS", 1)
+        monkeypatch.setattr(randstream_mod, "_CALL_DRAWS", 1)
     monkeypatch.setattr(cli_mod, "_CHUNK_LINES", 3)
     assert main([*args, "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()

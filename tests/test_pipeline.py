@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import l1sketch.ci1 as ci1_mod
+import l1sketch.cid as cid_mod
 import l1sketch.cli as cli_mod
 import l1sketch.densities as densities_mod
 import l1sketch.pipeline as pipeline_mod
+import l1sketch.randstream as randstream_mod
 from conftest import ks_against_cauchy, random_segment_family
 from l1sketch import (
     ApproxConfig,
@@ -47,7 +49,7 @@ from l1sketch.ci1 import (
     ci1_density,
     fill_pairs,
 )
-from l1sketch.cid import DEFAULT_C_MIDPOINT, STEP_CALL_DRAWS, _node_powers, riemann_abs_scale
+from l1sketch.cid import DEFAULT_C_MIDPOINT, _node_powers, riemann_abs_scale
 from l1sketch.densities import interval_coefficients, sample_from_density, unit_coefficients
 from l1sketch.errors import NonFiniteResultError
 from l1sketch.io import load_family, save_family
@@ -381,8 +383,7 @@ def _first_candidates(need):
 def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_candidates):
     """The sketch built block by block: the block of replicates ``b0 ..
     b0 + 63`` reads only a fresh stream ``(seed, b0)``, in groups of
-    ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate, or
-    ``STEP_CALL_DRAWS // u`` in the r-step mode.  A
+    ``_CALL_DRAWS // u`` replicates for ``u`` uniforms a replicate.  A
     group of g replicates draws ``(g, n_int)`` uniforms (degree 0),
     ``(g, n_int, r)`` uniforms (r-step), or its ``g * n_int`` degree-1 pairs
     (9 uniforms a pair) from candidate blocks of k: one ``(3, k)`` uniform
@@ -398,14 +399,14 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_ca
     block fell short."""
     n_int, d = len(family.breakpoints) - 1, family.degree
     coeffs = unit_coefficients(family.densities, family.breakpoints).reshape(family.m, -1)
-    per_rep, draws = n_int, _CALL_DRAWS
+    per_rep = n_int
     if mode is SketchMode.EXACT_CI1:
         per_rep = n_int * 9
     elif mode is SketchMode.CID_APPROX:
         r = approx_config.r
         node_pow = _node_powers(r, d, approx_config.nodes)
-        per_rep, draws = n_int * r, STEP_CALL_DRAWS
-    group = max(int(draws // per_rep), 1)
+        per_rep = n_int * r
+    group = max(int(_CALL_DRAWS // per_rep), 1)
 
     def accepted(gen, k):
         u0, p, w = gen.random((3, k))
@@ -451,15 +452,15 @@ def _reference_sketch(family, t, mode, seed, approx_config=None, first=_first_ca
         (SketchMode.UNIFORM_FASTPATH, "uniform", None),
         (SketchMode.EXACT_CI1, "linear-few", None),
         (SketchMode.EXACT_CI1, "linear", None),
-        # 31 intervals: groups of 43 replicates, so every block of 64 holds
+        # 123 intervals: groups of 43 replicates, so every block of 64 holds
         # two groups
         (SketchMode.EXACT_CI1, "linear-wide", None),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2)),
         # 2 intervals of r draws: groups of 5 replicates, so every block of
         # 64 ends in a partial group
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=STEP_CALL_DRAWS // 10)),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10)),
         (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")),
-        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=STEP_CALL_DRAWS // 10, nodes="midpoint")),
+        (SketchMode.CID_APPROX, "quadratic", ApproxConfig(d=2, epsilon_integration=0.2, r=_CALL_DRAWS // 10, nodes="midpoint")),
     ],
 )
 def test_sketch_bit_identical_to_reference(mode, family, config, threads):
@@ -468,7 +469,7 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
         # 3 intervals: a whole block of 64 replicates in one call
         "linear-few": lambda: random_piecewise_linear_family(2, 2, RandomStream(40)),
         "linear": lambda: random_piecewise_linear_family(4, 3, RandomStream(41)),
-        "linear-wide": lambda: random_piecewise_linear_family(2, 16, RandomStream(45)),
+        "linear-wide": lambda: random_piecewise_linear_family(2, 62, RandomStream(45)),
         "quadratic": lambda: DensityFamily(
             Breakpoints(np.array([0.0, 0.4, 1.0])),
             [
@@ -487,8 +488,58 @@ def test_sketch_bit_identical_to_reference(mode, family, config, threads):
         group = int(_CALL_DRAWS // ((len(fam.breakpoints) - 1) * 9))
         assert 1 < group < _BLOCK and _BLOCK % group != 0
     if mode is SketchMode.CID_APPROX and config.r > 100:
-        group = STEP_CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
+        group = _CALL_DRAWS // ((len(fam.breakpoints) - 1) * config.r)
         assert 1 < group < _BLOCK and _BLOCK % group != 0
+
+
+def _groups(monkeypatch, run):
+    """``(per_row, rows)`` of every :func:`fill_groups` call that ``run()``
+    makes, ``rows`` the length of each of its fills' parts."""
+    calls, real = [], randstream_mod.fill_groups
+
+    def recording(gen, fill, out, per_row):
+        rows = []
+        calls.append((per_row, rows))
+
+        def fill_and_record(gen, part, work):
+            rows.append(len(part))
+            fill(gen, part, work)
+
+        real(gen, fill_and_record, out, per_row)
+
+    with monkeypatch.context() as patch:
+        for mod in (pipeline_mod, ci1_mod, cid_mod):
+            patch.setattr(mod, "fill_groups", recording)
+        run()
+    return calls
+
+
+def test_one_budget_sizes_the_groups_of_every_sampler(monkeypatch, tmp_path):
+    # randstream._CALL_DRAWS, read at call time, sizes the groups of all
+    # three sketch modes and of sample ci1 and sample cid: each draws one
+    # group a block or a call at the default, and groups of three rows
+    # (a block's or a call's last one shorter) at three rows' uniforms
+    config = ApproxConfig(d=2, epsilon_integration=0.2, nodes="midpoint")
+    out = str(tmp_path / "s.csv")
+    runs = {
+        "uniform_fastpath": lambda: sketch_family(
+            _uniform_pair(), 100, SketchMode.UNIFORM_FASTPATH, RandomStream(7)),
+        "exact_ci1": lambda: sketch_family(_linear_pair(), 100, SketchMode.EXACT_CI1, RandomStream(7)),
+        "cid_approx": lambda: sketch_family(
+            _quadratic_pair(), 100, SketchMode.CID_APPROX, RandomStream(7), approx_config=config),
+        "sample ci1": lambda: cli_mod.main(["sample", "ci1", "--count", "50", "--out", out]),
+        "sample cid": lambda: cli_mod.main(["sample", "cid", "--d", "2", "--count", "50", "--out", out]),
+    }
+    for name, run in runs.items():
+        default = _groups(monkeypatch, run)
+        assert [rows for _, rows in default] in ([[64], [36]], [[50]]), name
+        per_row = default[0][0]
+        with monkeypatch.context() as patch:
+            patch.setattr(randstream_mod, "_CALL_DRAWS", 3 * per_row)
+            patched = _groups(monkeypatch, run)
+        assert [per for per, _ in patched] == [per_row] * len(default), name
+        for (_, rows), (_, whole) in zip(patched, default):
+            assert rows == [3] * (whole[0] // 3) + [whole[0] % 3] * (whole[0] % 3 > 0), name
 
 
 def test_sketch_tops_up_groups_whose_first_block_falls_short(monkeypatch):
@@ -619,7 +670,7 @@ def test_degree_one_sketch_evaluates_about_three_density_points_per_pair(monkeyp
         return real(x0, x1, **kwargs)
 
     monkeypatch.setattr(ci1_mod, "ci1_density", counting)
-    fam = random_piecewise_linear_family(3, 40, RandomStream(49))
+    fam = random_piecewise_linear_family(3, 160, RandomStream(49))
     n_int = len(fam.breakpoints) - 1
     t = 2 * _BLOCK
     sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(50))
@@ -779,22 +830,13 @@ def test_sketch_and_estimator_pass_their_scratch_and_keep_their_bits(monkeypatch
     _assert_fan_outs_keep_bits(monkeypatch, fam, lambda _: ci1_mod.pairs_scratch(group * n_int))
 
 
-def _quadratic_pair_on(n_int):
-    """The flat and ``3x^2`` densities of :func:`_quadratic_pair` on a grid
-    of ``n_int`` equal intervals."""
-    bp = Breakpoints(np.linspace(0.0, 1.0, n_int + 1))
-    rows = ("one", [1.0, 0.0, 0.0]), ("3x2", [0.0, 0.0, 3.0])
-    return DensityFamily(bp, [PiecewisePolyDensity(n, [0], [n_int], [c], 2) for n, c in rows], 2)
-
-
 def test_r_step_sketch_passes_the_uniforms_of_its_larger_group(monkeypatch):
-    # a block counts the uniforms of its largest group at the r-step budget:
-    # on 71 intervals of r = 16 steps, 42 replicates, against 10 at the
-    # degree-1 budget
+    # a block counts the uniforms of its largest group: on 71 intervals of
+    # r = 16 steps, 42 replicates
     def scratch(config):
         per_rep = 71 * config["r"]
-        group = min(STEP_CALL_DRAWS // per_rep, _BLOCK)
-        assert (config["r"], group, _CALL_DRAWS // per_rep) == (16, 42, 10)
+        group = min(_CALL_DRAWS // per_rep, _BLOCK)
+        assert (config["r"], group) == (16, 42)
         return group * per_rep
 
     _assert_fan_outs_keep_bits(monkeypatch, _quadratic_pair_on(71), scratch)

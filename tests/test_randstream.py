@@ -103,6 +103,21 @@ def test_cauchy_negative_scale_rejected():
         sample_cauchy(0.0, -1.0, RandomStream(1), size=1)
 
 
+@pytest.mark.parametrize(
+    "center,scale", [(0.0, math.nan), (math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (-math.inf, 0.0)]
+)
+def test_cauchy_non_finite_center_or_scale_rejected(center, scale):
+    # a NaN scale once passed the scale < 0 test and gave NaN draws
+    with pytest.raises(ParameterError, match="need a finite center and scale >= 0"):
+        sample_cauchy(center, scale, RandomStream(1), size=1)
+
+
+def test_cauchy_draws_are_center_plus_scale_times_tan():
+    u = RandomStream(4).random(1_000)
+    draws = sample_cauchy(1.5, 2.0, RandomStream(4), size=1_000)
+    np.testing.assert_array_equal(draws, 1.5 + 2.0 * np.tan(np.pi * u))
+
+
 def test_cauchy_median_and_quantile():
     draws = sample_cauchy(0.0, 1.0, RandomStream(2), size=100_000)
     # median of |C(0,1)| is tan(pi/4) = 1
