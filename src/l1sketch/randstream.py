@@ -26,15 +26,15 @@ _UINT64_MASK = (1 << 64) - 1
 
 #: Uniforms per draw call of :func:`fill_groups`, the one group budget of
 #: every sampler; peak memory grows with it.  Sketch ms of the 71-interval
-#: benchmark families on 1 / 2 threads, and peak RSS over the load on the
-#: benchmark's threads (degree 1: t = 2,764, 1; degree 2: r = 18, t = 4,365,
-#: 2), medians of 8 fresh-process rounds of medians of 5 calls, 2-vCPU VM:
+#: benchmark families on 1 / 2 threads, and peak RSS over the load on 1
+#: thread at degree 1 (t = 2,764) and 2 at degree 2 (r = 18, t = 4,365);
+#: medians of 8 fresh-process rounds of medians of 5 calls, 2-vCPU VM:
 #:   uniforms a call   degree 1             degree 2
 #:   12,000            48 / 67 ms, 1.3 MB   51 / 40 ms, 1.3 MB
 #:   24,000            41 / 46 ms, 1.8 MB   44 / 32 ms, 1.5 MB
 #:   48,000            36 / 31 ms, 2.5 MB   46 / 29 ms, 1.8 MB
 #:   96,000            39 / 32 ms, 2.5 MB   37 / 28 ms, 2.4 MB
-#: From 45,440 a degree-1 benchmark block is one group, so 48,000 and
+#: From 40,896 a degree-1 benchmark block is one group, so 48,000 and
 #: 96,000 make the same degree-1 draws.  Degree 1's group size also sizes
 #: its first candidate block, so its bits depend on this value.
 _CALL_DRAWS = 48_000

@@ -539,7 +539,7 @@ def test_one_budget_sizes_the_groups_of_every_sampler(monkeypatch, tmp_path):
             patched = _groups(monkeypatch, run)
         assert [per for per, _ in patched] == [per_row] * len(default), name
         for (_, rows), (_, whole) in zip(patched, default):
-            assert rows == [3] * (whole[0] // 3) + [whole[0] % 3] * (whole[0] % 3 > 0), name
+            assert rows == [min(3, whole[0] - g0) for g0 in range(0, whole[0], 3)], name
 
 
 def test_sketch_tops_up_groups_whose_first_block_falls_short(monkeypatch):
