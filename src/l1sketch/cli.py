@@ -57,8 +57,13 @@ _CHUNK_LINES = 1 << 16
 
 
 def _default_seed() -> int:
+    """The seed of a command run without ``--seed``: ``L1SKETCH_SEED``,
+    read when the command runs, or 0 when unset or empty."""
     env = os.environ.get("L1SKETCH_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError as exc:
+        raise ParameterError(f"L1SKETCH_SEED must be an integer, got {env!r}") from exc
 
 
 def _check_out(out: str | None) -> None:
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["exact", "sketch", "mc"], default="sketch")
     p.add_argument("--epsilon", type=float, default=0.2)
     p.add_argument("--delta", type=float, default=0.1)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.add_argument("--threads", type=int, default=1)
@@ -289,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--c-constant", type=float, default=None, help="c in r = ceil(c d / sqrt(eps_int))"
     )
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sample)
 
@@ -306,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-max", type=int, default=5)
     p.add_argument("--eps", type=float, default=0.05)
     p.add_argument("--trials", type=int, default=400)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_calibrate)
 
@@ -330,14 +335,19 @@ def _normalize_argv(argv):
     return out
 
 
+#: The parser, built once at import: ``main`` reuses it on every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_normalize_argv(argv))
+    args = _PARSER.parse_args(_normalize_argv(argv))
     if args.command == "eval" and args.target == "density":
         missing = [flag for flag in ("--input", "--name") if getattr(args, flag[2:]) is None]
         if missing:
-            parser.error(f"eval density needs {' and '.join(missing)}")
+            _PARSER.error(f"eval density needs {' and '.join(missing)}")
     try:
+        if args.command != "eval" and args.seed is None:
+            args.seed = _default_seed()
         _check_out(args.out)
         return args.func(args)
     except (FamilyFormatError, OSError) as exc:  # OSError: an --out that cannot be written

@@ -70,7 +70,11 @@ def family_from_dict(doc: Any) -> DensityFamily:
     """Parse a family document: each density's segments go straight into
     its table, and every check runs on the arrays.  ``degree``, ``b`` and
     ``c`` must be JSON integers, and breakpoints and coefficients JSON
-    numbers, as :func:`family_to_dict` writes them."""
+    numbers, as :func:`family_to_dict` writes them.  A density whose rows
+    all hold ``degree + 1`` numbers gets its coefficient array from the
+    flat list of its entries, one conversion of the numbers the type check
+    has already walked; other rows go to the table as lists, whose check
+    names ragged rows and wrong lengths."""
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
     try:
@@ -89,7 +93,10 @@ def family_from_dict(doc: Any) -> DensityFamily:
                 _typed([sd[key] for sd in segs], {int}, f"{seg} index {key!r} must be an integer")
                 for key in ("b", "c")
             )
-            dens = PiecewisePolyDensity(name, b, c, rows, degree)
+            coeffs = rows  # ragged or mis-sized rows: the table reports them
+            if set(map(len, rows)) == {degree + 1}:
+                coeffs = np.array(entries, dtype=float).reshape(len(rows), degree + 1)
+            dens = PiecewisePolyDensity(name, b, c, coeffs, degree)
             # JSON admits NaN and Infinity
             if not np.isfinite(dens.coeffs).all():
                 raise FamilyFormatError(f"{seg} coefficients must be finite")

@@ -448,9 +448,10 @@ def run_scheme(
 ) -> DistanceMatrix:
     """Dispatch to the exact oracle, the sketch of :func:`plan_run`'s plan or
     the MC baseline.  A non-finite or non-positive ``epsilon``, a ``delta``
-    outside (0, 1) or a bad ``c_constant`` raises :class:`ParameterError`
-    for every method, before any work; the sketch also refuses ``epsilon >
-    1/2`` and the MC baseline ``epsilon > 2``."""
+    outside (0, 1), a bad ``c_constant`` or a family of fewer than two
+    densities raises :class:`ParameterError` for every method, before any
+    work; the sketch also refuses ``epsilon > 1/2`` and the MC baseline
+    ``epsilon > 2``."""
     _check_threads(threads)
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not math.isfinite(value):
@@ -460,6 +461,8 @@ def run_scheme(
         raise ParameterError(f"epsilon must be > 0, got {epsilon}")
     if not 0.0 < delta < 1.0:
         raise ParameterError(f"delta must be in (0, 1), got {delta}")
+    if family.m < 2:
+        raise ParameterError(f"all-pairs distances need m >= 2 densities, got {family.m}")
     if method == "exact":
         dm = _exact_all_pairs(family)
         dm.config.update({"epsilon": epsilon, "delta": delta, "seed": seed})

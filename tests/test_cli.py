@@ -97,6 +97,48 @@ def test_family_parse_pauses_the_collector_and_restores_its_state(monkeypatch, e
     assert during == ([] if error == "invalid JSON" else [False])
 
 
+def _one_density_doc(degree, rows):
+    """A family document of one density ``x`` whose segment ``i`` covers
+    grid interval ``i`` with coefficient row ``rows[i]``."""
+    segments = [{"b": i, "c": i + 1, "coeffs": row} for i, row in enumerate(rows)]
+    return {"degree": degree, "breakpoints": [float(i) for i in range(len(rows) + 1)],
+            "densities": [{"name": "x", "segments": segments}]}
+
+
+def test_family_coefficients_keep_the_bits_of_a_nested_conversion():
+    # the flat conversion of a density's entries gives the array, value for
+    # value, that numpy makes of its nested rows
+    rows = [[-0.0, 5e-324], [1.7976931348623157e308, 2**53 + 1], [3, -2.5]]
+    coeffs = io_mod.family_from_dict(_one_density_doc(1, rows)).densities[0].coeffs
+    want = np.asarray(rows, dtype=float)
+    assert coeffs.shape == (3, 2) and coeffs.dtype == want.dtype
+    assert coeffs.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "degree,rows,message",
+    [
+        # the texts of the nested conversion, read from the code before the
+        # flat one
+        (1, [[1.0, 10**400]], "malformed family document: int too large to convert to float"),
+        (1, [[1.0, 2.0], [1.0]],
+         "density 'x': segment coeffs must be rows of degree+1 = 2 numbers, got lengths [1, 2]"),
+        (1, [[1.0, 10**400], [1.0]],
+         "density 'x': segment coeffs must be rows of degree+1 = 2 numbers, got lengths [1, 2]"),
+        (1, [[1.0], [1.0]],
+         "density 'x': segment coeffs must be rows of degree+1 = 2 numbers, got shape (2, 1)"),
+        (0, [[], []],
+         "density 'x': segment coeffs must be rows of degree+1 = 1 numbers, got shape (2, 0)"),
+        (-1, [[]], "degree must be in [0, 16], got -1"),
+        (99, [[1.0] * 100], "degree must be in [0, 16], got 99"),
+    ],
+)
+def test_family_coefficient_errors_keep_their_text(degree, rows, message):
+    with pytest.raises(FamilyFormatError) as info:
+        io_mod.family_from_dict(_one_density_doc(degree, rows))
+    assert str(info.value) == message
+
+
 def test_dist_exact_csv(pair_family_path, tmp_path, capsys):
     out = tmp_path / "dist.csv"
     code = main(["dist", pair_family_path, "--method", "exact", "--out", str(out)])
@@ -550,7 +592,23 @@ def test_dist_mc_family_of_no_densities_exit_3_before_drawing(tmp_path, capsys, 
     out = tmp_path / "dist.csv"
     code = main(["dist", str(path), "--method", "mc", "--out", str(out)])
     err = _assert_refused(code, 3, out, capsys)
-    assert "the Monte Carlo baseline needs m >= 1 densities, got 0" in err
+    assert "all-pairs distances need m >= 2 densities, got 0" in err
+
+
+@pytest.mark.parametrize("m", [0, 1])
+@pytest.mark.parametrize("method", ["exact", "sketch", "mc"])
+def test_dist_family_of_fewer_than_two_densities_exit_3_for_every_method(
+    tmp_path, capsys, method, m
+):
+    # the exact oracle once wrote a header-only or 1 x 1 matrix, the sketch
+    # refused m < 2 and the Monte Carlo baseline m < 1, each in its own words
+    densities = [{"name": "a", "segments": [{"b": 0, "c": 1, "coeffs": [1.0]}]}][:m]
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"degree": 0, "breakpoints": [0, 1], "densities": densities}))
+    out = tmp_path / "dist.csv"
+    code = main(["dist", str(path), "--method", method, "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert err == f"error: all-pairs distances need m >= 2 densities, got {m}\n"
 
 
 def test_calibrate_past_max_steps_exit_3(tmp_path, capsys):
@@ -912,16 +970,58 @@ def test_calibrate_output(tmp_path):
     assert doc["manifest"]["parameters"]["trials"] == 50
 
 
-def test_env_seed_default(pair_family_path, tmp_path, monkeypatch):
+_SEEDED_COMMANDS = [
+    ["dist", "{family}", "--method", "sketch", "--epsilon", "0.5", "--delta", "0.3",
+     "--format", "json"],
+    ["sample", "ci1", "--count", "5"],
+    ["calibrate", "--d-max", "1", "--trials", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", _SEEDED_COMMANDS, ids=["dist", "sample", "calibrate"])
+def test_env_seed_default(pair_family_path, tmp_path, monkeypatch, argv):
+    # the variable is read when the command runs, not when the module loads
+    argv = [a.format(family=pair_family_path) for a in argv]
     monkeypatch.setenv("L1SKETCH_SEED", "77")
-    out1 = tmp_path / "e1.json"
-    assert main(["dist", pair_family_path, "--method", "sketch", "--epsilon", "0.5",
-                 "--delta", "0.3", "--format", "json", "--out", str(out1)]) == 0
+    out1 = tmp_path / "e1"
+    assert main(argv + ["--out", str(out1)]) == 0
     monkeypatch.delenv("L1SKETCH_SEED")
-    out2 = tmp_path / "e2.json"
-    assert main(["dist", pair_family_path, "--method", "sketch", "--epsilon", "0.5",
-                 "--delta", "0.3", "--seed", "77", "--format", "json", "--out", str(out2)]) == 0
+    out2 = tmp_path / "e2"
+    assert main(argv + ["--seed", "77", "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert '"seed": 77' in out1.read_text()
+
+
+@pytest.mark.parametrize("argv", _SEEDED_COMMANDS, ids=["dist", "sample", "calibrate"])
+def test_invalid_env_seed_exit_3_only_without_seed(pair_family_path, tmp_path, monkeypatch,
+                                                   capsys, argv):
+    # a bad value once crashed every command, --version and --seed N too,
+    # with a ValueError traceback while the parser was built
+    argv = [a.format(family=pair_family_path) for a in argv]
+    monkeypatch.setenv("L1SKETCH_SEED", "abc")
+    out = tmp_path / "out"
+    err = _assert_refused(main(argv + ["--out", str(out)]), 3, out, capsys)
+    assert err == "error: L1SKETCH_SEED must be an integer, got 'abc'\n"
+    assert main(argv + ["--seed", "3", "--out", str(out)]) == 0
+    with pytest.raises(SystemExit) as info:
+        main(["--version"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("l1sketch ")
+
+
+def test_parser_is_built_once_per_process(pair_family_path, tmp_path, monkeypatch):
+    built = []
+    real = cli_mod.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli_mod, "build_parser", counting)
+    for k in range(3):
+        out = tmp_path / f"d{k}.csv"
+        assert main(["dist", pair_family_path, "--method", "exact", "--out", str(out)]) == 0
+    assert built == []
 
 
 def test_internal_error_exit_4(pair_family_path, monkeypatch, capsys):
