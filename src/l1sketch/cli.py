@@ -5,8 +5,9 @@ Subcommands: ``dist`` (all-pairs distances), ``sample`` (raw draws),
 constant).  ``dist`` picks its sampler by degree; its r-step sampler
 (degree >= 2) and ``sample cid`` use midpoint nodes, so ``--c-constant``
 (in ``dist``'s manifest) and the constant ``calibrate`` emits are the ``c``
-of ``r = ceil(c d / sqrt(eps))``.  The default seed comes from the
-``L1SKETCH_SEED`` environment variable when set.
+of ``r = ceil(c d / sqrt(eps))``.  A command run without ``--seed`` reads
+its seed from the ``L1SKETCH_SEED`` environment variable when it runs (0
+when unset); a value that is not an integer exits 3.
 
 Exit codes: 0 success, 2 parse/validation error, 3 parameter error,
 4 internal invariant breach or a non-finite result.

@@ -978,18 +978,18 @@ _SEEDED_COMMANDS = [
 ]
 
 
-@pytest.mark.parametrize("argv", _SEEDED_COMMANDS, ids=["dist", "sample", "calibrate"])
-def test_env_seed_default(pair_family_path, tmp_path, monkeypatch, argv):
+def test_env_seed_default(pair_family_path, tmp_path, monkeypatch):
     # the variable is read when the command runs, not when the module loads
-    argv = [a.format(family=pair_family_path) for a in argv]
-    monkeypatch.setenv("L1SKETCH_SEED", "77")
-    out1 = tmp_path / "e1"
-    assert main(argv + ["--out", str(out1)]) == 0
-    monkeypatch.delenv("L1SKETCH_SEED")
-    out2 = tmp_path / "e2"
-    assert main(argv + ["--seed", "77", "--out", str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert '"seed": 77' in out1.read_text()
+    for k, argv in enumerate(_SEEDED_COMMANDS):
+        argv = [a.format(family=pair_family_path) for a in argv]
+        monkeypatch.setenv("L1SKETCH_SEED", "77")
+        out1 = tmp_path / f"e{k}-env"
+        assert main(argv + ["--out", str(out1)]) == 0
+        monkeypatch.delenv("L1SKETCH_SEED")
+        out2 = tmp_path / f"e{k}-flag"
+        assert main(argv + ["--seed", "77", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert '"seed": 77' in out1.read_text()
 
 
 @pytest.mark.parametrize("argv", _SEEDED_COMMANDS, ids=["dist", "sample", "calibrate"])
