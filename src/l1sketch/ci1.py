@@ -22,9 +22,22 @@ degrees of freedom; Devroye, *Non-Uniform Random Variate Generation*, 1986,
 ch. XI), which also gives the envelope's value there for free, and one is
 ``w``.  No normal draw and no ``hypot`` call is made.
 
+A candidate's test, ``w * K/pi <= h`` with ``h = f t^(3/2)`` the density
+over ``pi`` times the envelope, has ``h`` a function of the candidate's
+own two uniforms ``(U0, U1)``.  A table of bounds ``lo <= h <= hi`` on
+each of 64 x 64 cells of the unit square, built on the first degree-1 draw
+of a process, is a two-sided squeeze in the manner of Devroye (1986,
+ch. II.5 and VIII) and of the ziggurat's per-strip bounds (Marsaglia and
+Tsang, J. Stat. Software 2000): it accepts or rejects about 94.5% of
+candidates exactly as the plain test would, with neither their point nor
+their density, so the density is computed for about 0.17 of a point a
+pair instead of 3, and the envelope points for the kept candidates only.
+The draws, their order and the accepted candidates are those of the plain
+test, so every output keeps its bits.
+
 A block of candidates runs in place, from the uniform draw through the
-envelope points and the density to the accept test, in the
-:class:`~l1sketch.randstream.Workspace` that
+squeeze and the undecided candidates' density to the kept candidates'
+points, in the :class:`~l1sketch.randstream.Workspace` that
 :func:`~l1sketch.randstream.fill_groups` lends to every group of a call,
 and :func:`fill_pairs`, the one rejection loop, writes each block's
 accepted candidates straight into the group's slots.  Temporaries freed
@@ -41,6 +54,7 @@ and the density evaluates both in real arithmetic, on terms the two share.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -192,7 +206,7 @@ def student_envelope_density(x0, x1):
     return 1.0 / (np.pi * t * np.sqrt(t))
 
 
-def _envelope_points(gen: np.random.Generator, u: np.ndarray, x1, t, tmp):
+def _envelope_points(u: np.ndarray, x1, t, tmp):
     """Envelope points from rows 0 and 1 of the uniforms ``u``, by
     conditional inversion, in place: ``(x0, x1, t)``, with ``x0`` written
     over row 0, and ``x1`` and ``t = 1 + x0^2 + (2 x1 - x0)^2``, so the
@@ -206,14 +220,11 @@ def _envelope_points(gen: np.random.Generator, u: np.ndarray, x1, t, tmp):
     times a t variable with 2 degrees of freedom, whose quantile at ``p``
     is ``(2p - 1) / sqrt(2 p (1 - p))``.  So ``v = sqrt(s0 / (p (1 - p)))
     (p - 1/2)`` with ``p = U1``, and ``1 + u^2 + v^2 = s0 / (4 p (1 - p))``.
-    ``p (1 - p)`` is zero only at ``p = 0`` (probability 2**-53 a draw);
-    such a ``p`` is redrawn from ``gen``, in place.
+    ``p (1 - p)`` is zero only at ``p = 0``, which :func:`_redraw_zeros`
+    replaces first.  Every step is elementwise, so a point's bits do not
+    depend on the other entries of the rows.
     """
     x0, p = u[0], u[1]
-    zero = p == 0.0
-    while zero.any():
-        p[zero] = gen.random(int(zero.sum()))
-        zero = p == 0.0
     cauchy_in_place(x0)
     np.multiply(x0, x0, out=t)
     np.add(1.0, t, out=t)
@@ -228,6 +239,14 @@ def _envelope_points(gen: np.random.Generator, u: np.ndarray, x1, t, tmp):
     return x0, x1, np.multiply(0.25, spread, out=t)
 
 
+def _redraw_zeros(gen: np.random.Generator, p: np.ndarray) -> None:
+    """Redraw from ``gen``, in place, every ``p = U1`` that is 0 (probability
+    2**-53 a draw), where ``p (1 - p)`` would be 0."""
+    while not p.all():
+        zero = p == 0.0
+        p[zero] = gen.random(int(zero.sum()))
+
+
 def sample_student_envelope(rng: RandomStream, size: int):
     """Draw ``(x0, x1)`` from :func:`student_envelope_density`: two arrays
     of ``size``.
@@ -240,7 +259,9 @@ def sample_student_envelope(rng: RandomStream, size: int):
     onto the envelope.
     """
     gen = rng.generator
-    x0, x1, _ = _envelope_points(gen, gen.random((2, size)), *np.empty((3, size)))
+    u = gen.random((2, size))
+    _redraw_zeros(gen, u[1])
+    x0, x1, _ = _envelope_points(u, *np.empty((3, size)))
     return x0, x1
 
 
@@ -266,33 +287,197 @@ def _accept_mask(x0, x1, u01):
     return accept
 
 
-#: Rows of ``k`` float64s that a block of ``k`` candidates works in: its
-#: uniforms ``U0``, ``U1`` and ``w``, ``x1``, ``t`` and the density's rows.
-_BLOCK_ROWS = 5 + _DENSITY_ROWS
+def _scaled_density(u: np.ndarray, scratch: np.ndarray, density) -> np.ndarray:
+    """``h = f(x0, x1) t^(3/2)``, the density over ``pi`` times the
+    envelope, at the candidates whose ``U0`` and ``U1`` are the rows of the
+    ``(2, n)`` array ``u``: :func:`_envelope_points` in place over ``u``,
+    then ``density``, :func:`ci1_density`, in 12 rows of ``n`` of the flat
+    ``scratch``.  The result is a view into ``scratch``.  The sampler and
+    its squeeze table both compute ``h`` here."""
+    n = u.shape[1]
+    x1, t, tmp = _rows(scratch, 3, (n,))
+    x0, x1, t = _envelope_points(u, x1, t, tmp)
+    np.sqrt(t, out=tmp)
+    np.multiply(t, tmp, out=t)  # t^(3/2)
+    return np.multiply(density(x0, x1, scratch=scratch[3 * n :]), t, out=t)
+
+
+#: Cells a side of the squeeze table, a power of two: ``U0 * G`` and
+#: ``U1 * G`` are exact, so a candidate's cell is the integer parts.
+_CELLS = 64
+
+#: Lattice steps a cell side over which the table takes ``h``'s extrema.
+_STEPS = 4
+
+#: The bounds' margin: ``_SAFETY`` times the cell's largest step difference
+#: of the lattice, plus ``_ROUNDING`` times its largest ``|h|``.
+_SAFETY = 2.0
+_ROUNDING = 1e-9
+
+#: Half-width of the strip ``|U0 - 1/2| < _STRIP`` whose candidates are
+#: always evaluated: it holds every ``U0`` whose ``|x0| = |tan(pi U0)|``
+#: passes :data:`CHECKED_RADIUS`, since ``cot(pi/3e6) < 1e6``.
+_STRIP = 1.0 / (3.0 * CHECKED_RADIUS)
+
+_table: tuple[np.ndarray, np.ndarray] | None = None
+_table_lock = threading.Lock()
+
+
+def _build_table(density=ci1_density) -> tuple[np.ndarray, np.ndarray]:
+    """The squeeze table: flat arrays ``lo`` and ``hi`` of ``G^2 + 1``
+    bounds, cell ``(i, j)`` of ``U0`` in ``[i/G, (i+1)/G)`` and ``U1`` in
+    ``[j/G, (j+1)/G)`` at ``i G + j``, and a last entry, ``-inf`` and
+    ``inf``, that decides nothing, for the strip around ``U0 = 1/2``.
+
+    Bounds of the computed ``h``.  Each cell's ``h`` is computed by
+    :func:`_scaled_density`, the sampler's arithmetic, on a lattice of
+    ``(S + 1)^2`` points, ``S`` = :data:`_STEPS`, spaced ``1/(S G)`` and
+    clipped to the uniforms' range ``[2^-53, 1 - 2^-53]``.  Let ``D`` be
+    the largest difference of ``h`` between neighbouring lattice points of
+    the cell.  A point of the cell lies within half a step, along each
+    axis, of a corner of its lattice square, so to first order ``h`` there
+    differs from that corner's value by at most half a step difference
+    along each axis, together at most ``D``.  The bounds are the lattice
+    extrema widened by ``_SAFETY D``, a factor 2 on the first-order bound
+    for the gradient's change across a cell, plus ``_ROUNDING`` times the
+    cell's largest ``|h|`` for rounding, whose pointwise noise a lattice
+    does not see.  A cell whose lattice gives a NaN decides nothing.
+
+    Where it is not smooth.  Near ``U1 = 0`` or 1 ``h`` moves like
+    ``sqrt(U1)`` and the points run out to radius 1e13 near the ``x0 = 0``
+    axis, where the computed density cancels to noise of either sign.  That
+    noise stays below 2e-8 in ``h`` wherever ``|x0| <= 20.4``, against
+    margins above 2e-3 in those edge cells, but reaches 1.6e-3 at ``|x0|``
+    about 7e5: the four edge cells beside ``U0 = 1/2`` (``|x0| > 20.4``)
+    decide nothing.  The strip ``|U0 - 1/2| < _STRIP``, where ``|x0|``
+    passes :data:`CHECKED_RADIUS`, goes to the last entry
+    (:func:`_candidate_block`).  With those, the computed ``h`` lies within
+    its cell's bounds on 10**7 seeded candidates and on dense samples of
+    the square's edges and of the cells' edges, closest at 0.19 of the
+    cell's bound width (tests/test_ci1.py).
+
+    One row of cells at a time: the build holds about 250 kB and takes
+    about 8 ms (2-vCPU VM).
+    """
+    g, s = _CELLS, _STEPS
+    width = g * s + 1
+    last = 1.0 - 2.0**-53
+    u1 = np.minimum(np.arange(width) / (g * s), last)
+    u1[0] = 2.0**-53
+    n = (s + 1) * width
+    buf = np.empty(14 * n)
+    u = buf[: 2 * n].reshape(2, s + 1, width)
+    lo, hi = np.full(g * g + 1, -np.inf), np.full(g * g + 1, np.inf)
+    for i in range(g):
+        u[0] = np.minimum((i * s + np.arange(s + 1.0)) / (g * s), last)[:, None]
+        u[1] = u1
+        h = _scaled_density(u.reshape(2, n), buf[2 * n :], density).reshape(s + 1, width)
+        low = _per_cell(h.min(axis=0), np.minimum)
+        high = _per_cell(h.max(axis=0), np.maximum)
+        step = np.maximum(
+            _per_cell(np.abs(np.diff(h, axis=0)).max(axis=0), np.maximum),
+            np.abs(np.diff(h, axis=1)).max(axis=0).reshape(g, s).max(axis=1),
+        )
+        margin = _SAFETY * step + _ROUNDING * np.maximum(np.abs(low), np.abs(high))
+        np.subtract(low, margin, out=lo[i * g : (i + 1) * g])
+        np.add(high, margin, out=hi[i * g : (i + 1) * g])
+    # the U1-edge cells next to U0 = 1/2
+    corners = [i * g + j for i in (g // 2 - 1, g // 2) for j in (0, g - 1)]
+    lo[corners], hi[corners] = -np.inf, np.inf
+    lo[np.isnan(lo)], hi[np.isnan(hi)] = -np.inf, np.inf
+    return lo, hi
+
+
+def _per_cell(a: np.ndarray, ufunc) -> np.ndarray:
+    """``ufunc`` (``np.minimum`` or ``np.maximum``) reduced over each cell's
+    ``S + 1`` of a row of ``G S + 1`` lattice columns, neighbours sharing
+    their edge column."""
+    return ufunc(ufunc.reduce(a[:-1].reshape(-1, _STEPS), axis=1), a[_STEPS::_STEPS])
+
+
+def _squeeze_table() -> tuple[np.ndarray, np.ndarray]:
+    """The squeeze table of :func:`_build_table`, built once per process on
+    first use, under a lock, so threads that draw at once share one build."""
+    global _table
+    if _table is None:
+        with _table_lock:
+            if _table is None:
+                _table = _build_table()
+    return _table
+
+
+def _front(k: int) -> int:
+    """Float64s at the front of a block of ``k`` candidates' workspace: its
+    ``(3, k)`` uniforms and three ``k``-entry bool masks.  The candidates'
+    cells and bounds, and then the evaluated or kept candidates' rows,
+    follow from there."""
+    return 3 * k + -(-3 * k // 8)
 
 
 def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
-    """``k`` candidates, as ``(x0, x1, accept)``.
+    """``k`` candidates, as their ``(3, k)`` uniforms and accept mask, views
+    into the :class:`~l1sketch.randstream.Workspace` ``work`` that are valid
+    until it is next written.
 
-    One ``(3, k)`` uniform draw: rows 0 and 1 give the envelope points
-    (:func:`_envelope_points`), row 2 the acceptance uniforms ``w``.  A
-    candidate is a proposal that passed the squeeze, whose uniform ``u``
-    has ``u * (C/pi) = w * K``, so it is accepted when ``w * K * g <= f``,
-    here ``w * K/pi <= f * t^(3/2)`` with ``g = 1/(pi t^(3/2))``.  Every
-    step from the draw to the test writes into :data:`_BLOCK_ROWS` rows of
-    the :class:`~l1sketch.randstream.Workspace` ``work``, so ``x0`` and
-    ``x1`` are views into it, valid until it is next written.
+    One ``(3, k)`` uniform draw, rows ``U0``, ``U1`` and ``w``, and the
+    :func:`_redraw_zeros` of row 1.  A candidate is a proposal that passed
+    the squeeze, whose uniform ``u`` has ``u * (C/pi) = w * K``, so it is
+    accepted when ``w * K * g <= f``, here ``w * K/pi <= h`` with ``h = f
+    t^(3/2)`` (:func:`_scaled_density`).  ``h`` depends on ``U0`` and
+    ``U1`` only, and :func:`_squeeze_table` bounds it, ``lo <= h <= hi``,
+    on each cell of the unit square: a candidate with ``w * K/pi <= lo``
+    is accepted and one with ``w * K/pi > hi`` rejected, as the plain test
+    would, and only the rest (about 5%, and the strip around ``U0 = 1/2``)
+    has ``h`` computed.  Row 2 holds ``w * K/pi`` on return, and rows 0
+    and 1 the candidates' ``U0`` and ``U1``, for :func:`_kept_points`.
     """
-    buf = work.floats(_BLOCK_ROWS * k)
+    lo, hi = _squeeze_table()
+    front = _front(k)
+    buf = work.floats(front + 2 * k)
     u = buf[: 3 * k].reshape(3, k)
     gen.random(out=u)
-    x1, t, tmp = _rows(buf[3 * k :], 3, (k,))
-    x0, x1, t = _envelope_points(gen, u, x1, t, tmp)
-    np.sqrt(t, out=tmp)
-    np.multiply(t, tmp, out=t)  # t^(3/2)
-    np.multiply(ci1_density(x0, x1, scratch=buf[5 * k :]), t, out=t)
+    _redraw_zeros(gen, u[1])
+    accept, open_, strip = buf[3 * k : front].view(np.bool_)[: 3 * k].reshape(3, k)
+    cell = buf[front : front + k].view(np.intp)
+    bound = buf[front + k : front + 2 * k]
+    column = bound.view(np.intp)
+    np.multiply(u[0], _CELLS, out=cell, casting="unsafe")  # trunc is floor here
+    np.multiply(cell, _CELLS, out=cell)
+    np.multiply(u[1], _CELLS, out=column, casting="unsafe")
+    np.add(cell, column, out=cell)
+    np.subtract(u[0], 0.5, out=bound)
+    np.absolute(bound, out=bound)
+    np.less(bound, _STRIP, out=strip)
+    np.copyto(cell, _CELLS * _CELLS, where=strip)
     w = np.multiply(u[2], SQUEEZE_K / np.pi, out=u[2])
-    return x0, x1, w <= t
+    np.less_equal(w, lo.take(cell, out=bound, mode="clip"), out=accept)
+    np.less_equal(w, hi.take(cell, out=bound, mode="clip"), out=open_)
+    np.not_equal(open_, accept, out=open_)  # lo < w <= hi, as lo <= hi
+    undecided = np.flatnonzero(open_)
+    m = undecided.size
+    if m:
+        rows = work.floats(front + 15 * m)[front:]
+        part = rows[: 2 * m].reshape(2, m)
+        np.take(u[0], undecided, out=part[0], mode="clip")
+        np.take(u[1], undecided, out=part[1], mode="clip")
+        np.take(w, undecided, out=rows[2 * m : 3 * m], mode="clip")
+        h = _scaled_density(part, rows[3 * m :], ci1_density)
+        accept[undecided] = rows[2 * m : 3 * m] <= h
+    return u, accept
+
+
+def _kept_points(u: np.ndarray, keep: np.ndarray, work: Workspace, k: int):
+    """The envelope points ``(x0, x1)`` of the candidates at ``keep`` of a
+    :func:`_candidate_block` of ``k``, computed from their uniforms by the
+    same elementwise :func:`_envelope_points`, in rows of ``work`` after
+    the block's front."""
+    front, n = _front(k), keep.size
+    rows = work.floats(front + 5 * n)[front:]
+    part = rows[: 2 * n].reshape(2, n)
+    np.take(u[0], keep, out=part[0], mode="clip")
+    np.take(u[1], keep, out=part[1], mode="clip")
+    x0, x1, _ = _envelope_points(part, *_rows(rows[2 * n :], 3, (n,)))
+    return x0, x1
 
 
 def first_block(need: int) -> int:
@@ -311,12 +496,14 @@ def first_block(need: int) -> int:
 
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
-    holds at its peak in a new workspace: the :data:`_BLOCK_ROWS` rows of
-    its first block, and one row more for the accept mask, the accepted
-    candidates' indices and their values on the way into the output.
-    tracemalloc measured 14.8 rows for a degree-1 benchmark block, 4,544
-    pairs (first block 14,100), and for 1,278 and 710 pairs."""
-    return (_BLOCK_ROWS + 1) * first_block(need)
+    holds at its peak in a new workspace, in rows of its first block: the
+    block's front (3.4 rows), its cells and bounds (2 rows), which outgrow
+    its undecided and kept candidates' rows, the kept candidates' indices
+    (a third of a row) and numpy's buffer for the cells' float-to-integer
+    cast.  tracemalloc measured 5.98 rows for a degree-1 benchmark block,
+    4,544 pairs (first block 14,100), and 6.45 and 6.51 rows for 1,278 and
+    710 pairs."""
+    return math.ceil(6.6 * first_block(need))
 
 
 def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
@@ -331,7 +518,11 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> No
     do not depend on acceptance luck), then tops up with 1.4 times the
     expected count still missing, at least 64, while short; each block is
     :func:`_candidate_block`, three uniforms a candidate, in ``work``, and
-    its accepted candidates are written straight into ``out``.  A budget of
+    the envelope points of the accepted candidates it keeps, and of no
+    other, are computed (:func:`_kept_points`) and written into ``out``.
+    The squeeze table decides most candidates without their point or
+    density, and decides them as the plain test does, so the pairs are
+    those of the plain rejection loop, bit for bit.  A budget of
     ``REJECTION_ITERATION_CAP`` proposals per requested draw, a candidate
     counting as the ``C/(K pi)`` proposals it stands for, guards against a
     broken domination bound; exceeding it raises, it never loops silently.
@@ -345,10 +536,11 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> No
     got, used = 0, 0.0
     k = first_block(need)
     while got < need:
-        x0, x1, accept = _candidate_block(gen, k, work)
+        u, accept = _candidate_block(gen, k, work)
         keep = np.flatnonzero(accept)[: need - got]
-        pairs[got : got + keep.size, 0] = x0[keep]
-        pairs[got : got + keep.size, 1] = x1[keep]
+        x0, x1 = _kept_points(u, keep, work, k)
+        pairs[got : got + keep.size, 0] = x0
+        pairs[got : got + keep.size, 1] = x1
         got += keep.size
         used += k * _PROPOSALS_PER_CANDIDATE
         if used > REJECTION_ITERATION_CAP * need:

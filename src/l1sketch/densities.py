@@ -69,11 +69,19 @@ class Breakpoints:
         return int(self.points.size)
 
 
+def check_degree(degree: int) -> None:
+    """Raise :class:`FamilyFormatError` unless ``0 <= degree <= MAX_DEGREE``:
+    checked before any array of ``degree + 1`` columns is built."""
+    if not 0 <= degree <= MAX_DEGREE:
+        raise FamilyFormatError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+
+
 def coeff_rows(name: str, rows, degree: int) -> np.ndarray:
-    """One density's segment coefficient rows as a float array; ragged rows
-    or entries that are not numbers raise :class:`FamilyFormatError`."""
+    """One density's segment coefficient rows as a float array, for a
+    ``degree`` that :func:`check_degree` passed; ragged rows or entries
+    that are not numbers raise :class:`FamilyFormatError`."""
     if len(rows) == 0:
-        return np.empty((0, max(int(degree), 0) + 1))
+        return np.empty((0, int(degree) + 1))
     try:
         return np.asarray(rows, dtype=float)
     except ValueError as exc:  # ragged rows, or entries that are not numbers
@@ -88,8 +96,7 @@ def coeff_rows(name: str, rows, degree: int) -> np.ndarray:
 def _check_table(name: str, b: np.ndarray, c: np.ndarray, coeffs: np.ndarray, degree: int) -> None:
     """Raise :class:`FamilyFormatError` unless the table, in its stored
     order, is a density of ``degree`` with non-overlapping segments."""
-    if not 0 <= degree <= MAX_DEGREE:
-        raise FamilyFormatError(f"degree must be in [0, {MAX_DEGREE}], got {degree}")
+    check_degree(degree)
     if coeffs.ndim != 2 or coeffs.shape[1] != degree + 1:
         raise FamilyFormatError(
             f"density {name!r}: segment coeffs must be rows of degree+1 = {degree + 1} "
@@ -116,11 +123,13 @@ class PiecewisePolyDensity:
     """A named density: a segment table ``b``, ``c``, ``coeffs`` sorted by ``b``.
 
     ``b`` and ``c`` are taken as int64 and ``coeffs`` as float rows of
-    ``degree + 1`` (:func:`coeff_rows`); the rows are stably sorted by ``b``
-    and the table is checked by :func:`_check_table`.
+    ``degree + 1`` (:func:`coeff_rows`), once :func:`check_degree` has
+    passed ``degree``; the rows are stably sorted by ``b`` and the table is
+    checked by :func:`_check_table`.
     """
 
     def __init__(self, name: str, b, c, coeffs, degree: int):
+        check_degree(degree)
         b, c = np.asarray(b, dtype=np.int64), np.asarray(c, dtype=np.int64)
         coeffs = coeff_rows(name, coeffs, degree)
         order = slice(None)  # tables of unequal lengths stay unsorted for the check to refuse
@@ -158,6 +167,7 @@ class DensityFamily:
 
     def __post_init__(self):
         self.degree = int(self.degree)
+        check_degree(self.degree)
         _check_family(self)
 
     @property

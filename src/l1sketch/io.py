@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from . import __version__
-from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity
+from .densities import Breakpoints, DensityFamily, PiecewisePolyDensity, check_degree
 from .errors import FamilyFormatError
 from .pipeline import DistanceMatrix
 
@@ -79,6 +79,7 @@ def family_from_dict(doc: Any) -> DensityFamily:
         raise FamilyFormatError("family document must be a JSON object")
     try:
         (degree,) = _typed([doc["degree"]], {int}, "degree must be an integer")
+        check_degree(degree)
         points = _typed(doc["breakpoints"], _NUMBER, "breakpoints must be numbers")
         bp = Breakpoints(np.asarray(points, dtype=float))
         densities = []

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import enum
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -58,7 +59,8 @@ from .densities import (
 )
 from .errors import NonFiniteResultError, ParameterError
 from .randstream import (
-    RandomStream, fill_cauchy, fill_groups, geometric_mean_rows, group_rows, required_sample_count,
+    RandomStream, Workspace, fill_cauchy, fill_groups, geometric_mean_rows, group_rows,
+    required_sample_count,
 )
 
 #: Replicates per vectorized block.  Fixed (not tunable) so that results are
@@ -179,6 +181,23 @@ def _fan_out(fn, tasks, threads: int, task_bytes: int) -> None:
         list(pool.map(run_share, range(min(threads, len(tasks)))))
 
 
+#: Each thread's :class:`~l1sketch.randstream.Workspace` for the sketch
+#: blocks it runs, kept from call to call, so that a block's group scratch
+#: is not freed and faulted in again for the next block or sketch: a warm
+#: one-thread ``d2-cid-threads`` sketch makes no minor page fault.  A thread
+#: holds one workspace as large as the largest group it filled; a pool's
+#: threads free theirs on exit.
+_workspaces = threading.local()
+
+
+def _thread_workspace() -> Workspace:
+    """The calling thread's sketch :class:`~l1sketch.randstream.Workspace`."""
+    work = getattr(_workspaces, "work", None)
+    if work is None:
+        work = _workspaces.work = Workspace()
+    return work
+
+
 def sketch_family(
     family: DensityFamily,
     t: int,
@@ -241,7 +260,7 @@ def sketch_family(
     def run_block(b0: int) -> None:
         b1 = min(b0 + _BLOCK, t)
         z = np.empty((b1 - b0, n_int, d + 1))
-        fill_groups(rng.substream(b0).generator, fill, z, per_rep)
+        fill_groups(rng.substream(b0).generator, fill, z, per_rep, _thread_workspace())
         # overflow gives inf here, and a non-finite distance, which is refused
         with np.errstate(over="ignore"):
             x[:, b0:b1] = (z.reshape(b1 - b0, -1) @ coeffs.T).T

@@ -80,9 +80,10 @@ def group_rows(per_row: float) -> int:
 
 
 class Workspace:
-    """Flat float64 scratch that one :func:`fill_groups` call lends to each
-    of its fills, grown when a fill asks for more than it holds.  One per
-    call, so never shared between threads."""
+    """Flat float64 scratch that :func:`fill_groups` lends to each fill of
+    a call, grown when a fill asks for more than it holds.  One per call,
+    or one per worker thread of a sketch, so never shared between
+    threads."""
 
     def __init__(self):
         self._buf = np.empty(0)
@@ -94,15 +95,18 @@ class Workspace:
         return self._buf[:n]
 
 
-def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float) -> None:
+def fill_groups(
+    gen: np.random.Generator, fill, out: np.ndarray, per_row: float, work: Workspace | None = None, /
+) -> None:
     """The samplers' one draw loop: ``fill(gen, part, work)`` on the
     consecutive parts of :func:`group_rows` rows (first-axis entries) of
     ``out``, for ``per_row`` uniforms a row and about :data:`_CALL_DRAWS` a
     call, so a call's buffers and the temporaries made from them stay small
     whatever the row count.  Every fill of the call gets the same
-    :class:`Workspace` ``work``."""
+    :class:`Workspace` ``work``: the one passed, which a sketch worker
+    lends to all its blocks, or a new one."""
     group = group_rows(per_row)
-    work = Workspace()
+    work = Workspace() if work is None else work
     for g0 in range(0, len(out), group):
         fill(gen, out[g0 : g0 + group], work)
 

@@ -7,7 +7,13 @@ form's limit there.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
-from conftest import cf_pair_density, ks_against_cauchy
+from conftest import cf_pair_density, ks_against_cauchy, random_segment_family
 import l1sketch.ci1 as ci1_mod
+import l1sketch.pipeline as pipeline_mod
 from l1sketch import (
     Breakpoints,
     DensityFamily,
@@ -45,6 +52,7 @@ from l1sketch.ci1 import (
     first_block,
     pairs_scratch,
 )
+from l1sketch.io import save_family
 from l1sketch.randstream import _CALL_DRAWS, Workspace, fill_groups, group_rows
 
 PI = np.pi
@@ -315,8 +323,8 @@ def test_density_given_its_scratch_allocates_less_than_one_row():
 
 
 def test_candidate_block_given_its_workspace_peaks_below_four_rows():
-    # draw, envelope points, density and test all run in the workspace; the
-    # block returns views of it and the accept mask
+    # the draw, the squeeze and the undecided candidates' points, density
+    # and test all run in the workspace; the block returns views of it
     gen = RandomStream(54).generator
     work = Workspace()
     _candidate_block(gen, _GROUP_K, work)
@@ -330,6 +338,7 @@ def test_pairs_scratch_is_the_measured_peak_of_a_group(replicates):
     out = np.empty((replicates, 71, 2))
     gen = RandomStream(55).generator
     counted = 8 * pairs_scratch(out[..., 0].size)
+    ci1_mod._squeeze_table()  # built once per process, before any group
     for _ in range(5):
         peak = _peak_bytes(lambda: fill_pairs(gen, out, Workspace()))
         assert 0.9 * counted <= peak <= counted
@@ -347,8 +356,9 @@ def test_fill_pairs_writes_into_out_and_refuses_a_copy():
 
 def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     # a block of 64 replicates on 284 intervals: groups of 18, 18, 18 and 10
-    # replicates in one workspace, sized by the first group's first block,
-    # with the bits of a new workspace for every group
+    # replicates in one workspace, sized by the first group's first block
+    # (its front, cells and bounds outgrow its undecided and kept
+    # candidates' rows), with the bits of a new workspace for every group
     per_rep = 284 * UNIFORMS_PER_PAIR
     seen = []
 
@@ -359,7 +369,8 @@ def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     z = np.empty((64, 284, 2))
     fill_groups(RandomStream(56).generator, recording, z, per_rep)
     assert len(seen) == 4 and len(set(seen)) == 1
-    assert seen[0][0].floats(0).base.size == ci1_mod._BLOCK_ROWS * first_block(18 * 284)
+    k = first_block(18 * 284)
+    assert seen[0][0].floats(0).base.size == ci1_mod._front(k) + 2 * k
     ref = np.empty_like(z)
     gen = RandomStream(56).generator
     group = group_rows(per_rep)
@@ -452,9 +463,11 @@ def test_rejection_loop_raises_instead_of_looping(monkeypatch):
     def reject_all(x0, x1, **kwargs):
         return np.full(np.shape(x0), -1.0)
 
-    # a density below zero everywhere rejects every candidate, in the one
-    # rejection loop, which the sketch calls too
+    # a density below zero everywhere rejects every candidate that meets
+    # it, in the one rejection loop, which the sketch calls too; a squeeze
+    # table that decides nothing sends every candidate to it
     monkeypatch.setattr(ci1_mod, "ci1_density", reject_all)
+    monkeypatch.setattr(ci1_mod, "_table", _NO_SQUEEZE)
     with pytest.raises(EnvelopeDominationError):
         sample_ci1_unit(RandomStream(14), size=3)
     fam = DensityFamily(
@@ -473,7 +486,8 @@ def test_candidate_test_is_the_proposal_test_past_the_squeeze():
     # a candidate's uniform w stands for the proposal uniform u with
     # u * C/pi = w * K, and the candidate decides as _accept_mask does there
     k = 200_000
-    x0, x1, accept = _candidate_block(RandomStream(18).generator, k, Workspace())
+    u, accept = _candidate_block(RandomStream(18).generator, k, Workspace())
+    x0, x1 = _points(u)
     w = RandomStream(18).generator.random((3, k))[2]
     np.testing.assert_array_equal(accept, _accept_mask(x0, x1, w * (SQUEEZE_K / REJECTION_OVERHEAD)))
     assert abs(accept.mean() - 1.0 / SQUEEZE_K) < 4.0 * math.sqrt(2.0 / 9.0 / k)
@@ -497,7 +511,7 @@ def test_first_block_shortfall_share_matches_binomial():
     k = first_block(need)
     p = 1.0 / SQUEEZE_K
     gens = [RandomStream(48, i).generator for i in range(calls)]
-    counts = np.array([int(_candidate_block(gen, k, Workspace())[2].sum()) for gen in gens])
+    counts = np.array([int(_candidate_block(gen, k, Workspace())[1].sum()) for gen in gens])
     var = k * p * (1.0 - p)
     assert abs(counts.mean() - k * p) <= 4.0 * math.sqrt(var / calls)
     assert abs(counts.var() / var - 1.0) <= 4.0 * math.sqrt(2.0 / calls)
@@ -640,6 +654,213 @@ def test_accept_mask_equals_plain_test_on_adversarial_points():
     above = uu * REJECTION_OVERHEAD > SQUEEZE_K
     assert not mine[far & above].any()
     assert plain[far & above].any()
+
+
+# -------------------------------------------------------------- squeeze table
+#: A squeeze table that decides no candidate, so every one meets the density.
+_NO_SQUEEZE = tuple(np.full(ci1_mod._CELLS**2 + 1, v) for v in (-np.inf, np.inf))
+
+
+def _points(u):
+    """Envelope points of every candidate of a block's ``(3, k)`` uniforms."""
+    x0, x1, _ = ci1_mod._envelope_points(u[:2].copy(), *np.empty((3, u.shape[1])))
+    return x0, x1
+
+
+def _plain_fill(gen, out, work=None):
+    """The rejection loop with the plain candidate test on every candidate,
+    into ``out`` as fill_pairs fills it: a first block of first_block(need)
+    candidates, then top-ups of 1.4 times the expected count still missing,
+    at least 64; a block is one (3, k) uniform draw, a p of 0 redrawn over
+    the whole row, every candidate's point, and accept when w K/pi <= f
+    t^(3/2).  Returns the number of blocks."""
+    pairs = out.reshape(-1, 2)
+    need, got, blocks = len(pairs), 0, 0
+    k = ci1_mod.first_block(need)
+    while got < need:
+        u0, p, w = gen.random((3, k))
+        zero = p == 0.0
+        while zero.any():
+            p[zero] = gen.random(int(zero.sum()))
+            zero = p == 0.0
+        x0 = np.tan(PI * u0)
+        spread = (1.0 + x0 * x0) / (p * (1.0 - p))
+        x1 = 0.5 * (x0 + np.sqrt(spread) * (p - 0.5))
+        t = 0.25 * spread
+        keep = np.flatnonzero(w * (SQUEEZE_K / PI) <= ci1_density(x0, x1) * (t * np.sqrt(t)))
+        keep = keep[: need - got]
+        pairs[got : got + keep.size, 0] = x0[keep]
+        pairs[got : got + keep.size, 1] = x1[keep]
+        got, blocks = got + keep.size, blocks + 1
+        k = max(int((need - got) * SQUEEZE_K * 1.4), 64)
+    return blocks
+
+
+_SEEDS = st.integers(0, 2**64 - 1)
+
+
+@settings(deadline=None, derandomize=True, max_examples=80)
+@given(seed=_SEEDS, need=st.one_of(st.integers(1, 24), st.integers(25, 5_000)))
+def test_fill_pairs_gives_the_plain_loops_bytes(seed, need):
+    # up to 21 pairs the first block is the 64-candidate minimum, and a
+    # short block tops up
+    out, ref = np.empty((need, 2)), np.empty((need, 2))
+    fill_pairs(RandomStream(seed).generator, out, Workspace())
+    _plain_fill(RandomStream(seed).generator, ref)
+    assert out.tobytes() == ref.tobytes()
+
+
+def test_small_groups_top_up_with_the_plain_loops_bytes(monkeypatch):
+    # first blocks of the 64-candidate minimum for up to 40 pairs, so that
+    # most groups from 22 pairs up fall short and top up in blocks of 64
+    assert first_block(13) == 64
+    monkeypatch.setattr(ci1_mod, "first_block", lambda need: 64)
+    blocks = []
+    for seed in range(200):
+        need = 1 + seed % 40
+        out, ref = np.empty((need, 2)), np.empty((need, 2))
+        fill_pairs(RandomStream(seed, 7).generator, out, Workspace())
+        blocks.append(_plain_fill(RandomStream(seed, 7).generator, ref))
+        assert out.tobytes() == ref.tobytes()
+    assert sum(b > 1 for b in blocks) >= 50 and max(blocks) >= 3
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(seed=_SEEDS, size=st.integers(0, 12_000))
+def test_sample_ci1_unit_gives_the_plain_loops_bytes(seed, size):
+    z = sample_ci1_unit(RandomStream(seed), size)
+    ref = np.empty((size, 2))
+    gen, group = RandomStream(seed).generator, group_rows(UNIFORMS_PER_PAIR)
+    for g0 in range(0, size, group):
+        _plain_fill(gen, ref[g0 : g0 + group])
+    assert np.ascontiguousarray(z.T).tobytes() == ref.tobytes()
+
+
+@settings(deadline=None, derandomize=True, max_examples=25)
+@given(seed=_SEEDS, t=st.integers(1, 200), intervals=st.integers(1, 300), threads=st.sampled_from([1, 2]))
+def test_degree_one_sketch_gives_the_plain_loops_bytes(seed, t, intervals, threads):
+    # the sketch of the same groups, filled by the plain loop
+    fam = random_segment_family(np.random.default_rng(intervals), 3, 1, n_intervals=intervals)
+    sketch = sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(seed), threads=threads)
+    with mock.patch.object(pipeline_mod, "fill_pairs", _plain_fill):
+        ref = sketch_family(fam, t, SketchMode.EXACT_CI1, RandomStream(seed))
+    assert sketch.values.tobytes() == ref.values.tobytes()
+
+
+def _cells_of(u):
+    """The squeeze table entry of each candidate of the ``(2, n)`` uniforms,
+    as the sampler finds it: its cell, or the strip's last entry."""
+    g = ci1_mod._CELLS
+    cell = (u[0] * g).astype(np.intp) * g + (u[1] * g).astype(np.intp)
+    cell[np.abs(u[0] - 0.5) < ci1_mod._STRIP] = g * g
+    return cell
+
+
+def _assert_within_bounds(u):
+    """The computed h of each candidate lies in its decided cell's bounds;
+    returns the number of candidates in decided cells."""
+    lo, hi = ci1_mod._squeeze_table()
+    cell = _cells_of(u)
+    h = ci1_mod._scaled_density(u.copy(), np.empty(12 * u.shape[1]), ci1_density)
+    decided = np.isfinite(lo[cell])
+    assert np.array_equal(decided, np.isfinite(hi[cell]))
+    assert np.all(lo[cell][decided] <= h[decided])
+    assert np.all(h[decided] <= hi[cell][decided])
+    return int(decided.sum())
+
+
+def test_table_bounds_the_computed_h_on_ten_million_candidates():
+    gen, decided = RandomStream(71).generator, 0
+    for _ in range(40):
+        u = gen.random((2, 250_000))
+        ci1_mod._redraw_zeros(gen, u[1])
+        decided += _assert_within_bounds(u)
+    assert decided >= 0.998 * 10**7
+
+
+def test_table_bounds_the_computed_h_at_the_edges_of_the_square():
+    # U1 within 1/64 of 0 or 1, where the points run out to radius 1e13 and
+    # the computed density cancels far out; U0 near 1/2, 0 and 1; and the
+    # uniforms a few ulps from the cell edges
+    gen, n, ulp = np.random.default_rng(72), 200_000, 2.0**-53
+    near = lambda lo, hi: np.maximum(np.round(np.exp(gen.uniform(np.log(lo), np.log(hi), n)) / ulp) * ulp, ulp)
+    edge = near(ulp, 1 / 64)
+    half = near(ci1_mod._STRIP, 1 / 64)
+    g = ci1_mod._CELLS
+    cells = lambda: gen.integers(0, g, n) / g + gen.integers(-3, 4, n) * ulp
+    cases = [
+        (gen.random(n), edge), (gen.random(n), 1.0 - edge),
+        (0.5 - half, gen.random(n)), (0.5 + half, gen.random(n)),
+        (0.5 - half, edge), (0.5 + half, 1.0 - edge), (edge, edge), (1.0 - edge, 1.0 - edge),
+        (np.clip(cells(), 0.0, 1.0 - ulp), np.clip(cells(), ulp, 1.0 - ulp)),
+    ]
+    decided = [_assert_within_bounds(np.stack([u0, u1])) for u0, u1 in cases]
+    # the cases beside U0 = 1/2 at the U1 edges fall in always evaluated cells
+    assert decided[4] == decided[5] == 0 and sum(decided) > 6 * n
+
+
+def test_squeeze_decides_all_but_about_five_percent_of_candidates():
+    # the strip around U0 = 1/2 and the four U1-edge cells beside it are
+    # always evaluated, and the rest where lo < w K/pi <= hi
+    lo, hi = ci1_mod._squeeze_table()
+    g = ci1_mod._CELLS
+    assert np.isinf(lo).sum() == np.isinf(hi).sum() == 5
+    u = RandomStream(73).generator.random((3, 10**6))
+    cell, w = _cells_of(u), u[2] * (SQUEEZE_K / PI)
+    open_ = (lo[cell] < w) & (w <= hi[cell])
+    assert 0.045 < open_.mean() < 0.065
+
+
+def test_importing_the_cli_and_loading_a_family_build_no_table(tmp_path):
+    # setup_s times exactly this, so the table waits for the first draw
+    path = tmp_path / "family.json"
+    save_family(random_segment_family(np.random.default_rng(74), 3, 1), str(path))
+    code = (
+        "import sys, l1sketch.cli, l1sketch.ci1 as ci1, l1sketch.io as io\n"
+        "io.load_family(sys.argv[1])\n"
+        "print(ci1._table is None)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert run.stdout.strip() == "True", run.stderr
+
+
+def test_table_build_peaks_below_two_megabytes():
+    # one row of cells at a time, so it does not show in peak RSS
+    assert _peak_bytes(ci1_mod._build_table) < 2 * 2**20
+
+
+def test_concurrent_first_draws_build_the_table_once(monkeypatch):
+    # more workers than cores, switching often, all drawing first at once
+    builds, real = [], ci1_mod._build_table
+
+    def slow_build():
+        builds.append(threading.get_ident())
+        time.sleep(0.05)
+        return real()
+
+    monkeypatch.setattr(ci1_mod, "_table", None)
+    monkeypatch.setattr(ci1_mod, "_build_table", slow_build)
+    fam = random_segment_family(np.random.default_rng(75), 3, 1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        many = sketch_family(fam, 8 * 64, SketchMode.EXACT_CI1, RandomStream(76), threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(builds) == 1
+    one = sketch_family(fam, 8 * 64, SketchMode.EXACT_CI1, RandomStream(76))
+    np.testing.assert_array_equal(many.values, one.values)
+
+
+def test_table_build_reads_the_density_bound_at_import(monkeypatch):
+    # a stub put over the module's density name, as a test or a tracer
+    # does, changes what the sampler evaluates, not the table
+    monkeypatch.setattr(ci1_mod, "ci1_density", lambda x0, x1, **kwargs: np.full(np.shape(x0), -1.0))
+    lo, hi = ci1_mod._build_table()
+    ref_lo, ref_hi = ci1_mod._squeeze_table()
+    assert lo.tobytes() == ref_lo.tobytes() and hi.tobytes() == ref_hi.tobytes()
 
 
 # -------------------------------------------------------------------- rescale

@@ -139,6 +139,18 @@ def test_family_coefficient_errors_keep_their_text(degree, rows, message):
     assert str(info.value) == message
 
 
+@pytest.mark.parametrize("densities", [[{"name": "x", "segments": []}], []])
+def test_family_degree_is_range_checked_before_any_density_is_built(densities):
+    # a density of no segments would otherwise size an empty coefficient
+    # array by the degree, which numpy refuses at 10**20 columns
+    doc = {"degree": 10**20, "breakpoints": [0, 1, 2, 3], "densities": densities}
+    with pytest.raises(FamilyFormatError) as info:
+        io_mod.family_from_dict(doc)
+    assert str(info.value) == "degree must be in [0, 16], got 100000000000000000000"
+    with pytest.raises(FamilyFormatError, match=r"degree must be in \[0, 16\], got 100000000000000000000"):
+        PiecewisePolyDensity("x", [], [], [], 10**20)
+
+
 def test_dist_exact_csv(pair_family_path, tmp_path, capsys):
     out = tmp_path / "dist.csv"
     code = main(["dist", pair_family_path, "--method", "exact", "--out", str(out)])
