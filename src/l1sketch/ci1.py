@@ -332,7 +332,8 @@ def _build_table(density=ci1_density) -> tuple[np.ndarray, np.ndarray]:
     Bounds of the computed ``h``.  Each cell's ``h`` is computed by
     :func:`_scaled_density`, the sampler's arithmetic, on a lattice of
     ``(S + 1)^2`` points, ``S`` = :data:`_STEPS`, spaced ``1/(S G)`` and
-    clipped to the uniforms' range ``[2^-53, 1 - 2^-53]``.  Let ``D`` be
+    clipped to the values the uniforms take: ``U0`` at most ``1 - 2^-53``,
+    and ``U1``, whose 0 is redrawn, in ``[2^-53, 1 - 2^-53]``.  Let ``D`` be
     the largest difference of ``h`` between neighbouring lattice points of
     the cell.  A point of the cell lies within half a step, along each
     axis, of a corner of its lattice square, so to first order ``h`` there
