@@ -35,15 +35,20 @@ pair instead of 3, and the envelope points for the kept candidates only.
 The draws, their order and the accepted candidates are those of the plain
 test, so every output keeps its bits.
 
-A block of candidates runs in place, from the uniform draw through the
-squeeze and the undecided candidates' density to the kept candidates'
-points, in the :class:`~l1sketch.randstream.Workspace` that
+A block of candidates keeps its k-sized arrays, the ``(3, k)`` uniforms,
+the masks and the candidates' cells and bounds, in the
+:class:`~l1sketch.randstream.Workspace` that
 :func:`~l1sketch.randstream.fill_groups` lends to every group of a call,
 and :func:`fill_pairs`, the one rejection loop, writes each block's
-accepted candidates straight into the group's slots.  Temporaries freed
-after each group would let glibc hand the memory back and fault it in
-again; a one-thread sketch of the 71-interval degree-1 benchmark family
-makes no minor page fault after a warm call (``ru_minflt``).
+accepted candidates straight into the group's slots.  Freed after each
+block, those arrays would let glibc hand the memory back and fault it in
+again: allocated, they cost some calls of a warm two-thread sketch of the
+71-interval degree-1 benchmark family about 270 minor page faults, where
+with the workspace each call from the fourth on makes 65 or fewer, most
+6.  The density and the envelope points, computed for the few undecided
+and the kept candidates only, are plain whole-array code: a one-thread
+sketch of that family makes no minor page fault from its third call on
+(``ru_minflt``).
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
@@ -88,20 +93,7 @@ _PROPOSALS_PER_CANDIDATE = REJECTION_OVERHEAD / SQUEEZE_K
 _PI2 = np.pi**2
 
 
-#: Rows of scratch :func:`ci1_density` works in: ``delta`` and the eight of
-#: :func:`_density_generic`.
-_DENSITY_ROWS = 9
-
-
-def _rows(buf: np.ndarray, count: int, shape) -> list[np.ndarray]:
-    """``count`` C-contiguous float64 arrays of ``shape``, in order from the
-    front of the flat ``buf``."""
-    size = math.prod(shape)
-    rows = buf[: count * size].reshape(count, *shape)
-    return [rows[i, ...] for i in range(count)]
-
-
-def _density_generic(x0, delta, scratch: np.ndarray):
+def _density_generic(x0, delta):
     # The density at delta = |x0 - 2*x1| >= 0.  Nothing divides by delta, so
     # it is regular on the line x0 = 2*x1, where it is 4/(pi^2 s0^2) +
     # 1/(pi s0^(3/2)).  It is even in delta and in x0, so point-symmetric bit
@@ -119,49 +111,22 @@ def _density_generic(x0, delta, scratch: np.ndarray):
     #   which differ by 4 a delta, so it is log1p(4 a delta / the second).
     # So, with b2 = delta^2 / a^2 and h = delta (s0 + |q|/2) / a = -Im(q^(3/2))/2,
     # the density is (4 + (re2 a (2 s0 - |q|) - im4 h) / |q|) / (pi^2 q2).
-    # Every step writes into one of eight rows of the flat ``scratch``, in the
-    # order and association of that expression; the result is returned in one
-    # of them.  x0 and delta are only read.
-    s0, d2, q2, root, b2, a, num, den = _rows(scratch, 8, np.broadcast(x0, delta).shape)
-    np.multiply(x0, x0, out=s0)
-    np.add(1.0, s0, out=s0)
-    np.multiply(delta, delta, out=d2)
-    np.multiply(s0, s0, out=q2)
-    np.multiply(4.0, d2, out=num)
-    np.add(q2, num, out=q2)
-    np.sqrt(q2, out=root)
-    np.add(root, s0, out=b2)
-    np.multiply(0.5, b2, out=b2)  # a^2
-    np.sqrt(b2, out=a)
-    np.divide(d2, b2, out=b2)
-    np.subtract(d2, root, out=num)
-    np.multiply(a, num, out=num)
-    np.multiply(2.0, d2, out=d2)
-    re2 = np.arctan2(d2, num, out=d2)
-    np.multiply(4.0, a, out=num)
-    np.multiply(num, delta, out=num)
-    np.subtract(delta, a, out=den)
-    np.square(den, out=den)
-    np.add(den, b2, out=den)
-    np.divide(num, den, out=num)
-    im4 = np.log1p(num, out=num)
-    np.multiply(0.5, root, out=den)
-    np.add(s0, den, out=den)
-    np.multiply(delta, den, out=den)
-    h = np.divide(den, a, out=den)
-    np.multiply(re2, a, out=re2)
-    np.multiply(2.0, s0, out=s0)
-    np.subtract(s0, root, out=s0)
-    np.multiply(re2, s0, out=re2)
-    np.multiply(im4, h, out=im4)
-    np.subtract(re2, im4, out=re2)
-    np.divide(re2, root, out=re2)
-    np.add(4.0, re2, out=re2)
-    np.multiply(_PI2, q2, out=q2)
-    return np.divide(re2, q2, out=re2)
+    # np.square, not ** 2: numpy squares a numpy float by C pow(), whose last
+    # bit can differ from the x * x it uses for arrays.
+    s0 = 1.0 + x0 * x0
+    d2 = delta * delta
+    q2 = s0 * s0 + 4.0 * d2
+    root = np.sqrt(q2)
+    a2 = 0.5 * (root + s0)
+    a = np.sqrt(a2)
+    b2 = d2 / a2
+    re2 = np.arctan2(2.0 * d2, a * (d2 - root))
+    im4 = np.log1p(4.0 * a * delta / (np.square(delta - a) + b2))
+    h = delta * (s0 + 0.5 * root) / a
+    return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * h) / root) / (_PI2 * q2)
 
 
-def ci1_density(x0, x1, scratch=None):
+def ci1_density(x0, x1):
     """Joint density of the unit-interval pair at ``(x0, x1)``, in the
     broadcast shape of the two (a numpy float for 0-d inputs).
 
@@ -178,24 +143,16 @@ def ci1_density(x0, x1, scratch=None):
     overflows and the result is NaN or far too small; the true density is
     below 1e-230 there.
 
-    With ``scratch``, a flat float64 array of at least nine times the
-    broadcast size, the evaluation makes no temporaries and an array result
-    is a view into ``scratch``, valid until it is next written; without,
-    the result is a new array.
+    Whole-array numpy code, a new temporary each step: the sampler calls it
+    for the few candidates its squeeze table leaves undecided, about 0.17 of
+    a point a pair, so its cost is its about 40 ufunc calls, not their
+    memory.
     """
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
-    shape = np.broadcast(x0, x1).shape
-    size = math.prod(shape)
-    buf = np.empty(_DENSITY_ROWS * size) if scratch is None else scratch
-    delta = buf[:size].reshape(shape)
     # a delta whose square underflows is exact enough at 0
     with np.errstate(under="ignore"):
-        np.multiply(2.0, x1, out=delta)
-        np.subtract(x0, delta, out=delta)
-        np.absolute(delta, out=delta)
-        f = _density_generic(x0, delta, buf[size:])
-    return (f if scratch is not None else f.copy())[()]
+        return _density_generic(x0, np.abs(x0 - 2.0 * x1))
 
 
 def student_envelope_density(x0, x1):
@@ -206,12 +163,11 @@ def student_envelope_density(x0, x1):
     return 1.0 / (np.pi * t * np.sqrt(t))
 
 
-def _envelope_points(u: np.ndarray, x1, t, tmp):
+def _envelope_points(u: np.ndarray):
     """Envelope points from rows 0 and 1 of the uniforms ``u``, by
-    conditional inversion, in place: ``(x0, x1, t)``, with ``x0`` written
-    over row 0, and ``x1`` and ``t = 1 + x0^2 + (2 x1 - x0)^2``, so the
-    envelope is ``1/(pi t^(3/2))`` there, into the arrays ``x1`` and ``t``
-    of a row's length; ``tmp`` is scratch of that length, and row 1 is kept.
+    conditional inversion: ``(x0, x1, t)``, with ``x0`` written over row 0,
+    and new arrays ``x1`` and ``t = 1 + x0^2 + (2 x1 - x0)^2``, so the
+    envelope is ``1/(pi t^(3/2))`` there; row 1 is kept.
 
     With ``x0 = u`` and ``v = 2 x1 - x0``, the envelope is the spherical
     Student(1) law of ``(u, v)``.  Its ``u`` marginal is standard Cauchy,
@@ -226,17 +182,9 @@ def _envelope_points(u: np.ndarray, x1, t, tmp):
     """
     x0, p = u[0], u[1]
     cauchy_in_place(x0)
-    np.multiply(x0, x0, out=t)
-    np.add(1.0, t, out=t)
-    np.subtract(1.0, p, out=tmp)
-    np.multiply(p, tmp, out=tmp)
-    spread = np.divide(t, tmp, out=t)  # (1 + x0^2) / (p (1 - p))
-    np.sqrt(spread, out=x1)
-    np.subtract(p, 0.5, out=tmp)
-    np.multiply(x1, tmp, out=x1)  # v
-    np.add(x0, x1, out=x1)
-    np.multiply(0.5, x1, out=x1)
-    return x0, x1, np.multiply(0.25, spread, out=t)
+    spread = (1.0 + x0 * x0) / (p * (1.0 - p))
+    x1 = 0.5 * (x0 + np.sqrt(spread) * (p - 0.5))
+    return x0, x1, 0.25 * spread
 
 
 def _redraw_zeros(gen: np.random.Generator, p: np.ndarray) -> None:
@@ -261,7 +209,7 @@ def sample_student_envelope(rng: RandomStream, size: int):
     gen = rng.generator
     u = gen.random((2, size))
     _redraw_zeros(gen, u[1])
-    x0, x1, _ = _envelope_points(u, *np.empty((3, size)))
+    x0, x1, _ = _envelope_points(u)
     return x0, x1
 
 
@@ -287,19 +235,14 @@ def _accept_mask(x0, x1, u01):
     return accept
 
 
-def _scaled_density(u: np.ndarray, scratch: np.ndarray, density) -> np.ndarray:
+def _scaled_density(u: np.ndarray, density) -> np.ndarray:
     """``h = f(x0, x1) t^(3/2)``, the density over ``pi`` times the
     envelope, at the candidates whose ``U0`` and ``U1`` are the rows of the
-    ``(2, n)`` array ``u``: :func:`_envelope_points` in place over ``u``,
-    then ``density``, :func:`ci1_density`, in 12 rows of ``n`` of the flat
-    ``scratch``.  The result is a view into ``scratch``.  The sampler and
-    its squeeze table both compute ``h`` here."""
-    n = u.shape[1]
-    x1, t, tmp = _rows(scratch, 3, (n,))
-    x0, x1, t = _envelope_points(u, x1, t, tmp)
-    np.sqrt(t, out=tmp)
-    np.multiply(t, tmp, out=t)  # t^(3/2)
-    return np.multiply(density(x0, x1, scratch=scratch[3 * n :]), t, out=t)
+    ``(2, n)`` array ``u``: :func:`_envelope_points` over ``u``, then
+    ``density``, :func:`ci1_density`.  The sampler and its squeeze table
+    both compute ``h`` here."""
+    x0, x1, t = _envelope_points(u)
+    return density(x0, x1) * (t * np.sqrt(t))
 
 
 #: Cells a side of the squeeze table, a power of two: ``U0 * G`` and
@@ -357,8 +300,9 @@ def _build_table(density=ci1_density) -> tuple[np.ndarray, np.ndarray]:
     the square's edges and of the cells' edges, closest at 0.19 of the
     cell's bound width (tests/test_ci1.py).
 
-    One row of cells at a time: the build holds about 250 kB and takes
-    about 8 ms (2-vCPU VM).
+    One row of cells at a time: the build holds about 270 kB, the lattice
+    uniforms and the temporaries of one row's ``h``, and takes 10 to 12 ms
+    (2-vCPU VM).
     """
     g, s = _CELLS, _STEPS
     width = g * s + 1
@@ -366,13 +310,12 @@ def _build_table(density=ci1_density) -> tuple[np.ndarray, np.ndarray]:
     u1 = np.minimum(np.arange(width) / (g * s), last)
     u1[0] = 2.0**-53
     n = (s + 1) * width
-    buf = np.empty(14 * n)
-    u = buf[: 2 * n].reshape(2, s + 1, width)
+    u = np.empty((2, s + 1, width))
     lo, hi = np.full(g * g + 1, -np.inf), np.full(g * g + 1, np.inf)
     for i in range(g):
         u[0] = np.minimum((i * s + np.arange(s + 1.0)) / (g * s), last)[:, None]
         u[1] = u1
-        h = _scaled_density(u.reshape(2, n), buf[2 * n :], density).reshape(s + 1, width)
+        h = _scaled_density(u.reshape(2, n), density).reshape(s + 1, width)
         low = _per_cell(h.min(axis=0), np.minimum)
         high = _per_cell(h.max(axis=0), np.maximum)
         step = np.maximum(
@@ -410,15 +353,17 @@ def _squeeze_table() -> tuple[np.ndarray, np.ndarray]:
 def _front(k: int) -> int:
     """Float64s at the front of a block of ``k`` candidates' workspace: its
     ``(3, k)`` uniforms and three ``k``-entry bool masks.  The candidates'
-    cells and bounds, and then the evaluated or kept candidates' rows,
-    follow from there."""
+    cells and bounds follow from there."""
     return 3 * k + -(-3 * k // 8)
 
 
 def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
     """``k`` candidates, as their ``(3, k)`` uniforms and accept mask, views
     into the :class:`~l1sketch.randstream.Workspace` ``work`` that are valid
-    until it is next written.
+    until it is next written.  The block's one request of ``work``,
+    :func:`_front` ``(k) + 2 k`` float64s, holds its k-sized arrays: the
+    uniforms, the masks, and the candidates' cells and bounds.  The
+    undecided candidates are gathered into new arrays.
 
     One ``(3, k)`` uniform draw, rows ``U0``, ``U1`` and ``w``, and the
     :func:`_redraw_zeros` of row 1.  A candidate is a proposal that passed
@@ -455,29 +400,17 @@ def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
     np.less_equal(w, hi.take(cell, out=bound, mode="clip"), out=open_)
     np.not_equal(open_, accept, out=open_)  # lo < w <= hi, as lo <= hi
     undecided = np.flatnonzero(open_)
-    m = undecided.size
-    if m:
-        rows = work.floats(front + 15 * m)[front:]
-        part = rows[: 2 * m].reshape(2, m)
-        np.take(u[0], undecided, out=part[0], mode="clip")
-        np.take(u[1], undecided, out=part[1], mode="clip")
-        np.take(w, undecided, out=rows[2 * m : 3 * m], mode="clip")
-        h = _scaled_density(part, rows[3 * m :], ci1_density)
-        accept[undecided] = rows[2 * m : 3 * m] <= h
+    if undecided.size:
+        h = _scaled_density(u[:2].take(undecided, axis=1), ci1_density)
+        accept[undecided] = w.take(undecided) <= h
     return u, accept
 
 
-def _kept_points(u: np.ndarray, keep: np.ndarray, work: Workspace, k: int):
+def _kept_points(u: np.ndarray, keep: np.ndarray):
     """The envelope points ``(x0, x1)`` of the candidates at ``keep`` of a
-    :func:`_candidate_block` of ``k``, computed from their uniforms by the
-    same elementwise :func:`_envelope_points`, in rows of ``work`` after
-    the block's front."""
-    front, n = _front(k), keep.size
-    rows = work.floats(front + 5 * n)[front:]
-    part = rows[: 2 * n].reshape(2, n)
-    np.take(u[0], keep, out=part[0], mode="clip")
-    np.take(u[1], keep, out=part[1], mode="clip")
-    x0, x1, _ = _envelope_points(part, *_rows(rows[2 * n :], 3, (n,)))
+    :func:`_candidate_block`, computed from their uniforms by the same
+    elementwise :func:`_envelope_points`."""
+    x0, x1, _ = _envelope_points(u[:2].take(keep, axis=1))
     return x0, x1
 
 
@@ -498,13 +431,13 @@ def first_block(need: int) -> int:
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
     holds at its peak in a new workspace, in rows of its first block: the
-    block's front (3.4 rows), its cells and bounds (2 rows), which outgrow
-    its undecided and kept candidates' rows, the kept candidates' indices
-    (a third of a row) and numpy's buffer for the cells' float-to-integer
-    cast.  tracemalloc measured 5.98 rows for a degree-1 benchmark block,
-    4,544 pairs (first block 14,100), and 6.45 and 6.51 rows for 1,278 and
-    710 pairs."""
-    return math.ceil(6.6 * first_block(need))
+    block's front (3.4 rows) and its cells and bounds (2 rows), then, while
+    the kept candidates' points are computed, their indices (a third of a
+    row), their uniforms (two thirds) and at most four of the envelope
+    map's temporaries (1.3 rows).  tracemalloc measured 7.66 rows for a
+    degree-1 benchmark block, 4,544 pairs (first block 14,100), and 7.64
+    and 7.63 rows for 1,278 and 710 pairs."""
+    return math.ceil(7.8 * first_block(need))
 
 
 def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
@@ -539,7 +472,7 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> No
     while got < need:
         u, accept = _candidate_block(gen, k, work)
         keep = np.flatnonzero(accept)[: need - got]
-        x0, x1 = _kept_points(u, keep, work, k)
+        x0, x1 = _kept_points(u, keep)
         pairs[got : got + keep.size, 0] = x0
         pairs[got : got + keep.size, 1] = x1
         got += keep.size

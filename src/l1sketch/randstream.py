@@ -83,7 +83,10 @@ class Workspace:
     """Flat float64 scratch that :func:`fill_groups` lends to each fill of
     a call, grown when a fill asks for more than it holds.  One per call,
     or one per worker thread of a sketch, so never shared between
-    threads."""
+    threads.  It holds the r-step sampler's uniforms, and a degree-1
+    candidate block's k-sized arrays (its uniforms, masks, cells and
+    bounds), which, allocated afresh a block, glibc would hand back and
+    fault in again."""
 
     def __init__(self):
         self._buf = np.empty(0)

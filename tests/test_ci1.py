@@ -111,7 +111,7 @@ def test_density_matches_complex_reference_on_proposals():
     off = ~on_diag
     x0, x1 = z0[off], z1[off]
     ref = _complex_density(x0, x1)
-    got = _density_generic(x0, np.abs(x0 - 2.0 * x1), np.empty(8 * x0.size))
+    got = _density_generic(x0, np.abs(x0 - 2.0 * x1))
     near = np.hypot(x0, x1) <= 100.0
     assert near.sum() > 900_000
     np.testing.assert_allclose(got[near], ref[near], rtol=1e-10)
@@ -204,14 +204,15 @@ def test_density_on_the_diagonal_band_matches_the_diagonal_form():
             got = ci1_density(a, b)
         np.testing.assert_allclose(got, _diagonal_density(a), rtol=2e-15, atol=0.0)
     assert np.all(np.abs(tiny - 2.0 * cases[-1][1]) == 1e-200)
-    assert ci1_density(1.0, 0.5) == _density_generic(1.0, 0.0, np.empty(8)) > 0.0
-    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0, np.empty(8))
+    assert ci1_density(1.0, 0.5) == _density_generic(1.0, 0.0) > 0.0
+    assert ci1_density(1.0, 0.0) == _density_generic(1.0, 1.0)
 
 
-# ------------------------------------------------------------ in-place kernel
+# ------------------------------------------------------------- density bits
 def _allocating_density(x0, x1):
     """:func:`ci1_density` as whole-array expressions, each step a new
-    temporary: the form the in-place kernel must reproduce bit for bit."""
+    temporary, written out here: the form the kernel must give bit for
+    bit."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     with np.errstate(under="ignore"):
@@ -229,18 +230,14 @@ def _allocating_density(x0, x1):
         return (4.0 + (re2 * a * (2.0 * s0 - root) - im4 * half_minus_im) / root) / (PI**2 * q2)
 
 
-def _assert_in_place_bits(x0, x1):
-    """ci1_density with and without scratch (filled with NaN first, so that
-    nothing reads it before writing) equals the allocating form, NaN for
-    NaN; so does _density_generic given its delta and scratch."""
+def _assert_density_bits(x0, x1):
+    """ci1_density equals the allocating form, NaN for NaN; so does
+    _density_generic given its delta."""
     with np.errstate(all="ignore"):
         ref = _allocating_density(x0, x1)
-        size = np.size(ref)
         np.testing.assert_array_equal(ci1_density(x0, x1), ref)
-        got = ci1_density(x0, x1, scratch=np.full(9 * size + 3, np.nan))
-        np.testing.assert_array_equal(got, ref)
         delta = np.abs(np.asarray(x0, dtype=float) - 2.0 * np.asarray(x1, dtype=float))
-        np.testing.assert_array_equal(_density_generic(x0, delta, np.full(8 * size, np.nan)), ref)
+        np.testing.assert_array_equal(_density_generic(x0, delta), ref)
 
 
 def test_in_place_density_bits_on_the_polar_scan_out_to_the_checked_radius():
@@ -249,14 +246,14 @@ def test_in_place_density_bits_on_the_polar_scan_out_to_the_checked_radius():
     angles = np.concatenate(
         [np.linspace(0.0, 2.0 * PI, 720, endpoint=False)] + [c + offsets for c in centres]
     )
-    _assert_in_place_bits(*_polar(np.logspace(-6, math.log10(CHECKED_RADIUS), 400), angles))
+    _assert_density_bits(*_polar(np.logspace(-6, math.log10(CHECKED_RADIUS), 400), angles))
 
 
 def test_in_place_density_bits_on_the_band_around_x0_eq_2x1():
     x0 = np.concatenate([[0.0, 1.0, -3.0, 1e3, 1e-200], np.logspace(-3, 8, 200)])
     x0 = np.concatenate([x0, -x0])
     for x1 in (x0 / 2.0, (x0 - _band(x0)) / 2.0, (x0 + 0.5 * _band(x0)) / 2.0, x0 / 2.0 + 1e-200):
-        _assert_in_place_bits(x0, x1)
+        _assert_density_bits(x0, x1)
 
 
 def test_in_place_density_bits_in_the_far_field_out_to_radius_1e80():
@@ -265,11 +262,11 @@ def test_in_place_density_bits_in_the_far_field_out_to_radius_1e80():
     x0, x1 = _polar(np.logspace(6, 80, 300), angles)
     with np.errstate(all="ignore"):
         assert np.isnan(_allocating_density(x0, x1)).any()
-    _assert_in_place_bits(x0, x1)
+    _assert_density_bits(x0, x1)
     gen = RandomStream(51).generator
     z = np.tan(PI * gen.random((2, 20_000)))
     for scale in (1e-3, 1.0, 1e3, 1e6, 1e12, 1e20, 1e80):
-        _assert_in_place_bits(scale * z[0], scale * z[1])
+        _assert_density_bits(scale * z[0], scale * z[1])
 
 
 def test_in_place_density_bits_on_0d_and_broadcast_inputs():
@@ -279,11 +276,9 @@ def test_in_place_density_bits_on_0d_and_broadcast_inputs():
         f = ci1_density(a, b)
         assert type(f) is np.float64
         assert f == _allocating_density([a], [b])[0]
-        assert ci1_density(float(a), float(b), scratch=np.empty(9)) == f
-    assert type(ci1_density(0.0, 0.0, scratch=np.empty(9))) is np.float64
     axis = np.linspace(-3.0, 3.0, 41)
     for x0, x1 in ((axis[:, None], axis[None, :]), (1.5, axis), (axis, -0.25), (axis[:0], 1.0)):
-        _assert_in_place_bits(x0, x1)
+        _assert_density_bits(x0, x1)
         assert ci1_density(x0, x1).shape == np.broadcast_shapes(np.shape(x0), np.shape(x1))
 
 
@@ -312,19 +307,10 @@ def _peak_bytes(fn) -> int:
 _GROUP_K = first_block(18 * 71)
 
 
-def test_density_given_its_scratch_allocates_less_than_one_row():
-    assert _GROUP_K == 4_082
-    x0, x1 = np.tan(PI * RandomStream(53).generator.random((2, _GROUP_K)))
-    delta = np.abs(x0 - 2.0 * x1)
-    scratch = np.empty(8 * _GROUP_K)
-    assert _peak_bytes(lambda: _density_generic(x0, delta, scratch)) < 8 * _GROUP_K
-    scratch = np.empty(9 * _GROUP_K)
-    assert _peak_bytes(lambda: ci1_density(x0, x1, scratch=scratch)) < 8 * _GROUP_K
-
-
 def test_candidate_block_given_its_workspace_peaks_below_four_rows():
-    # the draw, the squeeze and the undecided candidates' points, density
-    # and test all run in the workspace; the block returns views of it
+    # the draw and the squeeze run in the workspace, and only the few
+    # undecided candidates' points and density are new arrays; the block
+    # returns views of the workspace
     gen = RandomStream(54).generator
     work = Workspace()
     _candidate_block(gen, _GROUP_K, work)
@@ -357,8 +343,8 @@ def test_fill_pairs_writes_into_out_and_refuses_a_copy():
 def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     # a block of 64 replicates on 284 intervals: groups of 18, 18, 18 and 10
     # replicates in one workspace, sized by the first group's first block
-    # (its front, cells and bounds outgrow its undecided and kept
-    # candidates' rows), with the bits of a new workspace for every group
+    # (its front, cells and bounds: a block's one request), with the bits
+    # of a new workspace for every group
     per_rep = 284 * UNIFORMS_PER_PAIR
     seen = []
 
@@ -663,7 +649,7 @@ _NO_SQUEEZE = tuple(np.full(ci1_mod._CELLS**2 + 1, v) for v in (-np.inf, np.inf)
 
 def _points(u):
     """Envelope points of every candidate of a block's ``(3, k)`` uniforms."""
-    x0, x1, _ = ci1_mod._envelope_points(u[:2].copy(), *np.empty((3, u.shape[1])))
+    x0, x1, _ = ci1_mod._envelope_points(u[:2].copy())
     return x0, x1
 
 
@@ -761,7 +747,7 @@ def _assert_within_bounds(u):
     returns the number of candidates in decided cells."""
     lo, hi = ci1_mod._squeeze_table()
     cell = _cells_of(u)
-    h = ci1_mod._scaled_density(u.copy(), np.empty(12 * u.shape[1]), ci1_density)
+    h = ci1_mod._scaled_density(u.copy(), ci1_density)
     decided = np.isfinite(lo[cell])
     assert np.array_equal(decided, np.isfinite(hi[cell]))
     assert np.all(lo[cell][decided] <= h[decided])

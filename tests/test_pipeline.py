@@ -847,13 +847,16 @@ def test_r_step_sketch_passes_the_uniforms_of_its_larger_group(monkeypatch):
     _assert_fan_outs_keep_bits(monkeypatch, _quadratic_pair_on(71), scratch)
 
 
-def test_warm_sketch_reuses_its_threads_workspace_and_faults_none_in(monkeypatch):
+@pytest.mark.parametrize("degree", [1, 2])
+def test_warm_sketch_reuses_its_threads_workspace_and_faults_none_in(monkeypatch, degree):
     # a thread keeps one workspace for every block of every sketch it runs,
-    # so a warm one-thread sketch of d2-cid-threads' size (10 quadratics on
-    # 71 intervals) faults no group scratch in: 172 minor faults with a new
-    # workspace a call, 0 measured in a fresh process
+    # so a warm one-thread sketch of the size of d1-exact-ci1 or
+    # d2-cid-threads (10 densities on 71 intervals) faults no group scratch
+    # in: at degree 2, 172 minor faults with a new workspace a call, 0
+    # measured in a fresh process; at degree 1, where the workspace holds a
+    # candidate block's k-sized arrays, 0 measured
     resource = pytest.importorskip("resource")
-    fam = random_segment_family(np.random.default_rng(63), 10, 2, n_intervals=71)
+    fam = random_segment_family(np.random.default_rng(63), 10, degree, n_intervals=71)
     plan, approx = plan_run(0.4, 0.1, fam.m, fam.degree)
 
     def sketch():
