@@ -128,6 +128,15 @@ def integrate_abs_local(coeffs, width):
     piece of zero length; an all-zero row gives an exact 0.  A table of
     degree >= 3 goes in one call through the companion-matrix kernel
     :func:`_integrate_abs_split`, where a non-finite row gives NaN.
+
+    A table of degree <= 1, chosen by its shape, takes the same operations
+    with the terms of ``c2 = 0`` dropped: ``r = -c0/c1`` kept in
+    ``(0, width)``, else 0, and ``|A(r)| + |A(width) - A(r)|`` with
+    ``A(u) = u (c0 + u c1/2)``.  Every finite result has the bits of the
+    degree-2 path, since what is dropped only adds a zero: ``u * (c2/3)``
+    is a zero, the second root is NaN and collapses to 0, and ``A(0)`` is
+    a zero, so at most the sign of a zero differs before the absolute
+    values.
     """
     c = np.asarray(coeffs, dtype=float)
     w = np.broadcast_to(np.asarray(width, dtype=float), c.shape[:-1])
@@ -137,8 +146,15 @@ def integrate_abs_local(coeffs, width):
         return out.reshape(w.shape)
     c0 = c[..., 0]
     c1 = c[..., 1] if c.shape[-1] > 1 else np.zeros_like(c0)
-    c2 = c[..., 2] if c.shape[-1] > 2 else np.zeros_like(c0)
-    half, third = 0.5 * c1, c2 / 3.0
+    half = 0.5 * c1
+    if c.shape[-1] <= 2:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            r = -c0 / c1
+            r = np.where((r > 0.0) & (r < w), r, 0.0)
+            a = r * (c0 + r * half)
+            return np.abs(a) + np.abs(w * (c0 + w * half) - a)
+    c2 = c[..., 2]
+    third = c2 / 3.0
 
     # inline, not poly_eval(poly_antideriv(c), u): same bits, the oracle 1.6x slower
     def anti(u):

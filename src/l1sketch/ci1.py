@@ -430,14 +430,22 @@ def first_block(need: int) -> int:
 
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
-    holds at its peak in a new workspace, in rows of its first block: the
-    block's front (3.4 rows) and its cells and bounds (2 rows), then, while
-    the kept candidates' points are computed, their indices (a third of a
-    row), their uniforms (two thirds) and at most four of the envelope
-    map's temporaries (1.3 rows).  tracemalloc measured 7.66 rows for a
-    degree-1 benchmark block, 4,544 pairs (first block 14,100), and 7.64
-    and 7.63 rows for 1,278 and 710 pairs."""
-    return math.ceil(7.8 * first_block(need))
+    holds at its peak in a new workspace, for a first block of ``k``
+    candidates: the larger of its two peaks.  While the undecided
+    candidates' density is computed, the block's front (3.4 rows of ``k``)
+    and its cells and bounds (2 rows), the undecided candidates (about 6%
+    of the block, 17 floats each: 1.1 rows) and 600 floats that do not
+    grow with the block (array headers and small arrays).  While the kept
+    candidates' points are computed, 7.8 rows: the same 5.4, then their
+    indices (a third of a row), their uniforms (two thirds) and at most
+    four of the envelope map's temporaries (1.3 rows).  The first peak is
+    the larger for ``k`` up to 461, groups of up to 127 pairs.
+    tracemalloc measured 7.66 rows for a degree-1 benchmark block, 4,544
+    pairs (first block 14,100), and 7.64 and 7.63 rows for 1,278 and 710
+    pairs; for 71 pairs (272 candidates), 8.08-8.52 rows in five calls
+    against 8.71 counted, and 7.91-8.84 over 90 calls from 30 seeds."""
+    k = first_block(need)
+    return math.ceil(max(7.8 * k, 6.5 * k + 600))
 
 
 def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:

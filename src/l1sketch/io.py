@@ -184,7 +184,7 @@ def manifest_line(manifest: dict) -> str:
 def matrix_to_json(dm: DistanceMatrix, manifest: dict) -> str:
     doc = {
         "names": dm.names,
-        "matrix": [[float(v) for v in row] for row in dm.entries],
+        "matrix": dm.entries.tolist(),
         "method": dm.method,
         "config": _jsonable(dm.config),
         "manifest": manifest,
@@ -197,8 +197,8 @@ def matrix_to_csv(dm: DistanceMatrix, manifest: dict) -> str:
     lines.append(f"# method: {dm.method}")
     lines.append(f"# config: {json.dumps(_jsonable(dm.config), sort_keys=True)}")
     lines.append(",".join(["name"] + dm.names))
-    for name, row in zip(dm.names, dm.entries):
-        lines.append(",".join([name] + [repr(float(v)) for v in row]))
+    for name, row in zip(dm.names, dm.entries.tolist()):
+        lines.append(",".join([name] + [repr(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 

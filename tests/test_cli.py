@@ -163,6 +163,31 @@ def test_dist_exact_csv(pair_family_path, tmp_path, capsys):
     assert any(l.startswith("# manifest:") for l in lines)
 
 
+def test_matrix_to_csv_pins_the_bytes_of_each_entry():
+    # the shortest repr that reads back to the same float: a subnormal, a
+    # tiny value, an inexact sum, a power of ten past 1e16 and zero
+    entries = np.array(
+        [
+            [0.0, 5e-324, 1e-300, 0.1 + 0.2],
+            [5e-324, 0.0, 1e16, 0.0],
+            [1e-300, 1e16, 0.0, 5e-324],
+            [0.1 + 0.2, 0.0, 5e-324, 0.0],
+        ]
+    )
+    dm = pipeline_mod.DistanceMatrix(list("abcd"), entries, "exact", {"degree": 1})
+    manifest = {"command": "dist"}
+    assert io_mod.matrix_to_csv(dm, manifest) == (
+        '# manifest: {"command": "dist"}\n'
+        "# method: exact\n"
+        '# config: {"degree": 1}\n'
+        "name,a,b,c,d\n"
+        "a,0.0,5e-324,1e-300,0.30000000000000004\n"
+        "b,5e-324,0.0,1e+16,0.0\n"
+        "c,1e-300,1e+16,0.0,5e-324\n"
+        "d,0.30000000000000004,0.0,5e-324,0.0\n"
+    )
+
+
 def test_dist_json_embeds_manifest(pair_family_path, tmp_path):
     out = tmp_path / "dist.json"
     code = main(

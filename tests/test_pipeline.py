@@ -722,11 +722,14 @@ def test_projection_within_rounding_of_long_double_sum(mode, degree, config):
 
 
 def test_interval_coefficients_match_per_segment_loop():
+    # the one scatter over all tables equals a loop over each density's
+    # segments, with a lower-degree density and one of no segments among them
     gen = np.random.default_rng(8)
     for degree in range(4):
         fam = random_segment_family(gen, 5, degree)
         low = PiecewisePolyDensity("low", [1], [4], [[0.5]], 0)
-        densities = fam.densities + [low]
+        empty = PiecewisePolyDensity("empty", [], [], [], degree)
+        densities = fam.densities[:2] + [empty] + fam.densities[2:] + [low]
         ref = np.zeros((len(densities), len(fam.breakpoints) - 1, degree + 1))
         for j, dens in enumerate(densities):
             for b, c, row in zip(dens.b, dens.c, dens.coeffs):
@@ -734,6 +737,11 @@ def test_interval_coefficients_match_per_segment_loop():
         assert any(np.any(dens.c - dens.b > 1) for dens in fam.densities)
         assert np.any(np.all(ref == 0.0, axis=2))  # some intervals are unsupported
         np.testing.assert_array_equal(interval_coefficients(densities, fam.breakpoints), ref)
+        none = [PiecewisePolyDensity(f"e{j}", [], [], [], degree) for j in range(3)]
+        np.testing.assert_array_equal(
+            interval_coefficients(none, fam.breakpoints),
+            np.zeros((3, len(fam.breakpoints) - 1, degree + 1)),
+        )
 
 
 def test_unit_coefficients_evaluate_each_piece_on_the_unit_interval():

@@ -7,6 +7,8 @@ they never go through monomial coefficients.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import adaptive_simpson
 from l1sketch._poly import (
@@ -16,6 +18,9 @@ from l1sketch._poly import (
     poly_eval,
     taylor_shift,
 )
+
+#: Fixed example sequence, like the fixed seeds of the rest of the suite.
+DETERMINISTIC = settings(deadline=None, derandomize=True)
 
 
 def test_poly_eval_horner():
@@ -65,6 +70,41 @@ def test_integrate_abs_local_degree_two_edge_cases():
     for i, w in enumerate(widths[:, 0]):
         for j, row in enumerate(rows):
             assert batched[i, j] == integrate_abs_local(row, w)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_SMALL = st.integers(-8, 8).map(float)
+
+
+@st.composite
+def _linear_rows(draw):
+    """A row ``(c0, c1)`` and its width: any finite values, or a zero (of
+    either sign) at ``c0`` or ``c1``, or a root exactly at ``w``."""
+    w = draw(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    c0, c1 = draw(_FINITE), draw(_FINITE)
+    kind = draw(st.sampled_from(["free", "root at 0", "flat", "root at w"]))
+    if kind == "root at 0":
+        c0 = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "flat":
+        c1 = draw(st.sampled_from([0.0, -0.0]))
+    elif kind == "root at w":
+        c1, w = draw(_SMALL.filter(bool)), draw(st.integers(1, 8).map(float))
+        c0 = -c1 * w
+    return c0, c1, w
+
+
+@settings(DETERMINISTIC, max_examples=400)
+@given(drawn=st.lists(_linear_rows(), min_size=1, max_size=8), degree=st.sampled_from([0, 1]))
+def test_integrate_abs_local_degree_one_rows_have_the_quadratic_paths_bits(drawn, degree):
+    # the closed form of degree <= 1 equals the degree-2 path bit for bit
+    # wherever that path is finite, and is not finite where it is not
+    rows = np.array(drawn)
+    c, w = rows[:, : degree + 1], rows[:, 2]
+    got = integrate_abs_local(c, w)
+    want = integrate_abs_local(np.concatenate([c, np.zeros((len(c), 2 - degree))], axis=1), w)
+    finite = np.isfinite(want)
+    np.testing.assert_array_equal(np.isfinite(got), finite)
+    np.testing.assert_array_equal(got[finite].view(np.int64), want[finite].view(np.int64))
 
 
 def test_integrate_abs_local_high_degree_rows():
