@@ -179,12 +179,14 @@ class DensityFamily:
         return [d.name for d in self.densities]
 
 
-def _runs(b: np.ndarray, c: np.ndarray):
-    """Segment index and grid interval of every interval that the segments
-    ``[b_i, c_i)`` cover, segment by segment."""
+def _runs(b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Index of every interval that the segments ``[b_i, c_i)`` cover,
+    segment by segment, as ``np.repeat(rows, c - b, axis=0)`` repeats
+    each segment's row."""
     lengths = c - b
-    seg = np.repeat(np.arange(b.size), lengths)
-    return seg, np.arange(seg.size) + np.repeat(b - np.cumsum(lengths) + lengths, lengths)
+    ell = np.repeat(b - np.cumsum(lengths) + lengths, lengths)
+    ell += np.arange(ell.size)
+    return ell
 
 
 def _local_rows(dens: PiecewisePolyDensity, bp: Breakpoints):
@@ -289,10 +291,12 @@ def interval_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints
     no support.  Lower-degree densities get zero leading coefficients.
 
     One :func:`_runs` call and one scatter cover the tables of all the
-    densities, concatenated.
+    densities, concatenated: density ``j``'s intervals are counted from
+    ``j * L``, so each covered interval has one flat index into ``C``.
     """
     width = max((dens.degree for dens in densities), default=0) + 1
-    coeffs = np.zeros((len(densities), len(bp) - 1, width))
+    n_int = len(bp) - 1
+    coeffs = np.zeros((len(densities), n_int, width))
     if not densities:
         return coeffs
     rows = np.concatenate(
@@ -303,11 +307,11 @@ def interval_coefficients(densities: list[PiecewisePolyDensity], bp: Breakpoints
             for dens in densities
         ]
     )
-    seg, ell = _runs(
-        np.concatenate([dens.b for dens in densities]), np.concatenate([dens.c for dens in densities])
-    )
-    owner = np.repeat(np.arange(len(densities)), [dens.b.size for dens in densities])
-    coeffs[owner[seg], ell] = rows[seg]
+    first = np.repeat(np.arange(len(densities)) * n_int, [dens.b.size for dens in densities])
+    b = first + np.concatenate([dens.b for dens in densities])
+    c = first + np.concatenate([dens.c for dens in densities])
+    flat = _runs(b, c)  # before the rows are repeated, to hold less at once
+    coeffs.reshape(-1, width)[flat] = np.repeat(rows, c - b, axis=0)
     return coeffs
 
 
