@@ -36,16 +36,14 @@ The draws, their order and the accepted candidates are those of the plain
 test, so every output keeps its bits.
 
 A block of candidates keeps its k-sized arrays, the ``(3, k)`` uniforms,
-the masks and the candidates' cells and bounds, in the
-:class:`~l1sketch.randstream.Workspace` that
-:func:`~l1sketch.randstream.fill_groups` lends to every group of a call,
-and :func:`fill_pairs`, the one rejection loop, writes each block's
-accepted candidates straight into the group's slots.  Freed after each
-block, those arrays would let glibc hand the memory back and fault it in
-again: allocated, they cost some calls of a warm two-thread sketch of the
-71-interval degree-1 benchmark family about 270 minor page faults, where
-with the workspace each call from the fourth on makes 65 or fewer, most
-6.  The density and the envelope points, computed for the few undecided
+the masks and the candidates' cells and bounds, in the thread's
+:func:`~l1sketch.randstream.scratch`, and :func:`fill_pairs`, the one
+rejection loop, writes each block's accepted candidates straight into the
+group's slots.  Freed after each block, those arrays would let glibc hand
+the memory back and fault it in again: allocated, they cost some calls of
+a warm two-thread sketch of the 71-interval degree-1 benchmark family
+about 270 minor page faults, where in the scratch buffer each call from
+the fourth on makes 65 or fewer, most 6.  The density and the envelope points, computed for the few undecided
 and the kept candidates only, are plain whole-array code: a one-thread
 sketch of that family makes no minor page fault from its third call on
 (``ru_minflt``).
@@ -64,7 +62,7 @@ import threading
 import numpy as np
 
 from .errors import EnvelopeDominationError, ParameterError
-from .randstream import RandomStream, Workspace, cauchy_in_place, fill_groups
+from .randstream import RandomStream, cauchy_in_place, fill_groups, scratch
 
 #: Domination constant: density <= (C/pi) * envelope everywhere.
 DOMINATION_C = 25.0
@@ -351,16 +349,16 @@ def _squeeze_table() -> tuple[np.ndarray, np.ndarray]:
 
 
 def _front(k: int) -> int:
-    """Float64s at the front of a block of ``k`` candidates' workspace: its
+    """Float64s at the front of a block of ``k`` candidates' scratch: its
     ``(3, k)`` uniforms and three ``k``-entry bool masks.  The candidates'
     cells and bounds follow from there."""
     return 3 * k + -(-3 * k // 8)
 
 
-def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
+def _candidate_block(gen: np.random.Generator, k: int):
     """``k`` candidates, as their ``(3, k)`` uniforms and accept mask, views
-    into the :class:`~l1sketch.randstream.Workspace` ``work`` that are valid
-    until it is next written.  The block's one request of ``work``,
+    into the thread's :func:`~l1sketch.randstream.scratch` that are valid
+    until it is next asked for.  The block's one request of scratch,
     :func:`_front` ``(k) + 2 k`` float64s, holds its k-sized arrays: the
     uniforms, the masks, and the candidates' cells and bounds.  The
     undecided candidates are gathered into new arrays.
@@ -379,7 +377,7 @@ def _candidate_block(gen: np.random.Generator, k: int, work: Workspace):
     """
     lo, hi = _squeeze_table()
     front = _front(k)
-    buf = work.floats(front + 2 * k)
+    buf = scratch(front + 2 * k)
     u = buf[: 3 * k].reshape(3, k)
     gen.random(out=u)
     _redraw_zeros(gen, u[1])
@@ -430,7 +428,7 @@ def first_block(need: int) -> int:
 
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
-    holds at its peak in a new workspace, for a first block of ``k``
+    holds at its peak in a thread without scratch, for a first block of ``k``
     candidates: the larger of its two peaks.  While the undecided
     candidates' density is computed, the block's front (3.4 rows of ``k``)
     and its cells and bounds (2 rows), the undecided candidates (about 6%
@@ -448,7 +446,7 @@ def pairs_scratch(need: int) -> int:
     return math.ceil(max(7.8 * k, 6.5 * k + 600))
 
 
-def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
+def fill_pairs(gen: np.random.Generator, out: np.ndarray) -> None:
     """Exact unit-interval pairs into ``out[..., 0]`` (``x0``) and
     ``out[..., 1]`` (``x1``), in row-major order: the sampler's one
     rejection loop.
@@ -459,7 +457,7 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> No
     Draws a first block of :func:`first_block` candidates (so block shapes
     do not depend on acceptance luck), then tops up with 1.4 times the
     expected count still missing, at least 64, while short; each block is
-    :func:`_candidate_block`, three uniforms a candidate, in ``work``, and
+    :func:`_candidate_block`, three uniforms a candidate, in scratch, and
     the envelope points of the accepted candidates it keeps, and of no
     other, are computed (:func:`_kept_points`) and written into ``out``.
     The squeeze table decides most candidates without their point or
@@ -478,7 +476,7 @@ def fill_pairs(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> No
     got, used = 0, 0.0
     k = first_block(need)
     while got < need:
-        u, accept = _candidate_block(gen, k, work)
+        u, accept = _candidate_block(gen, k)
         keep = np.flatnonzero(accept)[: need - got]
         x0, x1 = _kept_points(u, keep)
         pairs[got : got + keep.size, 0] = x0

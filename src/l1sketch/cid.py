@@ -39,7 +39,7 @@ from ._poly import (
     to_unit_interval,
 )
 from .errors import ParameterError
-from .randstream import RandomStream, Workspace, cauchy_in_place, fill_groups
+from .randstream import RandomStream, cauchy_in_place, fill_groups, scratch
 
 #: Default constant of the right-endpoint rule ``r = ceil(c d^2 / eps)``, from
 #: calibrate_c(d_max=8, target_eps=0.05, trials=400, seed=20260809), safety
@@ -163,19 +163,19 @@ def _node_powers(r: int, d: int, nodes: str) -> np.ndarray:
 
 
 def step_fill(cfg: ApproxConfig):
-    """The r-step sampler's fill ``fill(gen, out, work)``: vectors into
-    ``out[..., :d+1]`` from one ``(..., r)`` uniform draw into the
-    workspace ``work``, as standard Cauchy steps times the node powers of
-    :func:`_node_powers` over ``r``, which is Cauchy steps of scale ``1/r``
-    times the powers, without a pass over the steps.  Stacked, not
+    """The r-step sampler's fill ``fill(gen, out)``: vectors into
+    ``out[..., :d+1]`` from one ``(..., r)`` uniform draw into the thread's
+    :func:`~l1sketch.randstream.scratch`, as standard Cauchy steps times the
+    node powers of :func:`_node_powers` over ``r``, which is Cauchy steps of
+    scale ``1/r`` times the powers, without a pass over the steps.  Stacked, not
     flattened, so each ``(L, r)`` product has the bits it has alone.  A
     degree-2 benchmark block peaks at its first group's 378 KB of uniforms
     and 2 KB more (tracemalloc)."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
-    def fill(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
+    def fill(gen: np.random.Generator, out: np.ndarray) -> None:
         shape = (*out.shape[:-1], cfg.r)
-        u = work.floats(math.prod(shape)).reshape(shape)
+        u = scratch(math.prod(shape)).reshape(shape)
         gen.random(out=u)
         cauchy_in_place(u)
         np.matmul(u, weights, out=out)

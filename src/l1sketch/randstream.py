@@ -11,12 +11,14 @@ stream ``(seed, b0)`` of its first replicate ``b0``.  SFC64 is chosen for
 speed, since uniforms are most of the sketch's cost at degree >= 2: on a
 2-vCPU VM one float64 uniform took 2.9-4.4 ns, against 7.6-9.7 ns from
 numpy's counter-based generator.  Every generator in the package is made
-here, and every Cauchy draw by :func:`cauchy_in_place`.
+here, every Cauchy draw by :func:`cauchy_in_place`, and every sampler's
+group scratch by :func:`scratch`.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -79,44 +81,41 @@ def group_rows(per_row: float) -> int:
     return max(int(_CALL_DRAWS // per_row), 1)
 
 
-class Workspace:
-    """Flat float64 scratch that :func:`fill_groups` lends to each fill of
-    a call, grown when a fill asks for more than it holds.  One per call,
-    or one per worker thread of a sketch, so never shared between
-    threads.  It holds the r-step sampler's uniforms, and a degree-1
-    candidate block's k-sized arrays (its uniforms, masks, cells and
-    bounds), which, allocated afresh a block, glibc would hand back and
-    fault in again."""
-
-    def __init__(self):
-        self._buf = np.empty(0)
-
-    def floats(self, n: int) -> np.ndarray:
-        """The first ``n`` float64s, in a buffer grown to ``n`` if shorter."""
-        if self._buf.size < n:
-            self._buf = np.empty(n)
-        return self._buf[:n]
+#: The calling thread's scratch buffer of :func:`scratch`.
+_thread = threading.local()
 
 
-def fill_groups(
-    gen: np.random.Generator, fill, out: np.ndarray, per_row: float, work: Workspace | None = None, /
-) -> None:
-    """The samplers' one draw loop: ``fill(gen, part, work)`` on the
-    consecutive parts of :func:`group_rows` rows (first-axis entries) of
-    ``out``, for ``per_row`` uniforms a row and about :data:`_CALL_DRAWS` a
-    call, so a call's buffers and the temporaries made from them stay small
-    whatever the row count.  Every fill of the call gets the same
-    :class:`Workspace` ``work``: the one passed, which a sketch worker
-    lends to all its blocks, or a new one."""
+def scratch(n: int) -> np.ndarray:
+    """The calling thread's first ``n`` float64s, from one buffer per
+    thread, grown to ``n`` when shorter.  It holds the r-step sampler's
+    uniforms and a degree-1 candidate block's k-sized arrays (its uniforms,
+    masks, cells and bounds), valid until the thread next asks for scratch.
+    Kept from call to call, so a thread keeps one buffer as large as the
+    largest group it filled, for every group of every call, and a pool's
+    threads free theirs on exit.  Allocated afresh a group, glibc would hand
+    those arrays back and fault them in again: a warm one-thread sketch of
+    the 71-interval degree-2 benchmark family makes no minor page fault,
+    where a new buffer a call made 172."""
+    buf = getattr(_thread, "scratch", None)
+    if buf is None or buf.size < n:
+        buf = _thread.scratch = np.empty(n)
+    return buf[:n]
+
+
+def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float, /) -> None:
+    """The samplers' one draw loop: ``fill(gen, part)`` on the consecutive
+    parts of :func:`group_rows` rows (first-axis entries) of ``out``, for
+    ``per_row`` uniforms a row and about :data:`_CALL_DRAWS` a call, so a
+    call's buffers and the temporaries made from them stay small whatever
+    the row count.  A fill keeps its group's k-sized arrays in the thread's
+    :func:`scratch`."""
     group = group_rows(per_row)
-    work = Workspace() if work is None else work
     for g0 in range(0, len(out), group):
-        fill(gen, out[g0 : g0 + group], work)
+        fill(gen, out[g0 : g0 + group])
 
 
-def fill_cauchy(gen: np.random.Generator, out: np.ndarray, work: Workspace) -> None:
-    """Standard Cauchy draws into ``out[..., 0]``, by :func:`cauchy_in_place`;
-    they need no ``work``."""
+def fill_cauchy(gen: np.random.Generator, out: np.ndarray) -> None:
+    """Standard Cauchy draws into ``out[..., 0]``, by :func:`cauchy_in_place`."""
     gen.random(out=out[..., 0])
     cauchy_in_place(out[..., 0])
 

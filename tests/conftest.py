@@ -8,6 +8,8 @@ formula, and the classical Cauchy CDF for distribution tests.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,6 +21,13 @@ from l1sketch import (
     PiecewisePolyDensity,
     RandomStream,
 )
+
+
+def in_new_thread(fn):
+    """``fn()`` on a new thread, whose ``randstream.scratch`` buffer starts
+    empty and is freed when the thread exits; its result or its exception."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn).result()
 
 
 def cauchy_cdf(x, scale=1.0):

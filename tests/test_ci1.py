@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import binom, kstest
 
-from conftest import cf_pair_density, ks_against_cauchy, random_segment_family
+from conftest import cf_pair_density, in_new_thread, ks_against_cauchy, random_segment_family
 import l1sketch.ci1 as ci1_mod
 import l1sketch.pipeline as pipeline_mod
 from l1sketch import (
@@ -53,7 +53,7 @@ from l1sketch.ci1 import (
     pairs_scratch,
 )
 from l1sketch.io import save_family
-from l1sketch.randstream import _CALL_DRAWS, Workspace, fill_groups, group_rows
+from l1sketch.randstream import _CALL_DRAWS, fill_groups, group_rows, scratch
 
 PI = np.pi
 
@@ -308,27 +308,34 @@ _GROUP_K = first_block(18 * 71)
 
 
 def test_candidate_block_given_its_workspace_peaks_below_four_rows():
-    # the draw and the squeeze run in the workspace, and only the few
-    # undecided candidates' points and density are new arrays; the block
-    # returns views of the workspace
+    # the draw and the squeeze run in the thread's scratch buffer, and only
+    # the few undecided candidates' points and density are new arrays; the
+    # block returns views of the buffer
     gen = RandomStream(54).generator
-    work = Workspace()
-    _candidate_block(gen, _GROUP_K, work)
-    assert _peak_bytes(lambda: _candidate_block(gen, _GROUP_K, work)) <= 4 * 8 * _GROUP_K
+    _candidate_block(gen, _GROUP_K)
+    assert _peak_bytes(lambda: _candidate_block(gen, _GROUP_K)) <= 4 * 8 * _GROUP_K
 
 
 @pytest.mark.parametrize("replicates", [18, 10, 64, 1])
 def test_pairs_scratch_is_the_measured_peak_of_a_group(replicates):
     # the count sketch_family gives _fan_out for a group's degree-1 scratch
-    # is what a fill_pairs call in a new workspace holds at its peak
+    # is what a fill_pairs call on a new thread, whose scratch buffer starts
+    # empty, holds at its peak
     out = np.empty((replicates, 71, 2))
     gen = RandomStream(55).generator
     counted = 8 * pairs_scratch(out[..., 0].size)
     ci1_mod._squeeze_table()  # built once per process, before any group
     # a process's first call also makes numpy's one-time allocations
-    fill_pairs(RandomStream(56).generator, out, Workspace())
+    fill_pairs(RandomStream(56).generator, out)
+
+    def peak_in_empty_buffer():
+        # a thread's first request makes its entry in the thread-local,
+        # whose bytes depend on how many threads asked before
+        scratch(0)
+        return _peak_bytes(lambda: fill_pairs(gen, out))
+
     for _ in range(5):
-        peak = _peak_bytes(lambda: fill_pairs(gen, out, Workspace()))
+        peak = in_new_thread(peak_in_empty_buffer)
         assert 0.9 * counted <= peak <= counted
 
 
@@ -336,34 +343,34 @@ def test_fill_pairs_writes_into_out_and_refuses_a_copy():
     # the rejection loop writes its accepted pairs through a view of out;
     # an out that reshapes to (n, 2) only as a copy would lose them
     z = np.full((6, 3, 2), np.nan)
-    fill_pairs(RandomStream(57).generator, z[2:4], Workspace())
+    fill_pairs(RandomStream(57).generator, z[2:4])
     assert np.isfinite(z[2:4]).all() and np.isnan(z[:2]).all() and np.isnan(z[4:]).all()
     with pytest.raises(ParameterError, match="as a view"):
-        fill_pairs(RandomStream(57).generator, z[:, :2], Workspace())
+        fill_pairs(RandomStream(57).generator, z[:, :2])
 
 
 def test_fill_groups_lends_one_workspace_that_every_block_reuses():
     # a block of 64 replicates on 284 intervals: groups of 18, 18, 18 and 10
-    # replicates in one workspace, sized by the first group's first block
-    # (its front, cells and bounds: a block's one request), with the bits
-    # of a new workspace for every group
+    # replicates in one scratch buffer of a new thread, sized by the first
+    # group's first block (its front, cells and bounds: a block's one
+    # request), with the bits of a new thread's buffer for every group
     per_rep = 284 * UNIFORMS_PER_PAIR
     seen = []
 
-    def recording(gen, out, work):
-        fill_pairs(gen, out, work)
-        seen.append((work, work.floats(1).ctypes.data))
+    def recording(gen, out):
+        fill_pairs(gen, out)
+        seen.append(scratch(0).base)
 
     z = np.empty((64, 284, 2))
-    fill_groups(RandomStream(56).generator, recording, z, per_rep)
-    assert len(seen) == 4 and len(set(seen)) == 1
+    in_new_thread(lambda: fill_groups(RandomStream(56).generator, recording, z, per_rep))
+    assert len(seen) == 4 and all(buf is seen[0] for buf in seen)
     k = first_block(18 * 284)
-    assert seen[0][0].floats(0).base.size == ci1_mod._front(k) + 2 * k
+    assert seen[0].size == ci1_mod._front(k) + 2 * k
     ref = np.empty_like(z)
     gen = RandomStream(56).generator
     group = group_rows(per_rep)
     for g0 in range(0, 64, group):
-        fill_pairs(gen, ref[g0 : g0 + group], Workspace())
+        in_new_thread(lambda: fill_pairs(gen, ref[g0 : g0 + group]))
     np.testing.assert_array_equal(z, ref)
 
 
@@ -429,9 +436,9 @@ def test_sampler_scalar_and_empty():
 
 
 def _unit_pairs(gen, need):
-    """``need`` pairs from one fill_pairs call in a new workspace, as ``(x0, x1)``."""
+    """``need`` pairs from one fill_pairs call, as ``(x0, x1)``."""
     out = np.empty((need, 2))
-    fill_pairs(gen, out, Workspace())
+    fill_pairs(gen, out)
     return out[:, 0], out[:, 1]
 
 
@@ -474,7 +481,7 @@ def test_candidate_test_is_the_proposal_test_past_the_squeeze():
     # a candidate's uniform w stands for the proposal uniform u with
     # u * C/pi = w * K, and the candidate decides as _accept_mask does there
     k = 200_000
-    u, accept = _candidate_block(RandomStream(18).generator, k, Workspace())
+    u, accept = _candidate_block(RandomStream(18).generator, k)
     x0, x1 = _points(u)
     w = RandomStream(18).generator.random((3, k))[2]
     np.testing.assert_array_equal(accept, _accept_mask(x0, x1, w * (SQUEEZE_K / REJECTION_OVERHEAD)))
@@ -499,7 +506,7 @@ def test_first_block_shortfall_share_matches_binomial():
     k = first_block(need)
     p = 1.0 / SQUEEZE_K
     gens = [RandomStream(48, i).generator for i in range(calls)]
-    counts = np.array([int(_candidate_block(gen, k, Workspace())[1].sum()) for gen in gens])
+    counts = np.array([int(_candidate_block(gen, k)[1].sum()) for gen in gens])
     var = k * p * (1.0 - p)
     assert abs(counts.mean() - k * p) <= 4.0 * math.sqrt(var / calls)
     assert abs(counts.var() / var - 1.0) <= 4.0 * math.sqrt(2.0 / calls)
@@ -655,7 +662,7 @@ def _points(u):
     return x0, x1
 
 
-def _plain_fill(gen, out, work=None):
+def _plain_fill(gen, out):
     """The rejection loop with the plain candidate test on every candidate,
     into ``out`` as fill_pairs fills it: a first block of first_block(need)
     candidates, then top-ups of 1.4 times the expected count still missing,
@@ -693,7 +700,7 @@ def test_fill_pairs_gives_the_plain_loops_bytes(seed, need):
     # up to 21 pairs the first block is the 64-candidate minimum, and a
     # short block tops up
     out, ref = np.empty((need, 2)), np.empty((need, 2))
-    fill_pairs(RandomStream(seed).generator, out, Workspace())
+    fill_pairs(RandomStream(seed).generator, out)
     _plain_fill(RandomStream(seed).generator, ref)
     assert out.tobytes() == ref.tobytes()
 
@@ -707,7 +714,7 @@ def test_small_groups_top_up_with_the_plain_loops_bytes(monkeypatch):
     for seed in range(200):
         need = 1 + seed % 40
         out, ref = np.empty((need, 2)), np.empty((need, 2))
-        fill_pairs(RandomStream(seed, 7).generator, out, Workspace())
+        fill_pairs(RandomStream(seed, 7).generator, out)
         blocks.append(_plain_fill(RandomStream(seed, 7).generator, ref))
         assert out.tobytes() == ref.tobytes()
     assert sum(b > 1 for b in blocks) >= 50 and max(blocks) >= 3

@@ -4,7 +4,7 @@ and calibration of the discretization constant."""
 import numpy as np
 import pytest
 
-from conftest import ks_against_cauchy
+from conftest import in_new_thread, ks_against_cauchy
 from l1sketch import (
     DEFAULT_C_MIDPOINT,
     ApproxConfig,
@@ -24,7 +24,7 @@ from l1sketch._poly import integrate_abs_poly
 from l1sketch.cid import _node_powers, rescale_matrix, step_fill, unit_nodes
 from l1sketch.densities import Breakpoints, unit_coefficients
 from l1sketch.pipeline import _BLOCK
-from l1sketch.randstream import Workspace, fill_groups
+from l1sketch.randstream import fill_groups, scratch
 
 
 def test_config_derives_r():
@@ -174,22 +174,22 @@ def test_sampler_equals_the_sketch_vector_of_each_replicate(d, r, nodes):
 def test_fill_groups_lends_the_step_fill_one_workspace_that_every_group_reuses():
     # a block of 64 replicates on the degree-2 benchmark shape, 71 intervals
     # of r = 18 steps: groups of 37 and 27 replicates at _CALL_DRAWS,
-    # each drawing its Cauchy steps into the one workspace of the call, with
-    # the bits of a fresh array for every group
+    # each drawing its Cauchy steps into the one scratch buffer of a new
+    # thread, with the bits of a fresh array for every group
     cfg = ApproxConfig(d=2, epsilon_integration=0.1, r=18, nodes="midpoint")
     per_rep = 71 * cfg.r
     fill, seen = step_fill(cfg), []
 
-    def recording(gen, out, work):
-        fill(gen, out, work)
-        seen.append((len(out), work, work.floats(1).ctypes.data))
+    def recording(gen, out):
+        fill(gen, out)
+        seen.append((len(out), scratch(0).base))
 
     z = np.empty((_BLOCK, 71, 3))
-    fill_groups(RandomStream(62).generator, recording, z, per_rep)
-    assert [rows for rows, _, _ in seen] == [37, 27]
-    assert len({(work, addr) for _, work, addr in seen}) == 1
-    work = seen[0][1]
-    assert work.floats(0).base.size == 37 * per_rep
+    in_new_thread(lambda: fill_groups(RandomStream(62).generator, recording, z, per_rep))
+    assert [rows for rows, _ in seen] == [37, 27]
+    buf = seen[0][1]
+    assert all(b is buf for _, b in seen)
+    assert buf.size == 37 * per_rep
     ref = np.empty_like(z)
     gen = RandomStream(62).generator
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
@@ -197,8 +197,8 @@ def test_fill_groups_lends_the_step_fill_one_workspace_that_every_group_reuses()
         steps = np.tan(np.pi * gen.random((g, 71, cfg.r)))
         ref[g0 : g0 + g] = steps @ weights
     np.testing.assert_array_equal(z, ref)
-    # the workspace holds the last group's steps
-    np.testing.assert_array_equal(work.floats(steps.size).reshape(steps.shape), steps)
+    # the buffer holds the last group's steps
+    np.testing.assert_array_equal(buf[: steps.size].reshape(steps.shape), steps)
 
 
 @pytest.mark.parametrize("nodes", ["right", "midpoint"])

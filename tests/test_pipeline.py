@@ -54,7 +54,7 @@ from l1sketch.densities import interval_coefficients, sample_from_density, unit_
 from l1sketch.errors import NonFiniteResultError
 from l1sketch.io import load_family, save_family
 from l1sketch.pipeline import _BLOCK, _PAIR_ROWS, SketchMatrix, _error_split, plan_run
-from l1sketch.randstream import _CALL_DRAWS, Workspace
+from l1sketch.randstream import _CALL_DRAWS
 
 
 def _uniform_pair():
@@ -497,15 +497,15 @@ def _groups(monkeypatch, run):
     makes, ``rows`` the length of each of its fills' parts."""
     calls, real = [], randstream_mod.fill_groups
 
-    def recording(gen, fill, out, per_row, *work):
+    def recording(gen, fill, out, per_row):
         rows = []
         calls.append((per_row, rows))
 
-        def fill_and_record(gen, part, work):
+        def fill_and_record(gen, part):
             rows.append(len(part))
-            fill(gen, part, work)
+            fill(gen, part)
 
-        real(gen, fill_and_record, out, per_row, *work)
+        real(gen, fill_and_record, out, per_row)
 
     with monkeypatch.context() as patch:
         for mod in (pipeline_mod, ci1_mod, cid_mod):
@@ -603,7 +603,7 @@ def test_candidate_block_draws_three_uniform_rows(k):
     # one (3, k) uniform draw and nothing else: rows U0, U1 give the points
     # by conditional inversion, row W the acceptance test
     gen = RandomStream(43, k).generator
-    u, accept = _candidate_block(gen, k, Workspace())
+    u, accept = _candidate_block(gen, k)
     ref = RandomStream(43, k).generator
     u0, p, w = ref.random((3, k))
     assert _state(gen) == _state(ref)
@@ -641,7 +641,7 @@ class _ZeroUniformStub:
 def _unit_pairs(gen, need):
     """``need`` pairs from one fill_pairs call in a new workspace, as ``(x0, x1)``."""
     out = np.empty((need, 2))
-    fill_pairs(gen, out, Workspace())
+    fill_pairs(gen, out)
     return out[:, 0], out[:, 1]
 
 
@@ -857,11 +857,11 @@ def test_r_step_sketch_passes_the_uniforms_of_its_larger_group(monkeypatch):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_warm_sketch_reuses_its_threads_workspace_and_faults_none_in(monkeypatch, degree):
-    # a thread keeps one workspace for every block of every sketch it runs,
-    # so a warm one-thread sketch of the size of d1-exact-ci1 or
+    # a thread keeps one scratch buffer for every group of every sketch it
+    # runs, so a warm one-thread sketch of the size of d1-exact-ci1 or
     # d2-cid-threads (10 densities on 71 intervals) faults no group scratch
-    # in: at degree 2, 172 minor faults with a new workspace a call, 0
-    # measured in a fresh process; at degree 1, where the workspace holds a
+    # in: at degree 2, 172 minor faults with a new buffer a call, 0
+    # measured in a fresh process; at degree 1, where the buffer holds a
     # candidate block's k-sized arrays, 0 measured
     resource = pytest.importorskip("resource")
     fam = random_segment_family(np.random.default_rng(63), 10, degree, n_intervals=71)
@@ -870,16 +870,19 @@ def test_warm_sketch_reuses_its_threads_workspace_and_faults_none_in(monkeypatch
     def sketch():
         return sketch_family(fam, plan["t"], plan["mode"], RandomStream(1), approx_config=approx)
 
-    works, real = [], pipeline_mod.fill_groups
+    bufs, real = [], pipeline_mod.fill_groups
 
-    def recording(gen, fill, out, per_row, work):
-        works.append(work)
-        real(gen, fill, out, per_row, work)
+    def recording(gen, fill, out, per_row):
+        def fill_and_record(gen, part):
+            fill(gen, part)
+            bufs.append(randstream_mod.scratch(0).base)
+
+        real(gen, fill_and_record, out, per_row)
 
     with monkeypatch.context() as patch:
         patch.setattr(pipeline_mod, "fill_groups", recording)
         first, second = sketch(), sketch()
-    assert len(works) > 2 and all(work is works[0] for work in works)
+    assert len(bufs) > 2 and all(buf is bufs[0] for buf in bufs)
     assert first.values.tobytes() == second.values.tobytes()
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     sketch()
