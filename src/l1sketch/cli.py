@@ -142,6 +142,14 @@ def _parse_points(spec: str) -> np.ndarray:
 
 def cmd_dist(args) -> int:
     family, digest = load_family(args.input, with_digest=True)
+    if args.format == "csv":
+        for name in family.names:
+            # a name in the CSV header and at the start of its row
+            if name.startswith("#") or any(c in name for c in ",\n\r"):
+                raise ParameterError(
+                    f"density name {name!r} cannot be written as CSV (it holds a comma or a "
+                    "line break, or starts with '#'); use --format json"
+                )
     start = time.perf_counter()
     dm = run_scheme(
         family,

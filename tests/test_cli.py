@@ -556,10 +556,9 @@ def test_dist_config_line_carries_every_key_the_benchmark_reads(tmp_path):
         assert wanted <= config.keys(), (degree, wanted - config.keys())
 
 
-def test_every_function_the_benchmark_traces_exists():
-    # perfbench/tracing.py times each layer by patching the (module,
-    # attribute) pairs of its TARGETS, and a pair that no longer resolves
-    # only gives an empty metric; the source is only read here
+def _traced_targets():
+    """The ``(module, attribute, layer, counts points)`` entries of
+    perfbench/tracing.py's TARGETS, read from its source, never imported."""
     source = (pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py").read_text(
         encoding="utf-8"
     )
@@ -568,7 +567,14 @@ def test_every_function_the_benchmark_traces_exists():
         for node in ast.parse(source).body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
     ]
-    targets = ast.literal_eval(targets)
+    return ast.literal_eval(targets)
+
+
+def test_every_function_the_benchmark_traces_exists():
+    # perfbench/tracing.py times each layer by patching the (module,
+    # attribute) pairs of its TARGETS, and a pair that no longer resolves
+    # only gives an empty metric; the source is only read here
+    targets = _traced_targets()
     assert len(targets) >= 10
     for module_name, attr, _, _ in targets:
         owner = importlib.import_module(module_name)
@@ -576,6 +582,71 @@ def test_every_function_the_benchmark_traces_exists():
             assert hasattr(owner, name), f"{module_name}.{attr}"
             owner = getattr(owner, name)
         assert callable(owner), f"{module_name}.{attr}"
+
+
+def test_dist_calls_every_traced_function_but_the_three_dead_layers(tmp_path, monkeypatch):
+    # a traced function that dist no longer calls gives a layer that reads
+    # 0; over sketches of degree 0, 1 and 2 and one exact run, only the
+    # three layers that read 0 today are never called, so a change that
+    # strands another one fails here
+    calls = {}
+    with monkeypatch.context() as patch:
+        for module_name, attr, _, _ in _traced_targets():
+            key = f"{module_name.removeprefix('l1sketch.')}.{attr}"
+            owner_name, _, name = attr.rpartition(".")
+            module = importlib.import_module(module_name)
+            original = getattr(getattr(module, owner_name) if owner_name else module, name)
+            calls[key] = 0
+
+            def counting(*args, _key=key, _original=original, **kwargs):
+                calls[_key] += 1
+                return _original(*args, **kwargs)
+
+            if owner_name:
+                patch.setattr(getattr(module, owner_name), name, counting)
+                continue
+            # every alias, as perfbench/tracing.py patches them
+            for mod_name, mod in list(sys.modules.items()):
+                if mod_name.split(".")[0] == "l1sketch":
+                    for alias, value in list(vars(mod).items()):
+                        if value is original:
+                            patch.setattr(mod, alias, counting)
+        for degree in (0, 1, 2):
+            fam = random_segment_family(np.random.default_rng(70 + degree), 3, degree)
+            path = tmp_path / f"d{degree}.json"
+            save_family(fam, str(path))
+            out = str(tmp_path / f"d{degree}.csv")
+            assert main(["dist", str(path), "--epsilon", "0.5", "--seed", "1", "--out", out]) == 0
+        assert main(["dist", str(path), "--method", "exact", "--out", str(tmp_path / "exact.csv")]) == 0
+    never = {key for key, count in calls.items() if count == 0}
+    assert never == {
+        "_poly.integrate_abs_poly",
+        "randstream.geometric_mean_estimate",
+        "densities.validate_family",
+    }
+
+
+@pytest.mark.parametrize("bad", ["#a", "b,c", "d\ne", "f\rg"])
+def test_dist_refuses_a_name_csv_cannot_hold_before_any_work(tmp_path, capsys, monkeypatch, bad):
+    # a comma or a line break in a name splits the CSV header and the
+    # name's row, and a row that starts with '#' reads as a comment line:
+    # such a name exits 3 as CSV, before the run, and JSON keeps it
+    fam = merge_breakpoints([uniform_density(bad, 0.0, 1.0), uniform_density("a#b", 0.5, 1.5)])
+    path = tmp_path / "fam.json"
+    save_family(fam, str(path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("ran a dist whose names CSV cannot hold")
+
+    out = tmp_path / "dist.csv"
+    with monkeypatch.context() as patch:
+        patch.setattr(cli_mod, "run_scheme", refuse)
+        code = main(["dist", str(path), "--method", "exact", "--out", str(out)])
+    err = _assert_refused(code, 3, out, capsys)
+    assert repr(bad) in err and "--format json" in err
+    out = tmp_path / "dist.json"
+    assert main(["dist", str(path), "--method", "exact", "--format", "json", "--out", str(out)]) == 0
+    assert json.loads(out.read_text(encoding="utf-8"))["names"] == [bad, "a#b"]
 
 
 def test_dist_replicate_byte_cap_exit_3_before_drawing(tmp_path, capsys, monkeypatch):
