@@ -43,10 +43,10 @@ group's slots.  Freed after each block, those arrays would let glibc hand
 the memory back and fault it in again: allocated, they cost some calls of
 a warm two-thread sketch of the 71-interval degree-1 benchmark family
 about 270 minor page faults, where in the scratch buffer each call from
-the fourth on makes 65 or fewer, most 6.  The density and the envelope points, computed for the few undecided
-and the kept candidates only, are plain whole-array code: a one-thread
-sketch of that family makes no minor page fault from its third call on
-(``ru_minflt``).
+the fourth on makes 65 or fewer, most 6.  The density and the envelope
+points, computed for the few undecided and the kept candidates only, are
+plain whole-array code: a one-thread sketch of that family makes no minor
+page fault from its third call on (``ru_minflt``).
 
 Conventions: ``x0`` is the coefficient-of-1 component, ``x1`` the
 coefficient-of-x component, the rows of :func:`sample_ci1_unit`'s
@@ -428,8 +428,8 @@ def first_block(need: int) -> int:
 
 def pairs_scratch(need: int) -> int:
     """Float64s of scratch one :func:`fill_pairs` call for ``need`` pairs
-    holds at its peak in a thread without scratch, for a first block of ``k``
-    candidates: the larger of its two peaks.  While the undecided
+    holds at its peak on a thread whose scratch buffer is empty, for a
+    first block of ``k`` candidates: the larger of its two peaks.  While the undecided
     candidates' density is computed, the block's front (3.4 rows of ``k``)
     and its cells and bounds (2 rows), the undecided candidates (about 6%
     of the block, 17 floats each: 1.1 rows) and 600 floats that do not

@@ -167,10 +167,10 @@ def step_fill(cfg: ApproxConfig):
     ``out[..., :d+1]`` from one ``(..., r)`` uniform draw into the thread's
     :func:`~l1sketch.randstream.scratch`, as standard Cauchy steps times the
     node powers of :func:`_node_powers` over ``r``, which is Cauchy steps of
-    scale ``1/r`` times the powers, without a pass over the steps.  Stacked, not
-    flattened, so each ``(L, r)`` product has the bits it has alone.  A
-    degree-2 benchmark block peaks at its first group's 378 KB of uniforms
-    and 2 KB more (tracemalloc)."""
+    scale ``1/r`` times the powers, without a pass over the steps.
+    Stacked, not flattened, so each ``(L, r)`` product has the bits it has
+    alone.  A degree-2 benchmark block peaks at its first group's 378 KB of
+    uniforms and 2 KB more (tracemalloc)."""
     weights = _node_powers(cfg.r, cfg.d, cfg.nodes) / cfg.r
 
     def fill(gen: np.random.Generator, out: np.ndarray) -> None:

@@ -107,8 +107,7 @@ def fill_groups(gen: np.random.Generator, fill, out: np.ndarray, per_row: float,
     parts of :func:`group_rows` rows (first-axis entries) of ``out``, for
     ``per_row`` uniforms a row and about :data:`_CALL_DRAWS` a call, so a
     call's buffers and the temporaries made from them stay small whatever
-    the row count.  A fill keeps its group's k-sized arrays in the thread's
-    :func:`scratch`."""
+    the row count.  A fill takes its group's scratch from :func:`scratch`."""
     group = group_rows(per_row)
     for g0 in range(0, len(out), group):
         fill(gen, out[g0 : g0 + group])
