@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import json
 import math
+import os
 import pathlib
 import re
 import subprocess
@@ -1147,9 +1148,10 @@ def test_internal_error_exit_4(pair_family_path, monkeypatch, capsys):
 
 
 def test_console_entry_point():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "l1sketch.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert "l1sketch" in proc.stdout
