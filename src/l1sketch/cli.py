@@ -30,7 +30,7 @@ from .cid import SKETCH_NODES, ApproxConfig, calibrate_c, rescale_matrix, sample
 from .densities import eval_density
 from .errors import EnvelopeDominationError, FamilyFormatError, NonFiniteResultError, ParameterError
 from .io import build_manifest, load_family, manifest_line, matrix_to_csv, matrix_to_json
-from .pipeline import run_scheme
+from .pipeline import _run_threads, run_scheme
 from .randstream import RandomStream
 
 EXIT_OK = 0
@@ -150,6 +150,7 @@ def cmd_dist(args) -> int:
                     f"density name {name!r} cannot be written as CSV (it holds a comma or a "
                     "line break, or starts with '#'); use --format json"
                 )
+    threads = _run_threads(args.threads, args.method, family.degree)
     start = time.perf_counter()
     dm = run_scheme(
         family,
@@ -157,7 +158,7 @@ def cmd_dist(args) -> int:
         delta=args.delta,
         method=args.method,
         seed=args.seed,
-        threads=args.threads,
+        threads=threads,
         c_constant=args.c_constant,
     )
     elapsed = time.perf_counter() - start
@@ -175,7 +176,11 @@ def cmd_dist(args) -> int:
     )
     text = matrix_to_csv(dm, manifest) if args.format == "csv" else matrix_to_json(dm, manifest)
     _write((text,), args.out)
-    print(f"dist: method={args.method} m={family.m} wall_time_s={elapsed:.3f}", file=sys.stderr)
+    # the thread count depends on the host, so it stays out of the output
+    print(
+        f"dist: method={args.method} m={family.m} threads={threads} wall_time_s={elapsed:.3f}",
+        file=sys.stderr,
+    )
     return EXIT_OK
 
 
@@ -285,7 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["csv", "json"], default="csv")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument(
+        "--threads", type=int, default=None,
+        help="sketch worker threads (default: every CPU the process may use, "
+        "but 1 at degree 1 and for --method exact or mc); output bytes do not depend on it",
+    )
     p.add_argument(
         "--c-constant", type=float, default=None,
         help="c in r = ceil(c d / sqrt(eps_int)) of the midpoint r-step sampler",

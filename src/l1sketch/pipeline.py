@@ -31,7 +31,9 @@ consumes only the stream ``(seed, b0)``, the SFC64 generator of child
 two blocks share a generator.
 A block's arithmetic is identical no matter which worker thread runs it, so
 outputs are bit-identical for any thread count, and a full block's columns
-do not depend on ``t``.
+do not depend on ``t``.  The block products run on one BLAS thread whatever
+the environment (:func:`_one_blas_thread`), since OpenBLAS sums a large
+product in another order on more threads.
 The estimator fans out the same way, on the one loop over pairs that the
 exact oracle also runs on (:func:`_all_pairs`): each task reduces its own
 block of pairs and writes only its own entries.
@@ -39,8 +41,13 @@ block of pairs and writes only its own entries.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import enum
+import glob
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -93,11 +100,24 @@ MAX_MC_DRAWS = 10**6
 #: Most worker threads a fan-out may start.
 MAX_THREADS = 256
 
+#: The ``(get, set)`` thread-count functions of numpy's bundled OpenBLAS, or
+#: ``()`` where none is found; None until the first sketch of a process
+#: looks them up (:func:`_one_blas_thread`), so an import loads no library.
+_blas = None
+_blas_lock = threading.Lock()
+#: Sketches now holding BLAS at one thread, and the count the last restores.
+_blas_holds = 0
+_blas_saved = 1
+
 
 class SketchMode(enum.Enum):
     EXACT_CI1 = "exact_ci1"
     CID_APPROX = "cid_approx"
     UNIFORM_FASTPATH = "uniform_fastpath"
+
+
+#: The sampler of each degree, the last for every degree from 2.
+_DEGREE_MODES = (SketchMode.UNIFORM_FASTPATH, SketchMode.EXACT_CI1, SketchMode.CID_APPROX)
 
 
 @dataclass
@@ -151,6 +171,68 @@ def _check_threads(threads: int) -> None:
         raise ParameterError(f"threads must be >= 1, got {threads}")
     if threads > MAX_THREADS:
         raise ParameterError(f"threads must be at most {MAX_THREADS}, got {threads}")
+
+
+def _run_threads(threads: int | None, method: str, degree: int) -> int:
+    """The worker threads of a :func:`run_scheme` call: ``threads`` when
+    given, checked; else one for the exact oracle, the MC baseline and the
+    exact degree-1 sampler, whose candidate blocks are about 30 short numpy
+    calls each that hold the GIL between them, and for the other samplers,
+    whose blocks are a few long GIL-free calls, every CPU the process may
+    run on, at most :data:`MAX_THREADS`."""
+    if threads is not None:
+        _check_threads(threads)
+        return threads
+    if method != "sketch" or _DEGREE_MODES[min(degree, 2)] is SketchMode.EXACT_CI1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, MAX_THREADS)
+
+
+def _find_blas() -> tuple:
+    """The ``(get, set)`` thread-count functions of the OpenBLAS that numpy's
+    wheel bundles (in ``numpy.libs``, or ``numpy/.dylibs`` on macOS; named
+    ``scipy_openblas`` from numpy 2.0), or ``()`` where none exports them."""
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(root + ".libs/*openblas*") + glob.glob(root + "/.dylibs/*openblas*")
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                     "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("get")) and hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return ()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold numpy's bundled OpenBLAS at one thread for the block: the first of
+    nested or concurrent holds saves the library's count and the last to end
+    restores it, also on error.  OpenBLAS sums a large product in another
+    order on more threads, and its threads and the sketch's own workers
+    oversubscribe the CPUs.  Does nothing where no setter is found
+    (:func:`_find_blas`, looked up on the first hold of a process)."""
+    global _blas, _blas_holds, _blas_saved
+    with _blas_lock:
+        if _blas is None:
+            _blas = _find_blas()
+        if _blas and _blas_holds == 0:
+            _blas_saved = _blas[0]()
+            _blas[1](1)
+        _blas_holds += 1
+    try:
+        yield
+    finally:
+        with _blas_lock:
+            _blas_holds -= 1
+            if _blas and _blas_holds == 0:
+                _blas[1](_blas_saved)
 
 
 def _fan_out(fn, tasks, threads: int, task_bytes: int) -> None:
@@ -252,7 +334,8 @@ def sketch_family(
     group = min(group_rows(per_rep), _BLOCK)
     scratch = pairs_scratch(group * n_int) if mode is SketchMode.EXACT_CI1 else group * per_rep
     block_bytes = int(8 * (_BLOCK * (n_int * (d + 1) + family.m) + scratch))
-    _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)
+    with _one_blas_thread():
+        _fan_out(run_block, range(0, t, _BLOCK), threads, block_bytes)
     return SketchMatrix(values=x, t=t, mode=mode, names=family.names, seed=rng.seed)
 
 
@@ -423,8 +506,7 @@ def plan_run(
     if not (0.0 < epsilon <= 0.5):
         raise ParameterError(f"sketch requires epsilon in (0, 1/2], got {epsilon}")
     c = rule_constant(SKETCH_NODES, c_constant)
-    modes = SketchMode.UNIFORM_FASTPATH, SketchMode.EXACT_CI1, SketchMode.CID_APPROX
-    mode = modes[min(degree, 2)]
+    mode = _DEGREE_MODES[min(degree, 2)]
     eps_est, approx, r_step = epsilon, None, {}
     if mode is SketchMode.CID_APPROX:
         eps_int, eps_est = _error_split(epsilon, degree, c)
@@ -444,16 +526,17 @@ def run_scheme(
     delta: float,
     method: str,
     seed: int,
-    threads: int = 1,
+    threads: int | None = None,
     c_constant: float | None = None,
 ) -> DistanceMatrix:
     """Dispatch to the exact oracle, the sketch of :func:`plan_run`'s plan or
-    the MC baseline.  A non-finite or non-positive ``epsilon``, a ``delta``
-    outside (0, 1), a bad ``c_constant`` or a family of fewer than two
-    densities raises :class:`ParameterError` for every method, before any
-    work; the sketch also refuses ``epsilon > 1/2`` and the MC baseline
-    ``epsilon > 2``."""
-    _check_threads(threads)
+    the MC baseline; the sketch runs on ``threads`` workers, or when None on
+    :func:`_run_threads`'s default for its sampler.  A non-finite or
+    non-positive ``epsilon``, a ``delta`` outside (0, 1), a bad
+    ``c_constant`` or a family of fewer than two densities raises
+    :class:`ParameterError` for every method, before any work; the sketch
+    also refuses ``epsilon > 1/2`` and the MC baseline ``epsilon > 2``."""
+    threads = _run_threads(threads, method, family.degree)
     for name, value in (("epsilon", epsilon), ("delta", delta)):
         if not math.isfinite(value):
             raise ParameterError(f"{name} must be finite, got {value}")

@@ -1157,6 +1157,56 @@ def test_console_entry_point():
     assert "l1sketch" in proc.stdout
 
 
+def test_dist_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
+    # m = 100 step densities of 8 pieces merge to about 700 intervals: a
+    # block's (64, 700) @ (700, 100) product is one OpenBLAS threads, and
+    # sums in another order on two threads than on one
+    gen = np.random.default_rng(1600)
+    densities = []
+    for j in range(100):
+        edges = np.concatenate([[0.0], np.sort(gen.uniform(0.0, 1.0, 7)), [1.0]])
+        heights = gen.uniform(0.1, 1.0, 8)
+        heights /= np.sum(heights * np.diff(edges))
+        densities.append(density_from_pieces(
+            f"f{j}", [(lo, hi, np.array([h])) for lo, hi, h in zip(edges[:-1], edges[1:], heights)], 0
+        ))
+    family = merge_breakpoints(densities)
+    assert len(family.breakpoints) - 1 > 650
+    path = tmp_path / "family.json"
+    save_family(family, str(path))
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    digests = {}
+    for blas in ("1", "2", None):
+        for threads in ([], ["--threads", "1"]):
+            out = tmp_path / f"dist-{blas}-{len(threads)}.csv"
+            run_env = {**env, "PYTHONPATH": str(src)}
+            if blas is not None:
+                run_env["OPENBLAS_NUM_THREADS"] = blas
+            proc = subprocess.run(
+                [sys.executable, "-m", "l1sketch.cli", "dist", str(path), "--epsilon", "0.5",
+                 "--seed", "16", *threads, "--out", str(out)],
+                capture_output=True, text=True, env=run_env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            digests[blas, " ".join(threads)] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert len(set(digests.values())) == 1, digests
+
+
+@pytest.mark.parametrize("degree,threads", [(0, 2), (1, 1), (2, 2)])
+def test_dist_stderr_names_the_threads_it_ran(tmp_path, capsys, monkeypatch, degree, threads):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = tmp_path / "family.json"
+    save_family(random_segment_family(np.random.default_rng(35), 3, degree), str(path))
+    out = tmp_path / "dist.csv"
+    assert main(["dist", str(path), "--epsilon", "0.5", "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"dist: method=sketch m=3 threads={threads} wall_time_s=[0-9.]+\n", err), err
+    assert "threads" not in out.read_text()
+    assert main(["dist", str(path), "--method", "exact", "--out", str(out)]) == 0
+    assert "method=exact m=3 threads=1 " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("where", ["missing/out.csv", "."])
 @pytest.mark.parametrize(
     "argv",

@@ -2,9 +2,13 @@
 
 import json
 import math
+import os
 import re
+import subprocess
 import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -213,6 +217,131 @@ def test_threads_above_cap_refused_before_any_pool(monkeypatch):
             sketch_family(fam, 5, SketchMode.UNIFORM_FASTPATH, _NoDraws(), threads=threads)
         with pytest.raises(ParameterError, match=message):
             estimate_all_pairs(sk, 0.5, 0.5, threads=threads)
+
+
+def _pool_sizes(monkeypatch) -> list:
+    """The ``max_workers`` of every pool the pipeline starts from now on."""
+    sizes, real = [], pipeline_mod.ThreadPoolExecutor
+
+    def recording(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(pipeline_mod, "ThreadPoolExecutor", recording)
+    return sizes
+
+
+def test_default_threads_are_every_cpu_but_one_at_degree_one(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sizes = _pool_sizes(monkeypatch)
+    for family, pools in ((_uniform_pair, [2, 2]), (_linear_pair, []), (_quadratic_pair, [2, 2])):
+        sizes.clear()
+        run_scheme(family(), 0.5, 0.5, "sketch", seed=1)
+        assert sizes == pools, family.__name__  # the sketch's and the estimator's
+        for method in ("exact", "mc"):
+            sizes.clear()
+            run_scheme(family(), 0.5, 0.5, method, seed=1)
+            assert sizes == []
+    # an explicit count always wins
+    for family, threads, pools in ((_uniform_pair, 1, []), (_linear_pair, 3, [3, 3])):
+        sizes.clear()
+        run_scheme(family(), 0.5, 0.5, "sketch", seed=1, threads=threads)
+        assert sizes == pools
+
+
+def test_default_threads_are_capped_and_fall_back_to_the_cpu_count(monkeypatch):
+    # the resolved count only: no pool of that size is started
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(300)), raising=False)
+    assert pipeline_mod._run_threads(None, "sketch", 0) == pipeline_mod.MAX_THREADS
+    pipeline_mod._check_threads(pipeline_mod.MAX_THREADS)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pipeline_mod._run_threads(None, "sketch", 2) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline_mod._run_threads(None, "sketch", 0) == 1
+
+
+def test_sketch_holds_blas_at_one_thread_and_restores_its_count(monkeypatch):
+    blas = pipeline_mod._find_blas()
+    if not blas:
+        pytest.skip("numpy bundles no OpenBLAS with a thread-count setter here")
+    get, put = blas
+    fam = _quadratic_pair()
+    plan, approx = plan_run(0.5, 0.5, fam.m, fam.degree)
+    readings, actions, real = [], {}, pipeline_mod.fill_groups
+
+    def reading(gen, fill, out, per_row):
+        # the count in every fill, and after the action a thread's next fill runs
+        readings.append(get())
+        action = actions.pop(threading.get_ident(), None)
+        if action is not None:
+            action()
+            readings.append(get())
+        real(gen, fill, out, per_row)
+
+    def sketch(threads=1):
+        return sketch_family(fam, plan["t"], plan["mode"], RandomStream(1), threads=threads,
+                             approx_config=approx)
+
+    def then(action):
+        actions[threading.get_ident()] = action
+
+    def fail():
+        raise RuntimeError("fill failed")
+
+    monkeypatch.setattr(pipeline_mod, "fill_groups", reading)
+    saved = get()
+    try:
+        put(2)
+        for threads in (1, 2):
+            sketch(threads)
+            assert readings and set(readings) == {1}
+            assert get() == 2
+        then(fail)
+        with pytest.raises(RuntimeError, match="fill failed"):
+            sketch()
+        assert get() == 2
+        # a sketch nested in another's fill
+        then(sketch)
+        sketch()
+        assert get() == 2
+        # sketch A starts sketch B on another thread, and ends while B waits
+        # in its fill; the count stays at 1 until B ends
+        b_in, a_done, b = threading.Event(), threading.Event(), []
+
+        def b_waits():
+            b_in.set()
+            assert a_done.wait(10)
+
+        def run_b():
+            then(b_waits)
+            sketch()
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            then(lambda: (b.append(pool.submit(run_b)), b_in.wait(10)))
+            sketch()
+            assert get() == 1
+            a_done.set()
+            b[0].result()
+        assert set(readings) == {1}
+        assert get() == 2
+    finally:
+        put(saved)
+
+
+def test_importing_the_cli_and_loading_a_family_look_up_no_blas(tmp_path):
+    # setup_s times exactly this, so the lookup waits for the first sketch
+    path = tmp_path / "family.json"
+    save_family(_uniform_pair(), str(path))
+    code = (
+        "import sys, l1sketch.cli, l1sketch.pipeline as pipeline, l1sketch.io as io\n"
+        "io.load_family(sys.argv[1])\n"
+        "print(pipeline._blas is None)\n"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True)
+    assert run.stdout.strip() == "True", run.stderr
 
 
 def test_estimate_requires_enough_replicates():
