@@ -322,11 +322,36 @@ def test_sketch_holds_blas_at_one_thread_and_restores_its_count(monkeypatch):
             sketch()
             assert get() == 1
             a_done.set()
-            b[0].result()
+            b[0].result(timeout=10)
         assert set(readings) == {1}
         assert get() == 2
     finally:
         put(saved)
+
+
+def test_holds_that_start_together_save_the_count_once(monkeypatch):
+    # a getter that yields the GIL lets a second hold start between the first
+    # one's check and its save, unless check, save and set are one locked step
+    count = [2]
+
+    def get():
+        time.sleep(0.002)
+        return count[0]
+
+    monkeypatch.setattr(pipeline_mod, "_blas", (get, lambda n: count.__setitem__(0, n)))
+    start, readings = threading.Barrier(4), []
+
+    def hold():
+        start.wait(10)
+        with pipeline_mod._one_blas_thread():
+            readings.append(count[0])
+            time.sleep(0.01)
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        for future in [pool.submit(hold) for _ in range(4)]:
+            future.result(timeout=10)
+    assert readings == [1] * 4
+    assert count[0] == 2 and pipeline_mod._blas_holds == 0
 
 
 def test_importing_the_cli_and_loading_a_family_look_up_no_blas(tmp_path):
