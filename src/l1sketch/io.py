@@ -24,6 +24,7 @@ import gc
 import hashlib
 import itertools
 import json
+from operator import itemgetter
 from typing import Any
 
 import numpy as np
@@ -55,26 +56,43 @@ def family_to_dict(family: DensityFamily) -> dict:
 _NUMBER = {int, float}
 
 
-def _typed(values, types: set, what: str):
+def _typed(values, types: set, what):
     """``values``, a list, if every one's type is in ``types``; otherwise
-    :class:`FamilyFormatError` names ``what`` and the first bad value.  A
-    value of another JSON type is refused, never truncated or cast, and the
-    check is one pass over the list, not one per value."""
+    :class:`FamilyFormatError` names ``what`` and the first bad value.
+    ``what`` is a text, or a function of the bad value's index that gives
+    one.  A value of another JSON type is refused, never truncated or cast,
+    and the check is one pass over the list, not one per value."""
     if not set(map(type, values)) <= types:
-        bad = next(v for v in values if type(v) not in types)
-        raise FamilyFormatError(f"{what}, got {bad!r}")
+        i, bad = next((i, v) for i, v in enumerate(values) if type(v) not in types)
+        raise FamilyFormatError(f"{what(i) if callable(what) else what}, got {bad!r}")
     return values
 
 
+def _coefficients(rows: list, degree: int, seg):
+    """The coefficient rows of all the segments, their entries checked to be
+    numbers (``seg(i)`` names segment ``i``): one array made from the flat
+    list of entries when every row holds ``degree + 1`` of them, else the
+    rows as they are, which the table of the first density with another
+    row refuses, naming ragged rows or wrong lengths."""
+    entries = list(itertools.chain.from_iterable(rows))
+
+    def owner(i: int) -> str:
+        return seg(np.searchsorted(np.cumsum(list(map(len, rows))), i, "right"))
+
+    _typed(entries, _NUMBER, lambda i: f"{owner(i)} coeffs must be numbers")
+    if set(map(len, rows)) <= {degree + 1}:
+        return np.array(entries, dtype=float).reshape(len(rows), degree + 1)
+    return rows
+
+
 def family_from_dict(doc: Any) -> DensityFamily:
-    """Parse a family document: each density's segments go straight into
-    its table, and every check runs on the arrays.  ``degree``, ``b`` and
+    """Parse a family document in one walk over all its segments: one type
+    check per list, one array each for all the coefficients, ``b`` and
+    ``c``, and each density's table a slice of them.  ``degree``, ``b`` and
     ``c`` must be JSON integers, and breakpoints and coefficients JSON
-    numbers, as :func:`family_to_dict` writes them.  A density whose rows
-    all hold ``degree + 1`` numbers gets its coefficient array from the
-    flat list of its entries, one conversion of the numbers the type check
-    has already walked; other rows go to the table as lists, whose check
-    names ragged rows and wrong lengths."""
+    numbers, as :func:`family_to_dict` writes them; a check that fails
+    names the density of the first bad value (:func:`_coefficients` for
+    the coefficients)."""
     if not isinstance(doc, dict):
         raise FamilyFormatError("family document must be a JSON object")
     try:
@@ -82,26 +100,33 @@ def family_from_dict(doc: Any) -> DensityFamily:
         check_degree(degree)
         points = _typed(doc["breakpoints"], _NUMBER, "breakpoints must be numbers")
         bp = Breakpoints(np.asarray(points, dtype=float))
-        densities = []
-        for dd in doc["densities"]:
-            (name,) = _typed([dd["name"]], {str}, "density name must be a string")
-            segs = dd["segments"]
-            seg = f"density {name!r}: segment"
-            rows = _typed([sd["coeffs"] for sd in segs], {list}, f"{seg} coeffs must be lists")
-            entries = list(itertools.chain.from_iterable(rows))
-            _typed(entries, _NUMBER, f"{seg} coeffs must be numbers")
-            b, c = (
-                _typed([sd[key] for sd in segs], {int}, f"{seg} index {key!r} must be an integer")
-                for key in ("b", "c")
-            )
-            coeffs = rows  # ragged or mis-sized rows: the table reports them
-            if set(map(len, rows)) == {degree + 1}:
-                coeffs = np.array(entries, dtype=float).reshape(len(rows), degree + 1)
-            dens = PiecewisePolyDensity(name, b, c, coeffs, degree)
-            # JSON admits NaN and Infinity
-            if not np.isfinite(dens.coeffs).all():
-                raise FamilyFormatError(f"{seg} coefficients must be finite")
-            densities.append(dens)
+        docs = doc["densities"]
+        names = _typed([dd["name"] for dd in docs], {str}, "density name must be a string")
+        per_density = [dd["segments"] for dd in docs]
+        segs = list(itertools.chain.from_iterable(per_density))
+        # density j's segments are segs[bounds[j] : bounds[j + 1]]
+        bounds = np.cumsum([0, *map(len, per_density)])
+
+        def seg(i) -> str:
+            return f"density {names[np.searchsorted(bounds, i, 'right') - 1]!r}: segment"
+
+        rows = list(map(itemgetter("coeffs"), segs))
+        coeffs = _coefficients(_typed(rows, {list}, lambda i: f"{seg(i)} coeffs must be lists"),
+                               degree, seg)
+        del rows  # the array, when there is one, holds the values
+        b, c = (
+            np.asarray(_typed(list(map(itemgetter(key), segs)), {int},
+                              lambda i: f"{seg(i)} index {key!r} must be an integer"), dtype=np.int64)
+            for key in ("b", "c")
+        )
+        densities = [
+            PiecewisePolyDensity(name, b[lo:hi], c[lo:hi], coeffs[lo:hi], degree)
+            for name, lo, hi in zip(names, bounds[:-1], bounds[1:])
+        ]
+        # JSON admits NaN and Infinity
+        finite = np.isfinite(coeffs).all(axis=1)
+        if not finite.all():
+            raise FamilyFormatError(f"{seg(np.argmin(finite))} coefficients must be finite")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         if isinstance(exc, FamilyFormatError):
             raise

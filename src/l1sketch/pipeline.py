@@ -34,9 +34,9 @@ outputs are bit-identical for any thread count, and a full block's columns
 do not depend on ``t``.  The block products run on one BLAS thread whatever
 the environment (:func:`_one_blas_thread`), since OpenBLAS sums a large
 product in another order on more threads.
-The estimator fans out the same way, on the one loop over pairs that the
-exact oracle also runs on (:func:`_all_pairs`): each task reduces its own
-block of pairs and writes only its own entries.
+The estimator fans out the same way, on its loop over pairs
+(:func:`_all_pairs`): each task reduces its own block of pairs and writes
+only its own entries.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ _BLOCK = 64
 #: Rows per task of the pair loop (:func:`_all_pairs`), each reduced against
 #: one row ``j``: the estimator's ``(_PAIR_ROWS, t)`` float64 differences,
 #: about 1 MB at t = 8,187, stay in cache from the subtraction through the
-#: log to the row sums, and the oracle's kernel takes as many rows at a time.
+#: log to the row sums.
 _PAIR_ROWS = 16
 
 #: Most bytes one replicate's float64 uniforms may take, since a block draws
@@ -340,7 +340,8 @@ def sketch_family(
 
 
 def _all_pairs(m: int, reduce, threads: int, row_bytes: int) -> np.ndarray:
-    """The one loop over pairs, of the estimator and the exact oracle: the
+    """The estimator's loop over pairs (the exact oracle chunks its pairs by
+    union intervals instead, :func:`l1sketch.densities.exact_all_pairs`): the
     symmetric ``(m, m)`` matrix, zero on the diagonal, whose task ``(j, k0)``
     writes ``reduce(j, k0, k1)``, rows ``k0 .. k1 - 1 < k0 + _PAIR_ROWS``
     against row ``j < k0``, to its own upper-triangle entries with

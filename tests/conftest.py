@@ -21,6 +21,7 @@ from l1sketch import (
     PiecewisePolyDensity,
     RandomStream,
 )
+from l1sketch._poly import integrate_abs_local, taylor_shift
 
 
 def in_new_thread(fn):
@@ -87,6 +88,28 @@ def cf_pair_density(x0: float, x1: float) -> float:
     kinks = [np.pi / 2, 3 * np.pi / 4, 3 * np.pi / 2, 7 * np.pi / 4]
     val, _ = quad(integrand, 0.0, 2.0 * np.pi, points=kinks, limit=400)
     return val / (4.0 * np.pi**2)
+
+
+def per_interval_oracle(family) -> np.ndarray:
+    """All-pairs exact L1 distances summed grid interval by grid interval:
+    every density's row is written on each grid interval it spans, shifted
+    to the interval's left end ``u = x - a_l``, and ``|f_j - f_k|`` is
+    integrated over every one of the L intervals, a pair at a time."""
+    grid = family.breakpoints.points
+    n_int, width = grid.size - 1, family.degree + 1
+    local = np.zeros((family.m, n_int, width))
+    for j, dens in enumerate(family.densities):
+        for b, c, row in zip(dens.b, dens.c, dens.coeffs):
+            for ell in range(b, c):
+                local[j, ell] = taylor_shift(row, grid[ell])
+    widths = np.diff(grid)
+    entries = np.zeros((family.m, family.m))
+    for j in range(family.m):
+        for k in range(j + 1, family.m):
+            with np.errstate(over="ignore"):
+                per = integrate_abs_local(local[j] - local[k], widths)
+            entries[j, k] = entries[k, j] = per.sum()
+    return entries
 
 
 def random_segment_family(gen, m, degree, n_intervals=8, prefix="f"):

@@ -21,8 +21,10 @@ from l1sketch import (
     Breakpoints,
     DensityFamily,
     PiecewisePolyDensity,
+    RandomStream,
     density_from_pieces,
     merge_breakpoints,
+    random_piecewise_linear_family,
     uniform_density,
 )
 from conftest import random_segment_family
@@ -1191,6 +1193,63 @@ def test_dist_bytes_do_not_depend_on_the_blas_thread_setting(tmp_path):
             assert proc.returncode == 0, proc.stderr
             digests[blas, " ".join(threads)] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert len(set(digests.values())) == 1, digests
+
+
+#: Settings that make numpy and OpenBLAS run other kernels on one host.
+_KERNEL_SETTINGS = {
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR",
+    "OPENBLAS_CORETYPE": "Haswell",
+}
+
+
+def _kernel_setting_missing(name: str) -> str | None:
+    """Why this host cannot try the setting ``name``, or None if it can."""
+    umath = (np._core if hasattr(np, "_core") else np.core)._multiarray_umath
+    features = umath.__cpu_features__
+    if name == "NPY_DISABLE_CPU_FEATURES":
+        disabled = set(_KERNEL_SETTINGS[name].split()) & set(umath.__cpu_dispatch__)
+        if not any(features.get(f) for f in disabled):
+            return f"numpy runs none of {_KERNEL_SETTINGS[name]} on this host"
+        return None
+    if not pipeline_mod._find_blas():
+        return "numpy's BLAS is not a bundled OpenBLAS"
+    if not (features.get("AVX2") and features.get("FMA3")):
+        return "this host cannot run OpenBLAS's Haswell kernels"
+    return None
+
+
+@pytest.mark.parametrize("setting", sorted(_KERNEL_SETTINGS))
+def test_exact_and_eval_density_bytes_do_not_depend_on_the_kernels(tmp_path, setting):
+    # numpy's SIMD level and OpenBLAS's kernel move the sketch's last bits,
+    # but not those of the exact oracle and eval density at degree <= 2
+    reason = _kernel_setting_missing(setting)
+    if reason:
+        pytest.skip(reason)
+    argvs = []
+    for degree in (0, 1, 2):
+        if degree == 1:  # merged, one piece over several grid intervals
+            fam = random_piecewise_linear_family(20, 8, RandomStream(36))
+        else:
+            fam = random_segment_family(np.random.default_rng(36), 20, degree)
+        path = str(tmp_path / f"degree{degree}.json")
+        save_family(fam, path)
+        argvs += [["dist", path, "--method", "exact"],
+                  ["eval", "density", "--input", path, "--name", "f3", "--grid", "-6:12:0.003"]]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    script = ("import json, sys; from l1sketch.cli import main; "
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    outputs = []
+    for extra in ({}, {setting: _KERNEL_SETTINGS[setting]}):
+        env = {k: v for k, v in os.environ.items() if k not in _KERNEL_SETTINGS}
+        outs = [str(tmp_path / f"{len(outputs)}-{i}.csv") for i in range(len(argvs))]
+        runs = [argv + ["--out", out] for argv, out in zip(argvs, outs)]
+        proc = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(runs)],
+            capture_output=True, text=True, env={**env, **extra, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([pathlib.Path(out).read_bytes() for out in outs])
+    assert outputs[1] == outputs[0]
 
 
 @pytest.mark.parametrize("degree,threads", [(0, 2), (1, 1), (2, 2)])

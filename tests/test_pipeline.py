@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -22,7 +23,7 @@ import l1sketch.cli as cli_mod
 import l1sketch.densities as densities_mod
 import l1sketch.pipeline as pipeline_mod
 import l1sketch.randstream as randstream_mod
-from conftest import ks_against_cauchy, random_segment_family
+from conftest import ks_against_cauchy, per_interval_oracle, random_segment_family
 from l1sketch import (
     ApproxConfig,
     Breakpoints,
@@ -494,22 +495,96 @@ def test_block_oracle_equals_per_pair_loop():
                 assert got[j, k] == got[k, j] == exact_l1_distance(f, g, bp), (j, k)
 
 
-def test_oracle_kernel_calls_take_at_most_pair_rows(monkeypatch):
-    # the oracle's scratch is one block of at most _PAIR_ROWS densities, not
-    # all m - 1 - j of them at row j
-    kernel = densities_mod.integrate_abs_local
-    rows = []
+def test_oracle_kernel_calls_hold_at_most_the_interval_budget(monkeypatch):
+    # the upper triangle goes to the pair kernel in flat chunks, row by row:
+    # each call integrates at most the budget of union intervals, or holds
+    # one pair alone, the calls take every pair once, the entries keep their
+    # bits, and no dense (m, L, d+1) tensor is built
+    pair_kernel, integrate = densities_mod._pair_distances, densities_mod.integrate_abs_local
+    calls = []
 
-    def record(coeffs, width):
-        rows.append(np.shape(coeffs)[0])
-        return kernel(coeffs, width)
+    def record_pairs(table, j, k):
+        calls.append([j, k, 0])
+        return pair_kernel(table, j, k)
 
-    monkeypatch.setattr(densities_mod, "integrate_abs_local", record)
+    def record_rows(coeffs, width):
+        calls[-1][2] += np.shape(coeffs)[0]
+        return integrate(coeffs, width)
+
+    def dense(*args):
+        raise AssertionError("the oracle built the dense coefficient tensor")
+
+    monkeypatch.setattr(densities_mod, "interval_coefficients", dense)
     for fam in _oracle_families():
-        rows.clear()
+        want = exact_all_pairs(fam).entries
+        with monkeypatch.context() as patch:
+            patch.setattr(densities_mod, "_pair_distances", record_pairs)
+            patch.setattr(densities_mod, "integrate_abs_local", record_rows)
+            patch.setattr(densities_mod, "_PAIR_INTERVALS", 300)
+            calls.clear()
+            got = exact_all_pairs(fam).entries
+        np.testing.assert_array_equal(got, want)
+        assert len(calls) > 3
+        assert all(rows <= 300 or j.size == 1 for j, _, rows in calls)
+        pairs = np.concatenate([j * fam.m + k for j, k, _ in calls])
+        np.testing.assert_array_equal(pairs, np.flatnonzero(np.triu(np.ones((fam.m, fam.m)), 1)))
+
+
+def test_merged_oracle_memory_stays_bounded():
+    # 400 merged densities of 8 pieces on about 2,800 grid intervals: the
+    # dense (m, L, 2) coefficient tensor alone would take 17.9 MB, and the
+    # run tables peak at about 5 MB, most of it the (m, m) matrix and the
+    # pair indices
+    fam = random_piecewise_linear_family(400, 8, RandomStream(5))
+    tracemalloc.start()
+    try:
         exact_all_pairs(fam)
-        assert max(rows) <= _PAIR_ROWS
-        assert sum(rows) == fam.m * (fam.m - 1) // 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+@st.composite
+def oracle_families(draw):
+    """Families of degree 0-3 for the oracle's differential test, on grids
+    shifted and scaled from integer widths: densities with gaps, pieces of
+    up to four intervals written whole or one interval a row, pieces that
+    repeat the coefficients of the piece they touch, and last a twin of the
+    first density written one interval a row."""
+    degree = draw(st.integers(0, 3))
+    widths = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+    offset = draw(st.sampled_from([0.0, -3.25, 1000.0]))
+    scale = draw(st.sampled_from([0.125, 1.0, 16.0]))
+    grid = offset + scale * np.concatenate([[0], np.cumsum(widths)])
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    densities = []
+    for j in range(draw(st.integers(2, 4))):
+        spans, rows, pos = [], [], draw(st.integers(0, 2))
+        while pos < len(widths):
+            end = min(pos + draw(st.integers(1, 4)), len(widths))
+            row = rows[-1] if rows and draw(st.booleans()) else gen.uniform(-1.0, 1.0, degree + 1)
+            piece = [(x, x + 1) for x in range(pos, end)] if draw(st.booleans()) else [(pos, end)]
+            spans += piece
+            rows += [row] * len(piece)
+            pos = end + draw(st.integers(0, 2))
+        b, c = [lo for lo, _ in spans], [hi for _, hi in spans]
+        densities.append(PiecewisePolyDensity(f"f{j}", b, c, np.reshape(rows, (-1, degree + 1)), degree))
+    first = densities[0]
+    cells = np.concatenate([np.arange(b0, c0) for b0, c0 in zip(first.b, first.c)] + [np.empty(0, int)])
+    rows = np.repeat(first.coeffs, first.c - first.b, axis=0)
+    densities.append(PiecewisePolyDensity("twin", cells, cells + 1, rows, degree))
+    return DensityFamily(Breakpoints(grid), densities, degree)
+
+
+@settings(deadline=None, derandomize=True, max_examples=150)
+@given(fam=oracle_families())
+def test_oracle_matches_the_per_interval_sum(fam):
+    # union-grid run tables against the sum over every grid interval: within
+    # 1e-12 relative, and identical densities at exactly 0.0
+    got = exact_all_pairs(fam).entries
+    np.testing.assert_allclose(got, per_interval_oracle(fam), rtol=1e-12, atol=0.0)
+    assert got[0, -1] == 0.0
 
 
 # ------------------------------------------------------------------- sketches
