@@ -160,21 +160,24 @@ def family_from_json(text: str) -> DensityFamily:
 
 def load_family(path: str, with_digest: bool = False):
     """The family in the file at ``path``; with ``with_digest``, also the
-    sha256 of the bytes parsed.  The file is read once.  An unreadable path
-    or bytes that are not UTF-8 raise :class:`FamilyFormatError`."""
+    sha256 of the bytes parsed.  The file is read once, and its bytes are
+    dropped once decoded.  An unreadable path or bytes that are not UTF-8
+    raise :class:`FamilyFormatError`."""
     try:
         with open(path, "rb") as handle:
             raw = handle.read()
     except OSError as exc:
         raise FamilyFormatError(f"cannot read family file {path!r}: {exc.strerror}") from exc
+    digest = sha256_digest(raw) if with_digest else None
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise FamilyFormatError(
             f"family file is not UTF-8: byte {exc.start} ({raw[exc.start:exc.start + 1]!r})"
         ) from exc
+    del raw  # as large as the text: not held through the parse
     family = family_from_json(text)
-    return (family, sha256_digest(raw)) if with_digest else family
+    return (family, digest) if with_digest else family
 
 
 def save_family(family: DensityFamily, path: str) -> None:
